@@ -37,12 +37,10 @@ def main(argv=None) -> int:
         cfg.experiment = args.experiment
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.validate()
+        out = run(cfg, args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        out = run(cfg, args.out, threads=args.threads)
     except (SingularSystemError, ArpackError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -20,8 +20,8 @@ from scipy import stats as sps
 from . import __version__
 from .geometry import (DIRICHLET, BCKind, GridGeometry, rasterize_quarter_stadium,
                        rasterize_rectangle, tag_boundary)
-from .io import fmt, write_csv, write_json, write_pgm, write_polylines
-from .network import CircuitSpec, identity_perturbation, sample_perturbation
+from .io import write_csv, write_json, write_pgm, write_polylines
+from .network import CircuitSpec, sample_perturbation
 from .solve import (damping_length, driven_response, eigenmode_nearest,
                     eigenmodes_lossless, quality_factor, resonance_sweep,
                     wavelength)
@@ -119,12 +119,22 @@ class ExperimentConfig:
             raise ConfigError("resistance: must be >= 0")
         if self.tolerance < 0.0:
             raise ConfigError("tolerance: must be >= 0")
+        if self.tolerance_distribution not in ("uniform", "gaussian"):
+            raise ConfigError("tolerance_distribution: unknown law "
+                              f"{self.tolerance_distribution!r}")
         if self.source_rule not in ("site", "density_max"):
             raise ConfigError(f"source_rule: unknown rule {self.source_rule!r}")
+        if self.source_site is not None and not (
+                isinstance(self.source_site, list) and len(self.source_site) == 2
+                and all(type(k) is int for k in self.source_site)):
+            raise ConfigError("source_site: need a list of two integers [i, j]")
         if self.experiment in ("drive", "stats", "streamlines") and self.omega <= 0.0:
             raise ConfigError("omega: must be positive for driven experiments")
-        if self.experiment == "sweep" and not (0.0 < self.omega_min < self.omega_max):
-            raise ConfigError("omega_min/omega_max: need 0 < min < max")
+        if self.experiment == "sweep":
+            if not 0.0 < self.omega_min < self.omega_max:
+                raise ConfigError("omega_min/omega_max: need 0 < min < max")
+            if self.n_points < 3:
+                raise ConfigError("n_points: a sweep needs at least 3 points")
         if self.experiment == "ensemble":
             if self.tolerance <= 0.0 and self.n_realizations > 1:
                 raise ConfigError("tolerance: ensemble with tau = 0 is degenerate")
@@ -297,9 +307,18 @@ def _manifest(cfg: ExperimentConfig, spec: CircuitSpec, extra=None) -> dict:
 def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
     """Execute one experiment; returns the artifact directory path."""
     cfg.validate()
+    try:
+        geometry = cfg.build_geometry()
+        spec = cfg.build_spec()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.source_site is not None:
+        i, j = cfg.source_site
+        if not (0 <= i < geometry.nx and 0 <= j < geometry.ny
+                and geometry.interior[i, j]):
+            raise ConfigError(f"source_site: {cfg.source_site} is not an "
+                              "interior site of the geometry")
     os.makedirs(out_dir, exist_ok=True)
-    geometry = cfg.build_geometry()
-    spec = cfg.build_spec()
     extra = {}
 
     if cfg.experiment == "spectrum":

@@ -9,9 +9,9 @@ from math import pi
 
 import numpy as np
 
-from .geometry import DIRICHLET, MIXED, NEUMANN, GridGeometry
-from .network import (MODEL_I, CircuitSpec, identity_perturbation,
-                      _link_admittances, _shunt_admittance)
+from .geometry import GridGeometry
+from .network import (CircuitSpec, element_admittances, identity_perturbation,
+                      lattice_incidence)
 from .solve import ComplexField
 
 PHYSICAL = "physical"
@@ -69,14 +69,11 @@ def probability_density(field: ComplexField) -> np.ndarray:
     return out
 
 
-def _link_masks(geometry: GridGeometry):
-    inter = geometry.interior
-    member = inter | geometry.boundary
-    mask_x = np.zeros((geometry.nx, geometry.ny), dtype=bool)
-    mask_y = np.zeros_like(mask_x)
-    mask_x[:-1, :] = member[:-1, :] & member[1:, :] & (inter[:-1, :] | inter[1:, :])
-    mask_y[:, :-1] = member[:, :-1] & member[:, 1:] & (inter[:, :-1] | inter[:, 1:])
-    return mask_x, mask_y
+def _voltage_drops(field: ComplexField):
+    """Incidence over every network site and the drop V_hi - V_lo per link."""
+    geom = field.geometry
+    inc = lattice_incidence(geom, geom.interior | geom.boundary)
+    return inc, inc.matrix @ field.values[inc.index >= 0]
 
 
 def link_currents(field: ComplexField, spec: CircuitSpec, omega: float,
@@ -91,24 +88,22 @@ def link_currents(field: ComplexField, spec: CircuitSpec, omega: float,
     if variant not in (PHYSICAL, OHMIC):
         raise ValueError(f"unknown current variant: {variant!r}")
     geom = field.geometry
-    v = field.values
-    mask_x, mask_y = _link_masks(geom)
-    dvx = np.zeros_like(v)
-    dvy = np.zeros_like(v)
-    dvx[:-1, :] = v[1:, :] - v[:-1, :]
-    dvy[:, :-1] = v[:, 1:] - v[:, :-1]
+    inc, dv = _voltage_drops(field)
     if variant == OHMIC:
         if spec.resistance <= 0.0:
             raise ValueError("ohmic currents undefined for R = 0")
-        yx = np.full(v.shape, 1.0 / spec.resistance)
-        yy = yx
+        y = 1.0 / spec.resistance
     else:
         pert = field.perturbation or identity_perturbation(geom)
-        yx, yy = _link_admittances(geom, spec, omega, pert)
-    ix = np.where(mask_x, dvx * yx, 0.0)
-    iy = np.where(mask_y, dvy * yy, 0.0)
+        y, _ = element_admittances(geom, spec, omega, pert, inc)
+    i_link = dv * y
+    n_x = np.count_nonzero(inc.mask_x)
+    ix = np.zeros(field.values.shape, dtype=complex)
+    iy = np.zeros_like(ix)
+    ix[inc.mask_x] = i_link[:n_x]
+    iy[inc.mask_y] = i_link[n_x:]
     return CurrentField(geometry=geom, ix=ix, iy=iy,
-                        mask_x=mask_x, mask_y=mask_y, variant=variant)
+                        mask_x=inc.mask_x, mask_y=inc.mask_y, variant=variant)
 
 
 def heat_power(currents: CurrentField, resistance: float) -> HeatField:
@@ -122,43 +117,23 @@ def heat_power(currents: CurrentField, resistance: float) -> HeatField:
 def power_balance(field: ComplexField, source) -> float:
     """Relative mismatch between injected active power and total dissipation.
 
-    P_in = Re(V_s conj(I_s)) / 2 at the source; dissipation sums
-    Re(z) |I|^2 / 2 over every link plus every resistive shunt (interior
-    shunts for model II, boundary shunts for mixed BC).
+    P_in = Re(V_s conj(I_s)) / 2 at the source; the dissipation is one sum
+    of Re(1/y) |I|^2 / 2 over every network element of nonzero admittance y:
+    each link, with I = y dV, and each shunt (interior cells and Neumann or
+    mixed boundary sites), with I = y V.
     """
     geom = field.geometry
-    spec = field.spec
-    omega = field.omega
     pert = field.perturbation or identity_perturbation(geom)
     (si, sj), amplitude = source
     p_in = 0.5 * float(np.real(field.values[si, sj] * np.conj(amplitude)))
 
-    mask_x, mask_y = _link_masks(geom)
-    yx, yy = _link_admittances(geom, spec, omega, pert)
-    v = field.values
-    dvx = np.zeros_like(v)
-    dvy = np.zeros_like(v)
-    dvx[:-1, :] = v[1:, :] - v[:-1, :]
-    dvy[:, :-1] = v[:, 1:] - v[:, :-1]
-    # per-link dissipation Re(z) |I|^2 / 2 with I = dV * y, Re(z) = Re(1/y)
-    p_diss = 0.0
-    for dv, y, m in ((dvx, yx, mask_x), (dvy, yy, mask_y)):
-        i_link = dv[m] * (y[m] if np.ndim(y) else y)
-        p_diss += 0.5 * float(np.sum(np.real(1.0 / y[m]) * np.abs(i_link) ** 2))
-
-    y_shunt = _shunt_admittance(geom, spec, omega, pert)
-    vs = v[geom.interior]
-    ish = vs * y_shunt[geom.interior]
-    p_diss += 0.5 * float(np.sum(np.real(1.0 / y_shunt[geom.interior])
-                                 * np.abs(ish) ** 2))
-
-    bc = geom.bc
-    if bc.kind == MIXED:
-        z_b = complex(bc.shunt_resistance, omega * bc.shunt_inductance)
-        vb = v[geom.boundary]
-        p_diss += 0.5 * float(np.sum(np.abs(vb / z_b) ** 2) * z_b.real)
-    elif bc.kind == NEUMANN:
-        pass  # capacitive shunts are lossless
+    inc, dv = _voltage_drops(field)
+    y_link, y_shunt = element_admittances(geom, field.spec, field.omega,
+                                          pert, inc)
+    shunted = y_shunt != 0.0   # grounded Dirichlet sites have no shunt
+    y = np.concatenate((y_link, y_shunt[shunted]))
+    drop = np.concatenate((dv, field.values[shunted]))
+    p_diss = 0.5 * float(np.sum(np.real(1.0 / y) * np.abs(y * drop) ** 2))
 
     # lossless case: active power vanishes up to roundoff of the apparent
     # power 0.5 |V_s I_s|; report 0 rather than a 0/0 ratio

@@ -132,23 +132,77 @@ class AdmittanceSystem:
     index: np.ndarray           # (nx, ny) int, -1 where not an unknown
 
 
-def _link_admittances(geometry, spec, omega, pert):
-    """Per-link admittance arrays y_x[i, j], y_y[i, j] over the lattice."""
-    if spec.model == MODEL_I:
-        def y(mult):
-            return 1.0 / (1j * omega * spec.inductance * mult
-                          + spec.resistance * mult)
-    else:
-        def y(mult):
-            return 1j * omega * spec.capacitance * mult
-    return y(pert.link_x), y(pert.link_y)
+@dataclass(frozen=True)
+class Incidence:
+    """Oriented incidence B of the lattice links over a set of unknown sites.
+
+    Links join (i,j)-(i+1,j) (x links) and (i,j)-(i,j+1) (y links); a link
+    exists when both ends are network sites and at least one end is
+    interior.  Rows of B are the x links, then the y links, each in
+    row-major order of the link's lower end.  A row holds -1 at the lower
+    end and +1 at the upper end; an end that is not an unknown is grounded
+    (V = 0) and dropped, so B^T diag(y) B still carries its diagonal term.
+    """
+
+    mask_x: np.ndarray       # bool (nx, ny): x link at its lower end exists
+    mask_y: np.ndarray
+    index: np.ndarray        # (nx, ny) int, unknown number or -1
+    matrix: sp.csr_matrix    # (n_links, n_unknowns)
 
 
-def _shunt_admittance(geometry, spec, omega, pert):
-    if spec.model == MODEL_I:
-        return 1j * omega * spec.capacitance * pert.site
-    return 1.0 / (1j * omega * spec.inductance * pert.site
-                  + spec.resistance * pert.site)
+def lattice_incidence(geometry: GridGeometry, unknown: np.ndarray) -> Incidence:
+    """Incidence of the network links over the sites where `unknown` is True."""
+    inter = geometry.interior
+    member = inter | geometry.boundary
+    n = np.count_nonzero(unknown)
+    index = -np.ones((geometry.nx, geometry.ny), dtype=np.int64)
+    index[unknown] = np.arange(n)
+    masks, lo_ends, hi_ends = [], [], []
+    for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+        mask = np.zeros_like(inter)
+        mask[lo] = member[lo] & member[hi] & (inter[lo] | inter[hi])
+        masks.append(mask)
+        lo_ends.append(index[lo][mask[lo]])
+        hi_ends.append(index[hi][mask[lo]])
+    n_links = sum(len(e) for e in lo_ends)
+    rows = np.tile(np.arange(n_links), 2)
+    cols = np.concatenate(lo_ends + hi_ends)
+    vals = np.repeat([-1.0, 1.0], n_links)
+    keep = cols >= 0
+    matrix = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                           shape=(n_links, n))
+    return Incidence(mask_x=masks[0], mask_y=masks[1], index=index,
+                     matrix=matrix)
+
+
+def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
+                        omega: float, pert: Perturbation, incidence: Incidence):
+    """Admittance of every link, in the incidence's row order, and of every
+    site's shunt as an (nx, ny) array.
+
+    Interior sites carry the model's shunt; boundary sites carry the
+    Neumann capacitor or the mixed resistive inductor.  A Dirichlet boundary
+    site is grounded, has no shunt element and reads 0.
+    """
+    def inductor(mult):
+        return 1.0 / (1j * omega * spec.inductance * mult
+                      + spec.resistance * mult)
+
+    def capacitor(mult):
+        return 1j * omega * spec.capacitance * mult
+
+    link, shunt = (inductor, capacitor) if spec.model == MODEL_I \
+        else (capacitor, inductor)
+    y_shunt = np.where(geometry.interior, shunt(pert.site), 0.0)
+    bc = geometry.bc
+    if bc.kind == NEUMANN:
+        y_shunt[geometry.boundary] = capacitor(1.0)
+    elif bc.kind == MIXED:
+        y_shunt[geometry.boundary] = 1.0 / complex(
+            bc.shunt_resistance, omega * bc.shunt_inductance)
+    mult = np.concatenate((pert.link_x[incidence.mask_x],
+                           pert.link_y[incidence.mask_y]))
+    return link(mult), y_shunt
 
 
 def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
@@ -159,74 +213,29 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     `source` is an optional ((i, j), complex amplitude) current injection at
     an interior site.  For Dirichlet boundaries the unknowns are the interior
     sites only; Neumann/mixed boundary sites enter as extra unknowns shunted
-    through the tagged element.
+    through the tagged element.  The matrix is
+    A = -(B^T diag(y_link) B + diag(y_shunt)) with B the lattice incidence.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     if pert is None:
         pert = identity_perturbation(geometry)
-    bc = geometry.bc
-    unknown = geometry.interior.copy()
-    if bc.kind != DIRICHLET:
-        unknown |= geometry.boundary
+    unknown = geometry.interior
+    if geometry.bc.kind != DIRICHLET:
+        unknown = unknown | geometry.boundary
+    inc = lattice_incidence(geometry, unknown)
+    y_link, y_shunt = element_admittances(geometry, spec, omega, pert, inc)
+    B = inc.matrix
+    matrix = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt[unknown])).tocsc()
+    matrix.sort_indices()   # the sparse product leaves them unsorted
 
-    index = -np.ones((geometry.nx, geometry.ny), dtype=np.int64)
-    sites = np.argwhere(unknown)
-    index[unknown] = np.arange(len(sites))
-
-    y_x, y_y = _link_admittances(geometry, spec, omega, pert)
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(len(sites), dtype=complex)
-    inter = geometry.interior
-    member = geometry.interior | geometry.boundary
-
-    for axis, y_arr in ((0, y_x), (1, y_y)):
-        # links (i,j)-(i+1,j) for axis 0, (i,j)-(i,j+1) for axis 1
-        if axis == 0:
-            a = np.s_[:-1, :], np.s_[1:, :]
-            y_link = y_arr[:-1, :]
-        else:
-            a = np.s_[:, :-1], np.s_[:, 1:]
-            y_link = y_arr[:, :-1]
-        lo, hi = a
-        # a link exists when both ends belong to the network and at least
-        # one end is interior
-        exists = member[lo] & member[hi] & (inter[lo] | inter[hi])
-        ia = index[lo][exists]
-        ib = index[hi][exists]
-        yl = y_link[exists]
-        both = (ia >= 0) & (ib >= 0)
-        rows.extend(ia[both]); cols.extend(ib[both]); vals.extend(yl[both])
-        rows.extend(ib[both]); cols.extend(ia[both]); vals.extend(yl[both])
-        # every existing link adds -y to the diagonal of each unknown end;
-        # a Dirichlet end contributes V = 0 so only the diagonal term remains
-        np.add.at(diag, ia[ia >= 0], -yl[ia >= 0])
-        np.add.at(diag, ib[ib >= 0], -yl[ib >= 0])
-
-    # interior shunts
-    y_shunt = _shunt_admittance(geometry, spec, omega, pert)
-    int_idx = index[inter]
-    diag[int_idx] -= y_shunt[inter]
-
-    # boundary shunts for non-Dirichlet boundaries
-    if bc.kind == NEUMANN:
-        z_b = 1.0 / (1j * omega * spec.capacitance)
-        diag[index[geometry.boundary]] -= 1.0 / z_b
-    elif bc.kind == MIXED:
-        z_b = complex(bc.shunt_resistance, omega * bc.shunt_inductance)
-        diag[index[geometry.boundary]] -= 1.0 / z_b
-
-    n = len(sites)
-    rows.extend(range(n)); cols.extend(range(n)); vals.extend(diag)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsc()
-
-    rhs = np.zeros(n, dtype=complex)
+    rhs = np.zeros(B.shape[1], dtype=complex)
     if source is not None:
         (si, sj), amplitude = source
         if not geometry.interior[si, sj]:
             raise ValueError(f"source site {(si, sj)} is not interior")
-        rhs[index[si, sj]] = -amplitude
+        rhs[inc.index[si, sj]] = -amplitude
 
     return AdmittanceSystem(matrix=matrix, rhs=rhs, omega=omega,
-                            unknown_sites=sites, index=index)
+                            unknown_sites=np.argwhere(unknown),
+                            index=inc.index)

@@ -5,7 +5,7 @@ its eigenvalues lam = a0^2 k^2 give circuit resonances omega = omega0 *
 sqrt(lam) for model I and omega = omega0 / sqrt(lam) for model II.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import pi, sqrt
 
 import numpy as np
@@ -15,7 +15,8 @@ import scipy.sparse.linalg as spla
 
 from .geometry import GridGeometry
 from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
-                      identity_perturbation)
+                      element_admittances, identity_perturbation,
+                      lattice_incidence)
 
 DENSE_EIG_LIMIT = 4000
 RESIDUAL_TOL = 1e-10
@@ -91,24 +92,13 @@ def quality_factor(spec: CircuitSpec) -> float:
 
 
 def dirichlet_laplacian(geometry: GridGeometry) -> sp.csr_matrix:
-    """5-point discrete Laplacian over interior sites, Dirichlet boundary.
+    """5-point discrete Laplacian B^T B over interior sites, Dirichlet boundary.
 
     Diagonal 4, off-diagonal -1 for interior neighbors; boundary neighbors
     contribute V = 0.
     """
-    inter = geometry.interior
-    index = -np.ones((geometry.nx, geometry.ny), dtype=np.int64)
-    n = geometry.n_interior
-    index[inter] = np.arange(n)
-    rows, cols = [], []
-    for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
-        both = inter[lo] & inter[hi]
-        rows.extend(index[lo][both]); cols.extend(index[hi][both])
-        rows.extend(index[hi][both]); cols.extend(index[lo][both])
-    vals = -np.ones(len(rows))
-    lap = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    lap += sp.eye(n, format="csr") * 4.0
-    return lap
+    B = lattice_incidence(geometry, geometry.interior).matrix
+    return (B.T @ B).tocsr()
 
 
 def _omega_from_lam(spec: CircuitSpec, lam):
@@ -152,44 +142,23 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
 
     Supports component-tolerance realizations: the perturbed problem is the
     generalized symmetric pencil K v = omega^2 M v (model I: K the
-    1/L-weighted Laplacian, M = diag(C); model II dual with mu = 1/omega^2).
+    1/L-weighted Laplacian, M = diag(C); model II: K the C-weighted
+    Laplacian, M = diag(1/L), eigenvalue mu = 1/omega^2).
     """
     if omega_target <= 0.0:
         raise ValueError("omega_target must be positive")
     if pert is None:
         pert = identity_perturbation(geometry)
     inter = geometry.interior
-    index = -np.ones((geometry.nx, geometry.ny), dtype=np.int64)
-    n = geometry.n_interior
-    index[inter] = np.arange(n)
-
-    if spec.model == MODEL_I:
-        wx = 1.0 / (spec.inductance * pert.link_x)
-        wy = 1.0 / (spec.inductance * pert.link_y)
-        m_diag = spec.capacitance * pert.site[inter]
-        sigma = omega_target ** 2
-    else:
-        wx = spec.capacitance * pert.link_x
-        wy = spec.capacitance * pert.link_y
-        m_diag = pert.site[inter] / spec.inductance
-        sigma = 1.0 / omega_target ** 2
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    member = geometry.interior | geometry.boundary
-    for w_arr, lo, hi in ((wx, np.s_[:-1, :], np.s_[1:, :]),
-                          (wy, np.s_[:, :-1], np.s_[:, 1:])):
-        w_link = w_arr[lo]
-        exists = member[lo] & member[hi] & (inter[lo] | inter[hi])
-        ia, ib, wl = index[lo][exists], index[hi][exists], w_link[exists]
-        both = (ia >= 0) & (ib >= 0)
-        rows.extend(ia[both]); cols.extend(ib[both]); vals.extend(-wl[both])
-        rows.extend(ib[both]); cols.extend(ia[both]); vals.extend(-wl[both])
-        np.add.at(diag, ia[ia >= 0], wl[ia >= 0])
-        np.add.at(diag, ib[ib >= 0], wl[ib >= 0])
-    rows.extend(range(n)); cols.extend(range(n)); vals.extend(diag)
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-    M = sp.diags(m_diag, format="csc")
+    inc = lattice_incidence(geometry, inter)
+    # at omega = 1 rad/s a lossless element's admittance has modulus 1/(L m)
+    # (inductor) or C m (capacitor): the links give the stiffness K, the
+    # shunts the mass M, for either model
+    y_link, y_shunt = element_admittances(
+        geometry, replace(spec, resistance=0.0), 1.0, pert, inc)
+    K = (inc.matrix.T @ sp.diags(np.abs(y_link)) @ inc.matrix).tocsc()
+    M = sp.diags(np.abs(y_shunt[inter]), format="csc")
+    sigma = omega_target ** 2 if spec.model == MODEL_I else 1.0 / omega_target ** 2
 
     val, vec = spla.eigsh(K, k=1, M=M, sigma=sigma, which="LM")
     lam_pencil = float(val[0])
@@ -203,14 +172,6 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
         lam_grid = spec.omega0 ** 2 / (1.0 / lam_pencil)
     return Mode(index=-1, omega=omega, lam_grid=lam_grid,
                 eps=lam_grid / a0sq, vector=v)
-
-
-def mode_field(geometry: GridGeometry, mode: Mode, spec: CircuitSpec) -> ComplexField:
-    """Lift a mode eigenvector to a ComplexField on the lattice."""
-    values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
-    values[geometry.interior] = mode.vector
-    return ComplexField(geometry=geometry, values=values, omega=mode.omega,
-                        spec=spec)
 
 
 def driven_response(geometry: GridGeometry, spec: CircuitSpec, omega: float,

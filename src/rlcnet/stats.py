@@ -59,15 +59,10 @@ class HistogramFit:
 
 def _interior_sample(field: ComplexField, exclude_radius: float = 0.0):
     """Interior voltages, optionally masking a disk around the source."""
-    geom = field.geometry
-    mask = geom.interior.copy()
+    mask = field.geometry.interior
     if exclude_radius > 0.0 and field.source is not None:
-        (si, sj), _ = field.source
-        a0 = geom.spacing
-        i = np.arange(geom.nx)[:, None]
-        j = np.arange(geom.ny)[None, :]
-        dist2 = ((i - si) * a0) ** 2 + ((j - sj) * a0) ** 2
-        mask &= dist2 > exclude_radius ** 2
+        mask = mask & source_exclusion_mask(field.geometry, field.source[0],
+                                            exclude_radius)
     return field.values[mask]
 
 

@@ -40,6 +40,15 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "ensemble", "omega": 1e6,
                                     "tolerance": 0.0, "n_realizations": 5})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"experiment": "drive", "omega": 1e6,
+                                    "tolerance_distribution": "cauchy"})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"experiment": "sweep", "omega_min": 1e6,
+                                    "omega_max": 2e6, "n_points": 2})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"experiment": "drive", "omega": 1e6,
+                                    "source_site": [1.5, 2]})
 
 
 def test_config_from_file_errors(tmp_path):
@@ -208,6 +217,19 @@ def test_cli_config_error(tmp_path):
     cfg = write_cfg(tmp_path, {"spacing": -1.0})
     assert main(["spectrum", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 2
+    # bad values caught by validate, by the built geometry and by the spec
+    drive = {"geometry": "rectangle", "nx_interior": 10, "ny_interior": 8,
+             "spacing": 0.05, "resistance": 0.3, "omega": 1.0e6}
+    for experiment, bad in (("drive", {"source_site": [0, 0]}),
+                            ("drive", {"source_site": [50, 2]}),
+                            ("drive", {"tolerance": 0.02,
+                                       "tolerance_distribution": "cauchy"}),
+                            ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
+                                       "n_points": 2}),
+                            ("drive", {"model": "III"})):
+        cfg = write_cfg(tmp_path, {**drive, **bad})
+        assert main([experiment, "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2, bad
 
 
 def test_cli_solver_failure(tmp_path):

@@ -7,8 +7,8 @@ from rlcnet.fields import (CurrentField, active_link_flow, heat_power,
                            link_currents, nodal_vortices, power_balance,
                            probability_density, trace_streamlines,
                            OHMIC)
-from rlcnet.geometry import rasterize_rectangle
-from rlcnet.network import CircuitSpec
+from rlcnet.geometry import BCKind, rasterize_rectangle, tag_boundary
+from rlcnet.network import CircuitSpec, sample_perturbation
 from rlcnet.solve import ComplexField, driven_response
 
 L, C = 1e-4, 1e-9
@@ -103,11 +103,15 @@ def test_power_balance_lossless():
     assert power_balance(field, source) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_power_balance_lossy():
-    g = rasterize_rectangle(12, 9, 0.05)
-    spec = CircuitSpec("I", L, C, 0.4)
+@pytest.mark.parametrize("tau", [0.0, 0.02])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "mixed"])
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_power_balance_lossy(model, bc, tau):
+    g = tag_boundary(rasterize_rectangle(12, 9, 0.05), BCKind(bc, 0.5, 1e-4))
+    spec = CircuitSpec(model, L, C, 0.4)
     source = ((5, 4), 1.0)
-    field = driven_response(g, spec, 1.1e6, source)
+    pert = sample_perturbation(g, tau, 21)
+    field = driven_response(g, spec, 1.1e6, source, pert=pert)
     assert power_balance(field, source) < 1e-8
 
 

@@ -4,6 +4,7 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from rlcnet.geometry import rasterize_rectangle
 from rlcnet.network import (CircuitSpec, assemble_admittance, link_impedance,
@@ -119,6 +120,20 @@ def test_eigenmode_nearest_perturbed_shifts():
     shifted = eigenmode_nearest(g, spec, 1.0e6, pert=pert)
     assert shifted.omega != base.omega
     assert abs(shifted.omega - base.omega) / base.omega < 0.05
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.02])
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_eigenmode_is_null_vector_of_admittance(model, tau):
+    # the eigen pencil and the driven assembly describe one network
+    g = rasterize_rectangle(10, 7, 0.05)
+    spec = CircuitSpec(model, L, C, 0.0)
+    pert = sample_perturbation(g, tau, 21)
+    mode = eigenmode_nearest(g, spec, spec.omega0, pert=pert)
+    a = assemble_admittance(g, spec, mode.omega, pert=pert).matrix
+    residual = np.linalg.norm(a @ mode.vector) \
+        / (spla.norm(a, 1) * np.linalg.norm(mode.vector))
+    assert residual < 1e-12
 
 
 def test_laplacian_row_sums():
