@@ -22,9 +22,9 @@ from .geometry import (DIRICHLET, BCKind, GridGeometry, rasterize_quarter_stadiu
                        rasterize_rectangle, tag_boundary)
 from .io import write_csv, write_json, write_pgm, write_polylines
 from .network import CircuitSpec, sample_perturbation
-from .solve import (damping_length, driven_response, eigenmode_nearest,
-                    eigenmodes_lossless, quality_factor, resonance_sweep,
-                    wavelength)
+from .solve import (damping_length, driven_response, driven_solver,
+                    eigenmode_nearest, eigenmodes_lossless, quality_factor,
+                    resonance_sweep, wavelength)
 from . import fields as fld
 from . import stats as st
 
@@ -128,6 +128,8 @@ class ExperimentConfig:
                 isinstance(self.source_site, list) and len(self.source_site) == 2
                 and all(type(k) is int for k in self.source_site)):
             raise ConfigError("source_site: need a list of two integers [i, j]")
+        if self.source_rule == "density_max" and self.source_iterations < 1:
+            raise ConfigError("source_iterations: must be >= 1")
         if self.experiment in ("drive", "stats", "streamlines") and self.omega <= 0.0:
             raise ConfigError("omega: must be positive for driven experiments")
         if self.experiment == "sweep":
@@ -135,11 +137,16 @@ class ExperimentConfig:
                 raise ConfigError("omega_min/omega_max: need 0 < min < max")
             if self.n_points < 3:
                 raise ConfigError("n_points: a sweep needs at least 3 points")
+            if self.source_rule == "density_max" and self.omega <= 0.0:
+                raise ConfigError("omega: density_max places the source at "
+                                  "omega, which must be positive")
         if self.experiment == "ensemble":
             if self.tolerance <= 0.0 and self.n_realizations > 1:
                 raise ConfigError("tolerance: ensemble with tau = 0 is degenerate")
             if self.omega <= 0.0:
                 raise ConfigError("omega: ensemble needs a target frequency")
+            if self.n_realizations < 1:
+                raise ConfigError("n_realizations: must be >= 1")
         if self.experiment == "oracle":
             if self.sigma_r <= 0.0 or self.sigma_i <= 0.0:
                 raise ConfigError("sigma_r/sigma_i: must be positive")
@@ -174,41 +181,44 @@ def centroid_site(geometry: GridGeometry) -> tuple:
 def place_source_at_maximum(geometry: GridGeometry, spec: CircuitSpec,
                             omega: float, n_iter: int = 3,
                             start=None, amplitude: complex = 1.0,
-                            pert=None) -> tuple:
+                            pert=None):
     """Iterate the drive site to the response-density maximum.
 
     Each pass solves the driven system and relocates the source to the
     density argmax excluding the source's own site (row-major tie-break).
+    All passes share one factorization; returns the field at the final site.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    solve = driven_solver(geometry, spec, omega, pert)
     site = centroid_site(geometry) if start is None else tuple(start)
     for _ in range(n_iter):
-        field = driven_response(geometry, spec, omega, (site, amplitude),
-                                pert=pert)
+        field = solve((site, amplitude))
         rho = fld.probability_density(field)
         rho[site] = -1.0
         rho[~geometry.interior] = -1.0
         nxt = np.unravel_index(int(np.argmax(rho)), rho.shape)
         nxt = (int(nxt[0]), int(nxt[1]))
         if nxt == site:
-            break
+            return field
         site = nxt
-    return site
+    return solve((site, amplitude))
 
 
-def _resolve_source(cfg: ExperimentConfig, geometry, spec):
-    amp = complex(cfg.source_amplitude)
+def _start_source(cfg: ExperimentConfig, geometry):
+    return (tuple(cfg.source_site or centroid_site(geometry)),
+            complex(cfg.source_amplitude))
+
+
+def _driven_field(cfg: ExperimentConfig, geometry, spec):
+    """Field of the configured drive; `density_max` moves the source first."""
+    pert = _maybe_pert(cfg, geometry)
+    site, amp = _start_source(cfg, geometry)
     if cfg.source_rule == "density_max":
-        site = place_source_at_maximum(geometry, spec, cfg.omega,
-                                       n_iter=cfg.source_iterations,
-                                       start=cfg.source_site, amplitude=amp)
-    else:
-        if cfg.source_site is None:
-            site = centroid_site(geometry)
-        else:
-            site = (int(cfg.source_site[0]), int(cfg.source_site[1]))
-    return site, amp
+        return place_source_at_maximum(geometry, spec, cfg.omega,
+                                       cfg.source_iterations, start=site,
+                                       amplitude=amp, pert=pert)
+    return driven_response(geometry, spec, cfg.omega, (site, amp), pert=pert)
 
 
 def standardized_mode_histogram(mode_vector, bin_edges) -> np.ndarray:
@@ -318,6 +328,9 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
                 and geometry.interior[i, j]):
             raise ConfigError(f"source_site: {cfg.source_site} is not an "
                               "interior site of the geometry")
+    if cfg.experiment == "spectrum" \
+            and not 1 <= cfg.n_modes <= geometry.n_interior:
+        raise ConfigError(f"n_modes: must be in [1, {geometry.n_interior}]")
     os.makedirs(out_dir, exist_ok=True)
     extra = {}
 
@@ -336,9 +349,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
         extra["n_modes"] = cfg.n_modes
 
     elif cfg.experiment == "drive":
-        pert = _maybe_pert(cfg, geometry)
-        source = _resolve_source(cfg, geometry, spec)
-        field = driven_response(geometry, spec, cfg.omega, source, pert=pert)
+        field = _driven_field(cfg, geometry, spec)
         rho = fld.probability_density(field)
         write_csv(os.path.join(out_dir, "field.csv"),
                   ("i", "j", "x", "y", "re_v", "im_v"),
@@ -346,13 +357,16 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
         write_csv(os.path.join(out_dir, "density.csv"),
                   ("i", "j", "x", "y", "value"), _scalar_rows(geometry, rho))
         write_pgm(os.path.join(out_dir, "density.pgm"), rho, geometry.interior)
-        extra["source_site"] = list(source[0])
+        extra["source_site"] = list(field.source[0])
 
     elif cfg.experiment == "sweep":
-        source = _resolve_source(cfg, geometry, spec)
+        if cfg.source_rule == "density_max":
+            field = _driven_field(cfg, geometry, spec)
+            source, pert = field.source, field.perturbation
+        else:
+            source, pert = _start_source(cfg, geometry), _maybe_pert(cfg, geometry)
         peaks = resonance_sweep(geometry, spec, (cfg.omega_min, cfg.omega_max),
-                                cfg.n_points, source,
-                                pert=_maybe_pert(cfg, geometry))
+                                cfg.n_points, source, pert=pert)
         write_csv(os.path.join(out_dir, "peaks.csv"),
                   ("omega_peak", "response_norm_sq"), peaks)
         extra["n_peaks"] = len(peaks)
@@ -426,12 +440,10 @@ def driven_statistics(cfg, geometry, spec):
     across links and divided by R.  Averages exclude sites within
     `exclude_wavelengths * lambda` of the source.
     """
-    pert = _maybe_pert(cfg, geometry)
-    source = _resolve_source(cfg, geometry, spec)
-    field = driven_response(geometry, spec, cfg.omega, source, pert=pert)
+    field = _driven_field(cfg, geometry, spec)
     lam = wavelength(spec, cfg.spacing, cfg.omega)
     radius = cfg.exclude_wavelengths * lam
-    far = st.source_exclusion_mask(geometry, source[0], radius)
+    far = st.source_exclusion_mask(geometry, field.source[0], radius)
     rot = st.phase_rotate(field, exclude_radius=radius)
 
     currents = fld.link_currents(st.rotated_field(field, rot.theta), spec,
@@ -445,7 +457,7 @@ def driven_statistics(cfg, geometry, spec):
     eps_current = (min(sigma_i_sq, sigma_r_sq)
                    / max(sigma_i_sq, sigma_r_sq)) ** 0.5
     heat = fld.heat_power(currents, spec.resistance)
-    return field, source, rot, currents, heat, bulk, {
+    return field, field.source, rot, currents, heat, bulk, {
         "radius": radius,
         "r_real": r_real, "r_imag": r_imag,
         "sigma_r_sq": sigma_r_sq, "sigma_i_sq": sigma_i_sq,
@@ -521,15 +533,13 @@ def _run_stats(cfg, geometry, spec, out_dir):
 
 
 def _run_streamlines(cfg, geometry, spec, out_dir):
-    pert = _maybe_pert(cfg, geometry)
-    source = _resolve_source(cfg, geometry, spec)
-    field = driven_response(geometry, spec, cfg.omega, source, pert=pert)
+    field = _driven_field(cfg, geometry, spec)
     currents = fld.link_currents(field, spec, cfg.omega)
     vortices = fld.nodal_vortices(field)
     write_csv(os.path.join(out_dir, "vortices.csv"), ("x", "y", "winding"),
               ((v.x, v.y, int(v.winding)) for v in vortices))
     a0 = geometry.spacing
-    (si, sj), _ = source
+    (si, sj), _ = field.source
     cx, cy = a0 * si, a0 * sj
     seeds = []
     for k in range(cfg.n_seeds):
@@ -544,7 +554,7 @@ def _run_streamlines(cfg, geometry, spec, out_dir):
                                   max_steps=cfg.max_steps)
     write_polylines(os.path.join(out_dir, "streamlines.csv"), lines)
     return {
-        "source_site": list(source[0]),
+        "source_site": list(field.source[0]),
         "n_vortices": len(vortices),
         "n_streamlines": len(lines),
         "seed_ring_radius": cfg.seed_radius,

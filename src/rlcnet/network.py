@@ -126,8 +126,6 @@ class AdmittanceSystem:
     """Sparse complex-symmetric Kirchhoff system over the unknown sites."""
 
     matrix: sp.csc_matrix
-    rhs: np.ndarray
-    omega: float
     unknown_sites: np.ndarray   # (n, 2) of (i, j), row-major
     index: np.ndarray           # (nx, ny) int, -1 where not an unknown
 
@@ -206,14 +204,12 @@ def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
 
 
 def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                        pert: Perturbation | None = None,
-                        source=None) -> AdmittanceSystem:
-    """Build the Kirchhoff current-law system at frequency omega.
+                        pert: Perturbation | None = None) -> AdmittanceSystem:
+    """Build the Kirchhoff current-law matrix at frequency omega.
 
-    `source` is an optional ((i, j), complex amplitude) current injection at
-    an interior site.  For Dirichlet boundaries the unknowns are the interior
-    sites only; Neumann/mixed boundary sites enter as extra unknowns shunted
-    through the tagged element.  The matrix is
+    For Dirichlet boundaries the unknowns are the interior sites only;
+    Neumann/mixed boundary sites enter as extra unknowns shunted through
+    the tagged element.  The matrix is
     A = -(B^T diag(y_link) B + diag(y_shunt)) with B the lattice incidence.
     """
     if omega <= 0.0:
@@ -228,14 +224,5 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     B = inc.matrix
     matrix = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt[unknown])).tocsc()
     matrix.sort_indices()   # the sparse product leaves them unsorted
-
-    rhs = np.zeros(B.shape[1], dtype=complex)
-    if source is not None:
-        (si, sj), amplitude = source
-        if not geometry.interior[si, sj]:
-            raise ValueError(f"source site {(si, sj)} is not interior")
-        rhs[inc.index[si, sj]] = -amplitude
-
-    return AdmittanceSystem(matrix=matrix, rhs=rhs, omega=omega,
-                            unknown_sites=np.argwhere(unknown),
+    return AdmittanceSystem(matrix=matrix, unknown_sites=np.argwhere(unknown),
                             index=inc.index)

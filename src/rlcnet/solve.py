@@ -174,31 +174,27 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
                 eps=lam_grid / a0sq, vector=v)
 
 
-def driven_response(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                    source, pert: Perturbation | None = None) -> ComplexField:
-    """Exact solution of the driven network at frequency omega.
-
-    Sparse direct factorization with iterative refinement until the relative
-    residual is below RESIDUAL_TOL; raises SingularSystemError when the
-    contract cannot be met (lossless drive on resonance).
+def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
+                  pert: Perturbation | None = None):
+    """Factor the driven network at frequency omega once; returns
+    solve(source) -> ComplexField for a ((i, j), complex amplitude) current
+    injection, refined until the relative residual is below RESIDUAL_TOL.
+    Raises SingularSystemError when that fails (lossless drive on resonance).
     """
-    system = assemble_admittance(geometry, spec, omega, pert=pert, source=source)
-    A, b = system.matrix, system.rhs
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        raise ValueError("driven solve needs a nonzero source")
+    system = assemble_admittance(geometry, spec, omega, pert=pert)
+    A = system.matrix
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization failed: {exc}") from exc
     # reject numerically singular systems that still factorize (an exact
-    # lossless resonance): condition estimate from the factorization
+    # lossless resonance): exact ||A||_1 times an estimate of ||A^-1||_1
     n = A.shape[0]
     if n >= 2:
         inv_op = spla.LinearOperator(
             (n, n), matvec=lu.solve,
             rmatvec=lambda v: lu.solve(v, trans="H"), dtype=A.dtype)
-        cond = spla.onenormest(inv_op) * spla.onenormest(A)
+        cond = spla.onenormest(inv_op) * spla.norm(A, 1)
     else:
         # 1x1 system: compare the surviving entry against the admittance
         # scale of its summands (cancellation to roundoff means resonance)
@@ -209,22 +205,38 @@ def driven_response(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     if not np.isfinite(cond) or cond > 1e13:
         raise SingularSystemError(
             f"system numerically singular (condition estimate {cond:.2e})")
-    x = lu.solve(b)
-    for _ in range(5):
+
+    def solve(source) -> ComplexField:
+        (si, sj), amplitude = source
+        if amplitude == 0.0 or not geometry.interior[si, sj]:
+            raise ValueError(f"not a nonzero interior source: {source}")
+        b = np.zeros(n, dtype=complex)
+        b[system.index[si, sj]] = -amplitude
+        bnorm = np.linalg.norm(b)
+        x = lu.solve(b)
+        for _ in range(5):
+            r = b - A @ x
+            if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
+                break
+            x = x + lu.solve(r)
         r = b - A @ x
-        if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
-            break
-        x = x + lu.solve(r)
-    r = b - A @ x
-    if not np.all(np.isfinite(x)) \
-            or np.linalg.norm(r) > RESIDUAL_TOL * bnorm:
-        raise SingularSystemError(
-            "system too ill-conditioned for the residual contract "
-            "(lossless drive on resonance?)")
-    values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
-    values[tuple(system.unknown_sites.T)] = x
-    return ComplexField(geometry=geometry, values=values, omega=omega,
-                        spec=spec, source=source, perturbation=pert)
+        if not np.all(np.isfinite(x)) \
+                or np.linalg.norm(r) > RESIDUAL_TOL * bnorm:
+            raise SingularSystemError(
+                "system too ill-conditioned for the residual contract "
+                "(lossless drive on resonance?)")
+        values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
+        values[tuple(system.unknown_sites.T)] = x
+        return ComplexField(geometry=geometry, values=values, omega=omega,
+                            spec=spec, source=source, perturbation=pert)
+
+    return solve
+
+
+def driven_response(geometry: GridGeometry, spec: CircuitSpec, omega: float,
+                    source, pert: Perturbation | None = None) -> ComplexField:
+    """Exact driven solution for one source: driven_solver(...)(source)."""
+    return driven_solver(geometry, spec, omega, pert)(source)
 
 
 def _response_norm_sq(geometry, spec, source, pert):

@@ -15,7 +15,7 @@ from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
                                 standardized_mode_histogram)
 from rlcnet.geometry import rasterize_rectangle
 from rlcnet.network import CircuitSpec
-from rlcnet.solve import eigenmodes_lossless
+from rlcnet.solve import driven_response, eigenmodes_lossless
 
 L, C = 1e-4, 1e-9
 
@@ -74,8 +74,25 @@ def test_centroid_site_deterministic():
 def test_place_source_converges():
     g = rasterize_rectangle(20, 10, 0.05)
     spec = CircuitSpec("I", L, C, 0.2)
-    site = place_source_at_maximum(g, spec, 1.0e6, n_iter=4)
-    assert g.interior[site]
+    field = place_source_at_maximum(g, spec, 1.0e6, n_iter=4)
+    site, amplitude = field.source
+    assert g.interior[site] and amplitude == 1.0
+    # the passes share one factorization: bitwise the one-source solve
+    alone = driven_response(g, spec, 1.0e6, field.source)
+    assert np.array_equal(field.values, alone.values)
+
+
+def test_place_source_on_perturbed_network(tmp_path):
+    # density_max places the source on the realization that is driven
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "drive", "geometry": "rectangle",
+        "nx_interior": 30, "ny_interior": 20, "spacing": 0.05,
+        "resistance": 0.3, "omega": 1.05e6, "tolerance": 0.05, "seed": 1,
+        "source_rule": "density_max", "source_iterations": 4,
+    })
+    run(cfg, tmp_path / "drive")
+    man = json.loads((tmp_path / "drive" / "manifest.json").read_text())
+    assert man["source_site"] == [16, 11]   # [15, 10] on the bare lattice
 
 
 def test_standardized_histogram_sign_fix():
@@ -226,7 +243,15 @@ def test_cli_config_error(tmp_path):
                                        "tolerance_distribution": "cauchy"}),
                             ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
                                        "n_points": 2}),
-                            ("drive", {"model": "III"})):
+                            ("drive", {"model": "III"}),
+                            ("drive", {"source_rule": "density_max",
+                                       "source_iterations": 0}),
+                            ("ensemble", {"tolerance": 0.02,
+                                          "n_realizations": 0}),
+                            ("spectrum", {"n_modes": 81}),
+                            ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
+                                       "n_points": 5, "omega": 0.0,
+                                       "source_rule": "density_max"})):
         cfg = write_cfg(tmp_path, {**drive, **bad})
         assert main([experiment, "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2, bad

@@ -139,12 +139,19 @@ def test_zero_tolerance_reproduces_matrix_exactly():
 
 
 def test_source_must_be_interior():
+    from rlcnet.solve import driven_solver
     g = rasterize_rectangle(3, 3, 0.1)
     spec = CircuitSpec("I", L, C, 0.1)
+    solve = driven_solver(g, spec, 1e6)
     with pytest.raises(ValueError):
-        assemble_admittance(g, spec, 1e6, source=((0, 0), 1.0))
-    sys = assemble_admittance(g, spec, 1e6, source=((2, 2), 1.0))
-    assert sys.rhs[sys.index[2, 2]] == -1.0
+        solve(((0, 0), 1.0))
+    # the injection enters the right-hand side as -I at the source row only
+    sys = assemble_admittance(g, spec, 1e6)
+    field = solve(((2, 2), 1.0))
+    rhs = sys.matrix @ field.values[tuple(sys.unknown_sites.T)]
+    expected = np.zeros_like(rhs)
+    expected[sys.index[2, 2]] = -1.0
+    assert np.max(np.abs(rhs - expected)) < 1e-10
 
 
 def test_neumann_and_mixed_boundary_unknowns():

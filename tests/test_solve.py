@@ -10,7 +10,7 @@ from rlcnet.geometry import rasterize_rectangle
 from rlcnet.network import (CircuitSpec, assemble_admittance, link_impedance,
                             ground_impedance, sample_perturbation)
 from rlcnet.solve import (SingularSystemError, damping_length, dispersion,
-                          dirichlet_laplacian, driven_response,
+                          dirichlet_laplacian, driven_response, driven_solver,
                           eigenmode_nearest, eigenmodes_lossless,
                           quality_factor, resonance_sweep, wavelength)
 
@@ -158,12 +158,27 @@ def test_driven_satisfies_kirchhoff_rows():
     g = rasterize_rectangle(12, 9, 0.05)
     spec = CircuitSpec("I", L, C, 0.3)
     omega = 1.1e6
-    source = ((4, 5), 1.0)
-    field = driven_response(g, spec, omega, source)
-    sys = assemble_admittance(g, spec, omega, source=source)
+    field = driven_response(g, spec, omega, ((4, 5), 1.0))
+    sys = assemble_admittance(g, spec, omega)
     x = field.values[tuple(sys.unknown_sites.T)]
-    res = np.linalg.norm(sys.matrix @ x - sys.rhs) / np.linalg.norm(sys.rhs)
+    rhs = np.zeros(len(x), dtype=complex)
+    rhs[sys.index[4, 5]] = -1.0
+    res = np.linalg.norm(sys.matrix @ x - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.02])
+def test_one_solver_drives_every_source(tau):
+    # one factorization, several sources: bitwise the one-source solves
+    g = rasterize_rectangle(12, 9, 0.05)
+    spec = CircuitSpec("I", L, C, 0.3)
+    pert = sample_perturbation(g, tau, 3) if tau else None
+    solve = driven_solver(g, spec, 1.1e6, pert)
+    for source in (((4, 5), 1.0), ((9, 2), 0.5 - 2.0j)):
+        field = solve(source)
+        alone = driven_response(g, spec, 1.1e6, source, pert=pert)
+        assert np.array_equal(field.values, alone.values)
+        assert field.source == source and field.perturbation is pert
 
 
 def test_driven_lossless_on_resonance_rejected():
