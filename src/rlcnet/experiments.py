@@ -399,7 +399,6 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
         eps = min(cfg.sigma_i, cfg.sigma_r) / max(cfg.sigma_i, cfg.sigma_r)
         mean_p = cfg.sigma_r ** 2 + cfg.sigma_i ** 2
         fit = st.fit_histogram(samples,
-                               lambda p: st.heat_pdf(eps, mean_p, p),
                                lambda p: st.heat_cdf(eps, mean_p, p),
                                cfg.n_bins)
         _write_fit(os.path.join(out_dir, "heat_histogram.csv"), fit)
@@ -479,11 +478,10 @@ def _run_stats(cfg, geometry, spec, out_dir):
     rho = rho / rho.mean()
     eps_fit = max(min(eps_field, 1.0), 1e-3)
     density_fit = st.fit_histogram(
-        rho, lambda r: st.density_pdf(eps_fit, r),
-        lambda r: st.density_cdf(eps_fit, r), cfg.n_bins)
+        rho, lambda r: st.density_cdf(eps_fit, r), cfg.n_bins,
+        ppf=lambda q: st.density_ppf(eps_fit, q))
     rayleigh_fit = st.fit_histogram(
-        rho, lambda r: np.exp(-r), lambda r: 1.0 - np.exp(-np.asarray(r)),
-        cfg.n_bins)
+        rho, lambda r: 1.0 - np.exp(-np.asarray(r)), cfg.n_bins)
 
     # chi^2 needs approximately independent draws: thin the heat field to a
     # lambda/4 site stride (the field's spatial correlation scale)
@@ -495,8 +493,7 @@ def _run_stats(cfg, geometry, spec, out_dir):
     mean_p = float(p.mean())
     n_bins = min(cfg.n_bins, max(10, p.size // 50))
     heat_fit = st.fit_histogram(
-        p, lambda q: st.heat_pdf(eps_current, mean_p, q),
-        lambda q: st.heat_cdf(eps_current, mean_p, q), n_bins)
+        p, lambda q: st.heat_cdf(eps_current, mean_p, q), n_bins)
 
     gauss = st.gaussianity_check(currents.ix[bulk].real, cfg.n_bins)
 

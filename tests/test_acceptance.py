@@ -23,7 +23,7 @@ from rlcnet.solve import (ComplexField, dirichlet_laplacian, dispersion,
                           driven_response, eigenmode_nearest,
                           eigenmodes_lossless, quality_factor, wavelength)
 from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
-                          fit_histogram, heat_cdf, heat_pdf, mc_heat_oracle,
+                          fit_histogram, heat_cdf, mc_heat_oracle,
                           phase_rotate, sigma_p_sq, sigma_p_sq_empirical,
                           _interior_sample)
 
@@ -192,9 +192,8 @@ def test_criterion_08_stadium_statistics(acceptance_report, stadium, stadium_sta
     rho = np.abs(_interior_sample(field, cur["radius"])) ** 2
     rho = rho / rho.mean()
     eps = rot.openness
-    density_fit = fit_histogram(rho, lambda x: density_pdf(eps, x),
-                                lambda x: density_cdf(eps, x), 50)
-    rayleigh_fit = fit_histogram(rho, lambda x: np.exp(-x),
+    density_fit = fit_histogram(rho, lambda x: density_cdf(eps, x), 50)
+    rayleigh_fit = fit_histogram(rho,
                                  lambda x: 1.0 - np.exp(-np.asarray(x)), 50)
     ratio = rayleigh_fit.ks_distance / density_fit.ks_distance
 
@@ -206,8 +205,7 @@ def test_criterion_08_stadium_statistics(acceptance_report, stadium, stadium_sta
     p = heat2.power[bulk2 & thin]
     mean_p = float(p.mean())
     eps_c = cur2["eps_current"]
-    heat_fit = fit_histogram(p, lambda q: heat_pdf(eps_c, mean_p, q),
-                             lambda q: heat_cdf(eps_c, mean_p, q), 50)
+    heat_fit = fit_histogram(p, lambda q: heat_cdf(eps_c, mean_p, q), 50)
 
     ok = monotone and ratio >= 3.0 and heat_fit.chi_sq_per_dof < 2.0
     report(acceptance_report, 8, "stadium openness monotone in R; density and heat laws fit",

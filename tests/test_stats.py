@@ -1,5 +1,6 @@
 """Openness estimation, distribution laws, goodness-of-fit machinery."""
 
+from functools import partial
 from math import exp, pi
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as hst
 from scipy import integrate
 
 from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
-                          fit_histogram, gaussianity_check, heat_cdf,
-                          heat_pdf, mc_heat_oracle, phase_rotate,
+                          density_ppf, fit_histogram, gaussianity_check,
+                          heat_cdf, heat_pdf, mc_heat_oracle, phase_rotate,
                           sigma_p_sq, sigma_p_sq_empirical)
 from rlcnet.fields import CurrentField
 from rlcnet.geometry import rasterize_rectangle
@@ -94,6 +95,34 @@ def test_density_cdf_properties():
         5.0, x, cdf)), abs=1e-4)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.19, 0.5, 1.0])
+def test_density_cdf_matches_quad(eps):
+    for rho in (0.01, 0.1, 1.0, 5.0, 20.0):
+        want, _ = integrate.quad(lambda r: float(density_pdf(eps, r)), 0.0,
+                                 rho, limit=500)
+        assert density_cdf(eps, rho) == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.19, 1.0])
+def test_density_ppf_inverts_cdf(eps):
+    p = np.linspace(0.0, 0.999, 1000)
+    assert np.max(np.abs(density_cdf(eps, density_ppf(eps, p)) - p)) < 1e-12
+
+
+def test_density_fit_ppf_matches_bisection():
+    rng = np.random.default_rng(4)
+    n = 100_000
+    rho = rng.normal(0.0, 1.0, n) ** 2 + rng.normal(0.0, 0.19, n) ** 2
+    rho /= rho.mean()
+    cdf = partial(density_cdf, 0.19)
+    exact = fit_histogram(rho, cdf, 50, ppf=partial(density_ppf, 0.19))
+    bisected = fit_histogram(rho, cdf, 50)
+    assert np.max(np.abs(exact.bin_edges[1:-1]
+                         - bisected.bin_edges[1:-1])) < 1e-9
+    assert np.array_equal(exact.empirical, bisected.empirical)
+    assert exact.ks_distance == bisected.ks_distance
+
+
 def test_density_pdf_bad_eps():
     with pytest.raises(ValueError):
         density_pdf(0.0, 1.0)
@@ -110,6 +139,17 @@ def test_heat_pdf_continuity_at_eps_one():
     near = heat_pdf(0.999999, 2.0, p)
     limit = heat_pdf(1.0, 2.0, p)
     assert np.max(np.abs(near - limit)) < 1e-4
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-10, 1e-11])
+def test_heat_laws_continuous_near_eps_one(gap):
+    # the law departs from eps = 1 only at second order in 1 - eps^2
+    eps = (1.0 - gap) ** 0.5
+    p = np.linspace(0.0, 12.0, 2001)
+    assert np.max(np.abs(heat_pdf(eps, 1.0, p) - heat_pdf(1.0, 1.0, p))) \
+        < 1e-9
+    assert np.max(np.abs(heat_cdf(eps, 1.0, p) - heat_cdf(1.0, 1.0, p))) \
+        < 1e-9
 
 
 def test_heat_cdf_matches_pdf_integral():
@@ -188,9 +228,7 @@ def test_anisotropy_degenerate():
 
 def test_fit_histogram_self_consistent():
     samples = mc_heat_oracle(1.0, 0.5, 100_000, 9)
-    fit = fit_histogram(samples,
-                        lambda p: heat_pdf(0.5, 1.25, p),
-                        lambda p: heat_cdf(0.5, 1.25, p), 50)
+    fit = fit_histogram(samples, lambda p: heat_cdf(0.5, 1.25, p), 50)
     assert 0.5 < fit.chi_sq_per_dof < 1.5
     assert fit.ks_distance < 0.005
     assert fit.empirical.sum() == pytest.approx(1.0)
@@ -199,12 +237,10 @@ def test_fit_histogram_self_consistent():
 def test_fit_histogram_discriminates():
     rng = np.random.default_rng(10)
     rayleigh = rng.exponential(1.0, 100_000)
-    fit = fit_histogram(rayleigh,
-                        lambda r: density_pdf(0.25, r),
-                        lambda r: density_cdf(0.25, r), 50)
+    fit = fit_histogram(rayleigh, lambda r: density_cdf(0.25, r), 50)
     assert fit.ks_distance > 0.05
 
 
 def test_fit_histogram_needs_samples():
     with pytest.raises(ValueError):
-        fit_histogram(np.ones(100), lambda x: x, lambda x: x, 10)
+        fit_histogram(np.ones(100), lambda x: x, 10)
