@@ -22,9 +22,9 @@ from .geometry import (DIRICHLET, BCKind, GridGeometry, rasterize_quarter_stadiu
                        rasterize_rectangle, tag_boundary)
 from .io import write_csv, write_json, write_pgm, write_polylines
 from .network import CircuitSpec, sample_perturbation
-from .solve import (damping_length, driven_response, driven_solver,
-                    eigenmode_nearest, eigenmodes_lossless, quality_factor,
-                    resonance_sweep, wavelength)
+from .solve import (ComplexField, damping_length, driven_response,
+                    driven_solver, eigenmode_nearest, eigenmodes_lossless,
+                    quality_factor, resonance_sweep, wavelength)
 from . import fields as fld
 from . import stats as st
 
@@ -137,6 +137,9 @@ class ExperimentConfig:
                 raise ConfigError("omega_min/omega_max: need 0 < min < max")
             if self.n_points < 3:
                 raise ConfigError("n_points: a sweep needs at least 3 points")
+            if self.resistance <= 0.0:
+                raise ConfigError("resistance: a sweep needs R > 0 for "
+                                  "finite peaks")
             if self.source_rule == "density_max" and self.omega <= 0.0:
                 raise ConfigError("omega: density_max places the source at "
                                   "omega, which must be positive")
@@ -147,9 +150,17 @@ class ExperimentConfig:
                 raise ConfigError("omega: ensemble needs a target frequency")
             if self.n_realizations < 1:
                 raise ConfigError("n_realizations: must be >= 1")
+        if self.experiment in ("ensemble", "stats", "oracle") \
+                and self.n_bins < 2:
+            raise ConfigError("n_bins: a histogram needs at least 2 bins")
         if self.experiment == "oracle":
             if self.sigma_r <= 0.0 or self.sigma_i <= 0.0:
                 raise ConfigError("sigma_r/sigma_i: must be positive")
+            if self.n_samples < 1000:
+                raise ConfigError("n_samples: the fit needs at least 1000")
+        if self.experiment == "streamlines" \
+                and not 0.0 < self.step_fraction <= 0.5:
+            raise ConfigError("step_fraction: need 0 < step_fraction <= 0.5")
 
     def build_geometry(self) -> GridGeometry:
         if self.geometry == "rectangle":
@@ -431,7 +442,25 @@ def _write_fit(path, fit):
                for k in range(len(fit.empirical))))
 
 
-def driven_statistics(cfg, geometry, spec):
+@dataclass
+class DrivenStatistics:
+    """A driven solve and the current statistics `stats` reports on it."""
+
+    field: ComplexField
+    rotation: st.RotatedField
+    currents: fld.CurrentField
+    heat: fld.HeatField
+    bulk: np.ndarray        # complete current sites beyond the radius
+    wavelength: float
+    radius: float           # source-exclusion radius
+    r_real: float
+    r_imag: float
+    sigma_r_sq: float
+    sigma_i_sq: float
+    eps_current: float
+
+
+def driven_statistics(cfg, geometry, spec) -> DrivenStatistics:
     """Driven stadium solve plus the full statistical summary.
 
     Current statistics use the rotated-field convention: the globally
@@ -455,28 +484,22 @@ def driven_statistics(cfg, geometry, spec):
                                + currents.iy[bulk].imag ** 2) / 2.0)
     eps_current = (min(sigma_i_sq, sigma_r_sq)
                    / max(sigma_i_sq, sigma_r_sq)) ** 0.5
-    heat = fld.heat_power(currents, spec.resistance)
-    return field, field.source, rot, currents, heat, bulk, {
-        "radius": radius,
-        "r_real": r_real, "r_imag": r_imag,
-        "sigma_r_sq": sigma_r_sq, "sigma_i_sq": sigma_i_sq,
-        "eps_current": eps_current,
-    }
+    return DrivenStatistics(
+        field=field, rotation=rot, currents=currents,
+        heat=fld.heat_power(currents, spec.resistance), bulk=bulk,
+        wavelength=lam, radius=radius, r_real=r_real, r_imag=r_imag,
+        sigma_r_sq=sigma_r_sq, sigma_i_sq=sigma_i_sq,
+        eps_current=eps_current)
 
 
 def _run_stats(cfg, geometry, spec, out_dir):
-    field, source, rot, currents, heat, bulk, cur = \
-        driven_statistics(cfg, geometry, spec)
-    eps_field = rot.openness
-    radius = cur["radius"]
-    r_real, r_imag = cur["r_real"], cur["r_imag"]
-    sigma_r_sq, sigma_i_sq = cur["sigma_r_sq"], cur["sigma_i_sq"]
-    eps_current = cur["eps_current"]
+    ds = driven_statistics(cfg, geometry, spec)
+    field, rot, heat, bulk = ds.field, ds.rotation, ds.heat, ds.bulk
 
-    rho = st._interior_sample(field, radius)
+    rho = st._interior_sample(field, ds.radius)
     rho = np.abs(rho) ** 2
     rho = rho / rho.mean()
-    eps_fit = max(min(eps_field, 1.0), 1e-3)
+    eps_fit = max(min(rot.openness, 1.0), 1e-3)
     density_fit = st.fit_histogram(
         rho, lambda r: st.density_cdf(eps_fit, r), cfg.n_bins,
         ppf=lambda q: st.density_ppf(eps_fit, q))
@@ -485,39 +508,38 @@ def _run_stats(cfg, geometry, spec, out_dir):
 
     # chi^2 needs approximately independent draws: thin the heat field to a
     # lambda/4 site stride (the field's spatial correlation scale)
-    lam = wavelength(spec, cfg.spacing, cfg.omega)
-    stride = max(1, int(round(0.25 * lam / cfg.spacing)))
+    stride = max(1, int(round(0.25 * ds.wavelength / cfg.spacing)))
     thin = np.zeros_like(bulk)
     thin[::stride, ::stride] = True
     p = heat.power[bulk & thin]
     mean_p = float(p.mean())
     n_bins = min(cfg.n_bins, max(10, p.size // 50))
     heat_fit = st.fit_histogram(
-        p, lambda q: st.heat_cdf(eps_current, mean_p, q), n_bins)
+        p, lambda q: st.heat_cdf(ds.eps_current, mean_p, q), n_bins)
 
-    gauss = st.gaussianity_check(currents.ix[bulk].real, cfg.n_bins)
+    gauss = st.gaussianity_check(ds.currents.ix[bulk].real, cfg.n_bins)
 
     _write_fit(os.path.join(out_dir, "density_histogram.csv"), density_fit)
     _write_fit(os.path.join(out_dir, "heat_histogram.csv"), heat_fit)
     if spec.resistance > 0:
-        balance = fld.power_balance(field, source)
+        balance = fld.power_balance(field, field.source)
     else:
         balance = 0.0
     return {
-        "source_site": list(source[0]),
+        "source_site": list(field.source[0]),
         "theta": rot.theta,
-        "openness_field": eps_field,
-        "openness_current": eps_current,
+        "openness_field": rot.openness,
+        "openness_current": ds.eps_current,
         "sigma_p_sq_field": rot.sigma_p_sq,
         "sigma_q_sq_field": rot.sigma_q_sq,
-        "sigma_r_sq": sigma_r_sq,
-        "sigma_i_sq": sigma_i_sq,
+        "sigma_r_sq": ds.sigma_r_sq,
+        "sigma_i_sq": ds.sigma_i_sq,
         "mean_power": float(heat.power[bulk].mean()),
         "sigma_p_sq_heat": st.sigma_p_sq_empirical(heat.power[bulk]),
         "heat_sample_stride": stride,
         "heat_sample_size": int(p.size),
-        "anisotropy_real": r_real,
-        "anisotropy_imag": r_imag,
+        "anisotropy_real": ds.r_real,
+        "anisotropy_imag": ds.r_imag,
         "density_ks": density_fit.ks_distance,
         "density_chi_sq_per_dof": density_fit.chi_sq_per_dof,
         "rayleigh_ks": rayleigh_fit.ks_distance,
@@ -525,7 +547,7 @@ def _run_stats(cfg, geometry, spec, out_dir):
         "heat_chi_sq_per_dof": heat_fit.chi_sq_per_dof,
         "gaussianity_ks": gauss.ks_distance,
         "power_balance_residual": balance,
-        "exclusion_radius": radius,
+        "exclusion_radius": ds.radius,
     }
 
 

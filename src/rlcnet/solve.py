@@ -12,6 +12,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import minimize_scalar
 
 from .geometry import GridGeometry
 from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
@@ -239,41 +240,15 @@ def driven_response(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     return driven_solver(geometry, spec, omega, pert)(source)
 
 
-def _response_norm_sq(geometry, spec, source, pert):
-    def f(omega):
-        field = driven_response(geometry, spec, omega, source, pert=pert)
-        v = field.interior_values
-        return float(np.real(np.vdot(v, v)))
-    return f
-
-
-def _golden_max(f, a, b, rel_tol):
-    """Golden-section maximization of f on [a, b]."""
-    invphi = (sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * 0.5 * (a + b):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                     n_points: int, source,
                     pert: Perturbation | None = None,
                     rel_tol: float = 1e-6):
     """Locate resonances of the driven lossy network.
 
-    Sweeps |V|^2 over n_points in omega_range, then refines every local
-    maximum by golden-section search to relative frequency accuracy rel_tol.
+    Sweeps |V|^2 over n_points in omega_range (grid), then refines every
+    local maximum by Brent's bounded search (scipy's minimize_scalar) on its
+    two-step bracket to relative frequency accuracy rel_tol.
     Returns a list of (omega_peak, response_norm_sq) in ascending omega.
     """
     lo, hi = omega_range
@@ -285,12 +260,21 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
         raise ValueError("resonance sweep requires R > 0")
     if source is None:
         raise ValueError("resonance sweep requires an interior source")
-    f = _response_norm_sq(geometry, spec, source, pert)
+
+    def neg(omega):
+        v = driven_response(geometry, spec, omega, source, pert=pert) \
+            .interior_values
+        return -float(np.real(np.vdot(v, v)))
+
     omegas = np.linspace(lo, hi, n_points)
-    norms = np.array([f(w) for w in omegas])
+    negs = np.array([neg(w) for w in omegas])
     peaks = []
     for k in range(1, n_points - 1):
-        if norms[k] > norms[k - 1] and norms[k] > norms[k + 1]:
-            w_peak, val = _golden_max(f, omegas[k - 1], omegas[k + 1], rel_tol)
-            peaks.append((w_peak, val))
+        if negs[k] < negs[k - 1] and negs[k] < negs[k + 1]:
+            # xatol bounds the distance to the peak, so half of rel_tol *
+            # omega keeps the bracket-width meaning of rel_tol
+            res = minimize_scalar(neg, bounds=(omegas[k - 1], omegas[k + 1]),
+                                  method="bounded",
+                                  options={"xatol": 0.5 * rel_tol * omegas[k]})
+            peaks.append((float(res.x), -res.fun))
     return peaks

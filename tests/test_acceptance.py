@@ -23,7 +23,7 @@ from rlcnet.solve import (ComplexField, dirichlet_laplacian, dispersion,
                           driven_response, eigenmode_nearest,
                           eigenmodes_lossless, quality_factor, wavelength)
 from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
-                          fit_histogram, heat_cdf, mc_heat_oracle,
+                          density_ppf, fit_histogram, heat_cdf, mc_heat_oracle,
                           phase_rotate, sigma_p_sq, sigma_p_sq_empirical,
                           _interior_sample)
 
@@ -58,8 +58,7 @@ def stadium_stats(stadium):
                 "spacing": A0, "resistance": resistance, "omega": omega,
                 "source_rule": "density_max", "source_iterations": 3,
             })
-            spec = cfg.build_spec()
-            cache[key] = driven_statistics(cfg, stadium, spec) + (spec,)
+            cache[key] = driven_statistics(cfg, stadium, cfg.build_spec())
         return cache[key]
 
     return get
@@ -130,10 +129,10 @@ def test_criterion_04_reference_constants(acceptance_report):
 def test_criterion_05_power_balance(acceptance_report, stadium, stadium_stats):
     residuals = {}
     for r in (0.5, 1.0):
-        field, source = stadium_stats(W1, r)[:2]
-        residuals[r] = power_balance(field, source)
+        field = stadium_stats(W1, r).field
+        residuals[r] = power_balance(field, field.source)
     t0 = time.perf_counter()
-    field, source = stadium_stats(W1, 0.5)[:2]
+    source = stadium_stats(W1, 0.5).field.source
     driven_response(stadium, CircuitSpec("I", L, C, 0.5), W1, source)
     elapsed = time.perf_counter() - t0
     ok = all(v < 1e-8 for v in residuals.values()) and elapsed < 60.0
@@ -182,29 +181,27 @@ def test_criterion_07_density_law_normalization(acceptance_report):
 def test_criterion_08_stadium_statistics(acceptance_report, stadium, stadium_stats):
     eps_by_r = {}
     for r in (0.1, 0.3, 0.5, 1.0):
-        rot = stadium_stats(W1, r)[2]
-        eps_by_r[r] = rot.openness
+        eps_by_r[r] = stadium_stats(W1, r).rotation.openness
     eps_list = [eps_by_r[r] for r in (0.1, 0.3, 0.5, 1.0)]
     monotone = all(b >= a for a, b in zip(eps_list, eps_list[1:]))
 
-    field, source, rot = stadium_stats(W1, 0.1)[:3]
-    cur = stadium_stats(W1, 0.1)[6]
-    rho = np.abs(_interior_sample(field, cur["radius"])) ** 2
+    s1 = stadium_stats(W1, 0.1)
+    rho = np.abs(_interior_sample(s1.field, s1.radius)) ** 2
     rho = rho / rho.mean()
-    eps = rot.openness
-    density_fit = fit_histogram(rho, lambda x: density_cdf(eps, x), 50)
+    eps = s1.rotation.openness
+    density_fit = fit_histogram(rho, lambda x: density_cdf(eps, x), 50,
+                                ppf=lambda q: density_ppf(eps, q))
     rayleigh_fit = fit_histogram(rho,
                                  lambda x: 1.0 - np.exp(-np.asarray(x)), 50)
     ratio = rayleigh_fit.ks_distance / density_fit.ks_distance
 
-    field2, _, _, currents2, heat2, bulk2, cur2, spec2 = stadium_stats(W2, 0.1)
-    lam = wavelength(spec2, A0, W2)
-    stride = max(1, int(round(0.25 * lam / A0)))
-    thin = np.zeros_like(bulk2)
+    s2 = stadium_stats(W2, 0.1)
+    stride = max(1, int(round(0.25 * s2.wavelength / A0)))
+    thin = np.zeros_like(s2.bulk)
     thin[::stride, ::stride] = True
-    p = heat2.power[bulk2 & thin]
+    p = s2.heat.power[s2.bulk & thin]
     mean_p = float(p.mean())
-    eps_c = cur2["eps_current"]
+    eps_c = s2.eps_current
     heat_fit = fit_histogram(p, lambda q: heat_cdf(eps_c, mean_p, q), 50)
 
     ok = monotone and ratio >= 3.0 and heat_fit.chi_sq_per_dof < 2.0
@@ -284,12 +281,12 @@ def test_criterion_10_anisotropy(acceptance_report, stadium, stadium_stats):
     details = [f"synthetic ({r_re:+.4f}, {r_im:+.4f})"]
     stadium_ok = True
     for omega in (W1, W2):
-        cur, spec = stadium_stats(omega, 0.1)[6:8]
-        r = state_anisotropies(stadium, spec, omega, N_STATES)
+        driven = stadium_stats(omega, 0.1)
+        r = state_anisotropies(stadium, driven.field.spec, omega, N_STATES)
         mean, sem = r.mean(), r.std(ddof=1) / sqrt(N_STATES)
         stadium_ok &= abs(mean) < 0.2
         details.append(f"omega={omega:.4g} driven "
-                       f"({cur['r_real']:+.3f}, {cur['r_imag']:+.3f}), "
+                       f"({driven.r_real:+.3f}, {driven.r_imag:+.3f}), "
                        f"nearest state {r[0]:+.3f}, "
                        f"mean of {N_STATES} states {mean:+.4f} +- {sem:.4f}")
     report(acceptance_report, 10, "current anisotropy small for isotropic field and stadium state average",
@@ -297,7 +294,8 @@ def test_criterion_10_anisotropy(acceptance_report, stadium, stadium_stats):
 
 
 def test_criterion_11_vortices_and_streamlines(acceptance_report, stadium, stadium_stats):
-    field, source, _, _, _, _, _, spec = stadium_stats(W1, 1.0)
+    field = stadium_stats(W1, 1.0).field
+    source, spec = field.source, field.spec
     currents = link_currents(field, spec, W1)
     vortices = nodal_vortices(field)
     windings_ok = bool(vortices) and all(v.winding in (-1, 1)

@@ -251,7 +251,16 @@ def test_cli_config_error(tmp_path):
                             ("spectrum", {"n_modes": 81}),
                             ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
                                        "n_points": 5, "omega": 0.0,
-                                       "source_rule": "density_max"})):
+                                       "source_rule": "density_max"}),
+                            ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
+                                       "n_points": 5, "resistance": 0.0}),
+                            ("stats", {"n_bins": 0}),
+                            ("stats", {"n_bins": 1}),
+                            ("ensemble", {"tolerance": 0.02, "n_bins": 0}),
+                            ("streamlines", {"step_fraction": 0.6}),
+                            ("streamlines", {"step_fraction": 0.0}),
+                            ("oracle", {"n_samples": 0}),
+                            ("oracle", {"n_samples": 500})):
         cfg = write_cfg(tmp_path, {**drive, **bad})
         assert main([experiment, "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2, bad

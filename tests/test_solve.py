@@ -195,18 +195,53 @@ def test_driven_needs_source():
         driven_response(g, CircuitSpec("I", L, C, 0.1), 1e6, ((1, 1), 0.0))
 
 
-def test_resonance_sweep_finds_lossless_modes():
+def _sweep_case():
+    """6x4 rectangle whose band holds the two lowest lossless modes."""
     g = rasterize_rectangle(6, 4, 0.1)
     spec = CircuitSpec("I", L, C, 0.05)
     modes = eigenmodes_lossless(g, CircuitSpec("I", L, C, 0.0), 3)
-    lo = modes[0].omega * 0.97
-    hi = modes[1].omega * 1.03
-    peaks = resonance_sweep(g, spec, (lo, hi), 220, ((2, 2), 1.0))
+    return g, spec, modes, (modes[0].omega * 0.97, modes[1].omega * 1.03)
+
+
+def test_resonance_sweep_finds_lossless_modes():
+    g, spec, modes, band = _sweep_case()
+    peaks = resonance_sweep(g, spec, band, 220, ((2, 2), 1.0))
     gamma = spec.linewidth
     assert peaks
     for w_peak, _ in peaks:
         nearest = min(abs(w_peak - m.omega) for m in modes)
         assert nearest < 0.5 * gamma
+
+
+def test_resonance_sweep_peaks_converged():
+    g, spec, _, band = _sweep_case()
+    coarse = resonance_sweep(g, spec, band, 220, ((2, 2), 1.0))
+    fine = resonance_sweep(g, spec, band, 220, ((2, 2), 1.0), rel_tol=1e-10)
+    assert len(coarse) == len(fine) == 2
+    for (w, _), (w_fine, _) in zip(coarse, fine):
+        assert abs(w - w_fine) <= 1e-6 * w_fine
+
+
+def test_resonance_sweep_value_is_response_at_peak():
+    g, spec, _, band = _sweep_case()
+    for w_peak, val in resonance_sweep(g, spec, band, 220, ((2, 2), 1.0)):
+        v = driven_response(g, spec, w_peak, ((2, 2), 1.0)).interior_values
+        assert val == float(np.real(np.vdot(v, v)))
+
+
+def test_resonance_sweep_solve_budget(monkeypatch):
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return driven_response(*args, **kwargs)
+
+    monkeypatch.setattr("rlcnet.solve.driven_response", counted)
+    g, spec, _, band = _sweep_case()
+    peaks = resonance_sweep(g, spec, band, 220, ((2, 2), 1.0))
+    assert peaks
+    assert calls <= 220 + 15 * len(peaks)
 
 
 def test_resonance_sweep_preconditions():
