@@ -158,6 +158,8 @@ class ExperimentConfig:
                 raise ConfigError("sigma_r/sigma_i: must be positive")
             if self.n_samples < 1000:
                 raise ConfigError("n_samples: the fit needs at least 1000")
+            if self.n_bins > self.n_samples:
+                raise ConfigError("n_bins: more bins than samples")
         if self.experiment == "streamlines" \
                 and not 0.0 < self.step_fraction <= 0.5:
             raise ConfigError("step_fraction: need 0 < step_fraction <= 0.5")

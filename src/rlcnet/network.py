@@ -11,7 +11,7 @@ so the matrix is complex symmetric for any R and any tolerance realization.
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from math import cos, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,11 +123,17 @@ def sample_perturbation(geometry: GridGeometry, tolerance: float, seed: int,
 
 @dataclass
 class AdmittanceSystem:
-    """Sparse complex-symmetric Kirchhoff system over the unknown sites."""
+    """Sparse complex-symmetric Kirchhoff system over the unknown sites.
+
+    `hermitian_floor` is a proven lower bound on the smallest eigenvalue of
+    the Hermitian part -Re(A), hence on the smallest singular value of A;
+    0 where no positive bound is known (R = 0, Neumann or mixed unknowns).
+    """
 
     matrix: sp.csc_matrix
     unknown_sites: np.ndarray   # (n, 2) of (i, j), row-major
     index: np.ndarray           # (nx, ny) int, -1 where not an unknown
+    hermitian_floor: float
 
 
 @dataclass(frozen=True)
@@ -224,5 +230,17 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     B = inc.matrix
     matrix = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt[unknown])).tocsc()
     matrix.sort_indices()   # the sparse product leaves them unsorted
+    # -Re(A) = B^T diag(Re y_link) B + diag(Re y_shunt) with Re y >= 0.  When
+    # every unknown has four links (in practice with Dirichlet unknowns: a
+    # Neumann or mixed boundary site links only to interior sites), none
+    # sits on the lattice rim and B^T B is a principal submatrix of the
+    # Dirichlet Laplacian of the (nx-2)-by-(ny-2) block inside the rim, so
+    # by Cauchy interlacing its eigenvalues are at least that block's lowest
+    floor = 0.0
+    if np.all(np.bincount(B.indices, minlength=B.shape[1]) == 4):
+        lam_rect = 4.0 - 2.0 * cos(pi / (geometry.nx - 1)) \
+            - 2.0 * cos(pi / (geometry.ny - 1))
+        floor = float(lam_rect * y_link.real.min()
+                      + y_shunt[unknown].real.min())
     return AdmittanceSystem(matrix=matrix, unknown_sites=np.argwhere(unknown),
-                            index=inc.index)
+                            index=inc.index, hermitian_floor=floor)

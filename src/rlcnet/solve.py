@@ -21,6 +21,7 @@ from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
 
 DENSE_EIG_LIMIT = 4000
 RESIDUAL_TOL = 1e-10
+COND_LIMIT = 1e13
 
 
 class SingularSystemError(RuntimeError):
@@ -180,30 +181,47 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     """Factor the driven network at frequency omega once; returns
     solve(source) -> ComplexField for a ((i, j), complex amplitude) current
     injection, refined until the relative residual is below RESIDUAL_TOL.
-    Raises SingularSystemError when that fails (lossless drive on resonance).
+
+    A is complex symmetric, so SuperLU factors it in a minimum-degree
+    ordering of A^T + A with diagonal pivots.  The system is rejected when
+    its 1-norm condition number may exceed COND_LIMIT.  Where the assembly
+    proves sigma_min(A) >= hermitian_floor > 0 (Dirichlet unknowns, R > 0)
+    the check is the bound sqrt(n) ||A||_1 / hermitian_floor, which needs
+    no solve; where that proves nothing (R = 0, Neumann or mixed unknowns,
+    or a bound above COND_LIMIT) it is ||A||_1 times an estimate of
+    ||A^-1||_1.  Raises SingularSystemError when the factorization, the
+    check or the residual contract fails (lossless drive on resonance).
     """
     system = assemble_admittance(geometry, spec, omega, pert=pert)
     A = system.matrix
+    n = A.shape[0]
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization failed: {exc}") from exc
     # reject numerically singular systems that still factorize (an exact
-    # lossless resonance): exact ||A||_1 times an estimate of ||A^-1||_1
-    n = A.shape[0]
-    if n >= 2:
-        inv_op = spla.LinearOperator(
-            (n, n), matvec=lu.solve,
-            rmatvec=lambda v: lu.solve(v, trans="H"), dtype=A.dtype)
-        cond = spla.onenormest(inv_op) * spla.norm(A, 1)
-    else:
-        # 1x1 system: compare the surviving entry against the admittance
-        # scale of its summands (cancellation to roundoff means resonance)
-        from .network import ground_impedance, link_impedance
-        scale = 4.0 / abs(link_impedance(spec, omega)) \
-            + 1.0 / abs(ground_impedance(spec, omega))
-        cond = scale / abs(A[0, 0])
-    if not np.isfinite(cond) or cond > 1e13:
+    # lossless resonance).  sigma_min(A) >= hermitian_floor gives
+    # ||A^-1||_1 <= sqrt(n) / hermitian_floor with no solve; without such a
+    # bound below COND_LIMIT, ||A^-1||_1 is estimated on the factorization
+    norm_a = spla.norm(A, 1)
+    cond = np.inf
+    if system.hermitian_floor > 0.0:
+        cond = sqrt(n) * norm_a / system.hermitian_floor
+    if cond > COND_LIMIT:
+        if n >= 2:
+            inv_op = spla.LinearOperator(
+                (n, n), matvec=lu.solve,
+                rmatvec=lambda v: lu.solve(v, trans="H"), dtype=A.dtype)
+            cond = spla.onenormest(inv_op) * norm_a
+        else:
+            # 1x1 system: compare the surviving entry against the admittance
+            # scale of its summands (cancellation to roundoff means resonance)
+            from .network import ground_impedance, link_impedance
+            scale = 4.0 / abs(link_impedance(spec, omega)) \
+                + 1.0 / abs(ground_impedance(spec, omega))
+            cond = scale / abs(A[0, 0])
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError(
             f"system numerically singular (condition estimate {cond:.2e})")
 

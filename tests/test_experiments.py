@@ -260,7 +260,9 @@ def test_cli_config_error(tmp_path):
                             ("streamlines", {"step_fraction": 0.6}),
                             ("streamlines", {"step_fraction": 0.0}),
                             ("oracle", {"n_samples": 0}),
-                            ("oracle", {"n_samples": 500})):
+                            ("oracle", {"n_samples": 500}),
+                            ("oracle", {"sigma_r": 1.0, "sigma_i": 0.5,
+                                        "n_samples": 1000, "n_bins": 2000})):
         cfg = write_cfg(tmp_path, {**drive, **bad})
         assert main([experiment, "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2, bad

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from rlcnet.geometry import rasterize_rectangle
+from rlcnet.geometry import (BCKind, rasterize_quarter_stadium,
+                             rasterize_rectangle, tag_boundary)
 from rlcnet.network import (CircuitSpec, assemble_admittance, link_impedance,
                             ground_impedance, sample_perturbation)
-from rlcnet.solve import (SingularSystemError, damping_length, dispersion,
-                          dirichlet_laplacian, driven_response, driven_solver,
-                          eigenmode_nearest, eigenmodes_lossless,
+from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
+                          dispersion, dirichlet_laplacian, driven_response,
+                          driven_solver, eigenmode_nearest, eigenmodes_lossless,
                           quality_factor, resonance_sweep, wavelength)
 
 L, C = 1e-4, 1e-9
@@ -187,6 +188,101 @@ def test_driven_lossless_on_resonance_rejected():
     omega = 2.0 * spec.omega0   # lam_grid = 4 resonance of the single site
     with pytest.raises(SingularSystemError):
         driven_response(g, spec, omega, ((1, 1), 1.0))
+
+
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("geometry", ["rectangle", "stadium"])
+def test_hermitian_floor_below_smallest_singular_value(geometry, model):
+    g = rasterize_rectangle(9, 6, 0.1) if geometry == "rectangle" \
+        else rasterize_quarter_stadium(0.1)
+    # the bound is tightest on the lowest resonance of each realization:
+    # sigma_min there is about v^T (-Re A) v for the mode v
+    lossless = CircuitSpec(model, L, C, 0.0)
+    lowest = eigenmodes_lossless(g, lossless, 1)[0].omega
+    for tau in (0.0, 0.05):
+        pert = sample_perturbation(g, tau, 5)
+        resonance = eigenmode_nearest(g, lossless, lowest, pert=pert).omega
+        for r in (1e-3, 0.1, 1.0):
+            spec = CircuitSpec(model, L, C, r)
+            for omega in (resonance, spec.omega0, 1.7 * spec.omega0):
+                system = assemble_admittance(g, spec, omega, pert=pert)
+                sv = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
+                # a dense SVD is accurate to a few eps * sigma_max
+                assert 0.0 < system.hermitian_floor \
+                    <= sv[-1] + 64 * np.finfo(float).eps * sv[0]
+
+
+def test_hermitian_floor_needs_dirichlet_loss():
+    g = rasterize_rectangle(5, 4, 0.1)
+    assert assemble_admittance(g, CircuitSpec("I", L, C, 0.0),
+                               1e6).hermitian_floor == 0.0
+    neumann = tag_boundary(g, BCKind("neumann"))
+    assert assemble_admittance(neumann, CircuitSpec("I", L, C, 0.3),
+                               1e6).hermitian_floor == 0.0
+
+
+def _count_onenormest(monkeypatch):
+    calls = []
+    estimate = spla.onenormest
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "onenormest", counted)
+    return calls
+
+
+def test_condition_check_estimates_only_without_a_bound(monkeypatch):
+    calls = _count_onenormest(monkeypatch)
+    g = rasterize_rectangle(5, 4, 0.1)
+    lossless = CircuitSpec("I", L, C, 0.0)
+    lossy = CircuitSpec("I", L, C, 0.3)
+    modes = eigenmodes_lossless(g, lossless, 4)
+    between = 0.5 * (modes[0].omega + modes[1].omega)
+    driven_response(g, lossy, modes[0].omega, ((2, 2), 1.0))
+    assert len(calls) == 0
+    driven_response(g, lossless, between, ((2, 2), 1.0))
+    assert len(calls) == 1
+    driven_response(tag_boundary(g, BCKind("neumann")), lossy, between,
+                    ((2, 2), 1.0))
+    assert len(calls) == 2
+
+
+def test_driven_lossless_on_rectangle_modes_rejected():
+    g = rasterize_rectangle(5, 4, 0.1)
+    spec = CircuitSpec("I", L, C, 0.0)
+    for mode in eigenmodes_lossless(g, spec, 3):
+        with pytest.raises(SingularSystemError):
+            driven_response(g, spec, mode.omega, ((2, 2), 1.0))
+
+
+@pytest.mark.parametrize("model,resistance,tau,omega", [
+    ("I", 0.0, 0.0, 861100.0),
+    ("II", 0.1, 0.05, 1e13 / 861100.0)])
+def test_unpivoted_factor_meets_residual_with_little_fill(
+        monkeypatch, model, resistance, tau, omega):
+    factors = []
+    factor = spla.splu
+
+    def kept(*args, **kwargs):
+        factors.append(factor(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", kept)
+    g = rasterize_quarter_stadium(0.01)
+    spec = CircuitSpec(model, L, C, resistance)
+    pert = sample_perturbation(g, tau, 3)
+    source = (tuple(g.interior_sites[len(g.interior_sites) // 3]), 1.0)
+    field = driven_response(g, spec, omega, source, pert=pert)
+    system = assemble_admittance(g, spec, omega, pert=pert)
+    x = field.values[tuple(system.unknown_sites.T)]
+    b = np.zeros(len(x), dtype=complex)
+    b[system.index[source[0]]] = -1.0
+    assert np.linalg.norm(system.matrix @ x - b) <= RESIDUAL_TOL
+    # COLAMD leaves 1.32M entries here, the minimum-degree ordering 0.70M
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz < 1_000_000
 
 
 def test_driven_needs_source():
