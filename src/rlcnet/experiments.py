@@ -281,11 +281,8 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
         mode = eigenmode_nearest(geometry, spec, omega_target, pert=pert)
         return standardized_mode_histogram(mode.vector, bin_edges)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hists = list(pool.map(one, range(n_realizations)))
-    else:
-        hists = [one(k) for k in range(n_realizations)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        hists = list(pool.map(one, range(n_realizations)))
     avg = np.mean(hists, axis=0)
     return avg, ks_binned_vs_normal(bin_edges, avg)
 
@@ -330,17 +327,17 @@ def _manifest(cfg: ExperimentConfig, spec: CircuitSpec, extra=None) -> dict:
 def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
     """Execute one experiment; returns the artifact directory path."""
     cfg.validate()
+    if threads < 1:
+        raise ConfigError("threads: must be >= 1")
     try:
         geometry = cfg.build_geometry()
         spec = cfg.build_spec()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.source_site is not None:
-        i, j = cfg.source_site
-        if not (0 <= i < geometry.nx and 0 <= j < geometry.ny
-                and geometry.interior[i, j]):
-            raise ConfigError(f"source_site: {cfg.source_site} is not an "
-                              "interior site of the geometry")
+    if cfg.source_site is not None \
+            and not geometry.is_interior(*cfg.source_site):
+        raise ConfigError(f"source_site: {cfg.source_site} is not an "
+                          "interior site of the geometry")
     if cfg.experiment == "spectrum" \
             and not 1 <= cfg.n_modes <= geometry.n_interior:
         raise ConfigError(f"n_modes: must be in [1, {geometry.n_interior}]")
@@ -567,8 +564,7 @@ def _run_streamlines(cfg, geometry, spec, out_dir):
         ang = 2.0 * pi * k / cfg.n_seeds
         x, y = cx + cfg.seed_radius * cos(ang), cy + cfg.seed_radius * sin(ang)
         i, j = int(round(x / a0)), int(round(y / a0))
-        if 0 <= i < geometry.nx and 0 <= j < geometry.ny \
-                and geometry.interior[i, j]:
+        if geometry.is_interior(i, j):
             seeds.append((x, y))
     lines = fld.trace_streamlines(field, currents, seeds,
                                   step=cfg.step_fraction * a0,

@@ -64,6 +64,11 @@ class GridGeometry:
     def n_interior(self) -> int:
         return int(np.count_nonzero(self.interior))
 
+    def is_interior(self, i, j) -> bool:
+        """True when (i, j) is on the lattice and an interior site."""
+        return 0 <= i < self.nx and 0 <= j < self.ny \
+            and bool(self.interior[i, j])
+
     @property
     def interior_sites(self) -> np.ndarray:
         """(n, 2) array of interior (i, j), row-major order."""

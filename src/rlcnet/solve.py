@@ -103,11 +103,19 @@ def dirichlet_laplacian(geometry: GridGeometry) -> sp.csr_matrix:
     return (B.T @ B).tocsr()
 
 
-def _omega_from_lam(spec: CircuitSpec, lam):
-    lam = np.asarray(lam, dtype=float)
+def _omega_from_lam(spec: CircuitSpec, lam: float) -> float:
     if spec.model == MODEL_I:
-        return spec.omega0 * np.sqrt(lam)
-    return spec.omega0 / np.sqrt(lam)
+        return spec.omega0 * sqrt(lam)
+    return spec.omega0 / sqrt(lam)
+
+
+def _mode(geometry: GridGeometry, spec: CircuitSpec, index: int, lam,
+          vector) -> Mode:
+    """Mode of billiard eigenvalue lam = a0^2 k^2, vector scaled to unit norm."""
+    lam = float(lam)
+    return Mode(index=index, omega=_omega_from_lam(spec, lam),
+                lam_grid=lam, eps=lam / geometry.spacing ** 2,
+                vector=vector / np.linalg.norm(vector))
 
 
 def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
@@ -115,26 +123,24 @@ def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
     """Lowest-lam resonances of the lossless (R = 0) Dirichlet network.
 
     Dense symmetric solve up to DENSE_EIG_LIMIT unknowns, shift-invert
-    Lanczos above.  Eigenvectors are orthonormal and real.
+    Lanczos from the fixed start ones(n) above.  Eigenvectors are
+    orthonormal and real; a degenerate eigenspace gets the basis that the
+    solver (and its start) gives.
     """
     n = geometry.n_interior
     if not 1 <= n_modes <= n:
         raise ValueError(f"n_modes must be in [1, {n}]")
     lap = dirichlet_laplacian(geometry)
     if n <= DENSE_EIG_LIMIT:
-        lam, vec = scipy.linalg.eigh(lap.toarray())
-        lam, vec = lam[:n_modes], vec[:, :n_modes]
+        lam, vec = scipy.linalg.eigh(lap.toarray(),
+                                     subset_by_index=[0, n_modes - 1])
     else:
-        lam, vec = spla.eigsh(lap, k=n_modes, sigma=0.0, which="LM")
+        lam, vec = spla.eigsh(lap, k=n_modes, sigma=0.0, which="LM",
+                              v0=np.ones(n))
         order = np.argsort(lam)
         lam, vec = lam[order], vec[:, order]
-    a0sq = geometry.spacing ** 2
-    omegas = _omega_from_lam(spec, lam)
-    return [
-        Mode(index=k, omega=float(omegas[k]), lam_grid=float(lam[k]),
-             eps=float(lam[k] / a0sq), vector=np.ascontiguousarray(vec[:, k]))
-        for k in range(n_modes)
-    ]
+    return [_mode(geometry, spec, k, lam[k], vec[:, k])
+            for k in range(n_modes)]
 
 
 def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
@@ -142,10 +148,11 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
                       pert: Perturbation | None = None) -> Mode:
     """Lossless eigenmode whose frequency is nearest omega_target.
 
-    Supports component-tolerance realizations: the perturbed problem is the
-    generalized symmetric pencil K v = omega^2 M v (model I: K the
-    1/L-weighted Laplacian, M = diag(C); model II: K the C-weighted
-    Laplacian, M = diag(1/L), eigenvalue mu = 1/omega^2).
+    Supports component-tolerance realizations through the pencil K v =
+    lam M v with lam = a0^2 k^2: K = B^T diag|y_link| B and M = diag|y_shunt|
+    at omega0 and R = 0, where every modulus shares the factor sqrt(C/L) in
+    either model.  Lanczos starts from ones(n); in an exactly degenerate
+    eigenspace the vector is the Ritz vector that start gives.
     """
     if omega_target <= 0.0:
         raise ValueError("omega_target must be positive")
@@ -153,27 +160,15 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
         pert = identity_perturbation(geometry)
     inter = geometry.interior
     inc = lattice_incidence(geometry, inter)
-    # at omega = 1 rad/s a lossless element's admittance has modulus 1/(L m)
-    # (inductor) or C m (capacitor): the links give the stiffness K, the
-    # shunts the mass M, for either model
-    y_link, y_shunt = element_admittances(
-        geometry, replace(spec, resistance=0.0), 1.0, pert, inc)
+    lossless = replace(spec, resistance=0.0)
+    y_link, y_shunt = element_admittances(geometry, lossless, spec.omega0,
+                                          pert, inc)
     K = (inc.matrix.T @ sp.diags(np.abs(y_link)) @ inc.matrix).tocsc()
     M = sp.diags(np.abs(y_shunt[inter]), format="csc")
-    sigma = omega_target ** 2 if spec.model == MODEL_I else 1.0 / omega_target ** 2
-
-    val, vec = spla.eigsh(K, k=1, M=M, sigma=sigma, which="LM")
-    lam_pencil = float(val[0])
-    omega = sqrt(lam_pencil) if spec.model == MODEL_I else 1.0 / sqrt(lam_pencil)
-    v = vec[:, 0]
-    v /= np.linalg.norm(v)
-    a0sq = geometry.spacing ** 2
-    if spec.model == MODEL_I:
-        lam_grid = lam_pencil / spec.omega0 ** 2
-    else:
-        lam_grid = spec.omega0 ** 2 / (1.0 / lam_pencil)
-    return Mode(index=-1, omega=omega, lam_grid=lam_grid,
-                eps=lam_grid / a0sq, vector=v)
+    lam, vec = spla.eigsh(K, k=1, M=M,
+                          sigma=dispersion(lossless, omega_target).real,
+                          which="LM", v0=np.ones(K.shape[0]))
+    return _mode(geometry, spec, -1, lam[0], vec[:, 0])
 
 
 def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
@@ -227,7 +222,7 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
 
     def solve(source) -> ComplexField:
         (si, sj), amplitude = source
-        if amplitude == 0.0 or not geometry.interior[si, sj]:
+        if amplitude == 0.0 or not geometry.is_interior(si, sj):
             raise ValueError(f"not a nonzero interior source: {source}")
         b = np.zeros(n, dtype=complex)
         b[system.index[si, sj]] = -amplitude

@@ -340,11 +340,35 @@ def test_criterion_12_determinism(acceptance_report, tmp_path):
             "n_samples": 100_000, "seed": 31,
         })
 
-    ok = True
-    for name, make in (("drive", drive_cfg), ("oracle", oracle_cfg)):
+    def ensemble_cfg():
+        return ExperimentConfig.from_dict({
+            "experiment": "ensemble", "geometry": "rectangle",
+            "nx_interior": 40, "ny_interior": 40, "spacing": 0.02,
+            "omega": 1.0e6, "tolerance": 0.03, "n_realizations": 8,
+            "seed": 5,
+        })
+
+    def lanczos_spectrum_cfg():
+        # 4200 unknowns: above DENSE_EIG_LIMIT, so the Lanczos path
+        return ExperimentConfig.from_dict({
+            "experiment": "spectrum", "geometry": "rectangle",
+            "nx_interior": 70, "ny_interior": 60, "spacing": 0.02,
+            "n_modes": 4,
+        })
+
+    # the ensemble's second run uses two worker threads: its result must
+    # not depend on the thread count either
+    mismatched = []
+    for name, make, threads in (("drive", drive_cfg, 1),
+                                ("oracle", oracle_cfg, 1),
+                                ("ensemble", ensemble_cfg, 2),
+                                ("spectrum", lanczos_spectrum_cfg, 1)):
         a = run(make(), tmp_path / f"{name}_a")
-        b = run(make(), tmp_path / f"{name}_b")
-        for fname in sorted(os.listdir(a)):
-            ok &= filecmp.cmp(os.path.join(a, fname),
-                              os.path.join(b, fname), shallow=False)
-    report(acceptance_report, 12, "reruns with fixed seeds are byte-identical", ok)
+        b = run(make(), tmp_path / f"{name}_b", threads=threads)
+        mismatched += [f"{name}/{fname}" for fname in sorted(os.listdir(a))
+                       if not filecmp.cmp(os.path.join(a, fname),
+                                          os.path.join(b, fname),
+                                          shallow=False)]
+    report(acceptance_report, 12, "reruns with fixed seeds are byte-identical",
+           not mismatched, "differ: " + ", ".join(mismatched) if mismatched
+           else "")

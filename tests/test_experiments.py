@@ -266,6 +266,10 @@ def test_cli_config_error(tmp_path):
         cfg = write_cfg(tmp_path, {**drive, **bad})
         assert main([experiment, "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2, bad
+    cfg = write_cfg(tmp_path, {**drive, "tolerance": 0.02,
+                               "n_realizations": 2})
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "0"]) == 2
 
 
 def test_cli_solver_failure(tmp_path):

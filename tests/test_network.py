@@ -143,8 +143,11 @@ def test_source_must_be_interior():
     g = rasterize_rectangle(3, 3, 0.1)
     spec = CircuitSpec("I", L, C, 0.1)
     solve = driven_solver(g, spec, 1e6)
-    with pytest.raises(ValueError):
-        solve(((0, 0), 1.0))
+    # a boundary site, a negative index that would wrap onto the interior
+    # site (3, 2), and a site off the lattice
+    for site in ((0, 0), (-2, 2), (50, 2)):
+        with pytest.raises(ValueError):
+            solve((site, 1.0))
     # the injection enters the right-hand side as -I at the source row only
     sys = assemble_admittance(g, spec, 1e6)
     field = solve(((2, 2), 1.0))

@@ -95,6 +95,29 @@ def test_duality_model_ii():
         assert a.omega * b.omega == pytest.approx(spec1.omega0 ** 2, rel=1e-10)
 
 
+def test_lanczos_spectrum_matches_closed_form():
+    # above DENSE_EIG_LIMIT; the fixed start ones(n) is even under both
+    # reflections of the rectangle, so modes odd under one of them are
+    # reached only through roundoff
+    g = rasterize_rectangle(80, 60, 0.01)
+    modes = eigenmodes_lossless(g, CircuitSpec("I", L, C, 0.0), 6)
+    for m, lam in zip(modes, closed_form_lams(80, 60)):
+        assert abs(m.lam_grid - lam) < 1e-12
+        assert np.linalg.norm(m.vector) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_eigenmode_nearest_finds_odd_mode(model):
+    g = rasterize_rectangle(80, 60, 0.01)
+    spec = CircuitSpec(model, L, C, 0.0)
+    lam21 = 4.0 - 2.0 * cos(2 * pi / 81) - 2.0 * cos(pi / 61)
+    omega21 = spec.omega0 * sqrt(lam21) if model == "I" \
+        else spec.omega0 / sqrt(lam21)
+    near = eigenmode_nearest(g, spec, omega21 * 1.0001)
+    assert abs(near.lam_grid - lam21) < 1e-12
+    assert near.omega == pytest.approx(omega21, rel=1e-12)
+
+
 def test_eigenmodes_bad_count():
     g = rasterize_rectangle(3, 3, 0.1)
     with pytest.raises(ValueError):
