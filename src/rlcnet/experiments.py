@@ -150,6 +150,10 @@ class ExperimentConfig:
                 raise ConfigError("omega: ensemble needs a target frequency")
             if self.n_realizations < 1:
                 raise ConfigError("n_realizations: must be >= 1")
+        if self.experiment == "stats" and self.resistance <= 0.0:
+            raise ConfigError("resistance: stats needs R > 0 (ohmic currents)")
+        if self.experiment == "stats" and self.exclude_wavelengths < 0.0:
+            raise ConfigError("exclude_wavelengths: must be >= 0")
         if self.experiment in ("ensemble", "stats", "oracle") \
                 and self.n_bins < 2:
             raise ConfigError("n_bins: a histogram needs at least 2 bins")
@@ -446,6 +450,7 @@ class DrivenStatistics:
     """A driven solve and the current statistics `stats` reports on it."""
 
     field: ComplexField
+    sample: np.ndarray      # interior voltages beyond the radius
     rotation: st.RotatedField
     currents: fld.CurrentField
     heat: fld.HeatField
@@ -459,24 +464,36 @@ class DrivenStatistics:
     eps_current: float
 
 
+def _require_fit_samples(what, n):
+    """Reject a sample below the 1000 points fit_histogram needs."""
+    if n < 1000:
+        raise ConfigError(f"stats: the {what} has {n} points; the fits "
+                          "need at least 1000")
+
+
 def driven_statistics(cfg, geometry, spec) -> DrivenStatistics:
     """Driven stadium solve plus the full statistical summary.
 
+    Every statistic reads one site set: the interior sites strictly farther
+    than `exclude_wavelengths * lambda` from the source (`sample`), and for
+    currents the complete current sites beyond the same radius (`bulk`).
     Current statistics use the rotated-field convention: the globally
     rotated field (the one that decorrelates Re and Im of V) differenced
-    across links and divided by R.  Averages exclude sites within
-    `exclude_wavelengths * lambda` of the source.
+    across links and divided by R.
     """
     field = _driven_field(cfg, geometry, spec)
     lam = wavelength(spec, cfg.spacing, cfg.omega)
     radius = cfg.exclude_wavelengths * lam
     far = st.source_exclusion_mask(geometry, field.source[0], radius)
-    rot = st.phase_rotate(field, exclude_radius=radius)
+    sample = field.values[geometry.interior & far]
+    _require_fit_samples("density sample", sample.size)
+    rot = st.phase_rotate(sample)
 
-    currents = fld.link_currents(st.rotated_field(field, rot.theta), spec,
-                                 cfg.omega, variant=fld.OHMIC)
-    r_real, r_imag = st.anisotropy_metrics(currents, site_mask=far)
+    currents = fld.link_currents(st.rotated_field(field, rot.theta),
+                                 variant=fld.OHMIC)
     bulk = currents.mask_x & currents.mask_y & far
+    _require_fit_samples("current bulk", int(np.count_nonzero(bulk)))
+    r_real, r_imag = st.anisotropy_metrics(currents, site_mask=bulk)
     sigma_r_sq = float(np.mean(currents.ix[bulk].real ** 2
                                + currents.iy[bulk].real ** 2) / 2.0)
     sigma_i_sq = float(np.mean(currents.ix[bulk].imag ** 2
@@ -484,7 +501,7 @@ def driven_statistics(cfg, geometry, spec) -> DrivenStatistics:
     eps_current = (min(sigma_i_sq, sigma_r_sq)
                    / max(sigma_i_sq, sigma_r_sq)) ** 0.5
     return DrivenStatistics(
-        field=field, rotation=rot, currents=currents,
+        field=field, sample=sample, rotation=rot, currents=currents,
         heat=fld.heat_power(currents, spec.resistance), bulk=bulk,
         wavelength=lam, radius=radius, r_real=r_real, r_imag=r_imag,
         sigma_r_sq=sigma_r_sq, sigma_i_sq=sigma_i_sq,
@@ -495,8 +512,15 @@ def _run_stats(cfg, geometry, spec, out_dir):
     ds = driven_statistics(cfg, geometry, spec)
     field, rot, heat, bulk = ds.field, ds.rotation, ds.heat, ds.bulk
 
-    rho = st._interior_sample(field, ds.radius)
-    rho = np.abs(rho) ** 2
+    # chi^2 needs approximately independent draws: thin the heat field to a
+    # lambda/4 site stride (the field's spatial correlation scale)
+    stride = max(1, int(round(0.25 * ds.wavelength / cfg.spacing)))
+    thin = np.zeros_like(bulk)
+    thin[::stride, ::stride] = True
+    p = heat.power[bulk & thin]
+    _require_fit_samples("thinned heat sample", p.size)
+
+    rho = np.abs(ds.sample) ** 2
     rho = rho / rho.mean()
     eps_fit = max(min(rot.openness, 1.0), 1e-3)
     density_fit = st.fit_histogram(
@@ -505,12 +529,6 @@ def _run_stats(cfg, geometry, spec, out_dir):
     rayleigh_fit = st.fit_histogram(
         rho, lambda r: 1.0 - np.exp(-np.asarray(r)), cfg.n_bins)
 
-    # chi^2 needs approximately independent draws: thin the heat field to a
-    # lambda/4 site stride (the field's spatial correlation scale)
-    stride = max(1, int(round(0.25 * ds.wavelength / cfg.spacing)))
-    thin = np.zeros_like(bulk)
-    thin[::stride, ::stride] = True
-    p = heat.power[bulk & thin]
     mean_p = float(p.mean())
     n_bins = min(cfg.n_bins, max(10, p.size // 50))
     heat_fit = st.fit_histogram(
@@ -520,10 +538,6 @@ def _run_stats(cfg, geometry, spec, out_dir):
 
     _write_fit(os.path.join(out_dir, "density_histogram.csv"), density_fit)
     _write_fit(os.path.join(out_dir, "heat_histogram.csv"), heat_fit)
-    if spec.resistance > 0:
-        balance = fld.power_balance(field, field.source)
-    else:
-        balance = 0.0
     return {
         "source_site": list(field.source[0]),
         "theta": rot.theta,
@@ -545,14 +559,14 @@ def _run_stats(cfg, geometry, spec, out_dir):
         "heat_ks": heat_fit.ks_distance,
         "heat_chi_sq_per_dof": heat_fit.chi_sq_per_dof,
         "gaussianity_ks": gauss.ks_distance,
-        "power_balance_residual": balance,
+        "power_balance_residual": fld.power_balance(field),
         "exclusion_radius": ds.radius,
     }
 
 
 def _run_streamlines(cfg, geometry, spec, out_dir):
     field = _driven_field(cfg, geometry, spec)
-    currents = fld.link_currents(field, spec, cfg.omega)
+    currents = fld.link_currents(field)
     vortices = fld.nodal_vortices(field)
     write_csv(os.path.join(out_dir, "vortices.csv"), ("x", "y", "winding"),
               ((v.x, v.y, int(v.winding)) for v in vortices))
@@ -563,8 +577,7 @@ def _run_streamlines(cfg, geometry, spec, out_dir):
     for k in range(cfg.n_seeds):
         ang = 2.0 * pi * k / cfg.n_seeds
         x, y = cx + cfg.seed_radius * cos(ang), cy + cfg.seed_radius * sin(ang)
-        i, j = int(round(x / a0)), int(round(y / a0))
-        if geometry.is_interior(i, j):
+        if geometry.contains(x, y):
             seeds.append((x, y))
     lines = fld.trace_streamlines(field, currents, seeds,
                                   step=cfg.step_fraction * a0,

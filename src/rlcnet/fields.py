@@ -10,8 +10,7 @@ from math import pi
 import numpy as np
 
 from .geometry import GridGeometry
-from .network import (CircuitSpec, element_admittances, identity_perturbation,
-                      lattice_incidence)
+from .network import element_admittances, lattice_incidence
 from .solve import ComplexField
 
 PHYSICAL = "physical"
@@ -76,26 +75,26 @@ def _voltage_drops(field: ComplexField):
     return inc, inc.matrix @ field.values[inc.index >= 0]
 
 
-def link_currents(field: ComplexField, spec: CircuitSpec, omega: float,
+def link_currents(field: ComplexField,
                   variant: str = PHYSICAL) -> CurrentField:
-    """Currents I = dV / z on every network link.
+    """Currents I = dV / z on every network link of the field's own circuit.
 
-    `physical` divides by the true link impedance (per-link perturbed when
-    the field carries a tolerance realization); `ohmic` divides by the bare
-    resistance R.  The two differ by one global complex factor for tau = 0,
-    so normalized statistics agree.
+    `physical` divides by the true link impedance at the field's frequency
+    (per-link perturbed when the field carries a tolerance realization);
+    `ohmic` divides by the bare resistance R.  The two differ by one global
+    complex factor for tau = 0, so normalized statistics agree.
     """
     if variant not in (PHYSICAL, OHMIC):
         raise ValueError(f"unknown current variant: {variant!r}")
     geom = field.geometry
     inc, dv = _voltage_drops(field)
     if variant == OHMIC:
-        if spec.resistance <= 0.0:
+        if field.spec.resistance <= 0.0:
             raise ValueError("ohmic currents undefined for R = 0")
-        y = 1.0 / spec.resistance
+        y = 1.0 / field.spec.resistance
     else:
-        pert = field.perturbation or identity_perturbation(geom)
-        y, _ = element_admittances(geom, spec, omega, pert, inc)
+        y, _ = element_admittances(geom, field.spec, field.omega,
+                                   field.perturbation, inc)
     i_link = dv * y
     n_x = np.count_nonzero(inc.mask_x)
     ix = np.zeros(field.values.shape, dtype=complex)
@@ -114,22 +113,21 @@ def heat_power(currents: CurrentField, resistance: float) -> HeatField:
     return HeatField(geometry=currents.geometry, power=p)
 
 
-def power_balance(field: ComplexField, source) -> float:
+def power_balance(field: ComplexField) -> float:
     """Relative mismatch between injected active power and total dissipation.
 
-    P_in = Re(V_s conj(I_s)) / 2 at the source; the dissipation is one sum
-    of Re(1/y) |I|^2 / 2 over every network element of nonzero admittance y:
-    each link, with I = y dV, and each shunt (interior cells and Neumann or
-    mixed boundary sites), with I = y V.
+    P_in = Re(V_s conj(I_s)) / 2 at the field's source; the dissipation is
+    one sum of Re(1/y) |I|^2 / 2 over every network element of nonzero
+    admittance y: each link, with I = y dV, and each shunt (interior cells
+    and Neumann or mixed boundary sites), with I = y V.
     """
     geom = field.geometry
-    pert = field.perturbation or identity_perturbation(geom)
-    (si, sj), amplitude = source
+    (si, sj), amplitude = field.source
     p_in = 0.5 * float(np.real(field.values[si, sj] * np.conj(amplitude)))
 
     inc, dv = _voltage_drops(field)
     y_link, y_shunt = element_admittances(geom, field.spec, field.omega,
-                                          pert, inc)
+                                          field.perturbation, inc)
     shunted = y_shunt != 0.0   # grounded Dirichlet sites have no shunt
     y = np.concatenate((y_link, y_shunt[shunted]))
     drop = np.concatenate((dv, field.values[shunted]))
@@ -268,16 +266,6 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     fmax = max(np.abs(fx).max(), np.abs(fy).max())
     cutoff = FLOW_CUTOFF * fmax
 
-    inter = geom.interior
-
-    def inside(x, y):
-        i = np.rint(x / a0).astype(int)
-        j = np.rint(y / a0).astype(int)
-        ok = (i >= 0) & (i < geom.nx) & (j >= 0) & (j < geom.ny)
-        out = np.zeros(x.shape, dtype=bool)
-        out[ok] = inter[i[ok], j[ok]]
-        return out
-
     def direction(x, y):
         gx, gy = _interp_staggered(fx, fy, a0, x, y)
         mag = np.hypot(gx, gy)
@@ -287,8 +275,9 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
 
     x = np.array([s[0] for s in seeds], dtype=float)
     y = np.array([s[1] for s in seeds], dtype=float)
-    if not np.all(inside(x, y)):
-        bad = np.argmin(inside(x, y))
+    inside = geom.contains(x, y)
+    if not np.all(inside):
+        bad = np.argmin(inside)
         raise ValueError(f"seed {(x[bad], y[bad])} outside interior")
     paths = [[(float(a), float(b))] for a, b in zip(x, y)]
     active = np.ones(x.shape, dtype=bool)
@@ -304,8 +293,7 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
         dy = (d1y + 2 * d2y + 2 * d3y + d4y) / 6.0
         xn = np.where(active, x + step * dx, x)
         yn = np.where(active, y + step * dy, y)
-        stay = inside(xn, yn)
-        active &= stay
+        active &= geom.contains(xn, yn)
         x, y = np.where(active, xn, x), np.where(active, yn, y)
         for k in np.flatnonzero(active):
             paths[k].append((float(x[k]), float(y[k])))

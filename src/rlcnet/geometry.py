@@ -64,10 +64,23 @@ class GridGeometry:
     def n_interior(self) -> int:
         return int(np.count_nonzero(self.interior))
 
-    def is_interior(self, i, j) -> bool:
-        """True when (i, j) is on the lattice and an interior site."""
-        return 0 <= i < self.nx and 0 <= j < self.ny \
-            and bool(self.interior[i, j])
+    def is_interior(self, i, j):
+        """True where (i, j) is on the lattice and an interior site; takes
+        integer scalars (returns a bool) or integer arrays of one shape."""
+        i, j = np.asarray(i), np.asarray(j)
+        on = (i >= 0) & (i < self.nx) & (j >= 0) & (j < self.ny)
+        # off-lattice entries read site (0, 0); the cast also takes Python
+        # ints too large for int64, which numpy holds as objects
+        inside = on & self.interior[np.where(on, i, 0).astype(int),
+                                    np.where(on, j, 0).astype(int)]
+        return bool(inside) if inside.ndim == 0 else inside
+
+    def contains(self, x, y):
+        """True where the site nearest the point (x, y) is interior; the
+        nearest site rounds half to even (np.rint, as Python's round)."""
+        a0 = self.spacing
+        return self.is_interior(np.rint(x / a0).astype(int),
+                                np.rint(y / a0).astype(int))
 
     @property
     def interior_sites(self) -> np.ndarray:

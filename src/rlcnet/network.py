@@ -79,20 +79,13 @@ class Perturbation:
     link_x[i, j] scales the link (i,j)-(i+1,j); link_y the link (i,j)-(i,j+1);
     site[i, j] scales the shunt element at (i, j).  Which physical element a
     multiplier hits depends on the model (links are L for model I, C for
-    model II; R always follows its inductor).
+    model II; R always follows its inductor).  Functions that take a
+    Perturbation read None as no disorder.
     """
 
-    tolerance: float
-    seed: int
     link_x: np.ndarray
     link_y: np.ndarray
     site: np.ndarray
-    distribution: str = "uniform"
-
-
-def identity_perturbation(geometry: GridGeometry, seed: int = 0) -> Perturbation:
-    ones = np.ones((geometry.nx, geometry.ny))
-    return Perturbation(0.0, seed, ones, ones.copy(), ones.copy())
 
 
 def sample_perturbation(geometry: GridGeometry, tolerance: float, seed: int,
@@ -117,8 +110,7 @@ def sample_perturbation(geometry: GridGeometry, tolerance: float, seed: int,
         return 1.0 + np.clip(rng.normal(0.0, tolerance, shape),
                              -3.0 * tolerance, 3.0 * tolerance)
 
-    return Perturbation(tolerance, seed, draw(), draw(), draw(),
-                        distribution=distribution)
+    return Perturbation(draw(), draw(), draw())
 
 
 @dataclass
@@ -180,13 +172,15 @@ def lattice_incidence(geometry: GridGeometry, unknown: np.ndarray) -> Incidence:
 
 
 def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
-                        omega: float, pert: Perturbation, incidence: Incidence):
+                        omega: float, pert: Perturbation | None,
+                        incidence: Incidence):
     """Admittance of every link, in the incidence's row order, and of every
     site's shunt as an (nx, ny) array.
 
     Interior sites carry the model's shunt; boundary sites carry the
     Neumann capacitor or the mixed resistive inductor.  A Dirichlet boundary
-    site is grounded, has no shunt element and reads 0.
+    site is grounded, has no shunt element and reads 0.  `pert` None means
+    unit multipliers.
     """
     def inductor(mult):
         return 1.0 / (1j * omega * spec.inductance * mult
@@ -197,16 +191,21 @@ def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
 
     link, shunt = (inductor, capacitor) if spec.model == MODEL_I \
         else (capacitor, inductor)
-    y_shunt = np.where(geometry.interior, shunt(pert.site), 0.0)
+    if pert is None:
+        site_mult = np.ones(geometry.interior.shape)
+        link_mult = np.ones(incidence.matrix.shape[0])
+    else:
+        site_mult = pert.site
+        link_mult = np.concatenate((pert.link_x[incidence.mask_x],
+                                    pert.link_y[incidence.mask_y]))
+    y_shunt = np.where(geometry.interior, shunt(site_mult), 0.0)
     bc = geometry.bc
     if bc.kind == NEUMANN:
         y_shunt[geometry.boundary] = capacitor(1.0)
     elif bc.kind == MIXED:
         y_shunt[geometry.boundary] = 1.0 / complex(
             bc.shunt_resistance, omega * bc.shunt_inductance)
-    mult = np.concatenate((pert.link_x[incidence.mask_x],
-                           pert.link_y[incidence.mask_y]))
-    return link(mult), y_shunt
+    return link(link_mult), y_shunt
 
 
 def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
@@ -220,8 +219,6 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    if pert is None:
-        pert = identity_perturbation(geometry)
     unknown = geometry.interior
     if geometry.bc.kind != DIRICHLET:
         unknown = unknown | geometry.boundary

@@ -16,8 +16,7 @@ from scipy.optimize import minimize_scalar
 
 from .geometry import GridGeometry
 from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
-                      element_admittances, identity_perturbation,
-                      lattice_incidence)
+                      element_admittances, lattice_incidence)
 
 DENSE_EIG_LIMIT = 4000
 RESIDUAL_TOL = 1e-10
@@ -156,8 +155,6 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
     """
     if omega_target <= 0.0:
         raise ValueError("omega_target must be positive")
-    if pert is None:
-        pert = identity_perturbation(geometry)
     inter = geometry.interior
     inc = lattice_incidence(geometry, inter)
     lossless = replace(spec, resistance=0.0)

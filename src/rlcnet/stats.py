@@ -58,25 +58,13 @@ class HistogramFit:
         return self.chi_sq / dof
 
 
-def _interior_sample(field: ComplexField, exclude_radius: float = 0.0):
-    """Interior voltages, optionally masking a disk around the source."""
-    mask = field.geometry.interior
-    if exclude_radius > 0.0 and field.source is not None:
-        mask = mask & source_exclusion_mask(field.geometry, field.source[0],
-                                            exclude_radius)
-    return field.values[mask]
-
-
-def phase_rotate(field, exclude_radius: float = 0.0) -> RotatedField:
+def phase_rotate(sample) -> RotatedField:
     """Rotate V -> V exp(i theta) = p + i q so that <p q> = 0, sigma_q <= sigma_p.
 
     theta = -arg(<V^2>)/2, shifted by pi/2 when needed to keep eps <= 1.
-    Accepts a ComplexField or a bare complex sample array.
+    `sample` is an array of complex voltages (e.g. DrivenStatistics.sample).
     """
-    if isinstance(field, ComplexField):
-        v = _interior_sample(field, exclude_radius)
-    else:
-        v = np.asarray(field, dtype=complex).ravel()
+    v = np.asarray(sample, dtype=complex).ravel()
     if v.size == 0 or not np.any(v):
         raise ValueError("cannot rotate an empty or all-zero field")
     theta = -0.5 * np.angle(np.mean(v * v))
@@ -92,7 +80,8 @@ def phase_rotate(field, exclude_radius: float = 0.0) -> RotatedField:
 
 
 def source_exclusion_mask(geometry, source_site, radius: float) -> np.ndarray:
-    """Sites farther than `radius` from the source (near-field cut)."""
+    """Sites strictly farther than `radius` from the source (near-field
+    cut); radius 0 drops the source site alone."""
     i = np.arange(geometry.nx)[:, None]
     j = np.arange(geometry.ny)[None, :]
     a0 = geometry.spacing

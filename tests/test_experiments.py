@@ -239,6 +239,7 @@ def test_cli_config_error(tmp_path):
              "spacing": 0.05, "resistance": 0.3, "omega": 1.0e6}
     for experiment, bad in (("drive", {"source_site": [0, 0]}),
                             ("drive", {"source_site": [50, 2]}),
+                            ("drive", {"source_site": [10 ** 30, 2]}),
                             ("drive", {"tolerance": 0.02,
                                        "tolerance_distribution": "cauchy"}),
                             ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
@@ -266,10 +267,38 @@ def test_cli_config_error(tmp_path):
         cfg = write_cfg(tmp_path, {**drive, **bad})
         assert main([experiment, "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2, bad
+    # stats runs whose sample is too small for the fits, or undefined
+    rect = {"geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
+            "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6}
+    stadium = {"geometry": "quarter_stadium", "resistance": 0.3,
+               "omega": 861100.0}
+    for bad in ({**stadium, "spacing": 0.02},          # thinned heat sample
+                {**stadium, "spacing": 0.0075},
+                {**rect, "nx_interior": 30, "ny_interior": 30},  # 900 sites
+                {**rect, "resistance": 0.0},
+                {**rect, "exclude_wavelengths": 30.0},  # empty sample
+                {**rect, "exclude_wavelengths": -1.0}):
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["stats", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2, bad
     cfg = write_cfg(tmp_path, {**drive, "tolerance": 0.02,
                                "n_realizations": 2})
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == 2
+
+
+def test_cli_stats_end_to_end(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
+        "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6,
+    })
+    out = tmp_path / "stats"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["density_histogram.csv",
+                                       "heat_histogram.csv", "manifest.json"]
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["power_balance_residual"] < 1e-8
+    assert man["heat_sample_size"] == 3531
 
 
 def test_cli_solver_failure(tmp_path):
@@ -296,5 +325,6 @@ def test_cli_seed_override(tmp_path):
     assert main(["drive", "--config", cfg, "--out", b, "--seed", "9"]) == 0
     assert filecmp.cmp(os.path.join(a, "field.csv"),
                        os.path.join(b, "field.csv"), shallow=False)
-    man = json.loads(open(os.path.join(a, "manifest.json")).read())
+    with open(os.path.join(a, "manifest.json")) as fh:
+        man = json.load(fh)
     assert man["config"]["seed"] == 9

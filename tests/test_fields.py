@@ -48,7 +48,7 @@ def test_density_zero_field_rejected():
 def test_currents_uniform_field_zero():
     g = rasterize_rectangle(4, 4, 0.1)
     v = np.full((g.nx, g.ny), 1.0 + 0.5j)   # uniform over every member site
-    cur = link_currents(make_field(g, v), CircuitSpec("I", L, C, 0.5), 1e6)
+    cur = link_currents(make_field(g, v))
     assert np.all(cur.ix == 0.0) and np.all(cur.iy == 0.0)
 
 
@@ -59,7 +59,7 @@ def test_currents_two_site_example():
     omega = 0.8611e6
     v = np.zeros((g.nx, g.ny), dtype=complex)
     v[2, 1] = 1.0
-    cur = link_currents(make_field(g, v, omega=omega, spec=spec), spec, omega)
+    cur = link_currents(make_field(g, v, omega=omega, spec=spec))
     z = complex(0.5, omega * L)
     assert cur.ix[1, 1] == pytest.approx(1.0 / z)
 
@@ -69,14 +69,13 @@ def test_currents_ohmic_variant():
     spec = CircuitSpec("I", L, C, 0.5)
     v = np.zeros((g.nx, g.ny), dtype=complex)
     v[2, 1] = 1.0
-    cur = link_currents(make_field(g, v, spec=spec), spec, 1e6,
-                        variant=OHMIC)
+    cur = link_currents(make_field(g, v, spec=spec), variant=OHMIC)
     assert cur.ix[1, 1] == pytest.approx(2.0)   # dV / R
     with pytest.raises(ValueError):
-        link_currents(make_field(g, v), CircuitSpec("I", L, C, 0.0), 1e6,
+        link_currents(make_field(g, v, spec=CircuitSpec("I", L, C, 0.0)),
                       variant=OHMIC)
     with pytest.raises(ValueError):
-        link_currents(make_field(g, v), spec, 1e6, variant="exotic")
+        link_currents(make_field(g, v), variant="exotic")
 
 
 def test_heat_power_arithmetic():
@@ -100,7 +99,7 @@ def test_power_balance_lossless():
     spec = CircuitSpec("I", L, C, 0.0)
     source = ((3, 2), 1.0)
     field = driven_response(g, spec, 0.9e6, source)
-    assert power_balance(field, source) == pytest.approx(0.0, abs=1e-12)
+    assert power_balance(field) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.02])
@@ -112,7 +111,7 @@ def test_power_balance_lossy(model, bc, tau):
     source = ((5, 4), 1.0)
     pert = sample_perturbation(g, tau, 21)
     field = driven_response(g, spec, 1.1e6, source, pert=pert)
-    assert power_balance(field, source) < 1e-8
+    assert power_balance(field) < 1e-8
 
 
 def test_power_balance_detects_broken_field():
@@ -126,7 +125,7 @@ def test_power_balance_detects_broken_field():
     broken[i, j] = 0.0
     bad = ComplexField(geometry=g, values=broken, omega=field.omega,
                        spec=spec, source=source)
-    assert power_balance(bad, source) > 1e-8
+    assert power_balance(bad) > 1e-8
 
 
 def test_vortices_real_field_none():
@@ -168,7 +167,7 @@ def plane_wave_setup(nx=40, ny=10):
     v = np.broadcast_to(np.exp(1j * k * i * g.spacing), (g.nx, g.ny)).copy()
     spec = CircuitSpec("I", L, C, 1.0)
     field = make_field(g, v, spec=spec)
-    cur = link_currents(field, spec, 1e6, variant=OHMIC)
+    cur = link_currents(field, variant=OHMIC)
     return g, field, cur
 
 
@@ -197,7 +196,7 @@ def test_streamlines_zero_flow_single_point():
     v = np.full((g.nx, g.ny), 1.0 + 0.0j)   # uniform: zero currents, no flow
     spec = CircuitSpec("I", L, C, 1.0)
     field = make_field(g, v, spec=spec)
-    cur = link_currents(field, spec, 1e6, variant=OHMIC)
+    cur = link_currents(field, variant=OHMIC)
     paths = trace_streamlines(field, cur, [(0.4, 0.4)], step=0.05,
                               max_steps=100)
     assert len(paths) == 1 and len(paths[0]) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from rlcnet.geometry import (BCKind, rasterize_quarter_stadium,
+from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
                              rasterize_rectangle, tag_boundary,
                              _boundary_from_interior)
 
@@ -90,6 +90,40 @@ def test_stadium_interior_avoids_rim():
 def test_boundary_is_adjacent_exterior():
     g = rasterize_quarter_stadium(0.05)
     assert np.array_equal(g.boundary, _boundary_from_interior(g.interior))
+
+
+def test_is_interior_arrays_match_scalars():
+    g = rasterize_rectangle(4, 3, 0.1)   # interior i in 1..4, j in 1..3
+    off = [(-1, 2), (2, -1), (-3, -3), (6, 2), (2, 5), (100, 100)]
+    rim = [(0, 2), (5, 1), (2, 0), (2, 4)]
+    inner = [(1, 1), (4, 3), (2, 2)]
+    sites = off + rim + inner
+    expected = [False] * (len(off) + len(rim)) + [True] * len(inner)
+    scalar = [g.is_interior(i, j) for i, j in sites]
+    assert scalar == expected and all(type(v) is bool for v in scalar)
+    assert not g.is_interior(10 ** 30, 2) and not g.is_interior(2, -10 ** 30)
+    i, j = np.array(sites).T
+    got = g.is_interior(i, j)
+    assert got.dtype == bool and got.tolist() == expected
+    assert g.is_interior(i.reshape(13, 1), j.reshape(13, 1)).shape == (13, 1)
+    # the bounds check does not lean on an empty lattice rim
+    full = GridGeometry(spacing=1.0, nx=2, ny=2,
+                        interior=np.ones((2, 2), bool),
+                        boundary=np.zeros((2, 2), bool), bc=BCKind())
+    assert full.is_interior(np.array([-1, 0, 2]), np.zeros(3, int)).tolist() \
+        == [False, True, False]
+
+
+def test_contains_rounds_half_to_even():
+    g = rasterize_rectangle(4, 3, 1.0)   # unit spacing: x / a0 is exact
+    # 4.5 rounds to site 4 (interior), 0.5 to site 0 and 3.5 to site 4 (rim)
+    points = [(4.5, 2.0), (1.5, 2.5), (0.5, 2.0), (2.0, 3.5), (5.5, 2.0),
+              (-0.6, 1.0), (2.2, 0.4)]
+    expected = [True, True, False, False, False, False, False]
+    assert [g.contains(x, y) for x, y in points] == expected
+    assert [g.is_interior(round(x), round(y)) for x, y in points] == expected
+    x, y = np.array(points).T
+    assert g.contains(x, y).tolist() == expected
 
 
 def test_bc_kind_validation():

@@ -5,8 +5,7 @@ import pytest
 
 from rlcnet.geometry import BCKind, rasterize_rectangle, tag_boundary
 from rlcnet.network import (CircuitSpec, assemble_admittance, ground_impedance,
-                            identity_perturbation, link_impedance,
-                            sample_perturbation)
+                            link_impedance, sample_perturbation)
 
 L, C = 1e-4, 1e-9
 
