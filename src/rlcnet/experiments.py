@@ -150,6 +150,11 @@ class ExperimentConfig:
                 raise ConfigError("omega: ensemble needs a target frequency")
             if self.n_realizations < 1:
                 raise ConfigError("n_realizations: must be >= 1")
+        if self.experiment in ("spectrum", "ensemble") and self.bc != DIRICHLET:
+            # the eigen pencils span interior unknowns only; no boundary
+            # shunt maps onto lam = a0^2 k^2 in both models
+            raise ConfigError(f"bc: {self.experiment} supports only "
+                              f"{DIRICHLET!r} walls")
         if self.experiment == "stats" and self.resistance <= 0.0:
             raise ConfigError("resistance: stats needs R > 0 (ohmic currents)")
         if self.experiment == "stats" and self.exclude_wavelengths < 0.0:
@@ -464,11 +469,13 @@ class DrivenStatistics:
     eps_current: float
 
 
-def _require_fit_samples(what, n):
-    """Reject a sample below the 1000 points fit_histogram needs."""
-    if n < 1000:
+def _require_fit_samples(what, n, n_bins=0):
+    """Reject a sample below the 1000 points fit_histogram needs, or below
+    the number of bins it is fitted with."""
+    need = max(1000, n_bins)
+    if n < need:
         raise ConfigError(f"stats: the {what} has {n} points; the fits "
-                          "need at least 1000")
+                          f"need at least {need}")
 
 
 def driven_statistics(cfg, geometry, spec) -> DrivenStatistics:
@@ -486,13 +493,14 @@ def driven_statistics(cfg, geometry, spec) -> DrivenStatistics:
     radius = cfg.exclude_wavelengths * lam
     far = st.source_exclusion_mask(geometry, field.source[0], radius)
     sample = field.values[geometry.interior & far]
-    _require_fit_samples("density sample", sample.size)
+    _require_fit_samples("density sample", sample.size, cfg.n_bins)
     rot = st.phase_rotate(sample)
 
     currents = fld.link_currents(st.rotated_field(field, rot.theta),
                                  variant=fld.OHMIC)
     bulk = currents.mask_x & currents.mask_y & far
-    _require_fit_samples("current bulk", int(np.count_nonzero(bulk)))
+    _require_fit_samples("current bulk", int(np.count_nonzero(bulk)),
+                         cfg.n_bins)
     r_real, r_imag = st.anisotropy_metrics(currents, site_mask=bulk)
     sigma_r_sq = float(np.mean(currents.ix[bulk].real ** 2
                                + currents.iy[bulk].real ** 2) / 2.0)

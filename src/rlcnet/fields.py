@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 
 from .geometry import GridGeometry
 from .network import element_admittances, lattice_incidence
@@ -32,7 +33,6 @@ class CurrentField:
     iy: np.ndarray        # complex, (nx, ny); link (i,j)-(i,j+1)
     mask_x: np.ndarray    # bool, link exists
     mask_y: np.ndarray
-    variant: str = PHYSICAL
 
 
 @dataclass
@@ -102,7 +102,7 @@ def link_currents(field: ComplexField,
     ix[inc.mask_x] = i_link[:n_x]
     iy[inc.mask_y] = i_link[n_x:]
     return CurrentField(geometry=geom, ix=ix, iy=iy,
-                        mask_x=inc.mask_x, mask_y=inc.mask_y, variant=variant)
+                        mask_x=inc.mask_x, mask_y=inc.mask_y)
 
 
 def heat_power(currents: CurrentField, resistance: float) -> HeatField:
@@ -230,33 +230,14 @@ def active_link_flow(field: ComplexField, currents: CurrentField) -> tuple:
     return fx, fy
 
 
-def _interp_staggered(fx, fy, a0, x, y):
-    """Bilinear interpolation of the staggered flow at continuous (x, y)."""
-    def sample(arr, u, w):
-        nx, ny = arr.shape
-        i0 = np.clip(np.floor(u).astype(int), 0, nx - 2)
-        j0 = np.clip(np.floor(w).astype(int), 0, ny - 2)
-        du = np.clip(u - i0, 0.0, 1.0)
-        dw = np.clip(w - j0, 0.0, 1.0)
-        return ((1 - du) * (1 - dw) * arr[i0, j0]
-                + du * (1 - dw) * arr[i0 + 1, j0]
-                + (1 - du) * dw * arr[i0, j0 + 1]
-                + du * dw * arr[i0 + 1, j0 + 1])
-
-    u = x / a0
-    w = y / a0
-    gx = sample(fx, u - 0.5, w)   # fx sample points at (i + 1/2, j)
-    gy = sample(fy, u, w - 0.5)
-    return gx, gy
-
-
 def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
                       step: float, max_steps: int) -> list:
     """RK4 traces of the active-flow direction field.
 
-    A trace stops at the billiard boundary, after max_steps, or when the
-    local |flow| drops below FLOW_CUTOFF of the field maximum (vortex core).
-    Returns one polyline (list of (x, y)) per seed.
+    The staggered flow is interpolated bilinearly, clamped at the lattice
+    edge.  A trace stops at the billiard boundary, after max_steps, or when
+    the local |flow| drops below FLOW_CUTOFF of the field maximum (vortex
+    core).  Returns one (n, 2) array of points per seed.
     """
     geom = field.geometry
     a0 = geom.spacing
@@ -267,7 +248,10 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     cutoff = FLOW_CUTOFF * fmax
 
     def direction(x, y):
-        gx, gy = _interp_staggered(fx, fy, a0, x, y)
+        u, w = x / a0, y / a0
+        # fx[i, j] sits at (i + 1/2, j), fy[i, j] at (i, j + 1/2)
+        gx = map_coordinates(fx, (u - 0.5, w), order=1, mode="nearest")
+        gy = map_coordinates(fy, (u, w - 0.5), order=1, mode="nearest")
         mag = np.hypot(gx, gy)
         alive = mag > cutoff
         safe = np.where(alive, mag, 1.0)
@@ -279,7 +263,10 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     if not np.all(inside):
         bad = np.argmin(inside)
         raise ValueError(f"seed {(x[bad], y[bad])} outside interior")
-    paths = [[(float(a), float(b))] for a, b in zip(x, y)]
+    xs, ys = [x], [y]
+    # a stopped seed never restarts: its polyline is the first n_points[k]
+    # rows of the stacked positions
+    n_points = np.ones(x.shape, dtype=int)
     active = np.ones(x.shape, dtype=bool)
     for _ in range(max_steps):
         if not np.any(active):
@@ -295,6 +282,8 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
         yn = np.where(active, y + step * dy, y)
         active &= geom.contains(xn, yn)
         x, y = np.where(active, xn, x), np.where(active, yn, y)
-        for k in np.flatnonzero(active):
-            paths[k].append((float(x[k]), float(y[k])))
-    return paths
+        n_points += active
+        xs.append(x)
+        ys.append(y)
+    points = np.stack((xs, ys), axis=-1)    # (steps + 1, seeds, 2)
+    return [points[:n, k] for k, n in enumerate(n_points)]

@@ -76,5 +76,6 @@ def write_polylines(path, polylines) -> None:
         for n, line in enumerate(polylines):
             if n:
                 fh.write("\n")
-            for x, y in line:
+            # tolist: unpacking numpy rows into numpy scalars is slower
+            for x, y in np.asarray(line).tolist():
                 fh.write(f"{fmt(x)},{fmt(y)}\n")

@@ -10,7 +10,7 @@ the two-exponential family
 which for eps -> 1 degenerates to f(P) = (4 P / <P>^2) exp(-2 P / <P>).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import pi, sqrt
 
@@ -91,11 +91,7 @@ def source_exclusion_mask(geometry, source_site, radius: float) -> np.ndarray:
 
 def rotated_field(field: ComplexField, theta: float) -> ComplexField:
     """The field with the global phase rotation V -> V exp(i theta)."""
-    return ComplexField(geometry=field.geometry,
-                        values=field.values * np.exp(1j * theta),
-                        omega=field.omega, spec=field.spec,
-                        source=field.source,
-                        perturbation=field.perturbation)
+    return replace(field, values=field.values * np.exp(1j * theta))
 
 
 def _check_eps(eps):

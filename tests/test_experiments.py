@@ -249,6 +249,12 @@ def test_cli_config_error(tmp_path):
                                        "source_iterations": 0}),
                             ("ensemble", {"tolerance": 0.02,
                                           "n_realizations": 0}),
+                            ("spectrum", {"bc": "neumann"}),
+                            ("spectrum", {"bc": "mixed",
+                                          "bc_shunt_inductance": 1e-4}),
+                            ("ensemble", {"bc": "neumann"}),
+                            ("ensemble", {"bc": "mixed",
+                                          "bc_shunt_inductance": 1e-4}),
                             ("spectrum", {"n_modes": 81}),
                             ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
                                        "n_points": 5, "omega": 0.0,
@@ -277,7 +283,8 @@ def test_cli_config_error(tmp_path):
                 {**rect, "nx_interior": 30, "ny_interior": 30},  # 900 sites
                 {**rect, "resistance": 0.0},
                 {**rect, "exclude_wavelengths": 30.0},  # empty sample
-                {**rect, "exclude_wavelengths": -1.0}):
+                {**rect, "exclude_wavelengths": -1.0},
+                {**rect, "n_bins": 5000}):      # more bins than samples
         cfg = write_cfg(tmp_path, bad)
         assert main(["stats", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2, bad

@@ -202,6 +202,26 @@ def test_streamlines_zero_flow_single_point():
     assert len(paths) == 1 and len(paths[0]) == 1
 
 
+def test_streamlines_batch_matches_single_seeds():
+    # rows j >= 5 carry V = 0, so no flow reaches the seed at y = 8 a0;
+    # the other seeds move right: one hits the wall, one runs to max_steps
+    g = rasterize_rectangle(40, 10, 0.1)
+    a0 = g.spacing
+    i, j = np.meshgrid(np.arange(g.nx), np.arange(g.ny), indexing="ij")
+    v = np.where(j <= 4, np.exp(2j * np.pi * i / 10), 0.0)
+    field = make_field(g, v, spec=CircuitSpec("I", L, C, 1.0))
+    cur = link_currents(field, variant=OHMIC)
+    seeds = [(38 * a0, 2 * a0), (5 * a0, 3 * a0), (20 * a0, 8 * a0)]
+    paths = trace_streamlines(field, cur, seeds, step=a0 / 4, max_steps=60)
+    n = [len(p) for p in paths]
+    assert 1 < n[0] < 61 and n[1] == 61 and n[2] == 1
+    for seed, path in zip(seeds, paths):
+        alone, = trace_streamlines(field, cur, [seed], step=a0 / 4,
+                                   max_steps=60)
+        assert path.shape == alone.shape == (len(path), 2)
+        assert np.array_equal(path, alone)
+
+
 def test_streamline_preconditions():
     g, field, cur = plane_wave_setup()
     with pytest.raises(ValueError):
