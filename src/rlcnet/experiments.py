@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import cos, pi, sin
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtr
 
 from . import __version__
 from .geometry import (DIRICHLET, BCKind, GridGeometry, rasterize_quarter_stadium,
@@ -260,7 +260,7 @@ def standardized_mode_histogram(mode_vector, bin_edges) -> np.ndarray:
 def ks_binned_vs_normal(bin_edges, frequencies) -> float:
     """KS distance of a binned empirical law against the unit normal."""
     cum = np.concatenate(([0.0], np.cumsum(frequencies)))
-    return float(np.max(np.abs(cum - sps.norm.cdf(bin_edges))))
+    return float(np.max(np.abs(cum - ndtr(bin_edges))))
 
 
 def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
@@ -535,7 +535,8 @@ def _run_stats(cfg, geometry, spec, out_dir):
         rho, lambda r: st.density_cdf(eps_fit, r), cfg.n_bins,
         ppf=lambda q: st.density_ppf(eps_fit, q))
     rayleigh_fit = st.fit_histogram(
-        rho, lambda r: 1.0 - np.exp(-np.asarray(r)), cfg.n_bins)
+        rho, lambda r: 1.0 - np.exp(-np.asarray(r)), cfg.n_bins,
+        ppf=lambda q: -np.log1p(-q))
 
     mean_p = float(p.mean())
     n_bins = min(cfg.n_bins, max(10, p.size // 50))

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .geometry import GridGeometry
 from .network import element_admittances, lattice_incidence
@@ -239,6 +238,9 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     the local |flow| drops below FLOW_CUTOFF of the field maximum (vortex
     core).  Returns one (n, 2) array of points per seed.
     """
+    # imported here: only the tracer needs scipy.ndimage
+    from scipy.ndimage import map_coordinates
+
     geom = field.geometry
     a0 = geom.spacing
     if step > 0.5 * a0:

@@ -12,7 +12,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import minimize_scalar
 
 from .geometry import GridGeometry
 from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
@@ -270,6 +269,8 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
         raise ValueError("resonance sweep requires R > 0")
     if source is None:
         raise ValueError("resonance sweep requires an interior source")
+    # imported here: scipy.optimize adds ~0.15 s to every start-up
+    from scipy.optimize import minimize_scalar
 
     def neg(omega):
         v = driven_response(geometry, spec, omega, source, pert=pert) \

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
-from scipy import special, stats as sps
+from scipy import special
 
 from .fields import CurrentField
 from .solve import ComplexField
@@ -224,7 +224,7 @@ def gaussianity_check(samples, n_bins: int = 50) -> HistogramFit:
     if std == 0.0:
         raise ValueError("degenerate sample: zero variance")
     z = (x - x.mean()) / std
-    return fit_histogram(z, sps.norm.cdf, n_bins, ppf=sps.norm.ppf)
+    return fit_histogram(z, special.ndtr, n_bins, ppf=special.ndtri)
 
 
 def anisotropy_metrics(currents: CurrentField, site_mask=None) -> tuple:
@@ -257,18 +257,29 @@ def anisotropy_metrics(currents: CurrentField, site_mask=None) -> tuple:
 
 
 def _model_quantiles(cdf, n_bins, lo, hi, ppf=None):
-    """Equal-probability bin edges under the model CDF."""
+    """Equal-probability bin edges under the model CDF.
+
+    Without a `ppf`, every edge is bisected at once down to adjacent
+    doubles a < b with cdf(a) < p <= cdf(b), and b is the edge.
+    """
     probs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     if ppf is not None:
         inner = ppf(probs)
     else:
-        from scipy.optimize import brentq
         # widen the bracket until the CDF straddles each target
-        a, b = lo, hi
+        b = hi
         while cdf(b) < probs[-1]:
             b = 2.0 * b if b > 0 else 1.0
-        inner = np.array([brentq(lambda x, t=t: cdf(x) - t, a, b)
-                          for t in probs])
+        a = np.full(probs.shape, float(lo))
+        b = np.full(probs.shape, float(b))
+        while True:
+            mid = 0.5 * (a + b)
+            if not np.any((a < mid) & (mid < b)):
+                break
+            below = cdf(mid) < probs
+            a = np.where(below, mid, a)
+            b = np.where(below, b, mid)
+        inner = b
     return np.concatenate(([-np.inf], inner, [np.inf]))
 
 
@@ -276,9 +287,9 @@ def fit_histogram(samples, model_cdf, n_bins: int,
                   ppf=None) -> HistogramFit:
     """Equal-probability binning under the model; KS and chi^2 scores.
 
-    `model_cdf` is a callable of the sample value; `ppf`, when given,
-    supplies exact model quantiles (otherwise they are bisected from the
-    CDF).
+    `model_cdf` is a callable of the sample value.  The bin edges come
+    from `ppf` where the law has one; otherwise one vectorised bisection
+    of the CDF brackets each edge to adjacent doubles.
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size

@@ -3,7 +3,10 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
                                 place_source_at_maximum, run,
                                 standardized_mode_histogram)
 from rlcnet.geometry import rasterize_rectangle
+from rlcnet.io import fmt, write_polylines
 from rlcnet.network import CircuitSpec
 from rlcnet.solve import driven_response, eigenmodes_lossless
 
@@ -335,3 +339,38 @@ def test_cli_seed_override(tmp_path):
     with open(os.path.join(a, "manifest.json")) as fh:
         man = json.load(fh)
     assert man["config"]["seed"] == 9
+
+
+def test_write_polylines_matches_fmt(tmp_path):
+    hard = np.array([[5e-324, 0.1], [-0.0, 1e300], [-1e-300, 2.0 / 3.0]])
+    lines = [hard, np.empty((0, 2)), hard[::-1]]
+    path = tmp_path / "lines.csv"
+    write_polylines(path, lines)
+    want = "\n".join("".join(f"{fmt(x)},{fmt(y)}\n" for x, y in line)
+                     for line in lines)
+    assert path.read_bytes() == want.encode()
+
+
+def test_unused_scipy_subpackages_not_imported(tmp_path):
+    # scipy.stats, scipy.optimize and scipy.ndimage cost about 0.8 s of
+    # start-up: neither the import nor a stats run may load them
+    cfg = write_cfg(tmp_path, {
+        "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
+        "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6,
+    })
+    script = (
+        "import sys, rlcnet, rlcnet.cli\n"
+        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.ndimage')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "assert rlcnet.cli.main(['stats', '--config', sys.argv[1],"
+        " '--out', sys.argv[2]]) == 0\n"
+        "print([m for m in heavy if m in sys.modules])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "stats")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"      # after import rlcnet, rlcnet.cli
+    assert lines[-1] == "[]"     # after the stats run

@@ -6,12 +6,14 @@ from math import exp, pi
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
-from scipy import integrate
+from scipy import integrate, special, stats as sps
+from scipy.optimize import brentq
 
-from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
-                          density_ppf, fit_histogram, gaussianity_check,
-                          heat_cdf, heat_pdf, mc_heat_oracle, phase_rotate,
-                          sigma_p_sq, sigma_p_sq_empirical)
+from rlcnet.stats import (_model_quantiles, anisotropy_metrics, density_cdf,
+                          density_pdf, density_ppf, fit_histogram,
+                          gaussianity_check, heat_cdf, heat_pdf,
+                          mc_heat_oracle, phase_rotate, sigma_p_sq,
+                          sigma_p_sq_empirical)
 from rlcnet.fields import CurrentField
 from rlcnet.geometry import rasterize_rectangle
 
@@ -121,6 +123,32 @@ def test_density_fit_ppf_matches_bisection():
                          - bisected.bin_edges[1:-1])) < 1e-9
     assert np.array_equal(exact.empirical, bisected.empirical)
     assert exact.ks_distance == bisected.ks_distance
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0])
+def test_heat_quantiles_bisect_to_adjacent_doubles(eps):
+    cdf = partial(heat_cdf, eps, 1.0)
+    probs = np.linspace(0.0, 1.0, 51)[1:-1]
+    # hi = 1 is below the top quantile: the bracket must widen
+    edges = _model_quantiles(cdf, 50, 0.0, 1.0)
+    assert edges[0] == -np.inf and edges[-1] == np.inf
+    inner = edges[1:-1]
+    assert np.all(cdf(np.nextafter(inner, -np.inf)) < probs)
+    assert np.all(probs <= cdf(inner))
+    # brentq's default xtol (2e-12 absolute) is looser than the bound
+    want = np.array([brentq(lambda x, t=t: cdf(x) - t, 0.0, 8.0, xtol=1e-15)
+                     for t in probs])
+    assert np.max(np.abs(inner - want) / want) < 1e-12
+
+
+def test_ndtr_ndtri_bitwise_equal_to_scipy_stats_norm():
+    q = np.linspace(0.0, 1.0, 1001)
+    z = np.random.default_rng(12).normal(size=100_000)
+    for x in (q, z):
+        assert np.array_equal(special.ndtr(x), sps.norm.cdf(x))
+    assert np.array_equal(special.ndtri(q), sps.norm.ppf(q))
+    u = special.ndtr(z)
+    assert np.array_equal(special.ndtri(u), sps.norm.ppf(u))
 
 
 def test_density_pdf_bad_eps():
