@@ -347,7 +347,7 @@ def test_criterion_12_determinism(acceptance_report, tmp_path):
         })
 
     def lanczos_spectrum_cfg():
-        # 4200 unknowns: above DENSE_EIG_LIMIT, so the Lanczos path
+        # 4 modes of 4200 unknowns, below n / 10: the Lanczos path
         return ExperimentConfig.from_dict({
             "experiment": "spectrum", "geometry": "rectangle",
             "nx_interior": 70, "ny_interior": 60, "spacing": 0.02,

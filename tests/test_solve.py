@@ -4,12 +4,15 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from rlcnet.geometry import (BCKind, rasterize_quarter_stadium,
                              rasterize_rectangle, tag_boundary)
-from rlcnet.network import (CircuitSpec, assemble_admittance, link_impedance,
-                            ground_impedance, sample_perturbation)
+from rlcnet.network import (CircuitSpec, assemble_admittance,
+                            element_admittances, ground_impedance,
+                            lattice_incidence, link_impedance,
+                            sample_perturbation)
 from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
                           dispersion, dirichlet_laplacian, driven_response,
                           driven_solver, eigenmode_nearest, eigenmodes_lossless,
@@ -96,9 +99,10 @@ def test_duality_model_ii():
 
 
 def test_lanczos_spectrum_matches_closed_form():
-    # above DENSE_EIG_LIMIT; the fixed start ones(n) is even under both
-    # reflections of the rectangle, so modes odd under one of them are
-    # reached only through roundoff
+    # 6 modes of 4800 unknowns, below n / 10: the Lanczos path (pinned by
+    # test_one_factorization_per_sparse_eigen_call); the fixed start
+    # ones(n) is even under both reflections of the rectangle, so modes
+    # odd under one of them are reached only through roundoff
     g = rasterize_rectangle(80, 60, 0.01)
     modes = eigenmodes_lossless(g, CircuitSpec("I", L, C, 0.0), 6)
     for m, lam in zip(modes, closed_form_lams(80, 60)):
@@ -116,6 +120,84 @@ def test_eigenmode_nearest_finds_odd_mode(model):
     near = eigenmode_nearest(g, spec, omega21 * 1.0001)
     assert abs(near.lam_grid - lam21) < 1e-12
     assert near.omega == pytest.approx(omega21, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_modes", [7, 8, 69, 70])
+def test_spectrum_on_both_sides_of_the_lanczos_share(n_modes):
+    # 70 unknowns: Lanczos serves up to 7 modes, dense the rest, up to n
+    g = rasterize_rectangle(10, 7, 0.1)
+    modes = eigenmodes_lossless(g, CircuitSpec("I", L, C, 0.0), n_modes)
+    assert len(modes) == n_modes
+    for m, lam in zip(modes, closed_form_lams(10, 7)):
+        assert abs(m.lam_grid - lam) < 1e-12
+    vectors = np.array([m.vector for m in modes])
+    assert np.allclose(vectors @ vectors.T, np.eye(n_modes), atol=1e-10)
+
+
+class _CountedFactor:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, *args, **kwargs):
+        self.solves += 1
+        return self.lu.solve(*args, **kwargs)
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    factor = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(_CountedFactor(factor(*args, **kwargs)))
+        return calls[-1]
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def test_one_factorization_per_sparse_eigen_call(monkeypatch):
+    # ARPACK's own shift-invert factor is invisible here (scipy binds its
+    # splu at import), so every factor must also drive the iteration
+    calls = _count_splu(monkeypatch)
+    g = rasterize_rectangle(10, 7, 0.05)
+    spec = CircuitSpec("I", L, C, 0.0)
+    eigenmode_nearest(g, spec, 1.0e6, pert=sample_perturbation(g, 0.03, 4))
+    assert len(calls) == 1
+    eigenmodes_lossless(g, spec, 7)
+    assert len(calls) == 2
+    eigenmodes_lossless(g, spec, 8)
+    assert len(calls) == 2
+    # the Lanczos test above and criterion 12's spectrum run stay sparse
+    for nx, ny, n_modes in ((80, 60, 6), (70, 60, 4)):
+        eigenmodes_lossless(rasterize_rectangle(nx, ny, 0.02), spec, n_modes)
+    assert len(calls) == 4
+    assert all(lu.solves > 1 for lu in calls)
+
+
+def test_eigenmode_nearest_solves_the_pencil():
+    # dense generalized eigensolve of the tau = 0.03 pencil built from the
+    # documented K = B^T diag|y_link| B, M = diag|y_shunt| (lossless, omega0)
+    g = rasterize_rectangle(10, 7, 0.05)
+    spec = CircuitSpec("I", L, C, 0.0)
+    pert = sample_perturbation(g, 0.03, 8)
+    inc = lattice_incidence(g, g.interior)
+    y_link, y_shunt = element_admittances(g, spec, spec.omega0, pert, inc)
+    B = inc.matrix.toarray()
+    K = B.T @ np.diag(np.abs(y_link)) @ B
+    M = np.diag(np.abs(y_shunt[g.interior]))
+    lams, vecs = scipy.linalg.eigh(K, M)
+    j = 20
+    gap = min(lams[j] - lams[j - 1], lams[j + 1] - lams[j]) / lams[j]
+    assert gap > 1e-3
+    # target just above lam_j, nearer to it than to lam_{j+1}
+    target = spec.omega0 * sqrt(lams[j] + 0.1 * (lams[j + 1] - lams[j]))
+    mode = eigenmode_nearest(g, spec, target, pert=pert)
+    assert mode.lam_grid == pytest.approx(lams[j], rel=1e-12)
+    v, w = mode.vector, vecs[:, j]
+    overlap = abs(v @ M @ w) / sqrt((v @ M @ v) * (w @ M @ w))
+    assert overlap > 1.0 - 1e-10
 
 
 def test_eigenmodes_bad_count():
