@@ -206,9 +206,11 @@ def place_source_at_maximum(geometry: GridGeometry, spec: CircuitSpec,
                             pert=None):
     """Iterate the drive site to the response-density maximum.
 
-    Each pass solves the driven system and relocates the source to the
-    density argmax excluding the source's own site (row-major tie-break).
-    All passes share one factorization; returns the field at the final site.
+    Each of the n_iter passes solves the driven system and moves the
+    source to the density argmax over the interior sites other than its
+    own (row-major tie-break), so the walk always makes n_iter moves.  One
+    more solve gives the returned field at the final site; all n_iter + 1
+    solves share one factorization.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -220,10 +222,7 @@ def place_source_at_maximum(geometry: GridGeometry, spec: CircuitSpec,
         rho[site] = -1.0
         rho[~geometry.interior] = -1.0
         nxt = np.unravel_index(int(np.argmax(rho)), rho.shape)
-        nxt = (int(nxt[0]), int(nxt[1]))
-        if nxt == site:
-            return field
-        site = nxt
+        site = (int(nxt[0]), int(nxt[1]))
     return solve((site, amplitude))
 
 

@@ -3,10 +3,16 @@
 The lossless network maps onto the 5-point discrete Dirichlet Laplacian:
 its eigenvalues lam = a0^2 k^2 give circuit resonances omega = omega0 *
 sqrt(lam) for model I and omega = omega0 / sqrt(lam) for model II.
+
+Importing this module sets the OpenBLAS libraries that the numpy and
+scipy wheels bundle to one thread (`_pin_bundled_openblas`); other BLAS
+builds are left alone.
 """
 
+import ctypes
 from dataclasses import dataclass, replace
 from math import pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +25,34 @@ from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
+
+
+def _pin_bundled_openblas():
+    """Run the OpenBLAS that numpy and scipy bundle on one thread.
+
+    The supernodes of these 2-D lattice factors are too small for BLAS
+    threads to pay: on 2 cores a sweep spent twice its wall time in CPU.
+    Threaded BLAS also sums in an order that depends on the core count,
+    which leaks into the artifacts through SuperLU and numpy's dot.  Set
+    once for the process, because a set-and-restore around each solve
+    would race between `ensemble_average` worker threads.  Does nothing
+    where neither wheel bundles OpenBLAS.
+    """
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*.so*")):
+            handle = ctypes.CDLL(str(lib))
+            for sym in ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads"):
+                set_threads = getattr(handle, sym, None)
+                if set_threads is not None:
+                    set_threads.argtypes = [ctypes.c_int]
+                    set_threads.restype = None
+                    set_threads(1)
+                    break
+
+
+_pin_bundled_openblas()
 
 
 class SingularSystemError(RuntimeError):
@@ -121,7 +155,9 @@ def _factor(A):
     A minimum-degree ordering of A^T + A with diagonal pivots keeps the
     symmetric structure, which halves the fill of COLAMD with partial
     pivoting on these lattice operators.  Every sparse solve in the
-    package factors here.
+    package factors here, on the one BLAS thread that the import set
+    (`_pin_bundled_openblas`), so the factors do not depend on the core
+    count.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -147,12 +183,12 @@ def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
     Shift-invert Lanczos at sigma = 0 (`_eigsh_near`) serves requests of
     at most n / 10 modes; dense `scipy.linalg.eigh` serves the rest, which
     covers every grid below 10 unknowns and n_modes = n, where ARPACK
-    (k < n) cannot serve.  The share is measured: on squares of 900 to
-    3,600 unknowns the two take about the same time at n / 10 modes,
-    Lanczos is up to 100x faster below it (49x49, 10 modes: 0.03 s
-    against 1 s) and dense is faster above it.  Eigenvectors are
-    orthonormal and real; a degenerate eigenspace gets the basis that the
-    solver (and its start) gives.
+    (k < n) cannot serve.  The share is measured on one BLAS thread: on
+    squares of 2,401 and 3,600 unknowns Lanczos is 10-15% faster at
+    n / 10 modes, about 40x faster below it (49x49, 10 modes: 0.03 s
+    against 1.3 s), and dense is faster above it (49x49, 480 modes: 1.9 s
+    against 6.6 s).  Eigenvectors are orthonormal and real; a degenerate
+    eigenspace gets the basis that the solver (and its start) gives.
     """
     n = geometry.n_interior
     if not 1 <= n_modes <= n:

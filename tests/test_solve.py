@@ -1,6 +1,12 @@
 """Spectra, dispersion maps and driven solves."""
 
+import ctypes
+import json
+import os
+import subprocess
+import sys
 from math import cos, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,3 +461,54 @@ def test_resonance_sweep_preconditions():
                         ((1, 1), 1.0))
     with pytest.raises(ValueError):
         resonance_sweep(g, lossy, (1e6, 2e6), 50, None)
+
+
+def _bundled_openblas_threads():
+    """Thread count of each OpenBLAS that the numpy and scipy wheels bundle."""
+    threads = {}
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*.so*")):
+            handle = ctypes.CDLL(str(lib))
+            for sym in ("scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads"):
+                get_threads = getattr(handle, sym, None)
+                if get_threads is not None:
+                    get_threads.argtypes = []
+                    get_threads.restype = ctypes.c_int
+                    threads[lib.name] = get_threads()
+                    break
+    return threads
+
+
+def test_bundled_openblas_runs_one_thread():
+    # rlcnet is imported above; its import pins every bundled OpenBLAS
+    threads = _bundled_openblas_threads()
+    if not threads:
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+    assert threads == dict.fromkeys(threads, 1)
+
+
+def test_drive_artifacts_independent_of_blas_threads(tmp_path):
+    # threaded BLAS sums in an order set by its thread count; before the
+    # pin this drive's artifacts differed between 1 and 2 BLAS threads
+    cfg = tmp_path / "drive.json"
+    cfg.write_text(json.dumps({
+        "geometry": "quarter_stadium", "spacing": 0.01, "model": "I",
+        "inductance": L, "capacitance": C, "resistance": 0.3,
+        "omega": 861100.0, "source_rule": "density_max"}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    artifacts = []
+    for n_threads in ("1", "2"):
+        out = tmp_path / f"blas{n_threads}"
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": n_threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rlcnet.cli", "drive", "--config",
+             str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert artifacts[0].keys() == artifacts[1].keys()
+    for name in artifacts[0]:
+        assert artifacts[0][name] == artifacts[1][name], name
