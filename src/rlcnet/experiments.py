@@ -36,6 +36,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
+# JSON types a config field of each declared type takes; bools are never
+# numbers here, and nothing is coerced
+_ACCEPTED = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str = "spectrum"
@@ -86,10 +91,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            accepted = _ACCEPTED.get(types[name])   # source_site: in validate
+            if accepted and (isinstance(value, bool) != (bool in accepted)
+                             or not isinstance(value, accepted)):
+                raise ConfigError(f"{name}: expected {types[name].__name__}, "
+                                  f"got {value!r}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -128,6 +139,8 @@ class ExperimentConfig:
                 isinstance(self.source_site, list) and len(self.source_site) == 2
                 and all(type(k) is int for k in self.source_site)):
             raise ConfigError("source_site: need a list of two integers [i, j]")
+        if self.source_amplitude == 0:
+            raise ConfigError("source_amplitude: must be nonzero")
         if self.source_rule == "density_max" and self.source_iterations < 1:
             raise ConfigError("source_iterations: must be >= 1")
         if self.experiment in ("drive", "stats", "streamlines") and self.omega <= 0.0:
@@ -295,17 +308,13 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
     return avg, ks_binned_vs_normal(bin_edges, avg)
 
 
-def _field_rows(geometry, values):
+def _write_sites(path, geometry, names, *values):
+    """Columns i, j, x, y of the interior sites (row-major), then `names`
+    over the `values`, each given over the interior sites in that order."""
+    i, j = geometry.interior_sites.T
     a0 = geometry.spacing
-    for i, j in geometry.interior_sites:
-        v = values[i, j]
-        yield (int(i), int(j), a0 * i, a0 * j, v.real, v.imag)
-
-
-def _scalar_rows(geometry, values):
-    a0 = geometry.spacing
-    for i, j in geometry.interior_sites:
-        yield (int(i), int(j), a0 * i, a0 * j, float(values[i, j]))
+    write_csv(path, ("i", "j", "x", "y", *names),
+              (i, j, a0 * i, a0 * j, *values))
 
 
 def _manifest(cfg: ExperimentConfig, spec: CircuitSpec, extra=None) -> dict:
@@ -355,25 +364,23 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
     if cfg.experiment == "spectrum":
         modes = eigenmodes_lossless(geometry, spec, cfg.n_modes)
         write_csv(os.path.join(out_dir, "modes.csv"), ("n", "omega", "eps_n"),
-                  ((m.index, m.omega, m.eps) for m in modes))
+                  ([m.index for m in modes], [m.omega for m in modes],
+                   [m.eps for m in modes]))
         if cfg.write_mode_fields:
-            sites = geometry.interior_sites
-            a0 = geometry.spacing
             for m in modes:
-                write_csv(os.path.join(out_dir, f"mode_{m.index:04d}.csv"),
-                          ("i", "j", "x", "y", "re_v", "im_v"),
-                          ((int(i), int(j), a0 * i, a0 * j, m.vector[k], 0.0)
-                           for k, (i, j) in enumerate(sites)))
+                _write_sites(os.path.join(out_dir, f"mode_{m.index:04d}.csv"),
+                             geometry, ("re_v", "im_v"),
+                             m.vector, np.zeros_like(m.vector))
         extra["n_modes"] = cfg.n_modes
 
     elif cfg.experiment == "drive":
         field = _driven_field(cfg, geometry, spec)
         rho = fld.probability_density(field)
-        write_csv(os.path.join(out_dir, "field.csv"),
-                  ("i", "j", "x", "y", "re_v", "im_v"),
-                  _field_rows(geometry, field.values))
-        write_csv(os.path.join(out_dir, "density.csv"),
-                  ("i", "j", "x", "y", "value"), _scalar_rows(geometry, rho))
+        v = field.values[geometry.interior]
+        _write_sites(os.path.join(out_dir, "field.csv"), geometry,
+                     ("re_v", "im_v"), v.real, v.imag)
+        _write_sites(os.path.join(out_dir, "density.csv"), geometry,
+                     ("value",), rho[geometry.interior])
         write_pgm(os.path.join(out_dir, "density.pgm"), rho, geometry.interior)
         extra["source_site"] = list(field.source[0])
 
@@ -386,7 +393,8 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
         peaks = resonance_sweep(geometry, spec, (cfg.omega_min, cfg.omega_max),
                                 cfg.n_points, source, pert=pert)
         write_csv(os.path.join(out_dir, "peaks.csv"),
-                  ("omega_peak", "response_norm_sq"), peaks)
+                  ("omega_peak", "response_norm_sq"),
+                  np.reshape(peaks, (-1, 2)).T)
         extra["n_peaks"] = len(peaks)
 
     elif cfg.experiment == "ensemble":
@@ -399,8 +407,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
                                    threads=threads)
         write_csv(os.path.join(out_dir, "histogram.csv"),
                   ("bin_lo", "bin_hi", "baseline", "averaged"),
-                  ((bin_edges[k], bin_edges[k + 1], base_hist[k], avg[k])
-                   for k in range(cfg.n_bins)))
+                  (bin_edges[:-1], bin_edges[1:], base_hist, avg))
         extra["ks_to_normal"] = ks
         extra["ks_to_normal_baseline"] = ks_binned_vs_normal(bin_edges, base_hist)
         extra["mode_omega"] = baseline_mode.omega
@@ -444,9 +451,8 @@ def _maybe_pert(cfg, geometry):
 
 def _write_fit(path, fit):
     write_csv(path, ("bin_lo", "bin_hi", "empirical", "model"),
-              ((fit.bin_edges[k], fit.bin_edges[k + 1],
-                fit.empirical[k], fit.model[k])
-               for k in range(len(fit.empirical))))
+              (fit.bin_edges[:-1], fit.bin_edges[1:], fit.empirical,
+               fit.model))
 
 
 @dataclass
@@ -577,7 +583,8 @@ def _run_streamlines(cfg, geometry, spec, out_dir):
     currents = fld.link_currents(field)
     vortices = fld.nodal_vortices(field)
     write_csv(os.path.join(out_dir, "vortices.csv"), ("x", "y", "winding"),
-              ((v.x, v.y, int(v.winding)) for v in vortices))
+              ([v.x for v in vortices], [v.y for v in vortices],
+               [v.winding for v in vortices]))
     a0 = geometry.spacing
     (si, sj), _ = field.source
     cx, cy = a0 * si, a0 * sj

@@ -95,32 +95,6 @@ class GridGeometry:
     def area(self) -> float:
         return self.n_interior * self.spacing ** 2
 
-    @property
-    def perimeter_length(self) -> float:
-        """Link-count estimate of the boundary length (Manhattan measure)."""
-        n_edges = 0
-        inter = self.interior
-        bnd = self.boundary
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            shifted = np.roll(bnd, (-di, -dj), axis=(0, 1))
-            # roll wrap-around is harmless: interior never touches the lattice rim
-            n_edges += int(np.count_nonzero(inter & shifted))
-        return n_edges * self.spacing
-
-    def site_xy(self, i, j):
-        return self.spacing * i, self.spacing * j
-
-    def to_csv(self, path) -> None:
-        """Write `i,j,x,y,kind` rows for all interior and boundary sites."""
-        from .io import fmt
-
-        with open(path, "w") as fh:
-            fh.write("i,j,x,y,kind\n")
-            for mask, kind in ((self.interior, "interior"), (self.boundary, "boundary")):
-                for i, j in np.argwhere(mask):
-                    x, y = self.site_xy(i, j)
-                    fh.write(f"{i},{j},{fmt(x)},{fmt(y)},{kind}\n")
-
 
 def _boundary_from_interior(interior: np.ndarray) -> np.ndarray:
     """Non-interior sites 4-adjacent to an interior site."""

@@ -1,29 +1,39 @@
 """Deterministic text serialization helpers.
 
-All floating point numbers are written with 17 significant digits so that
-repeated runs with identical seeds produce byte-identical artifacts.
+Every CSV artifact goes through `write_csv`, which takes equal-length 1-D
+columns: integer columns are written as `%d`, every other column with 17
+significant digits (`FLOAT`), so repeated runs with identical seeds produce
+byte-identical artifacts.  The body of a CSV, a polyline or a graymap is
+formatted by one `%` on a per-row format (`_rows`).
 """
 
 import json
 
 import numpy as np
 
+FLOAT = "%.17g"
+
 
 def fmt(x) -> str:
     """17-significant-digit decimal form of a float."""
-    return format(float(x), ".17g")
+    return FLOAT % float(x)
 
 
-def write_csv(path, header, rows) -> None:
-    """Rows of mixed ints/floats; floats go through fmt()."""
+def _rows(row, table) -> str:
+    """The one-line format `row` applied to every row of a 2-D array."""
+    return row * len(table) % tuple(table.ravel().tolist())
+
+
+def write_csv(path, header, columns) -> None:
+    """Header line, then one row per entry of the equal-length columns."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else FLOAT
+                   for c in columns) + "\n"
+    # object columns hold Python ints and floats side by side
+    table = np.stack([c.astype(object) for c in columns], axis=1)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                str(c) if isinstance(c, (int, np.integer)) else fmt(c)
-                for c in row
-            ]
-            fh.write(",".join(cells) + "\n")
+        fh.write(_rows(row, table))
 
 
 def write_json(path, obj) -> None:
@@ -38,8 +48,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        # round-trip through fmt for byte-stable output
-        return float(fmt(obj))
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -66,8 +75,7 @@ def write_pgm(path, field, mask=None) -> None:
     nx, ny = field.shape
     with open(path, "w") as fh:
         fh.write(f"P2\n{nx} {ny}\n255\n")
-        for j in range(ny - 1, -1, -1):
-            fh.write(" ".join(str(v) for v in img[:, j]) + "\n")
+        fh.write(_rows(" ".join(["%d"] * nx) + "\n", img[:, ::-1].T))
 
 
 def write_polylines(path, polylines) -> None:
@@ -76,6 +84,5 @@ def write_polylines(path, polylines) -> None:
         for n, line in enumerate(polylines):
             if n:
                 fh.write("\n")
-            # one % per polyline; "%.17g" formats a float as fmt() does
-            xy = np.asarray(line, dtype=float).ravel().tolist()
-            fh.write("%.17g,%.17g\n" * (len(xy) // 2) % tuple(xy))
+            xy = np.asarray(line, dtype=float).reshape(-1, 2)
+            fh.write(_rows(f"{FLOAT},{FLOAT}\n", xy))

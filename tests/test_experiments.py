@@ -17,7 +17,7 @@ from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
                                 place_source_at_maximum, run,
                                 standardized_mode_histogram)
 from rlcnet.geometry import rasterize_rectangle
-from rlcnet.io import fmt, write_polylines
+from rlcnet.io import fmt, write_csv, write_polylines
 from rlcnet.network import CircuitSpec
 from rlcnet.solve import driven_response, eigenmodes_lossless
 
@@ -234,7 +234,7 @@ def test_cli_success(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
-def test_cli_config_error(tmp_path):
+def test_cli_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"spacing": -1.0})
     assert main(["spectrum", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 2
@@ -273,10 +273,20 @@ def test_cli_config_error(tmp_path):
                             ("oracle", {"n_samples": 0}),
                             ("oracle", {"n_samples": 500}),
                             ("oracle", {"sigma_r": 1.0, "sigma_i": 0.5,
-                                        "n_samples": 1000, "n_bins": 2000})):
+                                        "n_samples": 1000, "n_bins": 2000}),
+                            # mistyped values, caught before any numerics
+                            ("drive", {"spacing": "0.05"}),
+                            ("drive", {"nx_interior": 5.0}),
+                            ("spectrum", {"n_modes": True}),
+                            ("spectrum", {"n_modes": 2.5}),
+                            ("drive", {"source_amplitude": [1, 2]}),
+                            ("drive", {"source_amplitude": 0.0}),
+                            ("stats", {"source_amplitude": 0.0})):
         cfg = write_cfg(tmp_path, {**drive, **bad})
         assert main([experiment, "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2, bad
+        err = capsys.readouterr().err
+        assert any(f"{key}:" in err for key in bad), err
     # stats runs whose sample is too small for the fits, or undefined
     rect = {"geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
             "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6}
@@ -341,14 +351,56 @@ def test_cli_seed_override(tmp_path):
     assert man["config"]["seed"] == 9
 
 
-def test_write_polylines_matches_fmt(tmp_path):
-    hard = np.array([[5e-324, 0.1], [-0.0, 1e300], [-1e-300, 2.0 / 3.0]])
-    lines = [hard, np.empty((0, 2)), hard[::-1]]
-    path = tmp_path / "lines.csv"
-    write_polylines(path, lines)
-    want = "\n".join("".join(f"{fmt(x)},{fmt(y)}\n" for x, y in line)
-                     for line in lines)
+HARD_FLOATS = [5e-324, -0.0, 1e300, -1e-300, 2.0 / 3.0, np.inf, -np.inf,
+               np.nan]
+
+
+def _cells(row):
+    """The per-cell rule every artifact was written with: str for ints,
+    fmt for floats."""
+    return ",".join(str(c) if isinstance(c, (int, np.integer)) else fmt(c)
+                    for c in row) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", [len(HARD_FLOATS), 0])
+@pytest.mark.parametrize("writer", ["write_csv", "write_polylines"])
+def test_writer_bytes_match_per_cell_rule(tmp_path, writer, n_rows):
+    # n_rows = 0 is the peaks.csv of a sweep that finds no peak
+    assert [fmt(x) for x in (2.0 / 3.0, 5e-324, -0.0, np.nan)] \
+        == ["0.66666666666666663", "4.9406564584124654e-324", "-0", "nan"]
+    a = np.array(HARD_FLOATS[:n_rows])
+    path = tmp_path / "out.csv"
+    if writer == "write_csv":
+        ints = 10 ** 18 * np.arange(n_rows) - 7   # past float precision
+        write_csv(path, ("k", "a", "b"), (ints, a, a[::-1]))
+        want = "k,a,b\n" + "".join(map(_cells, zip(ints, a, a[::-1])))
+    else:
+        xy = np.column_stack((a, a[::-1]))
+        lines = [xy, np.empty((0, 2)), xy[::-1]]
+        write_polylines(path, lines)
+        want = "\n".join("".join(map(_cells, line)) for line in lines)
     assert path.read_bytes() == want.encode()
+
+
+def test_field_csv_round_trip(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "drive", "geometry": "rectangle", "nx_interior": 10,
+        "ny_interior": 8, "spacing": 0.05, "resistance": 0.3,
+        "omega": 1.0e6})
+    out = run(cfg, str(tmp_path / "drive"))
+    geom = cfg.build_geometry()
+    field = driven_response(geom, cfg.build_spec(), cfg.omega,
+                            (centroid_site(geom), 1.0))
+    lines = Path(out, "field.csv").read_text().splitlines()
+    assert lines[0] == "i,j,x,y,re_v,im_v"
+    table = np.array([[float(c) for c in line.split(",")]
+                      for line in lines[1:]])
+    sites = geom.interior_sites
+    v = field.values[sites[:, 0], sites[:, 1]]
+    assert np.array_equal(table[:, :2], sites)
+    assert np.array_equal(table[:, 2:4], cfg.spacing * sites)
+    assert np.array_equal(table[:, 4], v.real)
+    assert np.array_equal(table[:, 5], v.imag)
 
 
 def test_unused_scipy_subpackages_not_imported(tmp_path):

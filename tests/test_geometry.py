@@ -146,16 +146,6 @@ def test_tag_boundary_replaces_kind():
     assert np.array_equal(tagged.interior, g.interior)
 
 
-def test_geometry_csv_export(tmp_path):
-    g = rasterize_rectangle(2, 2, 0.25)
-    path = tmp_path / "geom.csv"
-    g.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,x,y,kind"
-    assert len(lines) == 1 + 4 + 12
-
-
-def test_perimeter_positive():
+def test_area_positive():
     g = rasterize_quarter_stadium(0.02)
-    assert g.perimeter_length > 0.0
     assert g.area > 0.0
