@@ -33,8 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_file(args.config)
-        cfg.experiment = args.experiment
+        cfg = ExperimentConfig.from_file(args.config, args.experiment)
         if args.seed is not None:
             cfg.seed = args.seed
         out = run(cfg, args.out, threads=args.threads)

@@ -106,7 +106,10 @@ class ExperimentConfig:
         return cfg
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path,
+                  experiment: str | None = None) -> "ExperimentConfig":
+        """Read a flat JSON config and validate it for `experiment` when
+        given (it replaces the file's own kind), else for the file's kind."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -114,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a flat JSON object")
+        if experiment is not None:
+            data["experiment"] = experiment
         return cls.from_dict(data)
 
     def validate(self) -> None:
@@ -182,9 +187,13 @@ class ExperimentConfig:
                 raise ConfigError("n_samples: the fit needs at least 1000")
             if self.n_bins > self.n_samples:
                 raise ConfigError("n_bins: more bins than samples")
-        if self.experiment == "streamlines" \
-                and not 0.0 < self.step_fraction <= 0.5:
-            raise ConfigError("step_fraction: need 0 < step_fraction <= 0.5")
+        if self.experiment == "streamlines":
+            if not 0.0 < self.step_fraction <= 0.5:
+                raise ConfigError("step_fraction: need 0 < step_fraction <= 0.5")
+            if self.n_seeds < 1:
+                raise ConfigError("n_seeds: must be >= 1")
+            if self.max_steps < 1:
+                raise ConfigError("max_steps: must be >= 1")
 
     def build_geometry(self) -> GridGeometry:
         if self.geometry == "rectangle":

@@ -229,18 +229,57 @@ def active_link_flow(field: ComplexField, currents: CurrentField) -> tuple:
     return fx, fy
 
 
+def _tabulated_flow(fx, fy, a0):
+    """The clamped bilinear interpolant of the staggered flow (fx, fy) as a
+    function of complex positions z = x + iy, returning gx + i gy.
+
+    It equals `map_coordinates(order=1, mode="nearest")` sampling of fx at
+    (x/a0 - 1/2, y/a0) and of fy at (x/a0, y/a0 - 1/2) up to roundoff, for
+    x/a0 in [-1, nx] and y/a0 in [-1, ny].
+    """
+    # imported here: only the tracer needs scipy.ndimage
+    from scipy.ndimage import map_coordinates
+
+    # fx has its knots at (i + 1/2, j), fy at (i, j + 1/2), and both clamps
+    # act on multiples of 1/2, so gx + i gy is bilinear on every half-spacing
+    # cell: c0 + tu cu + tw cw + tu tw cuw in the cell fractions (tu, tw).
+    # Corner k sits at x/a0 = k/2 - 1, one site before the lattice, and the
+    # last cell starts one site past it, so no position in the domain needs
+    # a clamped or negative cell index.
+    nx, ny = fx.shape
+    u, w = np.meshgrid(np.arange(2 * nx + 4) / 2 - 1.0,
+                       np.arange(2 * ny + 4) / 2 - 1.0, indexing="ij")
+    g = (map_coordinates(fx, (u - 0.5, w), order=1, mode="nearest")
+         + 1j * map_coordinates(fy, (u, w - 0.5), order=1, mode="nearest"))
+    c0 = g[:-1, :-1]
+    cw = g[:-1, 1:] - c0
+    cu = g[1:, :-1] - c0
+    cuw = g[1:, 1:] - g[1:, :-1] - cw
+    table = np.stack((c0, cu, cw, cuw), axis=-1).reshape(-1, 4)
+    n_w = c0.shape[1]
+
+    def flow(z):
+        # shifted to cell units, every point is >= 0 (up to roundoff), so
+        # modf's integer part is the cell and its fraction the cell offset
+        frac, whole = np.modf((z * (2.0 / a0) + (2.0 + 2.0j)).view(float))
+        k = whole.astype(np.intp)
+        c = table.take(k[0::2] * n_w + k[1::2], axis=0)
+        tu, tw = frac[0::2], frac[1::2]
+        return c[:, 0] + tu * c[:, 1] + tw * (c[:, 2] + tu * c[:, 3])
+
+    return flow
+
+
 def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
                       step: float, max_steps: int) -> list:
     """RK4 traces of the active-flow direction field.
 
     The staggered flow is interpolated bilinearly, clamped at the lattice
-    edge.  A trace stops at the billiard boundary, after max_steps, or when
-    the local |flow| drops below FLOW_CUTOFF of the field maximum (vortex
-    core).  Returns one (n, 2) array of points per seed.
+    edge, from a table built once per call.  A trace stops at the billiard
+    boundary, after max_steps, or when the local |flow| drops below
+    FLOW_CUTOFF of the field maximum (vortex core).  Returns one (n, 2)
+    array of points per seed.
     """
-    # imported here: only the tracer needs scipy.ndimage
-    from scipy.ndimage import map_coordinates
-
     geom = field.geometry
     a0 = geom.spacing
     if step > 0.5 * a0:
@@ -249,43 +288,42 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     fmax = max(np.abs(fx).max(), np.abs(fy).max())
     cutoff = FLOW_CUTOFF * fmax
 
-    def direction(x, y):
-        u, w = x / a0, y / a0
-        # fx[i, j] sits at (i + 1/2, j), fy[i, j] at (i, j + 1/2)
-        gx = map_coordinates(fx, (u - 0.5, w), order=1, mode="nearest")
-        gy = map_coordinates(fy, (u, w - 0.5), order=1, mode="nearest")
-        mag = np.hypot(gx, gy)
-        alive = mag > cutoff
-        safe = np.where(alive, mag, 1.0)
-        return gx / safe, gy / safe, alive
-
     x = np.array([s[0] for s in seeds], dtype=float)
     y = np.array([s[1] for s in seeds], dtype=float)
     inside = geom.contains(x, y)
     if not np.all(inside):
         bad = np.argmin(inside)
         raise ValueError(f"seed {(x[bad], y[bad])} outside interior")
-    xs, ys = [x], [y]
+    # every stage point lies within a0/2 + step <= a0 of an interior site,
+    # inside the table's domain
+    flow = _tabulated_flow(fx, fy, a0)
+
+    def direction(z):
+        g = flow(z)
+        mag = np.abs(g)
+        alive = mag > cutoff
+        # below the cutoff the raw flow is kept; the trace stops there
+        return np.divide(g, mag, out=g, where=alive), alive
+
+    z = x + 1j * y
+    zs = [z]
     # a stopped seed never restarts: its polyline is the first n_points[k]
     # rows of the stacked positions
-    n_points = np.ones(x.shape, dtype=int)
-    active = np.ones(x.shape, dtype=bool)
+    n_points = np.ones(z.shape, dtype=int)
+    active = np.ones(z.shape, dtype=bool)
     for _ in range(max_steps):
         if not np.any(active):
             break
-        d1x, d1y, a1 = direction(x, y)
-        d2x, d2y, a2 = direction(x + 0.5 * step * d1x, y + 0.5 * step * d1y)
-        d3x, d3y, a3 = direction(x + 0.5 * step * d2x, y + 0.5 * step * d2y)
-        d4x, d4y, a4 = direction(x + step * d3x, y + step * d3y)
+        d1, a1 = direction(z)
+        d2, a2 = direction(z + 0.5 * step * d1)
+        d3, a3 = direction(z + 0.5 * step * d2)
+        d4, a4 = direction(z + step * d3)
         active &= a1 & a2 & a3 & a4
-        dx = (d1x + 2 * d2x + 2 * d3x + d4x) / 6.0
-        dy = (d1y + 2 * d2y + 2 * d3y + d4y) / 6.0
-        xn = np.where(active, x + step * dx, x)
-        yn = np.where(active, y + step * dy, y)
-        active &= geom.contains(xn, yn)
-        x, y = np.where(active, xn, x), np.where(active, yn, y)
+        dz = (d1 + 2 * d2 + 2 * d3 + d4) / 6.0
+        zn = np.where(active, z + step * dz, z)
+        active &= geom.contains(zn.real, zn.imag)
+        z = np.where(active, zn, z)
         n_points += active
-        xs.append(x)
-        ys.append(y)
-    points = np.stack((xs, ys), axis=-1)    # (steps + 1, seeds, 2)
+        zs.append(z)
+    points = np.stack(zs).view(float).reshape(len(zs), -1, 2)
     return [points[:n, k] for k, n in enumerate(n_points)]

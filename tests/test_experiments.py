@@ -270,6 +270,10 @@ def test_cli_config_error(tmp_path, capsys):
                             ("ensemble", {"tolerance": 0.02, "n_bins": 0}),
                             ("streamlines", {"step_fraction": 0.6}),
                             ("streamlines", {"step_fraction": 0.0}),
+                            ("streamlines", {"n_seeds": 0}),
+                            ("streamlines", {"n_seeds": -3}),
+                            ("streamlines", {"max_steps": 0}),
+                            ("streamlines", {"max_steps": -1}),
                             ("oracle", {"n_samples": 0}),
                             ("oracle", {"n_samples": 500}),
                             ("oracle", {"sigma_r": 1.0, "sigma_i": 0.5,
@@ -306,6 +310,20 @@ def test_cli_config_error(tmp_path, capsys):
                                "n_realizations": 2})
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == 2
+
+
+def test_cli_validates_the_config_for_its_subcommand(tmp_path, capsys):
+    # the file names no experiment: the subcommand's own rules apply
+    cfg = write_cfg(tmp_path, {
+        "geometry": "rectangle", "nx_interior": 10, "ny_interior": 8,
+        "spacing": 0.05, "resistance": 0.3, "omega": 1.0e6, "bc": "neumann",
+    })
+    assert main(["drive", "--config", cfg, "--out",
+                 str(tmp_path / "drive")]) == 0
+    capsys.readouterr()
+    assert main(["ensemble", "--config", cfg, "--out",
+                 str(tmp_path / "ensemble")]) == 2
+    assert "bc: ensemble supports only" in capsys.readouterr().err
 
 
 def test_cli_stats_end_to_end(tmp_path):

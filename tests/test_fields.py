@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from rlcnet.fields import (CurrentField, active_link_flow, heat_power,
-                           link_currents, nodal_vortices, power_balance,
-                           probability_density, trace_streamlines,
-                           OHMIC)
-from rlcnet.geometry import BCKind, rasterize_rectangle, tag_boundary
+from rlcnet.fields import (CurrentField, _tabulated_flow, active_link_flow,
+                           heat_power, link_currents, nodal_vortices,
+                           power_balance, probability_density,
+                           trace_streamlines, FLOW_CUTOFF, OHMIC)
+from rlcnet.geometry import (BCKind, GridGeometry, rasterize_rectangle,
+                             tag_boundary)
 from rlcnet.network import CircuitSpec, sample_perturbation
 from rlcnet.solve import ComplexField, driven_response
 
@@ -220,6 +221,94 @@ def test_streamlines_batch_matches_single_seeds():
                                    max_steps=60)
         assert path.shape == alone.shape == (len(path), 2)
         assert np.array_equal(path, alone)
+
+
+def sampled_flow(fx, fy, x, y, a0):
+    """gx + i gy by direct clamped bilinear sampling of the staggered flow."""
+    from scipy.ndimage import map_coordinates
+    u, w = x / a0, y / a0
+    return (map_coordinates(fx, (u - 0.5, w), order=1, mode="nearest")
+            + 1j * map_coordinates(fy, (u, w - 0.5), order=1, mode="nearest"))
+
+
+def test_tabulated_flow_matches_direct_sampling():
+    rng = np.random.default_rng(3)
+    nx, ny, a0 = 7, 5, 0.1
+    fx, fy = rng.normal(size=(nx, ny)), rng.normal(size=(nx, ny))
+    fmax = max(np.abs(fx).max(), np.abs(fy).max())
+    # random points over the whole domain, which reaches one site past the
+    # lattice on every side where the clamp acts, and every half-cell knot
+    # up to the domain's edge
+    u = np.concatenate((rng.uniform(-1.0, nx, 2000),
+                        np.repeat(np.arange(-2, 2 * nx + 1) / 2, 2 * ny + 3)))
+    w = np.concatenate((rng.uniform(-1.0, ny, 2000),
+                        np.tile(np.arange(-2, 2 * ny + 1) / 2, 2 * nx + 3)))
+    x, y = a0 * u, a0 * w
+    got = _tabulated_flow(fx, fy, a0)(x + 1j * y)
+    want = sampled_flow(fx, fy, x, y, a0)
+    assert np.abs(got - want).max() <= 1e-12 * fmax
+
+
+def test_streamlines_first_step_at_lattice_rim():
+    # every site interior, the rim included: stage points leave the lattice
+    rng = np.random.default_rng(4)
+    n, a0 = 6, 1.0
+    g = GridGeometry(spacing=a0, nx=n, ny=n, interior=np.ones((n, n), bool),
+                     boundary=np.zeros((n, n), bool), bc=BCKind())
+    v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    field = make_field(g, v, spec=CircuitSpec("I", L, C, 1.0))
+    cur = link_currents(field, variant=OHMIC)
+    fx, fy = active_link_flow(field, cur)
+    lo, hi = -0.49 * a0, (n - 0.51) * a0
+    z = np.concatenate((rng.uniform(lo, hi, 300)
+                        + 1j * rng.uniform(lo, hi, 300),
+                        [complex(lo, lo), complex(lo, hi), complex(hi, lo),
+                         complex(hi, hi)]))
+    step = a0 / 2
+    cutoff = FLOW_CUTOFF * max(np.abs(fx).max(), np.abs(fy).max())
+
+    def direction(z):
+        # the flow vanishes past the last links, so some stages stop
+        f = sampled_flow(fx, fy, z.real, z.imag, a0)
+        return f / np.maximum(np.abs(f), cutoff), np.abs(f) > cutoff
+
+    d1, a1 = direction(z)
+    d2, a2 = direction(z + 0.5 * step * d1)
+    d3, a3 = direction(z + 0.5 * step * d2)
+    d4, a4 = direction(z + step * d3)
+    want = z + step * ((d1 + 2 * d2 + 2 * d3 + d4) / 6.0)
+    moved = a1 & a2 & a3 & a4 & g.contains(want.real, want.imag)
+    paths = trace_streamlines(field, cur, np.stack((z.real, z.imag), axis=1),
+                              step=step, max_steps=1)
+    assert [len(p) for p in paths] == [1 + m for m in moved]
+    got = np.array([p[-1, 0] + 1j * p[-1, 1] for p in paths])
+    assert np.abs(got - want)[moved].max() <= 1e-12 * a0
+    # the check reached past the rim: seeds there that took their step
+    off = (np.minimum(z.real, z.imag) < 0) \
+        | (np.maximum(z.real, z.imag) > n - 1)
+    assert np.count_nonzero(moved & off) >= 20
+
+
+def test_tracer_samples_the_flow_once_per_trace(monkeypatch):
+    import scipy.ndimage
+    calls = []
+    sample = scipy.ndimage.map_coordinates
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.ndimage, "map_coordinates", counted)
+    g, field, cur = plane_wave_setup()
+    seed = [(5 * g.spacing, 5 * g.spacing)]
+    counts = []
+    for max_steps in (10, 200):
+        calls.clear()
+        path, = trace_streamlines(field, cur, seed, step=g.spacing / 4,
+                                  max_steps=max_steps)
+        counts.append(len(calls))
+    assert len(path) > 100        # the long trace did take its steps
+    assert counts[0] == counts[1]
 
 
 def test_streamline_preconditions():
