@@ -589,20 +589,23 @@ def _run_stats(cfg, geometry, spec, out_dir):
 
 def _run_streamlines(cfg, geometry, spec, out_dir):
     field = _driven_field(cfg, geometry, spec)
+    a0 = geometry.spacing
+    (si, sj), _ = field.source
+    cx, cy = a0 * si, a0 * sj
+    angles = [2.0 * pi * k / cfg.n_seeds for k in range(cfg.n_seeds)]
+    ring = [(cx + cfg.seed_radius * cos(a), cy + cfg.seed_radius * sin(a))
+            for a in angles]
+    # the ring is checked before any artifact is written
+    seeds = [p for p in ring if geometry.contains(*p)]
+    if not seeds:
+        raise ConfigError(f"seed_radius: the ring of radius {cfg.seed_radius} "
+                          f"around the source site ({si}, {sj}) misses the "
+                          "interior")
     currents = fld.link_currents(field)
     vortices = fld.nodal_vortices(field)
     write_csv(os.path.join(out_dir, "vortices.csv"), ("x", "y", "winding"),
               ([v.x for v in vortices], [v.y for v in vortices],
                [v.winding for v in vortices]))
-    a0 = geometry.spacing
-    (si, sj), _ = field.source
-    cx, cy = a0 * si, a0 * sj
-    seeds = []
-    for k in range(cfg.n_seeds):
-        ang = 2.0 * pi * k / cfg.n_seeds
-        x, y = cx + cfg.seed_radius * cos(ang), cy + cfg.seed_radius * sin(ang)
-        if geometry.contains(x, y):
-            seeds.append((x, y))
     lines = fld.trace_streamlines(field, currents, seeds,
                                   step=cfg.step_fraction * a0,
                                   max_steps=cfg.max_steps)
@@ -611,5 +614,7 @@ def _run_streamlines(cfg, geometry, spec, out_dir):
         "source_site": list(field.source[0]),
         "n_vortices": len(vortices),
         "n_streamlines": len(lines),
+        "n_seeds_dropped": len(ring) - len(seeds),
+        "stop_reasons": lines.stop_counts(),
         "seed_ring_radius": cfg.seed_radius,
     }

@@ -10,7 +10,6 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from scipy import integrate
 
 from rlcnet.experiments import ExperimentConfig, driven_statistics, run, \
@@ -19,8 +18,8 @@ from rlcnet.fields import OHMIC, CurrentField, link_currents, \
     nodal_vortices, power_balance, trace_streamlines
 from rlcnet.geometry import rasterize_quarter_stadium, rasterize_rectangle
 from rlcnet.network import CircuitSpec
-from rlcnet.solve import (ComplexField, dirichlet_laplacian, dispersion,
-                          driven_response, eigenmode_nearest,
+from rlcnet.solve import (ComplexField, _eigsh_near, dirichlet_laplacian,
+                          dispersion, driven_response, eigenmode_nearest,
                           eigenmodes_lossless, quality_factor, wavelength)
 from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
                           density_ppf, fit_histogram, heat_cdf, mc_heat_oracle,
@@ -238,15 +237,14 @@ N_STATES = 60   # lossless stadium states averaged per reference frequency
 def state_anisotropies(geometry, spec, omega, n_states):
     """r of the n_states lossless states nearest omega, nearest first.
 
-    ARPACK starts from a fixed vector, so the result does not depend on its
-    random start.  A real eigenvector carries no imaginary current, which
-    anisotropy_metrics rejects; the phase 1 + 1j makes Re and Im identical
-    copies of the state, so r_real is the state's own r.
+    `_eigsh_near` factors the shift once with the package's own ordering
+    and starts ARPACK from a fixed vector, so the result does not depend on
+    its random start.  A real eigenvector carries no imaginary current,
+    which anisotropy_metrics rejects; the phase 1 + 1j makes Re and Im
+    identical copies of the state, so r_real is the state's own r.
     """
     lam0 = dispersion(spec, omega).real
-    lam, vec = spla.eigsh(dirichlet_laplacian(geometry), k=n_states,
-                          sigma=lam0, which="LM",
-                          v0=np.ones(geometry.n_interior))
+    lam, vec = _eigsh_near(dirichlet_laplacian(geometry), n_states, lam0)
     r = []
     for k in np.argsort(np.abs(lam - lam0)):
         values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
@@ -318,9 +316,12 @@ def test_criterion_11_vortices_and_streamlines(acceptance_report, stadium, stadi
         best = min(best, d)
         n_terminating += d < 2 * A0
     ok = windings_ok and n_terminating >= 1
+    stops = ", ".join(f"{n} {why}"
+                      for why, n in paths.stop_counts().items() if n)
     report(acceptance_report, 11, "vortices have unit winding; streamlines end at vortex cores",
            ok, f"{len(vortices)} vortices, {n_terminating}/{len(paths)} "
-               f"traces end within 2a0, closest {best / A0:.2f} a0")
+               f"traces end within 2a0, closest {best / A0:.2f} a0; "
+               f"stops: {stops}")
 
 
 def test_criterion_12_determinism(acceptance_report, tmp_path):

@@ -340,6 +340,30 @@ def test_cli_stats_end_to_end(tmp_path):
     assert man["heat_sample_size"] == 3531
 
 
+def test_cli_streamlines_seed_ring(tmp_path, capsys):
+    ring = {"geometry": "rectangle", "nx_interior": 10, "ny_interior": 8,
+            "spacing": 0.05, "resistance": 0.3, "omega": 1.0e6,
+            "n_seeds": 8, "max_steps": 500}
+    # the source is site (5, 4) at (0.25, 0.2): a ring of radius 0.2 puts
+    # its lowest seed on the wall row y = 0, and one of radius 5 misses the
+    # billiard altogether
+    out = tmp_path / "partial"
+    cfg = write_cfg(tmp_path, {**ring, "seed_radius": 0.2})
+    assert main(["streamlines", "--config", cfg, "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["source_site"] == [5, 4]
+    assert man["n_seeds_dropped"] == 1 and man["n_streamlines"] == 7
+    assert sorted(man["stop_reasons"]) == ["boundary", "cutoff", "max_steps",
+                                           "trapped"]
+    assert sum(man["stop_reasons"].values()) == man["n_streamlines"]
+    capsys.readouterr()
+    out = tmp_path / "missed"
+    cfg = write_cfg(tmp_path, {**ring, "seed_radius": 5.0})
+    assert main(["streamlines", "--config", cfg, "--out", str(out)]) == 2
+    assert "seed_radius:" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_cli_solver_failure(tmp_path):
     # lossless drive exactly on the lowest resonance of a tiny rectangle
     spec = CircuitSpec("I", L, C, 0.0)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from rlcnet import fields
+from rlcnet.experiments import centroid_site
 from rlcnet.fields import (CurrentField, _tabulated_flow, active_link_flow,
                            heat_power, link_currents, nodal_vortices,
                            power_balance, probability_density,
                            trace_streamlines, FLOW_CUTOFF, OHMIC)
-from rlcnet.geometry import (BCKind, GridGeometry, rasterize_rectangle,
-                             tag_boundary)
+from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
+                             rasterize_rectangle, tag_boundary)
 from rlcnet.network import CircuitSpec, sample_perturbation
 from rlcnet.solve import ComplexField, driven_response
 
@@ -201,6 +203,7 @@ def test_streamlines_zero_flow_single_point():
     paths = trace_streamlines(field, cur, [(0.4, 0.4)], step=0.05,
                               max_steps=100)
     assert len(paths) == 1 and len(paths[0]) == 1
+    assert paths.stop_reasons == ("cutoff",)
 
 
 def test_streamlines_batch_matches_single_seeds():
@@ -216,11 +219,67 @@ def test_streamlines_batch_matches_single_seeds():
     paths = trace_streamlines(field, cur, seeds, step=a0 / 4, max_steps=60)
     n = [len(p) for p in paths]
     assert 1 < n[0] < 61 and n[1] == 61 and n[2] == 1
+    assert paths.stop_reasons == ("boundary", "max_steps", "cutoff")
     for seed, path in zip(seeds, paths):
         alone, = trace_streamlines(field, cur, [seed], step=a0 / 4,
                                    max_steps=60)
         assert path.shape == alone.shape == (len(path), 2)
         assert np.array_equal(path, alone)
+
+
+def test_trap_stop_only_truncates_traces(monkeypatch):
+    # a driven stadium whose traces end at the wall, around vortex cores and
+    # at max_steps; without the trap stop every trace runs on unchanged
+    g = rasterize_quarter_stadium(0.02)
+    a0 = g.spacing
+    source = centroid_site(g)
+    field = driven_response(g, CircuitSpec("I", L, C, 1.0), 3.0e6,
+                            (source, 1.0))
+    cur = link_currents(field)
+    ang = 2.0 * np.pi * np.arange(16) / 16
+    seeds = np.stack((a0 * source[0] + 0.1 * np.cos(ang),
+                      a0 * source[1] + 0.1 * np.sin(ang)), axis=1)
+    seeds = seeds[g.contains(*seeds.T)]
+    paths = trace_streamlines(field, cur, seeds, step=a0 / 4, max_steps=2000)
+    monkeypatch.setattr(fields, "TRAP_STEPS", 2001)
+    free = trace_streamlines(field, cur, seeds, step=a0 / 4, max_steps=2000)
+    counts = paths.stop_counts()
+    assert counts["trapped"] and counts["boundary"] and counts["max_steps"]
+    assert sum(counts.values()) == len(paths) == len(seeds)
+    assert "trapped" not in free.stop_reasons
+    for path, whole, why, why_free in zip(paths, free, paths.stop_reasons,
+                                          free.stop_reasons):
+        if why == "trapped":
+            assert len(path) < len(whole)
+            assert np.array_equal(path, whole[:len(path)])
+        else:
+            assert why == why_free
+            assert np.array_equal(path, whole)
+
+
+def test_streamline_trapped_by_vortex_core(monkeypatch):
+    # V = (i - 10.3) + i (j - 10.6) has one vortex, at (1.03, 1.06); with
+    # link reactance omega L equal to R the active flow spirals into it
+    g = rasterize_rectangle(20, 20, 0.1)
+    a0 = g.spacing
+    i, j = np.meshgrid(np.arange(g.nx), np.arange(g.ny), indexing="ij")
+    field = make_field(g, (i - 10.3) + 1j * (j - 10.6), omega=1.0 / L,
+                       spec=CircuitSpec("I", L, C, 1.0))
+    cur = link_currents(field)
+    core = np.array([1.03, 1.06])
+    seed = [(4 * a0, 4 * a0)]
+    path, = paths = trace_streamlines(field, cur, seed, step=a0 / 4,
+                                      max_steps=1000)
+    assert paths.stop_reasons == ("trapped",)
+    # about 9 a0 to the core at a0/4 per step, then TRAP_STEPS in orbit
+    assert len(path) < 40 + 2 * fields.TRAP_STEPS
+    assert np.hypot(*(path[-1] - core)) < a0
+    monkeypatch.setattr(fields, "TRAP_STEPS", 1001)
+    orbit, = paths = trace_streamlines(field, cur, seed, step=a0 / 4,
+                                       max_steps=1000)
+    assert paths.stop_reasons == ("max_steps",) and len(orbit) == 1001
+    assert np.array_equal(path, orbit[:len(path)])
+    assert np.hypot(*(orbit[len(path):] - core).T).max() < a0
 
 
 def sampled_flow(fx, fy, x, y, a0):
