@@ -10,6 +10,7 @@ reruns are byte-identical.
 import dataclasses
 import json
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import cos, pi, sin
@@ -351,7 +352,10 @@ def _manifest(cfg: ExperimentConfig, spec: CircuitSpec, extra=None) -> dict:
 
 
 def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
-    """Execute one experiment; returns the artifact directory path."""
+    """Execute one experiment; returns the artifact directory path.
+
+    A run that raises removes the output directory if it created it.
+    """
     cfg.validate()
     if threads < 1:
         raise ConfigError("threads: must be >= 1")
@@ -367,7 +371,27 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
     if cfg.experiment == "spectrum" \
             and not 1 <= cfg.n_modes <= geometry.n_interior:
         raise ConfigError(f"n_modes: must be in [1, {geometry.n_interior}]")
+    # the topmost directory this run creates, which a failed run removes;
+    # a directory that already existed stays
+    created = None
+    missing = os.path.abspath(out_dir)
+    while not os.path.exists(missing):
+        created, missing = missing, os.path.dirname(missing)
     os.makedirs(out_dir, exist_ok=True)
+    try:
+        extra = _run_experiment(cfg, geometry, spec, out_dir, threads)
+        write_json(os.path.join(out_dir, "manifest.json"),
+                   _manifest(cfg, spec, extra))
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+    return out_dir
+
+
+def _run_experiment(cfg, geometry, spec, out_dir, threads) -> dict:
+    """Write the artifacts of one experiment into out_dir; returns the
+    manifest entries it adds."""
     extra = {}
 
     if cfg.experiment == "spectrum":
@@ -445,10 +469,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
             "ks_distance": fit.ks_distance,
             "chi_sq_per_dof": fit.chi_sq_per_dof,
         }
-
-    write_json(os.path.join(out_dir, "manifest.json"),
-               _manifest(cfg, spec, extra))
-    return out_dir
+    return extra
 
 
 def _maybe_pert(cfg, geometry):

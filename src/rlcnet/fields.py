@@ -306,8 +306,10 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     stayed within one step of its anchor for TRAP_STEPS consecutive steps,
     where the anchor starts at the seed and moves to the trace whenever the
     trace gets more than one step from it (`trapped`, an orbit around a
-    vortex core); the local |flow| drops below FLOW_CUTOFF of the field
-    maximum (`cutoff`, no flow to follow); or it took max_steps steps.
+    vortex core); the local |flow| at an RK4 stage point drops below
+    FLOW_CUTOFF of the field maximum (`cutoff`, no flow to follow, or
+    `boundary` when a stage point of that step lies outside the billiard);
+    or it took max_steps steps.
     Returns one (n, 2) array of points per seed with its stop reason.
     """
     geom = field.geometry
@@ -348,14 +350,23 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
         if not np.any(active):
             break
         d1, a1 = direction(z)
-        d2, a2 = direction(z + 0.5 * step * d1)
-        d3, a3 = direction(z + 0.5 * step * d2)
-        d4, a4 = direction(z + step * d3)
+        z2 = z + 0.5 * step * d1
+        d2, a2 = direction(z2)
+        z3 = z + 0.5 * step * d2
+        d3, a3 = direction(z3)
+        z4 = z + step * d3
+        d4, a4 = direction(z4)
         flowing = a1 & a2 & a3 & a4
         dz = (d1 + 2 * d2 + 2 * d3 + d4) / 6.0
         zn = np.where(active & flowing, z + step * dz, z)
         inside = geom.contains(zn.real, zn.imag)
-        why[active & ~flowing] = "cutoff"
+        stalled = np.flatnonzero(active & ~flowing)
+        if stalled.size:
+            # a stage point in the grounded wall band reads no flow: that
+            # trace has reached the boundary, not a flow-free region
+            stages = np.stack((z, z2, z3, z4))[:, stalled]
+            walled = ~geom.contains(stages.real, stages.imag).all(axis=0)
+            why[stalled] = np.where(walled, "boundary", "cutoff")
         why[active & ~inside] = "boundary"
         active &= flowing & inside
         z = np.where(active, zn, z)

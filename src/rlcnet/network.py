@@ -11,7 +11,7 @@ so the matrix is complex symmetric for any R and any tolerance realization.
 """
 
 from dataclasses import dataclass
-from math import cos, pi, sqrt
+from math import cos, factorial, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,12 +120,15 @@ class AdmittanceSystem:
     `hermitian_floor` is a proven lower bound on the smallest eigenvalue of
     the Hermitian part -Re(A), hence on the smallest singular value of A;
     0 where no positive bound is known (R = 0, Neumann or mixed unknowns).
+    `derivatives` holds (dA/domega, d2A/domega2) when they were requested,
+    else ().
     """
 
     matrix: sp.csc_matrix
     unknown_sites: np.ndarray   # (n, 2) of (i, j), row-major
     index: np.ndarray           # (nx, ny) int, -1 where not an unknown
     hermitian_floor: float
+    derivatives: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -173,21 +176,28 @@ def lattice_incidence(geometry: GridGeometry, unknown: np.ndarray) -> Incidence:
 
 def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
                         omega: float, pert: Perturbation | None,
-                        incidence: Incidence):
+                        incidence: Incidence, order: int = 0):
     """Admittance of every link, in the incidence's row order, and of every
-    site's shunt as an (nx, ny) array.
+    site's shunt as an (nx, ny) array; with `order` k > 0, their k-th
+    derivatives with respect to omega.
 
     Interior sites carry the model's shunt; boundary sites carry the
     Neumann capacitor or the mixed resistive inductor.  A Dirichlet boundary
     site is grounded, has no shunt element and reads 0.  `pert` None means
     unit multipliers.
     """
-    def inductor(mult):
-        return 1.0 / (1j * omega * spec.inductance * mult
-                      + spec.resistance * mult)
+    def inductor(mult, inductance=spec.inductance, resistance=spec.resistance):
+        y = 1.0 / (1j * omega * inductance * mult + resistance * mult)
+        if order == 0:
+            return y
+        # d^k y / d omega^k = k! (-i L m)^k y^(k+1)
+        return factorial(order) * (-1j * inductance * mult) ** order \
+            * y ** (order + 1)
 
     def capacitor(mult):
-        return 1j * omega * spec.capacitance * mult
+        # y = i omega C m is linear in omega
+        scale = omega if order == 0 else float(order == 1)
+        return 1j * scale * spec.capacitance * mult
 
     link, shunt = (inductor, capacitor) if spec.model == MODEL_I \
         else (capacitor, inductor)
@@ -203,19 +213,22 @@ def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
     if bc.kind == NEUMANN:
         y_shunt[geometry.boundary] = capacitor(1.0)
     elif bc.kind == MIXED:
-        y_shunt[geometry.boundary] = 1.0 / complex(
-            bc.shunt_resistance, omega * bc.shunt_inductance)
+        y_shunt[geometry.boundary] = inductor(1.0, bc.shunt_inductance,
+                                              bc.shunt_resistance)
     return link(link_mult), y_shunt
 
 
 def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                        pert: Perturbation | None = None) -> AdmittanceSystem:
+                        pert: Perturbation | None = None,
+                        derivatives: bool = False) -> AdmittanceSystem:
     """Build the Kirchhoff current-law matrix at frequency omega.
 
     For Dirichlet boundaries the unknowns are the interior sites only;
     Neumann/mixed boundary sites enter as extra unknowns shunted through
     the tagged element.  The matrix is
     A = -(B^T diag(y_link) B + diag(y_shunt)) with B the lattice incidence.
+    With `derivatives`, the same B also gives dA/domega and d2A/domega2
+    from the element admittances' derivatives.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
@@ -223,10 +236,16 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     if geometry.bc.kind != DIRICHLET:
         unknown = unknown | geometry.boundary
     inc = lattice_incidence(geometry, unknown)
-    y_link, y_shunt = element_admittances(geometry, spec, omega, pert, inc)
     B = inc.matrix
-    matrix = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt[unknown])).tocsc()
-    matrix.sort_indices()   # the sparse product leaves them unsorted
+
+    def kirchhoff(y_link, y_shunt):
+        matrix = -(B.T @ sp.diags(y_link) @ B
+                   + sp.diags(y_shunt[unknown])).tocsc()
+        matrix.sort_indices()   # the sparse product leaves them unsorted
+        return matrix
+
+    y_link, y_shunt = element_admittances(geometry, spec, omega, pert, inc)
+    matrix = kirchhoff(y_link, y_shunt)
     # -Re(A) = B^T diag(Re y_link) B + diag(Re y_shunt) with Re y >= 0.  When
     # every unknown has four links (in practice with Dirichlet unknowns: a
     # Neumann or mixed boundary site links only to interior sites), none
@@ -239,5 +258,12 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
             - 2.0 * cos(pi / (geometry.ny - 1))
         floor = float(lam_rect * y_link.real.min()
                       + y_shunt[unknown].real.min())
+    d_matrices = ()
+    if derivatives:
+        d_matrices = tuple(
+            kirchhoff(*element_admittances(geometry, spec, omega, pert, inc,
+                                           order))
+            for order in (1, 2))
     return AdmittanceSystem(matrix=matrix, unknown_sites=np.argwhere(unknown),
-                            index=inc.index, hermitian_floor=floor)
+                            index=inc.index, hermitian_floor=floor,
+                            derivatives=d_matrices)

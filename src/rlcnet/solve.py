@@ -232,7 +232,7 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
 
 
 def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                  pert: Perturbation | None = None):
+                  pert: Perturbation | None = None, derivatives: bool = False):
     """Factor the driven network at frequency omega once; returns
     solve(source) -> ComplexField for a ((i, j), complex amplitude) current
     injection, refined until the relative residual is below RESIDUAL_TOL.
@@ -246,8 +246,14 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     or a bound above COND_LIMIT) it is ||A||_1 times an estimate of
     ||A^-1||_1.  Raises SingularSystemError when the factorization, the
     check or the residual contract fails (lossless drive on resonance).
+
+    With `derivatives`, solve returns the fields (V, dV/domega,
+    d2V/domega2), the last two from the same factorization as
+    dV = -A^-1 A' V and d2V = -A^-1 (A'' V + 2 A' dV); each is refined
+    and checked against the residual contract as V is.
     """
-    system = assemble_admittance(geometry, spec, omega, pert=pert)
+    system = assemble_admittance(geometry, spec, omega, pert=pert,
+                                 derivatives=derivatives)
     A = system.matrix
     n = A.shape[0]
     try:
@@ -279,12 +285,8 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
         raise SingularSystemError(
             f"system numerically singular (condition estimate {cond:.2e})")
 
-    def solve(source) -> ComplexField:
-        (si, sj), amplitude = source
-        if amplitude == 0.0 or not geometry.is_interior(si, sj):
-            raise ValueError(f"not a nonzero interior source: {source}")
-        b = np.zeros(n, dtype=complex)
-        b[system.index[si, sj]] = -amplitude
+    def refined(b):
+        """A^-1 b, refined on the factorization to the residual contract."""
         bnorm = np.linalg.norm(b)
         x = lu.solve(b)
         for _ in range(5):
@@ -298,18 +300,75 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
             raise SingularSystemError(
                 "system too ill-conditioned for the residual contract "
                 "(lossless drive on resonance?)")
-        values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
-        values[tuple(system.unknown_sites.T)] = x
-        return ComplexField(geometry=geometry, values=values, omega=omega,
-                            spec=spec, source=source, perturbation=pert)
+        return x
+
+    def solve(source):
+        (si, sj), amplitude = source
+        if amplitude == 0.0 or not geometry.is_interior(si, sj):
+            raise ValueError(f"not a nonzero interior source: {source}")
+        b = np.zeros(n, dtype=complex)
+        b[system.index[si, sj]] = -amplitude
+        xs = [refined(b)]
+        if derivatives:
+            d1, d2 = system.derivatives
+            xs.append(refined(-(d1 @ xs[0])))
+            xs.append(refined(-(d2 @ xs[0] + 2.0 * (d1 @ xs[1]))))
+        fields = []
+        for x in xs:
+            values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
+            values[tuple(system.unknown_sites.T)] = x
+            fields.append(ComplexField(geometry=geometry, values=values,
+                                       omega=omega, spec=spec, source=source,
+                                       perturbation=pert))
+        return tuple(fields) if derivatives else fields[0]
 
     return solve
 
 
 def driven_response(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                    source, pert: Perturbation | None = None) -> ComplexField:
-    """Exact driven solution for one source: driven_solver(...)(source)."""
-    return driven_solver(geometry, spec, omega, pert)(source)
+                    source, pert: Perturbation | None = None,
+                    derivatives: bool = False):
+    """Exact driven solution for one source:
+    driven_solver(..., derivatives)(source)."""
+    return driven_solver(geometry, spec, omega, pert, derivatives)(source)
+
+
+def _newton_peak(response, omegas, f, slopes, tol: float):
+    """Maximum of f = |V|^2 inside the grid bracket (omegas[0], omegas[2]).
+
+    `response(omega)` returns (f, f', f''); `f` and `slopes` hold the
+    grid's f and f'.  Newton runs on h' = 0 for h = 1/f: h' = -f'/f^2 has
+    the roots of f' (f > 0), and it is linear in omega across a Lorentzian
+    peak, where f' is not (f is concave only within 0.58 half-widths of
+    the peak).  It starts from the secant root of the grid h' on the half
+    of the bracket where h' rises through zero (the midpoint when neither
+    half shows that).  Every evaluation narrows the bracket by the sign of
+    f'; a bisection step replaces the Newton step f f' / (2 f'^2 - f f'')
+    when h'' <= 0 (that denominator <= 0) or when the step leaves the
+    bracket.  Stops once a step is below `tol` and returns (omega, f) at
+    the last omega evaluated.
+    """
+    lo, hi = omegas[0], omegas[2]
+    h_slopes = -slopes / f ** 2
+    k = 1 if h_slopes[1] < 0.0 else 0
+    if h_slopes[k] < 0.0 < h_slopes[k + 1]:
+        lo, hi = omegas[k], omegas[k + 1]
+        w = lo - h_slopes[k] * (hi - lo) / (h_slopes[k + 1] - h_slopes[k])
+    else:
+        w = 0.5 * (lo + hi)
+    while True:
+        fw, df, d2f = response(w)
+        if df > 0.0:
+            lo = w
+        else:
+            hi = w
+        curvature = 2.0 * df * df - fw * d2f
+        step = fw * df / curvature if curvature > 0.0 else np.inf
+        if not lo < w + step < hi:
+            step = 0.5 * (lo + hi) - w
+        if abs(step) < tol:
+            return float(w), fw
+        w = w + step
 
 
 def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
@@ -318,10 +377,14 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                     rel_tol: float = 1e-6):
     """Locate resonances of the driven lossy network.
 
-    Sweeps |V|^2 over n_points in omega_range (grid), then refines every
-    local maximum by Brent's bounded search (scipy's minimize_scalar) on its
-    two-step bracket to relative frequency accuracy rel_tol.
-    Returns a list of (omega_peak, response_norm_sq) in ascending omega.
+    Sweeps f = |V|^2 and f' = 2 Re(V^H dV/domega) over n_points in
+    omega_range (grid), then refines every grid maximum of f inside its
+    two-step bracket by safeguarded Newton on the roots of f'
+    (`_newton_peak`), until a step is below half of rel_tol * omega.  Each
+    evaluation is one `driven_response` call: one factorization, which
+    also gives dV/domega and d2V/domega2.  Returns a list of (omega_peak,
+    response_norm_sq) in ascending omega, the value being |V|^2 computed
+    at omega_peak.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi):
@@ -332,23 +395,19 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
         raise ValueError("resonance sweep requires R > 0")
     if source is None:
         raise ValueError("resonance sweep requires an interior source")
-    # imported here: scipy.optimize adds ~0.15 s to every start-up
-    from scipy.optimize import minimize_scalar
 
-    def neg(omega):
-        v = driven_response(geometry, spec, omega, source, pert=pert) \
-            .interior_values
-        return -float(np.real(np.vdot(v, v)))
+    def response(omega):
+        v, dv, d2v = (field.interior_values for field in driven_response(
+            geometry, spec, omega, source, pert=pert, derivatives=True))
+        return (float(np.real(np.vdot(v, v))),
+                2.0 * float(np.real(np.vdot(v, dv))),
+                2.0 * float(np.real(np.vdot(dv, dv) + np.vdot(v, d2v))))
 
     omegas = np.linspace(lo, hi, n_points)
-    negs = np.array([neg(w) for w in omegas])
-    peaks = []
-    for k in range(1, n_points - 1):
-        if negs[k] < negs[k - 1] and negs[k] < negs[k + 1]:
-            # xatol bounds the distance to the peak, so half of rel_tol *
-            # omega keeps the bracket-width meaning of rel_tol
-            res = minimize_scalar(neg, bounds=(omegas[k - 1], omegas[k + 1]),
-                                  method="bounded",
-                                  options={"xatol": 0.5 * rel_tol * omegas[k]})
-            peaks.append((float(res.x), -res.fun))
-    return peaks
+    f, slopes, _ = np.array([response(w) for w in omegas]).T
+    # a step of half rel_tol * omega keeps the bracket-width meaning of
+    # rel_tol at the peak
+    return [_newton_peak(response, omegas[k - 1:k + 2], f[k - 1:k + 2],
+                         slopes[k - 1:k + 2], 0.5 * rel_tol * omegas[k])
+            for k in range(1, n_points - 1)
+            if f[k] > f[k - 1] and f[k] > f[k + 1]]

@@ -361,7 +361,25 @@ def test_cli_streamlines_seed_ring(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {**ring, "seed_radius": 5.0})
     assert main(["streamlines", "--config", cfg, "--out", str(out)]) == 2
     assert "seed_radius:" in capsys.readouterr().err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
+
+
+def test_failed_run_removes_only_the_directory_it_created(tmp_path, capsys):
+    # a 30x30 rectangle has 900 sites, too few for the stats fits: the
+    # error is raised inside the experiment, after the output directory
+    cfg = write_cfg(tmp_path, {
+        "geometry": "rectangle", "nx_interior": 30, "ny_interior": 30,
+        "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6})
+    out = tmp_path / "new" / "stats"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 2
+    assert "density sample has 8" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    assert main(["stats", "--config", cfg, "--out", str(kept)]) == 2
+    assert os.listdir(kept) == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "mine"
 
 
 def test_cli_solver_failure(tmp_path):
@@ -375,6 +393,7 @@ def test_cli_solver_failure(tmp_path):
     })
     assert main(["drive", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_seed_override(tmp_path):
@@ -447,24 +466,28 @@ def test_field_csv_round_trip(tmp_path):
 
 def test_unused_scipy_subpackages_not_imported(tmp_path):
     # scipy.stats, scipy.optimize and scipy.ndimage cost about 0.8 s of
-    # start-up: neither the import nor a stats run may load them
+    # start-up: neither the import nor a stats or sweep run may load them
     cfg = write_cfg(tmp_path, {
         "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
         "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6,
+        "omega_min": 3.99e6, "omega_max": 4.01e6, "n_points": 9,
     })
     script = (
         "import sys, rlcnet, rlcnet.cli\n"
         "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.ndimage')\n"
         "print([m for m in heavy if m in sys.modules])\n"
-        "assert rlcnet.cli.main(['stats', '--config', sys.argv[1],"
-        " '--out', sys.argv[2]]) == 0\n"
-        "print([m for m in heavy if m in sys.modules])\n")
+        "for kind in ('stats', 'sweep'):\n"
+        "    assert rlcnet.cli.main([kind, '--config', sys.argv[1],"
+        " '--out', sys.argv[2] + kind]) == 0\n"
+        "    print([m for m in heavy if m in sys.modules])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", script, cfg, str(tmp_path / "stats")],
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out_")],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "[]"      # after import rlcnet, rlcnet.cli
-    assert lines[-1] == "[]"     # after the stats run
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("[")]
+    # after import rlcnet, rlcnet.cli; after the stats run; after the sweep
+    assert lines == ["[]", "[]", "[]"]
+    man = json.loads((tmp_path / "out_sweep" / "manifest.json").read_text())
+    assert man["n_peaks"] == 2     # the sweep refined peaks

@@ -227,6 +227,30 @@ def test_streamlines_batch_matches_single_seeds():
         assert np.array_equal(path, alone)
 
 
+def test_streamline_reaching_the_wall_stops_at_boundary():
+    # on this drive one trace's RK4 stage point falls in the grounded wall
+    # band, where the flow reads zero: that trace ends at the boundary, not
+    # at a cutoff
+    g = rasterize_rectangle(10, 8, 0.05)
+    a0 = g.spacing
+    step = a0 / 4
+    field = driven_response(g, CircuitSpec("I", L, C, 0.3), 1.0e6,
+                            ((5, 4), 1.0))
+    cur = link_currents(field)
+    ang = 2.0 * np.pi * np.arange(8) / 8
+    seeds = np.stack((5 * a0 + 0.2 * np.cos(ang),
+                      4 * a0 + 0.2 * np.sin(ang)), axis=1)
+    seeds = seeds[g.contains(*seeds.T)]
+    paths = trace_streamlines(field, cur, seeds, step=step, max_steps=500)
+    assert len(paths) == 7
+    assert paths.stop_reasons == ("boundary",) * 7
+    # every trace ends within one step of the outside of the billiard
+    ring = step * np.exp(2j * np.pi * np.arange(64) / 64)
+    for path in paths:
+        near = path[-1, 0] + 1j * path[-1, 1] + ring
+        assert not g.contains(near.real, near.imag).all()
+
+
 def test_trap_stop_only_truncates_traces(monkeypatch):
     # a driven stadium whose traces end at the wall, around vortex cores and
     # at max_steps; without the trap stop every trace runs on unchanged

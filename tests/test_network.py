@@ -168,3 +168,29 @@ def test_neumann_and_mixed_boundary_unknowns():
     am = assemble_admittance(gm, spec, 1e6).matrix
     assert am.shape == (n_all, n_all)
     assert np.max(np.abs((am - am.T).toarray())) < 1e-15
+
+
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("bc", [None, BCKind("neumann"),
+                                BCKind("mixed", 0.5, 1e-4)])
+def test_derivative_matrices_match_finite_differences(model, bc):
+    # dA/domega and d2A/domega2 against central differences of A(omega),
+    # with loss, disorder and every wall kind
+    g = rasterize_rectangle(5, 4, 0.1)
+    if bc is not None:
+        g = tag_boundary(g, bc)
+    spec = CircuitSpec(model, L, C, 0.7)
+    pert = sample_perturbation(g, 0.03, 4)
+    omega, h = 1.3e6, 1.3e3
+
+    def a(w):
+        return assemble_admittance(g, spec, w, pert=pert).matrix.toarray()
+
+    system = assemble_admittance(g, spec, omega, pert=pert, derivatives=True)
+    assert np.array_equal(system.matrix.toarray(), a(omega))
+    d1, d2 = (m.toarray() for m in system.derivatives)
+    fd1 = (a(omega + h) - a(omega - h)) / (2.0 * h)
+    fd2 = (a(omega + h) - 2.0 * a(omega) + a(omega - h)) / h ** 2
+    assert np.max(np.abs(fd1 - d1)) < 1e-5 * np.max(np.abs(d1))
+    assert np.max(np.abs(fd2 - d2)) < 1e-5 * np.max(np.abs(d2))
+    assert assemble_admittance(g, spec, omega).derivatives == ()
