@@ -312,6 +312,9 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
         mode = eigenmode_nearest(geometry, spec, omega_target, pert=pert)
         return standardized_mode_histogram(mode.vector, bin_edges)
 
+    # built here, so the workers share one stencil rather than race to build
+    # it (functools.cached_property takes no lock from Python 3.12 on)
+    geometry.dirichlet_stencil
     with ThreadPoolExecutor(max_workers=threads) as pool:
         hists = list(pool.map(one, range(n_realizations)))
     avg = np.mean(hists, axis=0)

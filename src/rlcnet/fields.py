@@ -10,7 +10,7 @@ from math import pi
 import numpy as np
 
 from .geometry import GridGeometry
-from .network import element_admittances, lattice_incidence
+from .network import element_admittances
 from .solve import ComplexField
 
 PHYSICAL = "physical"
@@ -94,10 +94,10 @@ def probability_density(field: ComplexField) -> np.ndarray:
 
 
 def _voltage_drops(field: ComplexField):
-    """Incidence over every network site and the drop V_hi - V_lo per link."""
-    geom = field.geometry
-    inc = lattice_incidence(geom, geom.interior | geom.boundary)
-    return inc, inc.matrix @ field.values[inc.index >= 0]
+    """The geometry's stencil and the drop V_hi - V_lo on each of its links,
+    read from the field's values at every network site."""
+    stencil = field.geometry.stencil
+    return stencil, stencil.link_drops(field.values)
 
 
 def link_currents(field: ComplexField,
@@ -112,22 +112,22 @@ def link_currents(field: ComplexField,
     if variant not in (PHYSICAL, OHMIC):
         raise ValueError(f"unknown current variant: {variant!r}")
     geom = field.geometry
-    inc, dv = _voltage_drops(field)
+    stencil, dv = _voltage_drops(field)
     if variant == OHMIC:
         if field.spec.resistance <= 0.0:
             raise ValueError("ohmic currents undefined for R = 0")
         y = 1.0 / field.spec.resistance
     else:
         y, _ = element_admittances(geom, field.spec, field.omega,
-                                   field.perturbation, inc)
+                                   field.perturbation, stencil)
     i_link = dv * y
-    n_x = np.count_nonzero(inc.mask_x)
+    n_x = np.count_nonzero(stencil.mask_x)
     ix = np.zeros(field.values.shape, dtype=complex)
     iy = np.zeros_like(ix)
-    ix[inc.mask_x] = i_link[:n_x]
-    iy[inc.mask_y] = i_link[n_x:]
+    ix[stencil.mask_x] = i_link[:n_x]
+    iy[stencil.mask_y] = i_link[n_x:]
     return CurrentField(geometry=geom, ix=ix, iy=iy,
-                        mask_x=inc.mask_x, mask_y=inc.mask_y)
+                        mask_x=stencil.mask_x, mask_y=stencil.mask_y)
 
 
 def heat_power(currents: CurrentField, resistance: float) -> HeatField:
@@ -150,9 +150,9 @@ def power_balance(field: ComplexField) -> float:
     (si, sj), amplitude = field.source
     p_in = 0.5 * float(np.real(field.values[si, sj] * np.conj(amplitude)))
 
-    inc, dv = _voltage_drops(field)
+    stencil, dv = _voltage_drops(field)
     y_link, y_shunt = element_admittances(geom, field.spec, field.omega,
-                                          field.perturbation, inc)
+                                          field.perturbation, stencil)
     shunted = y_shunt != 0.0   # grounded Dirichlet sites have no shunt
     y = np.concatenate((y_link, y_shunt[shunted]))
     drop = np.concatenate((dv, field.values[shunted]))

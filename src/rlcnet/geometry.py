@@ -4,11 +4,17 @@ Lattice sites live at (x, y) = a0 * (i, j).  A site is *interior* when its
 center falls strictly inside the continuum region; sites outside the region
 that touch an interior site through a lattice link are *boundary* sites and
 carry a boundary-condition tag.
+
+Each geometry builds the symbolic stencil of its lattice links once, on
+first use (`GridGeometry.stencil`); every Kirchhoff operator on it is one
+gather of element admittances into that stencil.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -94,6 +100,141 @@ class GridGeometry:
     @property
     def area(self) -> float:
         return self.n_interior * self.spacing ** 2
+
+    @cached_property
+    def stencil(self) -> "LatticeStencil":
+        """Stencil over the driven network's unknowns: the interior sites,
+        plus the boundary sites under Neumann or mixed walls.  Built on
+        first use and kept with the geometry."""
+        unknown = self.interior
+        if self.bc.kind != DIRICHLET:
+            unknown = unknown | self.boundary
+        return lattice_stencil(self, unknown)
+
+    @cached_property
+    def dirichlet_stencil(self) -> "LatticeStencil":
+        """Stencil over the interior sites with grounded walls, which the
+        eigen pencils use whatever the boundary tag; the same object as
+        `stencil` under Dirichlet walls."""
+        if self.bc.kind == DIRICHLET:
+            return self.stencil
+        return lattice_stencil(self, self.interior)
+
+
+@dataclass(frozen=True)
+class LatticeStencil:
+    """Symbolic Kirchhoff operator of the lattice links over a set of
+    unknown sites.
+
+    Links join (i,j)-(i+1,j) (x links) and (i,j)-(i,j+1) (y links); a link
+    exists when both ends are network sites and at least one end is
+    interior.  Links are numbered x links first, then y links, each in
+    row-major order of the link's lower end.  An end that is not an
+    unknown is grounded (V = 0): `ends` reads n there, and the link still
+    adds its admittance to the other end's diagonal.  `indptr` and
+    `indices` hold the sorted CSC pattern of B^T B + I, B the oriented
+    link incidence over the unknowns; `source` holds the link behind each
+    off-diagonal entry and n_links + u on the diagonal of unknown u.
+    """
+
+    mask_x: np.ndarray    # bool (nx, ny): x link at its lower end exists
+    mask_y: np.ndarray
+    index: np.ndarray     # int32 (nx, ny): unknown number, -1 elsewhere
+    ends: np.ndarray      # int32 (n_links, 2): unknowns at the lower, upper end
+    indptr: np.ndarray    # int32 (n + 1,)
+    indices: np.ndarray   # int32 (nnz,)
+    source: np.ndarray    # int32 (nnz,)
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def n_links(self) -> int:
+        return len(self.ends)
+
+    @property
+    def unknown(self) -> np.ndarray:
+        """bool (nx, ny): the unknown sites."""
+        return self.index >= 0
+
+    @property
+    def four_links(self) -> bool:
+        """True when every unknown has four links, grounded ones counted."""
+        counts = np.bincount(self.ends.ravel(), minlength=self.n + 1)
+        return bool(np.all(counts[:self.n] == 4))
+
+    def assemble(self, y_link, y_shunt) -> sp.csc_matrix:
+        """B^T diag(y_link) B + diag(y_shunt) as a CSC matrix with sorted
+        indices; `y_link` in link order, `y_shunt` over the unknowns or a
+        scalar.
+
+        It sums as the sparse product does, so the two agree bit for bit
+        wherever the product keeps an entry: an off-diagonal entry is 0 - y
+        of its link, and a diagonal entry adds its links' admittances to 0
+        in link order, then its shunt.  Entries that sum to zero stay as
+        explicit zeros; the product drops them.
+        """
+        n = self.n
+
+        def link_sums(y):
+            # bincount adds in input order, so each unknown takes its links
+            # in link order; grounded ends fall into the dropped bin n
+            return np.bincount(self.ends.ravel(), np.repeat(y, 2), n + 1)[:n]
+
+        diag = link_sums(y_link.real)
+        if np.iscomplexobj(y_link):
+            diag = diag.astype(complex)
+            diag.imag = link_sums(y_link.imag)
+        values = np.concatenate((0.0 - y_link, diag + y_shunt))
+        return sp.csc_matrix((values[self.source], self.indices, self.indptr),
+                             shape=(n, n))
+
+    def link_drops(self, values: np.ndarray) -> np.ndarray:
+        """V_hi - V_lo on every link, in link order, with both ends read
+        from the (nx, ny) site values whether they are unknowns or not;
+        summed as the incidence product B @ V does, (0 - V_lo) + V_hi."""
+        drops = []
+        for mask, lo, hi in ((self.mask_x[:-1, :], np.s_[:-1, :], np.s_[1:, :]),
+                             (self.mask_y[:, :-1], np.s_[:, :-1], np.s_[:, 1:])):
+            drops.append((0.0 - values[lo][mask]) + values[hi][mask])
+        return np.concatenate(drops)
+
+
+def lattice_stencil(geometry: GridGeometry, unknown: np.ndarray) -> LatticeStencil:
+    """Stencil of the network links over the sites where `unknown` is True.
+
+    Its arrays are read-only: every matrix assembled on it shares them.
+    """
+    inter = geometry.interior
+    member = inter | geometry.boundary
+    n = int(np.count_nonzero(unknown))
+    index = np.full(inter.shape, -1, dtype=np.int32)
+    index[unknown] = np.arange(n, dtype=np.int32)
+    end_of = np.where(unknown, index, np.int32(n))   # n marks a grounded end
+    masks, ends = [], []
+    for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+        mask = np.zeros_like(inter)
+        mask[lo] = member[lo] & member[hi] & (inter[lo] | inter[hi])
+        masks.append(mask)
+        ends.append(np.stack((end_of[lo][mask[lo]], end_of[hi][mask[lo]]),
+                             axis=1))
+    ends = np.concatenate(ends)
+    # a link between unknowns a and b holds the entries (a, b) and (b, a);
+    # the COO-to-CSC conversion sorts every column
+    inner = np.flatnonzero(np.all(ends < n, axis=1)).astype(np.int32)
+    a, b = ends[inner].T
+    diag = np.arange(n, dtype=np.int32)
+    pattern = sp.csc_matrix(
+        (np.concatenate((inner, inner, len(ends) + diag)),
+         (np.concatenate((a, b, diag)), np.concatenate((b, a, diag)))),
+        shape=(n, n))
+    stencil = LatticeStencil(mask_x=masks[0], mask_y=masks[1], index=index,
+                             ends=ends, indptr=pattern.indptr,
+                             indices=pattern.indices, source=pattern.data)
+    for array in vars(stencil).values():
+        array.flags.writeable = False
+    return stencil
 
 
 def _boundary_from_interior(interior: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from math import cos, factorial, pi, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import DIRICHLET, NEUMANN, MIXED, GridGeometry
+from .geometry import NEUMANN, MIXED, GridGeometry, LatticeStencil
 
 MODEL_I = "I"
 MODEL_II = "II"
@@ -120,64 +120,29 @@ class AdmittanceSystem:
     `hermitian_floor` is a proven lower bound on the smallest eigenvalue of
     the Hermitian part -Re(A), hence on the smallest singular value of A;
     0 where no positive bound is known (R = 0, Neumann or mixed unknowns).
-    `derivatives` holds (dA/domega, d2A/domega2) when they were requested,
-    else ().
+    `derivatives` holds the requested d^k A / domega^k, k = 1, ..., order.
     """
 
     matrix: sp.csc_matrix
-    unknown_sites: np.ndarray   # (n, 2) of (i, j), row-major
-    index: np.ndarray           # (nx, ny) int, -1 where not an unknown
+    stencil: LatticeStencil
     hermitian_floor: float
     derivatives: tuple = ()
 
+    @property
+    def unknown_sites(self) -> np.ndarray:
+        """(n, 2) of (i, j), row-major."""
+        return np.argwhere(self.stencil.unknown)
 
-@dataclass(frozen=True)
-class Incidence:
-    """Oriented incidence B of the lattice links over a set of unknown sites.
-
-    Links join (i,j)-(i+1,j) (x links) and (i,j)-(i,j+1) (y links); a link
-    exists when both ends are network sites and at least one end is
-    interior.  Rows of B are the x links, then the y links, each in
-    row-major order of the link's lower end.  A row holds -1 at the lower
-    end and +1 at the upper end; an end that is not an unknown is grounded
-    (V = 0) and dropped, so B^T diag(y) B still carries its diagonal term.
-    """
-
-    mask_x: np.ndarray       # bool (nx, ny): x link at its lower end exists
-    mask_y: np.ndarray
-    index: np.ndarray        # (nx, ny) int, unknown number or -1
-    matrix: sp.csr_matrix    # (n_links, n_unknowns)
-
-
-def lattice_incidence(geometry: GridGeometry, unknown: np.ndarray) -> Incidence:
-    """Incidence of the network links over the sites where `unknown` is True."""
-    inter = geometry.interior
-    member = inter | geometry.boundary
-    n = np.count_nonzero(unknown)
-    index = -np.ones((geometry.nx, geometry.ny), dtype=np.int64)
-    index[unknown] = np.arange(n)
-    masks, lo_ends, hi_ends = [], [], []
-    for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
-        mask = np.zeros_like(inter)
-        mask[lo] = member[lo] & member[hi] & (inter[lo] | inter[hi])
-        masks.append(mask)
-        lo_ends.append(index[lo][mask[lo]])
-        hi_ends.append(index[hi][mask[lo]])
-    n_links = sum(len(e) for e in lo_ends)
-    rows = np.tile(np.arange(n_links), 2)
-    cols = np.concatenate(lo_ends + hi_ends)
-    vals = np.repeat([-1.0, 1.0], n_links)
-    keep = cols >= 0
-    matrix = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                           shape=(n_links, n))
-    return Incidence(mask_x=masks[0], mask_y=masks[1], index=index,
-                     matrix=matrix)
+    @property
+    def index(self) -> np.ndarray:
+        """(nx, ny) unknown number, -1 where not an unknown."""
+        return self.stencil.index
 
 
 def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
                         omega: float, pert: Perturbation | None,
-                        incidence: Incidence, order: int = 0):
-    """Admittance of every link, in the incidence's row order, and of every
+                        stencil: LatticeStencil, order: int = 0):
+    """Admittance of every link, in the stencil's link order, and of every
     site's shunt as an (nx, ny) array; with `order` k > 0, their k-th
     derivatives with respect to omega.
 
@@ -203,11 +168,11 @@ def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
         else (capacitor, inductor)
     if pert is None:
         site_mult = np.ones(geometry.interior.shape)
-        link_mult = np.ones(incidence.matrix.shape[0])
+        link_mult = np.ones(stencil.n_links)
     else:
         site_mult = pert.site
-        link_mult = np.concatenate((pert.link_x[incidence.mask_x],
-                                    pert.link_y[incidence.mask_y]))
+        link_mult = np.concatenate((pert.link_x[stencil.mask_x],
+                                    pert.link_y[stencil.mask_y]))
     y_shunt = np.where(geometry.interior, shunt(site_mult), 0.0)
     bc = geometry.bc
     if bc.kind == NEUMANN:
@@ -220,31 +185,31 @@ def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
 
 def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
                         pert: Perturbation | None = None,
-                        derivatives: bool = False) -> AdmittanceSystem:
+                        order: int = 0) -> AdmittanceSystem:
     """Build the Kirchhoff current-law matrix at frequency omega.
 
     For Dirichlet boundaries the unknowns are the interior sites only;
     Neumann/mixed boundary sites enter as extra unknowns shunted through
     the tagged element.  The matrix is
-    A = -(B^T diag(y_link) B + diag(y_shunt)) with B the lattice incidence.
-    With `derivatives`, the same B also gives dA/domega and d2A/domega2
-    from the element admittances' derivatives.
+    A = -(B^T diag(y_link) B + diag(y_shunt)) with B the lattice incidence,
+    gathered into the geometry's stencil.  With `order` k in (1, 2) the
+    same stencil also gives dA/domega, ..., d^k A/domega^k from the element
+    admittances' derivatives.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    unknown = geometry.interior
-    if geometry.bc.kind != DIRICHLET:
-        unknown = unknown | geometry.boundary
-    inc = lattice_incidence(geometry, unknown)
-    B = inc.matrix
+    if order not in (0, 1, 2):
+        raise ValueError(f"derivative order must be 0, 1 or 2, not {order!r}")
+    stencil = geometry.stencil
+    unknown = stencil.unknown
 
     def kirchhoff(y_link, y_shunt):
-        matrix = -(B.T @ sp.diags(y_link) @ B
-                   + sp.diags(y_shunt[unknown])).tocsc()
-        matrix.sort_indices()   # the sparse product leaves them unsorted
+        matrix = stencil.assemble(y_link, y_shunt[unknown])
+        # negating the sum, not the admittances, keeps the signed zeros
+        np.negative(matrix.data, out=matrix.data)
         return matrix
 
-    y_link, y_shunt = element_admittances(geometry, spec, omega, pert, inc)
+    y_link, y_shunt = element_admittances(geometry, spec, omega, pert, stencil)
     matrix = kirchhoff(y_link, y_shunt)
     # -Re(A) = B^T diag(Re y_link) B + diag(Re y_shunt) with Re y >= 0.  When
     # every unknown has four links (in practice with Dirichlet unknowns: a
@@ -253,17 +218,13 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     # Dirichlet Laplacian of the (nx-2)-by-(ny-2) block inside the rim, so
     # by Cauchy interlacing its eigenvalues are at least that block's lowest
     floor = 0.0
-    if np.all(np.bincount(B.indices, minlength=B.shape[1]) == 4):
+    if stencil.four_links:
         lam_rect = 4.0 - 2.0 * cos(pi / (geometry.nx - 1)) \
             - 2.0 * cos(pi / (geometry.ny - 1))
         floor = float(lam_rect * y_link.real.min()
                       + y_shunt[unknown].real.min())
-    d_matrices = ()
-    if derivatives:
-        d_matrices = tuple(
-            kirchhoff(*element_admittances(geometry, spec, omega, pert, inc,
-                                           order))
-            for order in (1, 2))
-    return AdmittanceSystem(matrix=matrix, unknown_sites=np.argwhere(unknown),
-                            index=inc.index, hermitian_floor=floor,
-                            derivatives=d_matrices)
+    d_matrices = tuple(
+        kirchhoff(*element_admittances(geometry, spec, omega, pert, stencil, k))
+        for k in range(1, order + 1))
+    return AdmittanceSystem(matrix=matrix, stencil=stencil,
+                            hermitian_floor=floor, derivatives=d_matrices)

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import GridGeometry
 from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
-                      element_admittances, lattice_incidence)
+                      element_admittances)
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
@@ -124,14 +124,14 @@ def quality_factor(spec: CircuitSpec) -> float:
     return sqrt(spec.inductance / spec.capacitance) / spec.resistance
 
 
-def dirichlet_laplacian(geometry: GridGeometry) -> sp.csr_matrix:
+def dirichlet_laplacian(geometry: GridGeometry) -> sp.csc_matrix:
     """5-point discrete Laplacian B^T B over interior sites, Dirichlet boundary.
 
     Diagonal 4, off-diagonal -1 for interior neighbors; boundary neighbors
     contribute V = 0.
     """
-    B = lattice_incidence(geometry, geometry.interior).matrix
-    return (B.T @ B).tocsr()
+    stencil = geometry.dirichlet_stencil
+    return stencil.assemble(np.ones(stencil.n_links), 0.0)
 
 
 def _omega_from_lam(spec: CircuitSpec, lam: float) -> float:
@@ -163,14 +163,15 @@ def _factor(A):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _eigsh_near(K, k: int, sigma: float, M=None):
+def _eigsh_near(K, shifted, k: int, sigma: float, M=None):
     """k eigenpairs of K v = lam M v (M = I by default) nearest sigma.
 
-    Shift-invert Lanczos on one `_factor` of K - sigma M, started from
-    ones(n) so the result does not depend on ARPACK's random start.
+    Shift-invert Lanczos on one `_factor` of `shifted` = K - sigma M,
+    started from ones(n) so the result does not depend on ARPACK's random
+    start.
     """
     n = K.shape[0]
-    lu = _factor(K - sigma * (sp.identity(n) if M is None else M))
+    lu = _factor(shifted)
     op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=K.dtype)
     return spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM", OPinv=op_inv,
                       v0=np.ones(n))
@@ -195,7 +196,7 @@ def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
         raise ValueError(f"n_modes must be in [1, {n}]")
     lap = dirichlet_laplacian(geometry)
     if 10 * n_modes <= n:
-        lam, vec = _eigsh_near(lap, n_modes, 0.0)
+        lam, vec = _eigsh_near(lap, lap, n_modes, 0.0)
         order = np.argsort(lam)
         lam, vec = lam[order], vec[:, order]
     else:
@@ -213,26 +214,29 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
     Supports component-tolerance realizations through the pencil K v =
     lam M v with lam = a0^2 k^2: K = B^T diag|y_link| B and M = diag|y_shunt|
     at omega0 and R = 0, where every modulus shares the factor sqrt(C/L) in
-    either model.  One `_factor` of the real shift K - sigma M, sigma the
-    target's lam, drives shift-invert Lanczos (`_eigsh_near`) from ones(n);
-    in an exactly degenerate eigenspace the vector is the Ritz vector that
+    either model.  K and the real shift K - sigma M, sigma the target's
+    lam, are gathered into the geometry's interior stencil; one `_factor`
+    of the shift drives shift-invert Lanczos (`_eigsh_near`) from ones(n).
+    In an exactly degenerate eigenspace the vector is the Ritz vector that
     start gives.
     """
     if omega_target <= 0.0:
         raise ValueError("omega_target must be positive")
-    inter = geometry.interior
-    inc = lattice_incidence(geometry, inter)
+    stencil = geometry.dirichlet_stencil
     lossless = replace(spec, resistance=0.0)
     y_link, y_shunt = element_admittances(geometry, lossless, spec.omega0,
-                                          pert, inc)
-    K = (inc.matrix.T @ sp.diags(np.abs(y_link)) @ inc.matrix).tocsc()
-    M = sp.diags(np.abs(y_shunt[inter]), format="csc")
-    lam, vec = _eigsh_near(K, 1, dispersion(lossless, omega_target).real, M)
+                                          pert, stencil)
+    k_link = np.abs(y_link)
+    m = np.abs(y_shunt[stencil.unknown])
+    sigma = dispersion(lossless, omega_target).real
+    K = stencil.assemble(k_link, 0.0)
+    shifted = stencil.assemble(k_link, -sigma * m)
+    lam, vec = _eigsh_near(K, shifted, 1, sigma, sp.diags(m, format="csc"))
     return _mode(geometry, spec, -1, lam[0], vec[:, 0])
 
 
 def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                  pert: Perturbation | None = None, derivatives: bool = False):
+                  pert: Perturbation | None = None, order: int = 0):
     """Factor the driven network at frequency omega once; returns
     solve(source) -> ComplexField for a ((i, j), complex amplitude) current
     injection, refined until the relative residual is below RESIDUAL_TOL.
@@ -247,14 +251,16 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     ||A^-1||_1.  Raises SingularSystemError when the factorization, the
     check or the residual contract fails (lossless drive on resonance).
 
-    With `derivatives`, solve returns the fields (V, dV/domega,
-    d2V/domega2), the last two from the same factorization as
-    dV = -A^-1 A' V and d2V = -A^-1 (A'' V + 2 A' dV); each is refined
-    and checked against the residual contract as V is.
+    With derivative `order` 1 or 2, solve returns the fields (V,
+    dV/domega) or (V, dV/domega, d2V/domega2), the derivatives from the
+    same factorization as dV = -A^-1 A' V and d2V = -A^-1 (A'' V + 2 A'
+    dV), and the assembly builds only the A' and A'' they need; each is
+    refined and checked against the residual contract as V is.
     """
     system = assemble_admittance(geometry, spec, omega, pert=pert,
-                                 derivatives=derivatives)
+                                 order=order)
     A = system.matrix
+    unknown = system.stencil.unknown
     n = A.shape[0]
     try:
         lu = _factor(A)
@@ -289,14 +295,15 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
         """A^-1 b, refined on the factorization to the residual contract."""
         bnorm = np.linalg.norm(b)
         x = lu.solve(b)
+        r = b - A @ x
+        rnorm = np.linalg.norm(r)
         for _ in range(5):
-            r = b - A @ x
-            if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
+            if rnorm <= RESIDUAL_TOL * bnorm:
                 break
             x = x + lu.solve(r)
-        r = b - A @ x
-        if not np.all(np.isfinite(x)) \
-                or np.linalg.norm(r) > RESIDUAL_TOL * bnorm:
+            r = b - A @ x
+            rnorm = np.linalg.norm(r)
+        if not np.all(np.isfinite(x)) or rnorm > RESIDUAL_TOL * bnorm:
             raise SingularSystemError(
                 "system too ill-conditioned for the residual contract "
                 "(lossless drive on resonance?)")
@@ -309,34 +316,36 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
         b = np.zeros(n, dtype=complex)
         b[system.index[si, sj]] = -amplitude
         xs = [refined(b)]
-        if derivatives:
-            d1, d2 = system.derivatives
+        if order >= 1:
+            d1 = system.derivatives[0]
             xs.append(refined(-(d1 @ xs[0])))
+        if order == 2:
+            d2 = system.derivatives[1]
             xs.append(refined(-(d2 @ xs[0] + 2.0 * (d1 @ xs[1]))))
         fields = []
         for x in xs:
             values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
-            values[tuple(system.unknown_sites.T)] = x
+            values[unknown] = x
             fields.append(ComplexField(geometry=geometry, values=values,
                                        omega=omega, spec=spec, source=source,
                                        perturbation=pert))
-        return tuple(fields) if derivatives else fields[0]
+        return tuple(fields) if order else fields[0]
 
     return solve
 
 
 def driven_response(geometry: GridGeometry, spec: CircuitSpec, omega: float,
                     source, pert: Perturbation | None = None,
-                    derivatives: bool = False):
+                    order: int = 0):
     """Exact driven solution for one source:
-    driven_solver(..., derivatives)(source)."""
-    return driven_solver(geometry, spec, omega, pert, derivatives)(source)
+    driven_solver(..., order)(source)."""
+    return driven_solver(geometry, spec, omega, pert, order)(source)
 
 
 def _newton_peak(response, omegas, f, slopes, tol: float):
     """Maximum of f = |V|^2 inside the grid bracket (omegas[0], omegas[2]).
 
-    `response(omega)` returns (f, f', f''); `f` and `slopes` hold the
+    `response(omega, 2)` returns (f, f', f''); `f` and `slopes` hold the
     grid's f and f'.  Newton runs on h' = 0 for h = 1/f: h' = -f'/f^2 has
     the roots of f' (f > 0), and it is linear in omega across a Lorentzian
     peak, where f' is not (f is concave only within 0.58 half-widths of
@@ -357,7 +366,7 @@ def _newton_peak(response, omegas, f, slopes, tol: float):
     else:
         w = 0.5 * (lo + hi)
     while True:
-        fw, df, d2f = response(w)
+        fw, df, d2f = response(w, 2)
         if df > 0.0:
             lo = w
         else:
@@ -382,9 +391,9 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     two-step bracket by safeguarded Newton on the roots of f'
     (`_newton_peak`), until a step is below half of rel_tol * omega.  Each
     evaluation is one `driven_response` call: one factorization, which
-    also gives dV/domega and d2V/domega2.  Returns a list of (omega_peak,
-    response_norm_sq) in ascending omega, the value being |V|^2 computed
-    at omega_peak.
+    also gives dV/domega, and d2V/domega2 for a Newton step only.  Returns
+    a list of (omega_peak, response_norm_sq) in ascending omega, the value
+    being |V|^2 computed at omega_peak.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi):
@@ -396,15 +405,18 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     if source is None:
         raise ValueError("resonance sweep requires an interior source")
 
-    def response(omega):
-        v, dv, d2v = (field.interior_values for field in driven_response(
-            geometry, spec, omega, source, pert=pert, derivatives=True))
-        return (float(np.real(np.vdot(v, v))),
-                2.0 * float(np.real(np.vdot(v, dv))),
-                2.0 * float(np.real(np.vdot(dv, dv) + np.vdot(v, d2v))))
+    def response(omega, order):
+        """(f, f') for order 1, (f, f', f'') for order 2."""
+        v, dv, *d2v = (field.interior_values for field in driven_response(
+            geometry, spec, omega, source, pert=pert, order=order))
+        out = (float(np.real(np.vdot(v, v))),
+               2.0 * float(np.real(np.vdot(v, dv))))
+        if d2v:
+            out += (2.0 * float(np.real(np.vdot(dv, dv) + np.vdot(v, d2v[0]))),)
+        return out
 
     omegas = np.linspace(lo, hi, n_points)
-    f, slopes, _ = np.array([response(w) for w in omegas]).T
+    f, slopes = np.array([response(w, 1) for w in omegas]).T
     # a step of half rel_tol * omega keeps the bracket-width meaning of
     # rel_tol at the peak
     return [_newton_peak(response, omegas[k - 1:k + 2], f[k - 1:k + 2],

@@ -1,4 +1,8 @@
+import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import rlcnet.geometry
 
 _ACCEPTANCE_LINES = []
 
@@ -14,3 +18,74 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(_ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def _incidence(geometry, unknown):
+    """Oriented incidence B of the network links over the sites where
+    `unknown` is True, built as a sparse matrix from the site masks.
+
+    Rows are the x links (i,j)-(i+1,j), then the y links (i,j)-(i,j+1),
+    each in row-major order of the lower end; a link joins two network
+    sites, at least one interior.  A row holds -1 at the lower end and +1
+    at the upper end; an end that is not an unknown is grounded and
+    dropped.
+    """
+    inter = geometry.interior
+    member = inter | geometry.boundary
+    index = -np.ones(inter.shape, dtype=np.int64)
+    index[unknown] = np.arange(np.count_nonzero(unknown))
+    lo_ends, hi_ends = [], []
+    for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+        link = member[lo] & member[hi] & (inter[lo] | inter[hi])
+        lo_ends.append(index[lo][link])
+        hi_ends.append(index[hi][link])
+    n_links = sum(len(e) for e in lo_ends)
+    rows = np.tile(np.arange(n_links), 2)
+    cols = np.concatenate(lo_ends + hi_ends)
+    vals = np.repeat([-1.0, 1.0], n_links)
+    keep = cols >= 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(n_links, np.count_nonzero(unknown)))
+
+
+def _bits_equal(got, want):
+    """True when two sparse matrices hold the same bits: entry by entry on
+    one pattern, or as dense arrays where `want` (a sparse product, which
+    drops entries that sum to zero) lacks explicit zeros that `got` keeps."""
+    got, want = sp.csc_matrix(got), sp.csc_matrix(want)
+    want.sort_indices()
+    if np.array_equal(got.indptr, want.indptr) \
+            and np.array_equal(got.indices, want.indices):
+        return np.array_equal(got.data.view(np.uint64),
+                              want.data.view(np.uint64))
+
+    def dense_bits(m):
+        return np.ascontiguousarray(m.toarray()).view(np.uint64)
+
+    return np.array_equal(dense_bits(got), dense_bits(want))
+
+
+@pytest.fixture(scope="session")
+def incidence():
+    """Builder of the reference incidence B(geometry, unknown)."""
+    return _incidence
+
+
+@pytest.fixture(scope="session")
+def bits_equal():
+    """Bitwise comparison of a gathered operator with its sparse product."""
+    return _bits_equal
+
+
+@pytest.fixture
+def stencil_builds(monkeypatch):
+    """List that records the geometry of every lattice stencil build."""
+    builds = []
+    build = rlcnet.geometry.lattice_stencil
+
+    def counted(geometry, unknown):
+        builds.append(geometry)
+        return build(geometry, unknown)
+
+    monkeypatch.setattr(rlcnet.geometry, "lattice_stencil", counted)
+    return builds

@@ -10,6 +10,7 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import integrate
 
 from rlcnet.experiments import ExperimentConfig, driven_statistics, run, \
@@ -244,7 +245,9 @@ def state_anisotropies(geometry, spec, omega, n_states):
     identical copies of the state, so r_real is the state's own r.
     """
     lam0 = dispersion(spec, omega).real
-    lam, vec = _eigsh_near(dirichlet_laplacian(geometry), n_states, lam0)
+    lap = dirichlet_laplacian(geometry)
+    lam, vec = _eigsh_near(lap, lap - lam0 * sp.identity(lap.shape[0]),
+                           n_states, lam0)
     r = []
     for k in np.argsort(np.abs(lam - lam0)):
         values = np.zeros((geometry.nx, geometry.ny), dtype=complex)

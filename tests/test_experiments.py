@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import pi
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rlcnet.geometry
 from rlcnet.cli import main
 from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
                                 ensemble_average, ks_binned_vs_normal,
@@ -130,6 +132,23 @@ def test_ensemble_single_realization_identity():
         eigenmode_nearest(g, spec, target).vector, edges)
     assert np.allclose(avg, single)
     assert ks >= 0.0
+
+
+def test_ensemble_workers_share_one_stencil(monkeypatch, stencil_builds):
+    # a build slow enough for both workers to find the stencil missing,
+    # as they would from Python 3.12, whose cached_property takes no lock
+    build = rlcnet.geometry.lattice_stencil
+
+    def slow(*args):
+        time.sleep(0.2)
+        return build(*args)
+
+    monkeypatch.setattr(rlcnet.geometry, "lattice_stencil", slow)
+    g = rasterize_rectangle(40, 40, 0.025)
+    spec = CircuitSpec("I", L, C, 0.0)
+    edges = np.linspace(-5, 5, 51)
+    ensemble_average(g, spec, 1.0e6, 0.03, 6, 1, edges, threads=2)
+    assert stencil_builds == [g]
 
 
 def test_run_spectrum_unit_square(tmp_path):
@@ -338,6 +357,17 @@ def test_cli_stats_end_to_end(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["power_balance_residual"] < 1e-8
     assert man["heat_sample_size"] == 3531
+
+
+def test_stats_run_builds_one_stencil(tmp_path, stencil_builds):
+    # the assembly, both current fields and the power audit share it
+    cfg = write_cfg(tmp_path, {
+        "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
+        "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6,
+    })
+    assert main(["stats", "--config", cfg, "--out",
+                 str(tmp_path / "stats")]) == 0
+    assert len(stencil_builds) == 1
 
 
 def test_cli_streamlines_seed_ring(tmp_path, capsys):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from rlcnet.geometry import BCKind, rasterize_rectangle, tag_boundary
-from rlcnet.network import (CircuitSpec, assemble_admittance, ground_impedance,
+from rlcnet.geometry import (BCKind, GridGeometry, rasterize_rectangle,
+                             tag_boundary)
+from rlcnet.network import (CircuitSpec, assemble_admittance,
+                            element_admittances, ground_impedance,
                             link_impedance, sample_perturbation)
 
 L, C = 1e-4, 1e-9
@@ -186,11 +189,57 @@ def test_derivative_matrices_match_finite_differences(model, bc):
     def a(w):
         return assemble_admittance(g, spec, w, pert=pert).matrix.toarray()
 
-    system = assemble_admittance(g, spec, omega, pert=pert, derivatives=True)
+    system = assemble_admittance(g, spec, omega, pert=pert, order=2)
     assert np.array_equal(system.matrix.toarray(), a(omega))
     d1, d2 = (m.toarray() for m in system.derivatives)
     fd1 = (a(omega + h) - a(omega - h)) / (2.0 * h)
     fd2 = (a(omega + h) - 2.0 * a(omega) + a(omega - h)) / h ** 2
     assert np.max(np.abs(fd1 - d1)) < 1e-5 * np.max(np.abs(d1))
     assert np.max(np.abs(fd2 - d2)) < 1e-5 * np.max(np.abs(d2))
+    # only the derivatives asked for are assembled
     assert assemble_admittance(g, spec, omega).derivatives == ()
+    first = assemble_admittance(g, spec, omega, pert=pert, order=1)
+    assert len(first.derivatives) == 1
+    assert np.array_equal(first.derivatives[0].toarray(), d1)
+    with pytest.raises(ValueError):
+        assemble_admittance(g, spec, omega, order=3)
+
+
+def _walled(walls):
+    """7x5 rectangle under the named walls, or the 6x6 lattice whose every
+    site is interior, its rim included (rim sites have fewer links)."""
+    if walls == "rim":
+        return GridGeometry(spacing=1.0, nx=6, ny=6,
+                            interior=np.ones((6, 6), bool),
+                            boundary=np.zeros((6, 6), bool), bc=BCKind())
+    g = rasterize_rectangle(7, 5, 0.1)
+    if walls == "neumann":
+        return tag_boundary(g, BCKind("neumann"))
+    if walls == "mixed":
+        return tag_boundary(g, BCKind("mixed", 0.5, 1e-4))
+    return g
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.03])
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed", "rim"])
+def test_stencil_assembly_bitwise_equals_incidence_product(
+        walls, model, tau, incidence, bits_equal):
+    # A, A' and A'' gathered into the stencil hold the bits of the sparse
+    # product -(B^T diag(y_link) B + diag(y_shunt)), lossless and lossy
+    g = _walled(walls)
+    unknown = g.interior if walls in ("dirichlet", "rim") \
+        else g.interior | g.boundary
+    B = incidence(g, unknown)
+    pert = sample_perturbation(g, tau, 6)
+    for resistance in (0.0, 0.7):
+        spec = CircuitSpec(model, L, C, resistance)
+        system = assemble_admittance(g, spec, 1.3e6, pert=pert, order=2)
+        assert np.array_equal(system.unknown_sites, np.argwhere(unknown))
+        for k, got in enumerate((system.matrix, *system.derivatives)):
+            y_link, y_shunt = element_admittances(g, spec, 1.3e6, pert,
+                                                  g.stencil, k)
+            want = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt[unknown]))
+            assert bits_equal(got, want), (resistance, k)
+    # the Hermitian floor needs four links at every unknown
+    assert g.stencil.four_links == (walls == "dirichlet")

@@ -11,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rlcnet.geometry import (BCKind, rasterize_quarter_stadium,
+from rlcnet import solve
+from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
                              rasterize_rectangle, tag_boundary)
 from rlcnet.network import (CircuitSpec, assemble_admittance,
                             element_admittances, ground_impedance,
-                            lattice_incidence, link_impedance,
-                            sample_perturbation)
+                            link_impedance, sample_perturbation)
 from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
                           dispersion, dirichlet_laplacian, driven_response,
                           driven_solver, eigenmode_nearest, eigenmodes_lossless,
@@ -182,15 +183,15 @@ def test_one_factorization_per_sparse_eigen_call(monkeypatch):
     assert all(lu.solves > 1 for lu in calls)
 
 
-def test_eigenmode_nearest_solves_the_pencil():
+def test_eigenmode_nearest_solves_the_pencil(incidence):
     # dense generalized eigensolve of the tau = 0.03 pencil built from the
     # documented K = B^T diag|y_link| B, M = diag|y_shunt| (lossless, omega0)
     g = rasterize_rectangle(10, 7, 0.05)
     spec = CircuitSpec("I", L, C, 0.0)
     pert = sample_perturbation(g, 0.03, 8)
-    inc = lattice_incidence(g, g.interior)
-    y_link, y_shunt = element_admittances(g, spec, spec.omega0, pert, inc)
-    B = inc.matrix.toarray()
+    y_link, y_shunt = element_admittances(g, spec, spec.omega0, pert,
+                                          g.stencil)
+    B = incidence(g, g.interior).toarray()
     K = B.T @ np.diag(np.abs(y_link)) @ B
     M = np.diag(np.abs(y_shunt[g.interior]))
     lams, vecs = scipy.linalg.eigh(K, M)
@@ -204,6 +205,44 @@ def test_eigenmode_nearest_solves_the_pencil():
     v, w = mode.vector, vecs[:, j]
     overlap = abs(v @ M @ w) / sqrt((v @ M @ v) * (w @ M @ w))
     assert overlap > 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.03])
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "rim"])
+def test_eigen_operators_bitwise_equal_incidence_product(
+        walls, model, tau, monkeypatch, incidence, bits_equal):
+    # the Laplacian, and the K and K - sigma M that eigenmode_nearest
+    # gathers into the interior stencil, against the sparse products; the
+    # eigen path spans the interior sites under any wall tag
+    if walls == "rim":
+        g = GridGeometry(spacing=0.05, nx=6, ny=6,
+                         interior=np.ones((6, 6), bool),
+                         boundary=np.zeros((6, 6), bool), bc=BCKind())
+    else:
+        g = rasterize_rectangle(10, 7, 0.05)
+        if walls == "neumann":
+            g = tag_boundary(g, BCKind("neumann"))
+    B = incidence(g, g.interior)
+    assert bits_equal(dirichlet_laplacian(g), B.T @ B)
+    spec = CircuitSpec(model, L, C, 0.0)
+    pert = sample_perturbation(g, tau, 8)
+    seen = {}
+    eigsh_near = solve._eigsh_near
+
+    def spy(K, shifted, k, sigma, M=None):
+        seen.update(K=K, shifted=shifted, sigma=sigma, M=M)
+        return eigsh_near(K, shifted, k, sigma, M)
+
+    monkeypatch.setattr(solve, "_eigsh_near", spy)
+    eigenmode_nearest(g, spec, 1.0e6, pert=pert)
+    y_link, y_shunt = element_admittances(g, spec, spec.omega0, pert,
+                                          g.dirichlet_stencil)
+    K = B.T @ sp.diags(np.abs(y_link)) @ B
+    M = sp.diags(np.abs(y_shunt[g.interior]), format="csc")
+    assert bits_equal(seen["K"], K)
+    assert bits_equal(seen["M"], M)
+    assert bits_equal(seen["shifted"], K - seen["sigma"] * M)
 
 
 def test_eigenmodes_bad_count():
@@ -415,8 +454,7 @@ def test_driven_derivatives_match_finite_differences(model):
     def v(w):
         return driven_response(g, spec, w, source, pert=pert).values
 
-    fields = driven_response(g, spec, omega, source, pert=pert,
-                             derivatives=True)
+    fields = driven_response(g, spec, omega, source, pert=pert, order=2)
     assert len(fields) == 3
     assert np.array_equal(fields[0].values, v(omega))
     fd1 = (v(omega + h) - v(omega - h)) / (2.0 * h)
@@ -424,12 +462,17 @@ def test_driven_derivatives_match_finite_differences(model):
     for got, fd in ((fields[1].values, fd1), (fields[2].values, fd2)):
         assert np.max(np.abs(got - fd)) < 1e-5 * np.max(np.abs(got))
     # each derivative meets the residual contract on its own right side
-    system = assemble_admittance(g, spec, omega, pert=pert, derivatives=True)
+    system = assemble_admittance(g, spec, omega, pert=pert, order=2)
     a, d1, d2 = system.matrix, *system.derivatives
     x, dx, d2x = (f.values[tuple(system.unknown_sites.T)] for f in fields)
     for lhs, rhs in ((a @ dx, -(d1 @ x)),
                      (a @ d2x, -(d2 @ x + 2.0 * (d1 @ dx)))):
         assert np.linalg.norm(lhs - rhs) <= RESIDUAL_TOL * np.linalg.norm(rhs)
+    # order 1 stops at dV, with the bits of the order 2 fields
+    first = driven_response(g, spec, omega, source, pert=pert, order=1)
+    assert len(first) == 2
+    for got, want in zip(first, fields):
+        assert np.array_equal(got.values, want.values)
 
 
 def _sweep_case():
@@ -481,6 +524,23 @@ def test_resonance_sweep_solve_budget(monkeypatch):
     # 1.5 evaluations per peak measured: Newton on 1/f is exact across a
     # Lorentzian, so its first step from the grid lands within tolerance
     assert calls <= 220 + 2 * len(peaks)
+
+
+def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
+    orders = []
+
+    def counted(*args, **kwargs):
+        orders.append(kwargs["order"])
+        return driven_response(*args, **kwargs)
+
+    monkeypatch.setattr("rlcnet.solve.driven_response", counted)
+    g, spec, _, band = _sweep_case()
+    peaks = resonance_sweep(g, spec, band, 9, ((2, 2), 1.0))
+    assert peaks
+    # the grid asks for dV only; each Newton step also for d2V
+    assert orders[:9] == [1] * 9
+    assert len(orders) > 9 and set(orders[9:]) == {2}
+    assert stencil_builds == [g]
 
 
 def test_resonance_sweep_preconditions():
