@@ -374,6 +374,8 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
     if cfg.experiment == "spectrum" \
             and not 1 <= cfg.n_modes <= geometry.n_interior:
         raise ConfigError(f"n_modes: must be in [1, {geometry.n_interior}]")
+    if cfg.experiment == "ensemble" and geometry.n_interior < 2:
+        raise ConfigError("nx_interior/ny_interior: an ensemble needs 2 sites")
     # the topmost directory this run creates, which a failed run removes;
     # a directory that already existed stays
     created = None

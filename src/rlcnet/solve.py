@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import GridGeometry
 from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
-                      element_admittances)
+                      element_admittances, ground_impedance, link_impedance)
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
@@ -56,8 +56,9 @@ _pin_bundled_openblas()
 
 
 class SingularSystemError(RuntimeError):
-    """Driven system is singular or too ill-conditioned to meet the
-    residual contract (e.g. a lossless drive exactly on resonance)."""
+    """A sparse system is singular or too ill-conditioned to meet the
+    residual contract (e.g. a lossless drive exactly on resonance, or an
+    eigen shift exactly on an eigenvalue)."""
 
 
 @dataclass
@@ -149,32 +150,62 @@ def _mode(geometry: GridGeometry, spec: CircuitSpec, index: int, lam,
                 vector=vector / np.linalg.norm(vector))
 
 
-def _factor(A):
-    """SuperLU factorization of a square sparse A with a symmetric pattern.
+class Factorization:
+    """One SuperLU factorization of a square sparse A with a symmetric pattern.
 
     A minimum-degree ordering of A^T + A with diagonal pivots keeps the
     symmetric structure, which halves the fill of COLAMD with partial
     pivoting on these lattice operators.  Every sparse solve in the
     package factors here, on the one BLAS thread that the import set
     (`_pin_bundled_openblas`), so the factors do not depend on the core
-    count.
+    count, and a SuperLU failure (an exactly singular A) raises
+    SingularSystemError on every path.  `inverse` is A^-1 as one
+    LinearOperator whose adjoint is A^-H; `solve(b)` is A^-1 b refined to
+    the residual contract.
     """
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def __init__(self, A):
+        self.matrix = A
+        try:
+            self.lu = lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0,
+                                     options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SingularSystemError(f"factorization failed: {exc}") from exc
+        self.inverse = spla.LinearOperator(
+            A.shape, matvec=lu.solve,
+            rmatvec=lambda v: lu.solve(v, trans="H"), dtype=A.dtype)
+
+    def solve(self, b):
+        """A^-1 b, refined on the factorization until the relative residual
+        is below RESIDUAL_TOL, in at most 5 correction steps; raises
+        SingularSystemError when it is not."""
+        bnorm = np.linalg.norm(b)
+        x = self.lu.solve(b)
+        # each residual is computed once; the last pass only measures the
+        # residual of the fifth correction for the final check
+        for step in range(6):
+            r = b - self.matrix @ x
+            rnorm = np.linalg.norm(r)
+            if rnorm <= RESIDUAL_TOL * bnorm or step == 5:
+                break
+            x = x + self.lu.solve(r)
+        if not np.all(np.isfinite(x)) or rnorm > RESIDUAL_TOL * bnorm:
+            raise SingularSystemError(
+                "system too ill-conditioned for the residual contract")
+        return x
 
 
 def _eigsh_near(K, shifted, k: int, sigma: float, M=None):
     """k eigenpairs of K v = lam M v (M = I by default) nearest sigma.
 
-    Shift-invert Lanczos on one `_factor` of `shifted` = K - sigma M,
+    Shift-invert Lanczos on one `Factorization` of `shifted` = K - sigma M,
     started from ones(n) so the result does not depend on ARPACK's random
     start.
     """
-    n = K.shape[0]
-    lu = _factor(shifted)
-    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=K.dtype)
-    return spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM", OPinv=op_inv,
-                      v0=np.ones(n))
+    return spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
+                      OPinv=Factorization(shifted).inverse,
+                      v0=np.ones(K.shape[0]))
 
 
 def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
@@ -215,13 +246,17 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
     lam M v with lam = a0^2 k^2: K = B^T diag|y_link| B and M = diag|y_shunt|
     at omega0 and R = 0, where every modulus shares the factor sqrt(C/L) in
     either model.  K and the real shift K - sigma M, sigma the target's
-    lam, are gathered into the geometry's interior stencil; one `_factor`
-    of the shift drives shift-invert Lanczos (`_eigsh_near`) from ones(n).
-    In an exactly degenerate eigenspace the vector is the Ritz vector that
-    start gives.
+    lam, are gathered into the geometry's interior stencil; one
+    `Factorization` of the shift drives shift-invert Lanczos (`_eigsh_near`)
+    from ones(n).  In an exactly degenerate eigenspace the vector is the
+    Ritz vector that start gives.  Needs at least 2 unknowns (ARPACK asks
+    for k < n); raises SingularSystemError when the shift is exactly an
+    eigenvalue.
     """
     if omega_target <= 0.0:
         raise ValueError("omega_target must be positive")
+    if geometry.n_interior < 2:
+        raise ValueError("eigenmode_nearest needs at least 2 unknowns")
     stencil = geometry.dirichlet_stencil
     lossless = replace(spec, resistance=0.0)
     y_link, y_shunt = element_admittances(geometry, lossless, spec.omega0,
@@ -241,8 +276,8 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     solve(source) -> ComplexField for a ((i, j), complex amplitude) current
     injection, refined until the relative residual is below RESIDUAL_TOL.
 
-    A is complex symmetric, so SuperLU factors it in a minimum-degree
-    ordering of A^T + A with diagonal pivots.  The system is rejected when
+    A is complex symmetric; one `Factorization` holds it, and its
+    `solve` refines every right-hand side.  The system is rejected when
     its 1-norm condition number may exceed COND_LIMIT.  Where the assembly
     proves sigma_min(A) >= hermitian_floor > 0 (Dirichlet unknowns, R > 0)
     the check is the bound sqrt(n) ||A||_1 / hermitian_floor, which needs
@@ -260,30 +295,24 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     system = assemble_admittance(geometry, spec, omega, pert=pert,
                                  order=order)
     A = system.matrix
-    unknown = system.stencil.unknown
     n = A.shape[0]
-    try:
-        lu = _factor(A)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"factorization failed: {exc}") from exc
+    factor = Factorization(A)
     # reject numerically singular systems that still factorize (an exact
     # lossless resonance).  sigma_min(A) >= hermitian_floor gives
     # ||A^-1||_1 <= sqrt(n) / hermitian_floor with no solve; without such a
-    # bound below COND_LIMIT, ||A^-1||_1 is estimated on the factorization
-    norm_a = spla.norm(A, 1)
+    # bound below COND_LIMIT, ||A^-1||_1 is estimated on the factorization.
+    # ||A||_1 is the largest column sum of |A|; the transpose of CSC |A| is
+    # a CSR view, so its row sums need no format conversion
+    norm_a = (abs(A).T @ np.ones(n)).max()
     cond = np.inf
     if system.hermitian_floor > 0.0:
         cond = sqrt(n) * norm_a / system.hermitian_floor
     if cond > COND_LIMIT:
         if n >= 2:
-            inv_op = spla.LinearOperator(
-                (n, n), matvec=lu.solve,
-                rmatvec=lambda v: lu.solve(v, trans="H"), dtype=A.dtype)
-            cond = spla.onenormest(inv_op) * norm_a
+            cond = spla.onenormest(factor.inverse) * norm_a
         else:
             # 1x1 system: compare the surviving entry against the admittance
             # scale of its summands (cancellation to roundoff means resonance)
-            from .network import ground_impedance, link_impedance
             scale = 4.0 / abs(link_impedance(spec, omega)) \
                 + 1.0 / abs(ground_impedance(spec, omega))
             cond = scale / abs(A[0, 0])
@@ -291,41 +320,23 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
         raise SingularSystemError(
             f"system numerically singular (condition estimate {cond:.2e})")
 
-    def refined(b):
-        """A^-1 b, refined on the factorization to the residual contract."""
-        bnorm = np.linalg.norm(b)
-        x = lu.solve(b)
-        r = b - A @ x
-        rnorm = np.linalg.norm(r)
-        for _ in range(5):
-            if rnorm <= RESIDUAL_TOL * bnorm:
-                break
-            x = x + lu.solve(r)
-            r = b - A @ x
-            rnorm = np.linalg.norm(r)
-        if not np.all(np.isfinite(x)) or rnorm > RESIDUAL_TOL * bnorm:
-            raise SingularSystemError(
-                "system too ill-conditioned for the residual contract "
-                "(lossless drive on resonance?)")
-        return x
-
     def solve(source):
         (si, sj), amplitude = source
         if amplitude == 0.0 or not geometry.is_interior(si, sj):
             raise ValueError(f"not a nonzero interior source: {source}")
         b = np.zeros(n, dtype=complex)
         b[system.index[si, sj]] = -amplitude
-        xs = [refined(b)]
+        xs = [factor.solve(b)]
         if order >= 1:
             d1 = system.derivatives[0]
-            xs.append(refined(-(d1 @ xs[0])))
+            xs.append(factor.solve(-(d1 @ xs[0])))
         if order == 2:
             d2 = system.derivatives[1]
-            xs.append(refined(-(d2 @ xs[0] + 2.0 * (d1 @ xs[1]))))
+            xs.append(factor.solve(-(d2 @ xs[0] + 2.0 * (d1 @ xs[1]))))
         fields = []
         for x in xs:
             values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
-            values[unknown] = x
+            values[system.stencil.unknown] = x
             fields.append(ComplexField(geometry=geometry, values=values,
                                        omega=omega, spec=spec, source=source,
                                        perturbation=pert))

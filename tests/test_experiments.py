@@ -279,6 +279,7 @@ def test_cli_config_error(tmp_path, capsys):
                             ("ensemble", {"bc": "mixed",
                                           "bc_shunt_inductance": 1e-4}),
                             ("spectrum", {"n_modes": 81}),
+                            ("ensemble", {"nx_interior": 1, "ny_interior": 1}),
                             ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
                                        "n_points": 5, "omega": 0.0,
                                        "source_rule": "density_max"}),
@@ -413,17 +414,20 @@ def test_failed_run_removes_only_the_directory_it_created(tmp_path, capsys):
 
 
 def test_cli_solver_failure(tmp_path):
-    # lossless drive exactly on the lowest resonance of a tiny rectangle
     spec = CircuitSpec("I", L, C, 0.0)
-    omega = spec.omega0 * np.sqrt(2.0)
-    cfg = write_cfg(tmp_path, {
-        "geometry": "rectangle", "nx_interior": 2, "ny_interior": 2,
-        "spacing": 0.1, "resistance": 0.0, "omega": omega,
-        "source_site": [1, 1],
-    })
-    assert main(["drive", "--config", cfg, "--out",
-                 str(tmp_path / "o")]) == 3
-    assert not (tmp_path / "o").exists()
+    # a lossless drive exactly on the lowest resonance of a tiny rectangle,
+    # and an eigen shift exactly on the 1x2 rectangle's eigenvalue 5
+    for experiment, cfg in (
+            ("drive", {"nx_interior": 2, "ny_interior": 2,
+                       "omega": spec.omega0 * np.sqrt(2.0),
+                       "source_site": [1, 1]}),
+            ("ensemble", {"nx_interior": 1, "ny_interior": 2,
+                          "omega": 7071067.811865475})):
+        path = write_cfg(tmp_path, {"geometry": "rectangle", "spacing": 0.1,
+                                    "resistance": 0.0, **cfg})
+        assert main([experiment, "--config", path, "--out",
+                     str(tmp_path / "o")]) == 3, experiment
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_seed_override(tmp_path):

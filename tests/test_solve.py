@@ -263,6 +263,22 @@ def test_eigenmode_nearest_matches_dense():
     assert near.lam_grid == pytest.approx(modes[2].lam_grid, rel=1e-8)
 
 
+def test_eigenmode_nearest_shift_on_an_eigenvalue_is_singular():
+    # the 1x2 Dirichlet Laplacian has eigenvalues 3 and 5; the shift lands
+    # exactly on 5, so SuperLU finds an exactly singular factor
+    g = rasterize_rectangle(1, 2, 0.1)
+    spec = CircuitSpec("I", L, C, 0.0)
+    with pytest.raises(SingularSystemError):
+        eigenmode_nearest(g, spec, 7071067.811865475)
+
+
+def test_eigenmode_nearest_needs_two_unknowns():
+    # ARPACK serves k < n only, so one site leaves no Lanczos problem
+    g = rasterize_rectangle(1, 1, 0.1)
+    with pytest.raises(ValueError):
+        eigenmode_nearest(g, CircuitSpec("I", L, C, 0.0), 1.0e6)
+
+
 def test_eigenmode_nearest_perturbed_shifts():
     g = rasterize_rectangle(10, 7, 0.05)
     spec = CircuitSpec("I", L, C, 0.0)
@@ -397,6 +413,25 @@ def test_condition_check_estimates_only_without_a_bound(monkeypatch):
     driven_response(tag_boundary(g, BCKind("neumann")), lossy, between,
                     ((2, 2), 1.0))
     assert len(calls) == 2
+
+
+def test_factorization_inverse_and_its_adjoint():
+    # A is complex symmetric, so A^-H = conj(A)^-1 differs from A^-1 = A^-T
+    # only when A is lossy; onenormest needs the adjoint, not the transpose
+    g = rasterize_rectangle(5, 4, 0.1)
+    spec = CircuitSpec("II", L, C, 0.3)
+    pert = sample_perturbation(g, 0.02, 5)
+    A = assemble_admittance(g, spec, 2.0e6, pert=pert).matrix
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    inverse = solve.Factorization(A).inverse
+    forward = np.linalg.solve(A.toarray(), x)
+    adjoint = np.linalg.solve(A.toarray().conj().T, x)
+    assert np.linalg.norm(inverse.matvec(x) - forward) \
+        <= 1e-12 * np.linalg.norm(forward)
+    assert np.linalg.norm(inverse.rmatvec(x) - adjoint) \
+        <= 1e-12 * np.linalg.norm(adjoint)
+    assert np.linalg.norm(forward - adjoint) > 1e-3 * np.linalg.norm(forward)
 
 
 def test_driven_lossless_on_rectangle_modes_rejected():
