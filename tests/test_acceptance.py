@@ -227,9 +227,14 @@ def test_criterion_09_tolerance_smoothing(acceptance_report):
           and ks[0.03] <= ks[0.01]
           and ks[0.05] <= ks[0.03]
           and elapsed < 1800.0)
+    # the tau = 0 target is the exactly degenerate (9, 15) / (15, 9) pair:
+    # its baseline is the one Ritz vector of that eigenspace that the
+    # Lanczos start and the factor's roundoff pick, so its KS moves with
+    # either; the ensemble KS values do not
     report(acceptance_report, 9, "component tolerance smooths the mode amplitude law",
            ok, "KS " + ", ".join(f"tau={t}: {ks[t]:.5f}" for t in sorted(ks))
-               + f"; {elapsed:.0f} s")
+               + " (tau=0.0 is one vector of the degenerate (9, 15)/(15, 9)"
+               + f" eigenspace); {elapsed:.0f} s")
 
 
 N_STATES = 60   # lossless stadium states averaged per reference frequency

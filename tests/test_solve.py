@@ -434,6 +434,42 @@ def test_factorization_inverse_and_its_adjoint():
     assert np.linalg.norm(forward - adjoint) > 1e-3 * np.linalg.norm(forward)
 
 
+def test_factorization_keeps_the_default_panels_fill_and_pivots(
+        monkeypatch):
+    # one-column panels only block SuperLU's numeric phase: the ordering,
+    # the fill and the diagonal pivots (perm_r == perm_c, which an inertia
+    # count of a shift needs) stay those of its default panels, and the
+    # solves agree at roundoff
+    shifts = []
+    eigsh_near = solve._eigsh_near
+
+    def spy(K, shifted, k, sigma, M=None):
+        shifts.append(shifted)
+        return eigsh_near(K, shifted, k, sigma, M)
+
+    monkeypatch.setattr(solve, "_eigsh_near", spy)
+    square = rasterize_rectangle(40, 40, 0.025)
+    eigenmode_nearest(square, CircuitSpec("I", L, C, 0.0), 1.722e6,
+                      pert=sample_perturbation(square, 0.03, 2))
+    stadium = rasterize_quarter_stadium(0.02)
+    driven = assemble_admittance(stadium, CircuitSpec("I", L, C, 0.3),
+                                 861100.0).matrix
+    rng = np.random.default_rng(1)
+    for A in (driven, shifts[0]):
+        lu = solve.Factorization(A).lu
+        default = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.array_equal(lu.perm_c, default.perm_c)
+        assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+        assert lu.nnz <= default.nnz
+        b = rng.standard_normal(A.shape[0]).astype(A.dtype)
+        want = default.solve(b)
+        assert np.linalg.norm(lu.solve(b) - want) \
+            <= 1e-12 * np.linalg.norm(want)
+
+
 def test_driven_lossless_on_rectangle_modes_rejected():
     g = rasterize_rectangle(5, 4, 0.1)
     spec = CircuitSpec("I", L, C, 0.0)
@@ -578,7 +614,7 @@ def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
     assert stencil_builds == [g]
 
 
-def test_resonance_sweep_preconditions():
+def test_resonance_sweep_preconditions(monkeypatch):
     g = rasterize_rectangle(4, 4, 0.1)
     lossy = CircuitSpec("I", L, C, 0.1)
     with pytest.raises(ValueError):
@@ -588,6 +624,17 @@ def test_resonance_sweep_preconditions():
                         ((1, 1), 1.0))
     with pytest.raises(ValueError):
         resonance_sweep(g, lossy, (1e6, 2e6), 50, None)
+    # Newton stops only on a step below rel_tol * omega / 2, so a zero or
+    # NaN tolerance would refine forever; it is rejected before any solve
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rel_tol was checked")
+
+    monkeypatch.setattr("rlcnet.solve.driven_response", no_solve)
+    for rel_tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            resonance_sweep(g, lossy, (1e6, 2e6), 50, ((1, 1), 1.0),
+                            rel_tol=rel_tol)
 
 
 def _bundled_openblas_threads():
@@ -617,25 +664,36 @@ def test_bundled_openblas_runs_one_thread():
 
 
 def test_drive_artifacts_independent_of_blas_threads(tmp_path):
-    # threaded BLAS sums in an order set by its thread count; before the
-    # pin this drive's artifacts differed between 1 and 2 BLAS threads
-    cfg = tmp_path / "drive.json"
-    cfg.write_text(json.dumps({
-        "geometry": "quarter_stadium", "spacing": 0.01, "model": "I",
-        "inductance": L, "capacitance": C, "resistance": 0.3,
-        "omega": 861100.0, "source_rule": "density_max"}))
+    # threaded BLAS sums in an order set by its thread count; without the
+    # pin the artifacts of both runs differ between 1 and 2 BLAS threads.
+    # The sweep factors at every grid point and Newton step (one peak
+    # here); at a0 = 0.02 its factors are too small for BLAS threads to
+    # move a bit, so it runs at a0 = 0.01
+    stadium = {"geometry": "quarter_stadium", "spacing": 0.01, "model": "I",
+               "inductance": L, "capacitance": C, "resistance": 0.3}
+    runs = {"drive": {**stadium, "omega": 861100.0,
+                      "source_rule": "density_max"},
+            "sweep": {**stadium, "omega_min": 853000.0,
+                      "omega_max": 858000.0, "n_points": 5,
+                      "source_rule": "site"}}
     src = str(Path(__file__).resolve().parents[1] / "src")
-    artifacts = []
-    for n_threads in ("1", "2"):
-        out = tmp_path / f"blas{n_threads}"
-        env = {**os.environ, "PYTHONPATH": src,
-               "OPENBLAS_NUM_THREADS": n_threads}
-        proc = subprocess.run(
-            [sys.executable, "-m", "rlcnet.cli", "drive", "--config",
-             str(cfg), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert artifacts[0].keys() == artifacts[1].keys()
-    for name in artifacts[0]:
-        assert artifacts[0][name] == artifacts[1][name], name
+    for experiment, config in runs.items():
+        cfg = tmp_path / f"{experiment}.json"
+        cfg.write_text(json.dumps(config))
+        artifacts = []
+        for n_threads in ("1", "2"):
+            out = tmp_path / f"{experiment}-blas{n_threads}"
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": n_threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "rlcnet.cli", experiment, "--config",
+                 str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert artifacts[0].keys() == artifacts[1].keys()
+        for name in artifacts[0]:
+            assert artifacts[0][name] == artifacts[1][name], \
+                f"{experiment}: {name}"
+        if experiment == "sweep":
+            assert json.loads(artifacts[0]["manifest.json"])["n_peaks"] == 1
