@@ -93,14 +93,6 @@ class GridGeometry:
         """(n, 2) array of interior (i, j), row-major order."""
         return np.argwhere(self.interior)
 
-    @property
-    def boundary_sites(self) -> np.ndarray:
-        return np.argwhere(self.boundary)
-
-    @property
-    def area(self) -> float:
-        return self.n_interior * self.spacing ** 2
-
     @cached_property
     def stencil(self) -> "LatticeStencil":
         """Stencil over the driven network's unknowns: the interior sites,

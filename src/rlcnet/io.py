@@ -14,11 +14,6 @@ import numpy as np
 FLOAT = "%.17g"
 
 
-def fmt(x) -> str:
-    """17-significant-digit decimal form of a float."""
-    return FLOAT % float(x)
-
-
 def _rows(row, table) -> str:
     """The one-line format `row` applied to every row of a 2-D array."""
     return row * len(table) % tuple(table.ravel().tolist())

@@ -129,14 +129,43 @@ class AdmittanceSystem:
     derivatives: tuple = ()
 
     @property
-    def unknown_sites(self) -> np.ndarray:
-        """(n, 2) of (i, j), row-major."""
-        return np.argwhere(self.stencil.unknown)
-
-    @property
     def index(self) -> np.ndarray:
         """(nx, ny) unknown number, -1 where not an unknown."""
         return self.stencil.index
+
+
+def _element_forms(spec: CircuitSpec, omega: float, order: int):
+    """Admittance forms of the network's elements at omega, or their
+    `order`-th omega derivatives, as functions of a component multiplier:
+    (link, shunt, inductor, capacitor), the model's link and interior shunt
+    elements first.  `inductor` also takes its own L and R (a mixed wall's
+    shunt); every element admittance in the package comes from these."""
+    def inductor(mult, inductance=spec.inductance, resistance=spec.resistance):
+        y = 1.0 / (1j * omega * inductance * mult + resistance * mult)
+        if order == 0:
+            return y
+        # d^k y / d omega^k = k! (-i L m)^k y^(k+1)
+        return factorial(order) * (-1j * inductance * mult) ** order \
+            * y ** (order + 1)
+
+    def capacitor(mult):
+        # y = i omega C m is linear in omega
+        scale = omega if order == 0 else float(order == 1)
+        return 1j * scale * spec.capacitance * mult
+
+    if spec.model == MODEL_I:
+        return inductor, capacitor, inductor, capacitor
+    return capacitor, inductor, inductor, capacitor
+
+
+def unit_admittances(spec: CircuitSpec, omega: float,
+                     order: int = 0) -> tuple[complex, complex]:
+    """(y_L, y_S): the admittance of one link element and of one interior
+    shunt element at unit multiplier, or their `order`-th omega
+    derivatives.  Under Dirichlet walls A(omega) = -(y_L K_L + y_S K_S)
+    with K_L and K_S real and independent of omega, for any Perturbation."""
+    link, shunt, _, _ = _element_forms(spec, omega, order)
+    return complex(link(1.0)), complex(shunt(1.0))
 
 
 def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
@@ -151,21 +180,7 @@ def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
     site is grounded, has no shunt element and reads 0.  `pert` None means
     unit multipliers.
     """
-    def inductor(mult, inductance=spec.inductance, resistance=spec.resistance):
-        y = 1.0 / (1j * omega * inductance * mult + resistance * mult)
-        if order == 0:
-            return y
-        # d^k y / d omega^k = k! (-i L m)^k y^(k+1)
-        return factorial(order) * (-1j * inductance * mult) ** order \
-            * y ** (order + 1)
-
-    def capacitor(mult):
-        # y = i omega C m is linear in omega
-        scale = omega if order == 0 else float(order == 1)
-        return 1j * scale * spec.capacitance * mult
-
-    link, shunt = (inductor, capacitor) if spec.model == MODEL_I \
-        else (capacitor, inductor)
+    link, shunt, inductor, capacitor = _element_forms(spec, omega, order)
     if pert is None:
         site_mult = np.ones(geometry.interior.shape)
         link_mult = np.ones(stencil.n_links)

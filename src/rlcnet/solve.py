@@ -19,12 +19,20 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import GridGeometry
+from .geometry import DIRICHLET, GridGeometry
 from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
-                      element_admittances, ground_impedance, link_impedance)
+                      element_admittances, ground_impedance, link_impedance,
+                      unit_admittances)
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
+# a sweep's shifted Krylov basis grows by KRYLOV_BLOCK vectors at a time, up
+# to KRYLOV_CAP; an evaluation it cannot serve there factors its own matrix.
+# On the a0 = 0.01 quarter stadium (17,650 unknowns) 40 vectors took 0.23 s,
+# 3.5 factorizations, and 11 MB, below the factor's own 14.5 MB; a window
+# of +-2.4% around 860,000 rad/s needed 38 of them, one of +-0.5% 18-19
+KRYLOV_BLOCK = 10
+KRYLOV_CAP = 40
 
 
 def _pin_bundled_openblas():
@@ -93,14 +101,18 @@ class ComplexField:
 
 
 def dispersion(spec: CircuitSpec, omega: float) -> complex:
-    """Map circuit frequency to the complex billiard eigenvalue a0^2 k^2."""
+    """Complex billiard eigenvalue a0^2 k^2 that resonates at omega.
+
+    Under Dirichlet walls A(omega) = -(y_L K + y_S M), K the (weighted)
+    Laplacian, so A is singular where K v = mu v with mu = -y_S / y_L, y_L
+    and y_S the unit link and shunt admittances (`unit_admittances`).
+    Model I: mu = omega^2 L C - i omega R C; model II: mu = 1 / (omega^2 L
+    C - i omega R C).
+    """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    w0 = spec.omega0
-    g = spec.linewidth
-    if spec.model == MODEL_I:
-        return omega ** 2 / w0 ** 2 - 1j * g * omega / w0 ** 2
-    return w0 ** 2 / omega ** 2 + 1j * g * w0 ** 2 / omega
+    y_link, y_shunt = unit_admittances(spec, omega)
+    return -y_shunt / y_link
 
 
 def wavelength(spec: CircuitSpec, spacing: float, omega: float) -> float:
@@ -141,6 +153,14 @@ def _omega_from_lam(spec: CircuitSpec, lam: float) -> float:
     return spec.omega0 / sqrt(lam)
 
 
+def _lam_from_omega(spec: CircuitSpec, omega: float) -> float:
+    """Lossless billiard eigenvalue at omega, the inverse of _omega_from_lam
+    (the real part of `dispersion` at R = 0, up to roundoff)."""
+    if spec.model == MODEL_I:
+        return omega ** 2 / spec.omega0 ** 2
+    return spec.omega0 ** 2 / omega ** 2
+
+
 def _mode(geometry: GridGeometry, spec: CircuitSpec, index: int, lam,
           vector) -> Mode:
     """Mode of billiard eigenvalue lam = a0^2 k^2, vector scaled to unit norm."""
@@ -171,7 +191,10 @@ class Factorization:
     these settings, so the vector that Lanczos picks from an exactly
     degenerate eigenspace depends on them as well as on its start.
     `inverse` is A^-1 as one LinearOperator whose adjoint is A^-H;
-    `solve(b)` is A^-1 b refined to the residual contract.
+    `solve(b)` is A^-1 b refined to the residual contract.  A sweep's
+    shifted Krylov basis (`_ShiftedKrylov`) applies the unrefined
+    `lu.solve` of its window-centre factor, and checks the fields it
+    serves against the residual contract on each assembled operator.
     """
 
     def __init__(self, A):
@@ -273,11 +296,61 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
                                           pert, stencil)
     k_link = np.abs(y_link)
     m = np.abs(y_shunt[stencil.unknown])
-    sigma = dispersion(lossless, omega_target).real
+    sigma = _lam_from_omega(spec, omega_target)
     K = stencil.assemble(k_link, 0.0)
     shifted = stencil.assemble(k_link, -sigma * m)
     lam, vec = _eigsh_near(K, shifted, 1, sigma, sp.diags(m, format="csc"))
     return _mode(geometry, spec, -1, lam[0], vec[:, 0])
+
+
+def _condition(system, spec: CircuitSpec, omega: float,
+               factor: Factorization | None = None) -> float:
+    """The 1-norm condition figure of an assembled system that the driven
+    paths check against COND_LIMIT.
+
+    Where the assembly proves sigma_min(A) >= hermitian_floor > 0 it is the
+    bound sqrt(n) ||A||_1 / hermitian_floor, which needs no solve; where
+    that bound is missing or above COND_LIMIT it is ||A||_1 times an
+    estimate of ||A^-1||_1 on `factor`, and inf without one.
+    """
+    A = system.matrix
+    n = A.shape[0]
+    # ||A||_1 is the largest column sum of |A|; the transpose of CSC |A| is
+    # a CSR view, so its row sums need no format conversion
+    norm_a = (abs(A).T @ np.ones(n)).max()
+    cond = np.inf
+    if system.hermitian_floor > 0.0:
+        cond = sqrt(n) * norm_a / system.hermitian_floor
+    if cond > COND_LIMIT and factor is not None:
+        if n >= 2:
+            cond = spla.onenormest(factor.inverse) * norm_a
+        else:
+            # 1x1 system: compare the surviving entry against the admittance
+            # scale of its summands (cancellation to roundoff means resonance)
+            scale = 4.0 / abs(link_impedance(spec, omega)) \
+                + 1.0 / abs(ground_impedance(spec, omega))
+            cond = scale / abs(A[0, 0])
+    return cond
+
+
+def _source_vector(geometry: GridGeometry, system, source) -> np.ndarray:
+    """Right-hand side of a ((i, j), complex amplitude) current injection."""
+    (si, sj), amplitude = source
+    if amplitude == 0.0 or not geometry.is_interior(si, sj):
+        raise ValueError(f"not a nonzero interior source: {source}")
+    b = np.zeros(system.matrix.shape[0], dtype=complex)
+    b[system.index[si, sj]] = -amplitude
+    return b
+
+
+def _derivative_rhs(derivatives, xs, k: int) -> np.ndarray:
+    """Right-hand side of the k-th omega derivative (k = 1, 2) of A V = b,
+    given (A', A'') and the lower derivatives xs = (V, dV): -A' V, or
+    -(A'' V + 2 A' dV)."""
+    d1 = derivatives[0]
+    if k == 1:
+        return -(d1 @ xs[0])
+    return -(derivatives[1] @ xs[0] + 2.0 * (d1 @ xs[1]))
 
 
 def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
@@ -288,13 +361,13 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
 
     A is complex symmetric; one `Factorization` holds it, and its
     `solve` refines every right-hand side.  The system is rejected when
-    its 1-norm condition number may exceed COND_LIMIT.  Where the assembly
-    proves sigma_min(A) >= hermitian_floor > 0 (Dirichlet unknowns, R > 0)
-    the check is the bound sqrt(n) ||A||_1 / hermitian_floor, which needs
-    no solve; where that proves nothing (R = 0, Neumann or mixed unknowns,
-    or a bound above COND_LIMIT) it is ||A||_1 times an estimate of
-    ||A^-1||_1.  Raises SingularSystemError when the factorization, the
-    check or the residual contract fails (lossless drive on resonance).
+    its 1-norm condition number may exceed COND_LIMIT (`_condition`):
+    where the assembly proves sigma_min(A) >= hermitian_floor > 0
+    (Dirichlet unknowns, R > 0) the check is a bound that needs no solve;
+    where that proves nothing (R = 0, Neumann or mixed unknowns, or a
+    bound above COND_LIMIT) it estimates ||A^-1||_1 on the factorization.
+    Raises SingularSystemError when the factorization, the check or the
+    residual contract fails (lossless drive on resonance).
 
     With derivative `order` 1 or 2, solve returns the fields (V,
     dV/domega) or (V, dV/domega, d2V/domega2), the derivatives from the
@@ -304,45 +377,19 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     """
     system = assemble_admittance(geometry, spec, omega, pert=pert,
                                  order=order)
-    A = system.matrix
-    n = A.shape[0]
-    factor = Factorization(A)
+    factor = Factorization(system.matrix)
     # reject numerically singular systems that still factorize (an exact
-    # lossless resonance).  sigma_min(A) >= hermitian_floor gives
-    # ||A^-1||_1 <= sqrt(n) / hermitian_floor with no solve; without such a
-    # bound below COND_LIMIT, ||A^-1||_1 is estimated on the factorization.
-    # ||A||_1 is the largest column sum of |A|; the transpose of CSC |A| is
-    # a CSR view, so its row sums need no format conversion
-    norm_a = (abs(A).T @ np.ones(n)).max()
-    cond = np.inf
-    if system.hermitian_floor > 0.0:
-        cond = sqrt(n) * norm_a / system.hermitian_floor
-    if cond > COND_LIMIT:
-        if n >= 2:
-            cond = spla.onenormest(factor.inverse) * norm_a
-        else:
-            # 1x1 system: compare the surviving entry against the admittance
-            # scale of its summands (cancellation to roundoff means resonance)
-            scale = 4.0 / abs(link_impedance(spec, omega)) \
-                + 1.0 / abs(ground_impedance(spec, omega))
-            cond = scale / abs(A[0, 0])
+    # lossless resonance)
+    cond = _condition(system, spec, omega, factor)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError(
             f"system numerically singular (condition estimate {cond:.2e})")
 
     def solve(source):
-        (si, sj), amplitude = source
-        if amplitude == 0.0 or not geometry.is_interior(si, sj):
-            raise ValueError(f"not a nonzero interior source: {source}")
-        b = np.zeros(n, dtype=complex)
-        b[system.index[si, sj]] = -amplitude
-        xs = [factor.solve(b)]
-        if order >= 1:
-            d1 = system.derivatives[0]
-            xs.append(factor.solve(-(d1 @ xs[0])))
-        if order == 2:
-            d2 = system.derivatives[1]
-            xs.append(factor.solve(-(d2 @ xs[0] + 2.0 * (d1 @ xs[1]))))
+        xs = [factor.solve(_source_vector(geometry, system, source))]
+        for k in range(1, order + 1):
+            xs.append(factor.solve(
+                _derivative_rhs(system.derivatives, xs, k)))
         fields = []
         for x in xs:
             values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
@@ -401,6 +448,141 @@ def _newton_peak(response, omegas, f, slopes, tol: float):
         w = w + step
 
 
+class _ShiftedKrylov:
+    """One Krylov space that serves the driven solves of a sweep window.
+
+    Under Dirichlet walls A(omega) = -(y_L K_L + y_S K_S), K_L and K_S
+    real and fixed (`unit_admittances`), so every A(omega) and its omega
+    derivatives are combinations alpha A_c + beta A'_c of the assembled
+    A_c = A(omega_c) and A'_c = dA/domega(omega_c); alpha^(k) and beta^(k)
+    solve a 2x2 system on the unit admittances and their derivatives.
+    A(omega) = A_c (alpha I + beta S) with S = A_c^-1 A'_c, so V = A^-1 b
+    and its derivatives lie in K_m(S, r0), r0 = A_c^-1 b, for every omega
+    at once (shifted systems: Frommer and Glaessner, SIAM J. Sci. Comput.
+    19 (1998) 15; Pade via Lanczos: Feldmann and Freund, IEEE Trans. CAD
+    14 (1995) 639).
+
+    Arnoldi with two passes of classical Gram-Schmidt builds S Q_m =
+    Q_m H_m + h q e_m^T on one `Factorization` of A_c, into a basis
+    preallocated for KRYLOV_CAP vectors and grown KRYLOV_BLOCK at a time
+    when an evaluation needs it.  An evaluation solves the m x m
+    (alpha I + beta H_m) c = ||r0|| e1 and its omega derivatives, and is
+    served only when each field meets the residual contract on the
+    assembled A(omega), A' and A'' with `driven_solver`'s right-hand sides.
+    A space that closes (h = 0, an invariant space) is exact and grows no
+    further.
+    """
+
+    def __init__(self, geometry: GridGeometry, spec: CircuitSpec,
+                 center, omega_c: float, pert: Perturbation | None, source):
+        self.geometry, self.spec, self.pert = geometry, spec, pert
+        self.b = _source_vector(geometry, center, source)
+        self.lu = Factorization(center.matrix).lu
+        self.slope = center.derivatives[0]
+        # columns: (y_L, y_S) at omega_c and their first derivatives
+        self.units = np.array([unit_admittances(spec, omega_c, k)
+                               for k in (0, 1)]).T
+        n = len(self.b)
+        size = min(KRYLOV_CAP, n)
+        # one basis vector per row, so the rows in use are contiguous
+        self.Q = np.empty((size + 1, n), dtype=complex)
+        self.H = np.zeros((size + 1, size), dtype=complex)
+        r0 = self.lu.solve(self.b)
+        self.beta0 = np.linalg.norm(r0)
+        self.Q[0] = r0 / self.beta0
+        self.m = 0
+        self.closed = False
+        self._grow()
+
+    def _grow(self) -> bool:
+        """Add up to KRYLOV_BLOCK Arnoldi vectors; False when the basis is
+        at its cap or its space has closed."""
+        stop = min(self.m + KRYLOV_BLOCK, self.H.shape[1])
+        if self.closed or self.m == stop:
+            return False
+        Q, H = self.Q, self.H
+        for j in range(self.m, stop):
+            w = self.lu.solve(self.slope @ Q[j])
+            scale = np.linalg.norm(w)
+            for _ in range(2):
+                h = (Q[:j + 1] @ w.conj()).conj()
+                w -= h @ Q[:j + 1]
+                H[:j + 1, j] += h
+            H[j + 1, j] = norm = np.linalg.norm(w)
+            self.m = j + 1
+            # what two passes leave of a vector already in the space is
+            # roundoff, about eps * scale
+            if norm <= 1e-12 * scale:
+                self.closed = True
+                break
+            Q[j + 1] = w / norm
+        return True
+
+    def solve(self, omega: float, order: int):
+        """[V, dV/domega, ...] up to `order` over the unknowns, or None
+        when the basis cannot serve omega: the bound does not settle the
+        condition check, or the residual contract fails at the cap."""
+        system = assemble_admittance(self.geometry, self.spec, omega,
+                                     pert=self.pert, order=order)
+        if _condition(system, self.spec, omega) > COND_LIMIT:
+            return None
+        # row k: (alpha^(k), beta^(k)) of A^(k)(omega) = alpha A_c + beta A'_c
+        coef = np.linalg.solve(self.units, np.array(
+            [unit_admittances(self.spec, omega, k)
+             for k in range(order + 1)]).T).T
+        while True:
+            xs = self._project(coef)
+            if xs is not None and self._meets_contract(system, xs):
+                return xs
+            if not self._grow():
+                return None
+
+    def _project(self, coef):
+        """Basis fields from the m x m solves of (alpha I + beta H_m) c =
+        ||r0|| e1 and of its omega derivatives; None where that matrix is
+        exactly singular."""
+        m = self.m
+        pencils = [a * np.eye(m) + b * self.H[:m, :m] for a, b in coef]
+        rhs = np.zeros(m, dtype=complex)
+        rhs[0] = self.beta0
+        cs = []
+        try:
+            for k in range(len(coef)):
+                if k:
+                    rhs = _derivative_rhs(pencils[1:], cs, k)
+                cs.append(np.linalg.solve(pencils[0], rhs))
+        except np.linalg.LinAlgError:
+            return None
+        return [c @ self.Q[:m] for c in cs]
+
+    def _meets_contract(self, system, xs) -> bool:
+        """True when every field meets the residual contract on `system`,
+        with the right-hand sides of `driven_solver`."""
+        A = system.matrix
+        for k, x in enumerate(xs):
+            rhs = _derivative_rhs(system.derivatives, xs, k) if k \
+                else self.b
+            if not np.linalg.norm(A @ x - rhs) \
+                    <= RESIDUAL_TOL * np.linalg.norm(rhs):
+                return False
+        return True
+
+
+def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
+                  pert: Perturbation | None, source):
+    """The `_ShiftedKrylov` basis of a sweep window, or None where it could
+    serve no evaluation: Neumann and mixed unknowns have no
+    hermitian_floor, so the bound never settles their condition check
+    (mixed walls also add a third element family)."""
+    if geometry.bc.kind != DIRICHLET:
+        return None
+    omega_c = 0.5 * (omega_range[0] + omega_range[1])
+    center = assemble_admittance(geometry, spec, omega_c, pert=pert, order=1)
+    if not center.hermitian_floor > 0.0:
+        return None
+    return _ShiftedKrylov(geometry, spec, center, omega_c, pert, source)
+
+
 def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                     n_points: int, source,
                     pert: Perturbation | None = None,
@@ -411,11 +593,16 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     omega_range (grid), then refines every grid maximum of f inside its
     two-step bracket by safeguarded Newton on the roots of f'
     (`_newton_peak`), until a step is below half of rel_tol * omega, so
-    rel_tol must be positive (ValueError otherwise).  Each
-    evaluation is one `driven_response` call: one factorization, which
-    also gives dV/domega, and d2V/domega2 for a Newton step only.  Returns
-    a list of (omega_peak, response_norm_sq) in ascending omega, the value
-    being |V|^2 computed at omega_peak.
+    rel_tol must be positive (ValueError otherwise).  Each evaluation
+    gives V and dV/domega, and d2V/domega2 for a Newton step.  Under
+    Dirichlet walls they come from one shifted Krylov basis of the window
+    (`_ShiftedKrylov`), on one factorization at the window centre, with
+    the assembled A(omega) checked against the residual contract; an
+    evaluation the basis cannot serve (Neumann or mixed walls, whose
+    condition check needs an estimate, or the contract unmet at the cap)
+    is one `driven_response` call: one factorization.  Returns a list of
+    (omega_peak, response_norm_sq) in ascending omega, the value being
+    |V|^2 of the direct `driven_response` at omega_peak.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi):
@@ -429,12 +616,21 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
 
+    krylov = _window_basis(geometry, spec, omega_range, pert, source)
+    direct = {}   # omega -> |V|^2 of a driven_response evaluation
+
+    def norm_sq(v):
+        return float(np.real(np.vdot(v, v)))
+
     def response(omega, order):
         """(f, f') for order 1, (f, f', f'') for order 2."""
-        v, dv, *d2v = (field.interior_values for field in driven_response(
-            geometry, spec, omega, source, pert=pert, order=order))
-        out = (float(np.real(np.vdot(v, v))),
-               2.0 * float(np.real(np.vdot(v, dv))))
+        xs = krylov.solve(omega, order) if krylov else None
+        if xs is None:
+            xs = [field.interior_values for field in driven_response(
+                geometry, spec, omega, source, pert=pert, order=order)]
+            direct[omega] = norm_sq(xs[0])
+        v, dv, *d2v = xs
+        out = (norm_sq(v), 2.0 * float(np.real(np.vdot(v, dv))))
         if d2v:
             out += (2.0 * float(np.real(np.vdot(dv, dv) + np.vdot(v, d2v[0]))),)
         return out
@@ -443,7 +639,13 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     f, slopes = np.array([response(w, 1) for w in omegas]).T
     # a step of half rel_tol * omega keeps the bracket-width meaning of
     # rel_tol at the peak
-    return [_newton_peak(response, omegas[k - 1:k + 2], f[k - 1:k + 2],
-                         slopes[k - 1:k + 2], 0.5 * rel_tol * omegas[k])
-            for k in range(1, n_points - 1)
-            if f[k] > f[k - 1] and f[k] > f[k + 1]]
+    peaks = [_newton_peak(response, omegas[k - 1:k + 2], f[k - 1:k + 2],
+                          slopes[k - 1:k + 2], 0.5 * rel_tol * omegas[k])
+             for k in range(1, n_points - 1)
+             if f[k] > f[k - 1] and f[k] > f[k + 1]]
+    # free the basis and its factor before the peaks' own factorizations,
+    # so that their memory does not add up
+    krylov = None
+    return [(w, direct[w] if w in direct else norm_sq(driven_response(
+        geometry, spec, w, source, pert=pert).interior_values))
+        for w, _ in peaks]

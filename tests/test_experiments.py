@@ -19,7 +19,7 @@ from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
                                 place_source_at_maximum, run,
                                 standardized_mode_histogram)
 from rlcnet.geometry import rasterize_rectangle
-from rlcnet.io import fmt, write_csv, write_polylines
+from rlcnet.io import FLOAT, write_csv, write_polylines
 from rlcnet.network import CircuitSpec
 from rlcnet.solve import driven_response, eigenmodes_lossless
 
@@ -448,6 +448,11 @@ def test_cli_seed_override(tmp_path):
 
 HARD_FLOATS = [5e-324, -0.0, 1e300, -1e-300, 2.0 / 3.0, np.inf, -np.inf,
                np.nan]
+
+
+def fmt(x):
+    """17-significant-digit decimal form of a float."""
+    return FLOAT % float(x)
 
 
 def _cells(row):

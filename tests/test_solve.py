@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from math import cos, pi, sqrt
 from pathlib import Path
 
@@ -50,6 +51,27 @@ def test_dispersion_model_i_lossy():
 def test_dispersion_model_ii_at_omega0():
     spec = CircuitSpec("II", L, C, 0.0)
     assert dispersion(spec, spec.omega0) == pytest.approx(1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_dispersion_is_the_shift_of_the_operator(model, ratio):
+    # Dirichlet walls, no disorder: A(omega) = -(y_L K + y_S I), K the
+    # Laplacian, so a lossless eigenvector v of K (K v = lam v) has the
+    # Rayleigh quotient q = v^T A v = -y_L (lam - mu), and two of them give
+    # mu = (q2 lam1 - q1 lam2) / (q2 - q1) from the assembled operator alone
+    g = rasterize_rectangle(6, 5, 0.1)
+    spec = CircuitSpec(model, L, C, 0.3)
+    omega = ratio * spec.omega0
+    lam, vec = scipy.linalg.eigh(dirichlet_laplacian(g).toarray())
+    A = assemble_admittance(g, spec, omega).matrix
+    q1, q2 = (vec[:, k] @ (A @ vec[:, k]) for k in (0, -1))
+    mu = (q2 * lam[0] - q1 * lam[-1]) / (q2 - q1)
+    d = dispersion(spec, omega)
+    assert d == pytest.approx(mu, rel=1e-12)
+    # the loss term alone: model II's is omega0^2 / omega^2 times the
+    # closed form i omega0^2 R C / omega that holds only at omega0
+    assert d.imag == pytest.approx(mu.imag, rel=1e-9)
 
 
 def test_wavelength_values():
@@ -327,7 +349,7 @@ def test_driven_satisfies_kirchhoff_rows():
     omega = 1.1e6
     field = driven_response(g, spec, omega, ((4, 5), 1.0))
     sys = assemble_admittance(g, spec, omega)
-    x = field.values[tuple(sys.unknown_sites.T)]
+    x = field.values[sys.stencil.unknown]
     rhs = np.zeros(len(x), dtype=complex)
     rhs[sys.index[4, 5]] = -1.0
     res = np.linalg.norm(sys.matrix @ x - rhs) / np.linalg.norm(rhs)
@@ -497,7 +519,7 @@ def test_unpivoted_factor_meets_residual_with_little_fill(
     source = (tuple(g.interior_sites[len(g.interior_sites) // 3]), 1.0)
     field = driven_response(g, spec, omega, source, pert=pert)
     system = assemble_admittance(g, spec, omega, pert=pert)
-    x = field.values[tuple(system.unknown_sites.T)]
+    x = field.values[system.stencil.unknown]
     b = np.zeros(len(x), dtype=complex)
     b[system.index[source[0]]] = -1.0
     assert np.linalg.norm(system.matrix @ x - b) <= RESIDUAL_TOL
@@ -535,7 +557,7 @@ def test_driven_derivatives_match_finite_differences(model):
     # each derivative meets the residual contract on its own right side
     system = assemble_admittance(g, spec, omega, pert=pert, order=2)
     a, d1, d2 = system.matrix, *system.derivatives
-    x, dx, d2x = (f.values[tuple(system.unknown_sites.T)] for f in fields)
+    x, dx, d2x = (f.values[system.stencil.unknown] for f in fields)
     for lhs, rhs in ((a @ dx, -(d1 @ x)),
                      (a @ d2x, -(d2 @ x + 2.0 * (d1 @ dx)))):
         assert np.linalg.norm(lhs - rhs) <= RESIDUAL_TOL * np.linalg.norm(rhs)
@@ -580,38 +602,164 @@ def test_resonance_sweep_value_is_response_at_peak():
         assert val == float(np.real(np.vdot(v, v)))
 
 
-def test_resonance_sweep_solve_budget(monkeypatch):
-    calls = 0
+def _count_factorizations(monkeypatch):
+    """List of the shapes of every `Factorization` built in rlcnet.solve."""
+    built = []
+
+    class Counted(solve.Factorization):
+        def __init__(self, A):
+            built.append(A.shape)
+            super().__init__(A)
+
+    monkeypatch.setattr(solve, "Factorization", Counted)
+    return built
+
+
+def _count_calls(monkeypatch, name):
+    """List of the keyword arguments of every call of rlcnet.solve.<name>."""
+    calls = []
+    function = getattr(solve, name)
 
     def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return driven_response(*args, **kwargs)
+        calls.append(kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr("rlcnet.solve.driven_response", counted)
+    monkeypatch.setattr(solve, name, counted)
+    return calls
+
+
+def test_resonance_sweep_solve_budget(monkeypatch):
+    built = _count_factorizations(monkeypatch)
     g, spec, _, band = _sweep_case()
     peaks = resonance_sweep(g, spec, band, 220, ((2, 2), 1.0))
-    assert peaks
-    # 1.5 evaluations per peak measured: Newton on 1/f is exact across a
-    # Lorentzian, so its first step from the grid lands within tolerance
-    assert calls <= 220 + 2 * len(peaks)
+    assert len(peaks) == 2
+    # the window's Krylov basis serves every grid and Newton evaluation on
+    # one factorization at the window centre; each peak's value is one
+    # direct solve
+    assert len(built) == 1 + len(peaks)
 
 
 def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
-    orders = []
-
-    def counted(*args, **kwargs):
-        orders.append(kwargs["order"])
-        return driven_response(*args, **kwargs)
-
-    monkeypatch.setattr("rlcnet.solve.driven_response", counted)
+    assemblies = _count_calls(monkeypatch, "assemble_admittance")
     g, spec, _, band = _sweep_case()
     peaks = resonance_sweep(g, spec, band, 9, ((2, 2), 1.0))
     assert peaks
-    # the grid asks for dV only; each Newton step also for d2V
-    assert orders[:9] == [1] * 9
-    assert len(orders) > 9 and set(orders[9:]) == {2}
+    orders = [kwargs["order"] for kwargs in assemblies]
+    # the window centre and the grid ask for A' only; each Newton step
+    # also for A''; each peak's value is one solve of A alone
+    n_peaks = len(peaks)
+    assert orders[:10] == [1] * 10
+    assert len(orders) > 10 + n_peaks and set(orders[10:-n_peaks]) == {2}
+    assert orders[-n_peaks:] == [0] * n_peaks
     assert stencil_builds == [g]
+
+
+def test_krylov_fields_meet_the_residual_contract():
+    # model II with disorder: the link family is C m, the shunt family
+    # 1 / (m (R + i omega L)), and both still scale one fixed matrix each
+    g = rasterize_rectangle(12, 9, 0.05)
+    spec = CircuitSpec("II", L, C, 0.3)
+    pert = sample_perturbation(g, 0.03, 7)
+    source = ((4, 5), 1.0)
+    modes = eigenmodes_lossless(g, CircuitSpec("II", L, C, 0.0), 4)
+    band = (modes[1].omega * 0.98, modes[3].omega * 1.02)
+    basis = solve._window_basis(g, spec, band, pert, source)
+    for omega in np.linspace(*band, 7):
+        xs = basis.solve(omega, 2)
+        assert xs is not None
+        system = assemble_admittance(g, spec, omega, pert=pert, order=2)
+        a, d1, d2 = system.matrix, *system.derivatives
+        x, dx, d2x = xs
+        b = np.zeros(len(x), dtype=complex)
+        b[system.index[source[0]]] = -1.0
+        for lhs, rhs in ((a @ x, b), (a @ dx, -(d1 @ x)),
+                         (a @ d2x, -(d2 @ x + 2.0 * (d1 @ dx)))):
+            assert np.linalg.norm(lhs - rhs) \
+                <= RESIDUAL_TOL * np.linalg.norm(rhs)
+        fields = driven_response(g, spec, omega, source, pert=pert, order=2)
+        for got, field in zip(xs, fields):
+            want = field.interior_values
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+    assert basis.m < g.n_interior
+
+
+def test_krylov_space_that_closes_is_exact():
+    # the 2x2 Laplacian has eigenvalues 2, 4, 4, 6; a corner source meets
+    # one vector of the degenerate pair, so the space closes at m = 3 < n
+    g = rasterize_rectangle(2, 2, 0.25)
+    spec = CircuitSpec("I", L, C, 0.05)
+    source = ((1, 1), 1.0)
+    band = (1.3 * spec.omega0, 2.1 * spec.omega0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = solve._window_basis(g, spec, band, None, source)
+        assert basis.closed and basis.m == 3
+        for omega in np.linspace(*band, 5):
+            (x,) = basis.solve(omega, 0)
+            A = assemble_admittance(g, spec, omega).matrix.toarray()
+            want = np.linalg.solve(A, [-1.0, 0.0, 0.0, 0.0])
+            assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        peaks = resonance_sweep(g, spec, band, 9, source)
+    assert [round(w / spec.omega0, 3) for w, _ in peaks] == [1.414, 2.0]
+
+
+def _direct_sweep(monkeypatch, *args):
+    """resonance_sweep with a basis that never serves: every evaluation is
+    one driven_response call, as in a sweep that factors every matrix."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solve._ShiftedKrylov, "solve", lambda *a: None)
+        return resonance_sweep(*args)
+
+
+def test_sweep_falls_back_when_the_basis_is_capped(monkeypatch):
+    g, spec, _, band = _sweep_case()
+    args = (g, spec, band, 9, ((2, 2), 1.0))
+    want = _direct_sweep(monkeypatch, *args)
+    served = resonance_sweep(*args)
+    assert len(served) == len(want) == 2
+    for (w, _), (w_want, _) in zip(served, want):
+        assert abs(w - w_want) <= 0.5e-6 * w_want
+    # one basis vector never meets the contract here, so every evaluation
+    # factors its own matrix and the peaks are those of direct solves
+    monkeypatch.setattr(solve, "KRYLOV_CAP", 1)
+    built = _count_factorizations(monkeypatch)
+    calls = _count_calls(monkeypatch, "driven_response")
+    assert resonance_sweep(*args) == want
+    assert len(built) == 1 + len(calls)
+    assert [kwargs["order"] for kwargs in calls[:9]] == [1] * 9
+    assert {kwargs["order"] for kwargs in calls[9:]} == {2}
+
+
+@pytest.mark.parametrize("walls", [BCKind("neumann"),
+                                   BCKind("mixed", 0.1, 1e-4)])
+def test_sweep_without_a_hermitian_floor_solves_directly(walls, monkeypatch):
+    # Neumann and mixed unknowns have no hermitian_floor, so the bound can
+    # never settle an evaluation's condition check; mixed walls also add a
+    # third element family.  No basis is built, and each evaluation is one
+    # driven_response call with one assembly and one factorization, the
+    # last Newton evaluation giving each peak's value
+    g = tag_boundary(rasterize_rectangle(6, 4, 0.1), walls)
+    spec = CircuitSpec("I", L, C, 0.05)
+    modes = eigenmodes_lossless(g, CircuitSpec("I", L, C, 0.0), 3)
+    args = (g, spec, (modes[0].omega * 0.97, modes[1].omega * 1.03), 9,
+            ((2, 2), 1.0))
+    want = _direct_sweep(monkeypatch, *args)
+
+    def no_basis(*args):
+        raise AssertionError("a Krylov basis was built")
+
+    monkeypatch.setattr(solve, "_ShiftedKrylov", no_basis)
+    built = _count_factorizations(monkeypatch)
+    assemblies = _count_calls(monkeypatch, "assemble_admittance")
+    calls = _count_calls(monkeypatch, "driven_response")
+    peaks = resonance_sweep(*args)
+    assert peaks and peaks == want
+    assert len(built) == len(assemblies) == len(calls) > 9
+    assert [kwargs["order"] for kwargs in calls[:9]] == [1] * 9
+    assert {kwargs["order"] for kwargs in calls[9:]} == {2}
+    for w, val in peaks:
+        v = driven_response(g, spec, w, ((2, 2), 1.0)).interior_values
+        assert val == float(np.real(np.vdot(v, v)))
 
 
 def test_resonance_sweep_preconditions(monkeypatch):
