@@ -255,17 +255,39 @@ def active_link_flow(field: ComplexField, currents: CurrentField) -> tuple:
     return fx, fy
 
 
+def _clamped_knots(n, first, count):
+    """Order-1 footprint of the `count` knots first, first + 1/2, ... on an
+    axis of n samples clamped at both ends: (index, weight) of the lower
+    sample, then of the upper one."""
+    c = first + np.arange(count) / 2
+    lower = np.floor(c)
+    t = c - lower
+    return ((np.clip(lower, 0, n - 1).astype(np.intp), 1.0 - t),
+            (np.clip(np.ceil(c), 0, n - 1).astype(np.intp), t))
+
+
+def _sampled(f, u_knots, w_knots):
+    """Bilinear samples of f on the grid of u_knots by w_knots.  It sums the
+    four corners as `map_coordinates(order=1)` does, from 0.0 in footprint
+    order, each value times its u weight, then its w weight, so the two
+    agree bit for bit."""
+    total = 0.0
+    for iu, wu in u_knots:
+        rows = f.take(iu, axis=0)
+        for iw, ww in w_knots:
+            total = total + rows.take(iw, axis=1) * wu[:, None] * ww
+    return total
+
+
 def _tabulated_flow(fx, fy, a0):
     """The clamped bilinear interpolant of the staggered flow (fx, fy) as a
     function of complex positions z = x + iy, returning gx + i gy.
 
     It equals `map_coordinates(order=1, mode="nearest")` sampling of fx at
     (x/a0 - 1/2, y/a0) and of fy at (x/a0, y/a0 - 1/2) up to roundoff, for
-    x/a0 in [-1, nx] and y/a0 in [-1, ny].
+    x/a0 in [-1, nx] and y/a0 in [-1, ny], and that sampling exactly at
+    every half-spacing knot.
     """
-    # imported here: only the tracer needs scipy.ndimage
-    from scipy.ndimage import map_coordinates
-
     # fx has its knots at (i + 1/2, j), fy at (i, j + 1/2), and both clamps
     # act on multiples of 1/2, so gx + i gy is bilinear on every half-spacing
     # cell: c0 + tu cu + tw cw + tu tw cuw in the cell fractions (tu, tw).
@@ -273,25 +295,34 @@ def _tabulated_flow(fx, fy, a0):
     # last cell starts one site past it, so no position in the domain needs
     # a clamped or negative cell index.
     nx, ny = fx.shape
-    u, w = np.meshgrid(np.arange(2 * nx + 4) / 2 - 1.0,
-                       np.arange(2 * ny + 4) / 2 - 1.0, indexing="ij")
-    g = (map_coordinates(fx, (u - 0.5, w), order=1, mode="nearest")
-         + 1j * map_coordinates(fy, (u, w - 0.5), order=1, mode="nearest"))
+    n_u, n_w = 2 * nx + 4, 2 * ny + 4
+    g = (_sampled(fx, _clamped_knots(nx, -1.5, n_u),
+                  _clamped_knots(ny, -1.0, n_w))
+         + 1j * _sampled(fy, _clamped_knots(nx, -1.0, n_u),
+                         _clamped_knots(ny, -1.5, n_w)))
     c0 = g[:-1, :-1]
     cw = g[:-1, 1:] - c0
     cu = g[1:, :-1] - c0
     cuw = g[1:, 1:] - g[1:, :-1] - cw
-    table = np.stack((c0, cu, cw, cuw), axis=-1).reshape(-1, 4)
-    n_w = c0.shape[1]
+    # one row per coefficient, one column per cell
+    table = np.stack((c0, cu, cw, cuw)).reshape(4, -1)
+    # the constants are 0-d arrays of the operands' own dtypes, which numpy
+    # applies faster than Python scalars, with the same arithmetic
+    scale, shift = np.array(2.0 / a0 + 0j), np.array(2.0 + 2.0j)
+    row = np.array(n_w - 1, dtype=np.intp)
 
     def flow(z):
         # shifted to cell units, every point is >= 0 (up to roundoff), so
-        # modf's integer part is the cell and its fraction the cell offset
-        frac, whole = np.modf((z * (2.0 / a0) + (2.0 + 2.0j)).view(float))
+        # modf's integer part is the cell and its fraction the cell offset;
+        # the fractions land in real parts, so that they multiply the
+        # complex coefficients as numpy would cast them
+        frac = np.zeros(2 * len(z), dtype=complex)
+        _, whole = np.modf((z * scale + shift).view(float),
+                           out=(frac.real, None))
         k = whole.astype(np.intp)
-        c = table.take(k[0::2] * n_w + k[1::2], axis=0)
+        c = table.take(k[0::2] * row + k[1::2], axis=1)
         tu, tw = frac[0::2], frac[1::2]
-        return c[:, 0] + tu * c[:, 1] + tw * (c[:, 2] + tu * c[:, 3])
+        return c[0] + tu * c[1] + tw * (c[2] + tu * c[3])
 
     return flow
 
@@ -309,7 +340,8 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     vortex core); the local |flow| at an RK4 stage point drops below
     FLOW_CUTOFF of the field maximum (`cutoff`, no flow to follow, or
     `boundary` when a stage point of that step lies outside the billiard);
-    or it took max_steps steps.
+    or it took max_steps steps.  Each step advances only the traces still
+    running.
     Returns one (n, 2) array of points per seed with its stop reason.
     """
     geom = field.geometry
@@ -318,7 +350,6 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
         raise ValueError("step must be <= a0/2")
     fx, fy = active_link_flow(field, currents)
     fmax = max(np.abs(fx).max(), np.abs(fy).max())
-    cutoff = FLOW_CUTOFF * fmax
 
     x = np.array([s[0] for s in seeds], dtype=float)
     y = np.array([s[1] for s in seeds], dtype=float)
@@ -326,9 +357,15 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     if not np.all(inside):
         bad = np.argmin(inside)
         raise ValueError(f"seed {(x[bad], y[bad])} outside interior")
+    if not len(x):
+        return Streamlines([], ())
     # every stage point lies within a0/2 + step <= a0 of an interior site,
     # inside the table's domain
     flow = _tabulated_flow(fx, fy, a0)
+    # 0-d constants, as in _tabulated_flow
+    cutoff = np.array(FLOW_CUTOFF * fmax)
+    half, full = np.array(0.5 * step + 0j), np.array(step + 0j)
+    two, six = np.array(2.0 + 0j), np.array(6.0 + 0j)
 
     def direction(z):
         g = flow(z)
@@ -337,46 +374,69 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
         # below the cutoff the raw flow is kept; the trace stops there
         return np.divide(g, mag, out=g, where=alive), alive
 
+    # The arrays hold the live traces only: column c is trace live[c].  A
+    # stopped trace never restarts.  `run` collects the points every live
+    # trace took since the live set last changed; each trace's polyline is
+    # its pieces of the runs, in order.
     z = x + 1j * y
-    zs = [z]
-    # a stopped seed never restarts: its polyline is the first n_points[k]
-    # rows of the stacked positions
-    n_points = np.ones(z.shape, dtype=int)
-    active = np.ones(z.shape, dtype=bool)
-    why = np.full(z.shape, "max_steps", dtype=object)
-    anchor = z
-    still = np.zeros(z.shape, dtype=int)   # steps within one step of anchor
-    for _ in range(max_steps):
-        if not np.any(active):
-            break
+    live = np.arange(len(z))
+    why = ["max_steps"] * len(z)
+    pieces = [[] for _ in live]
+    run = [z]
+
+    def close_run():
+        points = np.stack(run)
+        for c, k in enumerate(live):
+            pieces[k].append(points[:, c])
+        run.clear()
+
+    anchor = z.copy()   # updated in place; z is the run's first row
+    moved_at = np.zeros(len(z), dtype=int)   # last step that moved the anchor
+    trap_check = TRAP_STEPS   # no live trace is trapped before this step
+    for t in range(1, max_steps + 1):
         d1, a1 = direction(z)
-        z2 = z + 0.5 * step * d1
+        z2 = z + half * d1
         d2, a2 = direction(z2)
-        z3 = z + 0.5 * step * d2
+        z3 = z + half * d2
         d3, a3 = direction(z3)
-        z4 = z + step * d3
+        z4 = z + full * d3
         d4, a4 = direction(z4)
         flowing = a1 & a2 & a3 & a4
-        dz = (d1 + 2 * d2 + 2 * d3 + d4) / 6.0
-        zn = np.where(active & flowing, z + step * dz, z)
-        inside = geom.contains(zn.real, zn.imag)
-        stalled = np.flatnonzero(active & ~flowing)
-        if stalled.size:
-            # a stage point in the grounded wall band reads no flow: that
-            # trace has reached the boundary, not a flow-free region
-            stages = np.stack((z, z2, z3, z4))[:, stalled]
+        zn = z + full * ((d1 + two * d2 + two * d3 + d4) / six)
+        go = flowing & geom.contains(zn.real, zn.imag)
+        if np.count_nonzero(go) < len(go):
+            # a stage point in the grounded wall band reads no flow: a
+            # trace stalled there has reached the boundary, not a flow-free
+            # region
+            stages = np.stack((z, z2, z3, z4))
             walled = ~geom.contains(stages.real, stages.imag).all(axis=0)
-            why[stalled] = np.where(walled, "boundary", "cutoff")
-        why[active & ~inside] = "boundary"
-        active &= flowing & inside
-        z = np.where(active, zn, z)
-        n_points += active
-        zs.append(z)
+            for c in np.flatnonzero(~go):
+                # a trace still flowing stops because its next point is out
+                at_boundary = flowing[c] or walled[c]
+                why[live[c]] = "boundary" if at_boundary else "cutoff"
+            close_run()   # the run holds the stopping traces' last points
+            zn, anchor, moved_at, live = (a[go] for a in
+                                          (zn, anchor, moved_at, live))
+            if not live.size:
+                break
+        z = zn
+        run.append(z)
         moved = np.abs(z - anchor) > step
-        anchor = np.where(moved, z, anchor)
-        still = np.where(moved, 0, still + 1)
-        trapped = active & (still >= TRAP_STEPS)
-        why[trapped] = "trapped"
-        active &= ~trapped
-    points = np.stack(zs).view(float).reshape(len(zs), -1, 2)
-    return Streamlines([points[:n, k] for k, n in enumerate(n_points)], why)
+        np.copyto(anchor, z, where=moved)
+        np.copyto(moved_at, t, where=moved)
+        if t >= trap_check:
+            trapped = t - moved_at >= TRAP_STEPS
+            if trapped.any():
+                for c in np.flatnonzero(trapped):
+                    why[live[c]] = "trapped"
+                close_run()
+                keep = ~trapped
+                z, anchor, moved_at, live = (a[keep] for a in
+                                             (z, anchor, moved_at, live))
+                if not live.size:
+                    break
+            trap_check = moved_at.min() + TRAP_STEPS
+    if live.size:   # the traces that took max_steps steps
+        close_run()
+    return Streamlines([np.concatenate(p).view(float).reshape(-1, 2)
+                        for p in pieces], why)

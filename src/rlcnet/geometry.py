@@ -83,10 +83,28 @@ class GridGeometry:
 
     def contains(self, x, y):
         """True where the site nearest the point (x, y) is interior; the
-        nearest site rounds half to even (np.rint, as Python's round)."""
-        a0 = self.spacing
-        return self.is_interior(np.rint(x / a0).astype(int),
-                                np.rint(y / a0).astype(int))
+        nearest site rounds half to even (np.rint, as Python's round).
+        Takes float scalars (returns a bool) or float arrays of one shape."""
+        padded, a0, lo, nx, ny, row, first = self._site_lookup
+        # a site index past the lattice is clipped onto the padding frame,
+        # which reads False; fmax and fmin send NaN there too
+        i = np.fmin(np.fmax(np.rint(x / a0), lo), nx)
+        j = np.fmin(np.fmax(np.rint(y / a0), lo), ny)
+        inside = padded.take((i * row + j + first).astype(np.intp))
+        return bool(inside) if inside.ndim == 0 else inside
+
+    @cached_property
+    def _site_lookup(self) -> tuple:
+        """What `contains` reads: the interior mask inside a one-site False
+        frame, flattened, so that site (i, j) for i in [-1, nx] and j in
+        [-1, ny] sits at i * (ny + 2) + j + (ny + 3); then a0, the lowest
+        and the highest i and j, the row length and that offset, as 0-d
+        float arrays, which numpy applies faster than Python scalars."""
+        padded = np.pad(self.interior, 1).ravel()
+        padded.flags.writeable = False
+        return (padded, *map(np.array, (self.spacing, -1.0, float(self.nx),
+                                        float(self.ny), self.ny + 2.0,
+                                        self.ny + 3.0)))
 
     @property
     def interior_sites(self) -> np.ndarray:

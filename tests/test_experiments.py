@@ -505,17 +505,19 @@ def test_field_csv_round_trip(tmp_path):
 
 def test_unused_scipy_subpackages_not_imported(tmp_path):
     # scipy.stats, scipy.optimize and scipy.ndimage cost about 0.8 s of
-    # start-up: neither the import nor a stats or sweep run may load them
+    # start-up: neither the import nor a stats, sweep or streamlines run
+    # may load them
     cfg = write_cfg(tmp_path, {
         "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
         "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6,
         "omega_min": 3.99e6, "omega_max": 4.01e6, "n_points": 9,
+        "max_steps": 200,
     })
     script = (
         "import sys, rlcnet, rlcnet.cli\n"
         "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.ndimage')\n"
         "print([m for m in heavy if m in sys.modules])\n"
-        "for kind in ('stats', 'sweep'):\n"
+        "for kind in ('stats', 'sweep', 'streamlines'):\n"
         "    assert rlcnet.cli.main([kind, '--config', sys.argv[1],"
         " '--out', sys.argv[2] + kind]) == 0\n"
         "    print([m for m in heavy if m in sys.modules])\n")
@@ -526,7 +528,11 @@ def test_unused_scipy_subpackages_not_imported(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("[")]
-    # after import rlcnet, rlcnet.cli; after the stats run; after the sweep
-    assert lines == ["[]", "[]", "[]"]
+    # after import rlcnet, rlcnet.cli; after the stats, sweep and
+    # streamlines runs
+    assert lines == ["[]"] * 4
     man = json.loads((tmp_path / "out_sweep" / "manifest.json").read_text())
     assert man["n_peaks"] == 2     # the sweep refined peaks
+    man = json.loads((tmp_path / "out_streamlines" / "manifest.json")
+                     .read_text())
+    assert man["n_streamlines"] == 32   # the tracer ran

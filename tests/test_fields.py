@@ -206,7 +206,9 @@ def test_streamlines_zero_flow_single_point():
     assert paths.stop_reasons == ("cutoff",)
 
 
-def test_streamlines_batch_matches_single_seeds():
+# Tracer cases: each returns (field, currents, seeds, step, max_steps).
+
+def batch_case():
     # rows j >= 5 carry V = 0, so no flow reaches the seed at y = 8 a0;
     # the other seeds move right: one hits the wall, one runs to max_steps
     g = rasterize_rectangle(40, 10, 0.1)
@@ -214,34 +216,90 @@ def test_streamlines_batch_matches_single_seeds():
     i, j = np.meshgrid(np.arange(g.nx), np.arange(g.ny), indexing="ij")
     v = np.where(j <= 4, np.exp(2j * np.pi * i / 10), 0.0)
     field = make_field(g, v, spec=CircuitSpec("I", L, C, 1.0))
-    cur = link_currents(field, variant=OHMIC)
     seeds = [(38 * a0, 2 * a0), (5 * a0, 3 * a0), (20 * a0, 8 * a0)]
-    paths = trace_streamlines(field, cur, seeds, step=a0 / 4, max_steps=60)
+    return field, link_currents(field, variant=OHMIC), seeds, a0 / 4, 60
+
+
+def wall_case():
+    # on this drive RK4 stage points of the traces near the walls fall in
+    # the grounded wall band, where the flow reads zero
+    g = rasterize_rectangle(10, 8, 0.05)
+    a0 = g.spacing
+    field = driven_response(g, CircuitSpec("I", L, C, 0.3), 1.0e6,
+                            ((5, 4), 1.0))
+    ang = 2.0 * np.pi * np.arange(8) / 8
+    seeds = np.stack((5 * a0 + 0.2 * np.cos(ang),
+                      4 * a0 + 0.2 * np.sin(ang)), axis=1)
+    seeds = seeds[g.contains(*seeds.T)]
+    return field, link_currents(field), seeds, a0 / 4, 500
+
+
+def stadium_case():
+    # a driven stadium whose traces end at the wall, around vortex cores and
+    # at max_steps
+    g = rasterize_quarter_stadium(0.02)
+    a0 = g.spacing
+    source = centroid_site(g)
+    field = driven_response(g, CircuitSpec("I", L, C, 1.0), 3.0e6,
+                            (source, 1.0))
+    ang = 2.0 * np.pi * np.arange(16) / 16
+    seeds = np.stack((a0 * source[0] + 0.1 * np.cos(ang),
+                      a0 * source[1] + 0.1 * np.sin(ang)), axis=1)
+    seeds = seeds[g.contains(*seeds.T)]
+    return field, link_currents(field), seeds, a0 / 4, 2000
+
+
+def vortex_case():
+    # V = (i - 10.3) + i (j - 10.6) has one vortex, at (1.03, 1.06); with
+    # link reactance omega L equal to R the active flow spirals into it
+    g = rasterize_rectangle(20, 20, 0.1)
+    a0 = g.spacing
+    i, j = np.meshgrid(np.arange(g.nx), np.arange(g.ny), indexing="ij")
+    field = make_field(g, (i - 10.3) + 1j * (j - 10.6), omega=1.0 / L,
+                       spec=CircuitSpec("I", L, C, 1.0))
+    return field, link_currents(field), [(4 * a0, 4 * a0)], a0 / 4, 1000
+
+
+def rim_setup(rng):
+    """A random field on a 6x6 lattice at spacing 1 whose every site is
+    interior, the rim included, and its ohmic currents."""
+    n = 6
+    g = GridGeometry(spacing=1.0, nx=n, ny=n, interior=np.ones((n, n), bool),
+                     boundary=np.zeros((n, n), bool), bc=BCKind())
+    v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    field = make_field(g, v, spec=CircuitSpec("I", L, C, 1.0))
+    return g, field, link_currents(field, variant=OHMIC)
+
+
+def rim_case():
+    # stage points leave the lattice, where the flow reads zero
+    rng = np.random.default_rng(4)
+    g, field, cur = rim_setup(rng)
+    seeds = rng.uniform(-0.49, g.nx - 0.51, size=(40, 2))
+    return field, cur, seeds, 0.5, 30
+
+
+def test_streamlines_batch_matches_single_seeds():
+    field, cur, seeds, step, max_steps = batch_case()
+    paths = trace_streamlines(field, cur, seeds, step=step,
+                              max_steps=max_steps)
     n = [len(p) for p in paths]
     assert 1 < n[0] < 61 and n[1] == 61 and n[2] == 1
     assert paths.stop_reasons == ("boundary", "max_steps", "cutoff")
     for seed, path in zip(seeds, paths):
-        alone, = trace_streamlines(field, cur, [seed], step=a0 / 4,
-                                   max_steps=60)
+        alone, = trace_streamlines(field, cur, [seed], step=step,
+                                   max_steps=max_steps)
         assert path.shape == alone.shape == (len(path), 2)
         assert np.array_equal(path, alone)
 
 
 def test_streamline_reaching_the_wall_stops_at_boundary():
-    # on this drive one trace's RK4 stage point falls in the grounded wall
-    # band, where the flow reads zero: that trace ends at the boundary, not
-    # at a cutoff
-    g = rasterize_rectangle(10, 8, 0.05)
-    a0 = g.spacing
-    step = a0 / 4
-    field = driven_response(g, CircuitSpec("I", L, C, 0.3), 1.0e6,
-                            ((5, 4), 1.0))
-    cur = link_currents(field)
-    ang = 2.0 * np.pi * np.arange(8) / 8
-    seeds = np.stack((5 * a0 + 0.2 * np.cos(ang),
-                      4 * a0 + 0.2 * np.sin(ang)), axis=1)
-    seeds = seeds[g.contains(*seeds.T)]
-    paths = trace_streamlines(field, cur, seeds, step=step, max_steps=500)
+    # a trace whose stage point reads zero flow in the wall band ends at
+    # the boundary, not at a cutoff
+    field, cur, seeds, step, max_steps = wall_case()
+    g = field.geometry
+    paths = trace_streamlines(field, cur, seeds, step=step,
+                              max_steps=max_steps)
     assert len(paths) == 7
     assert paths.stop_reasons == ("boundary",) * 7
     # every trace ends within one step of the outside of the billiard
@@ -252,21 +310,13 @@ def test_streamline_reaching_the_wall_stops_at_boundary():
 
 
 def test_trap_stop_only_truncates_traces(monkeypatch):
-    # a driven stadium whose traces end at the wall, around vortex cores and
-    # at max_steps; without the trap stop every trace runs on unchanged
-    g = rasterize_quarter_stadium(0.02)
-    a0 = g.spacing
-    source = centroid_site(g)
-    field = driven_response(g, CircuitSpec("I", L, C, 1.0), 3.0e6,
-                            (source, 1.0))
-    cur = link_currents(field)
-    ang = 2.0 * np.pi * np.arange(16) / 16
-    seeds = np.stack((a0 * source[0] + 0.1 * np.cos(ang),
-                      a0 * source[1] + 0.1 * np.sin(ang)), axis=1)
-    seeds = seeds[g.contains(*seeds.T)]
-    paths = trace_streamlines(field, cur, seeds, step=a0 / 4, max_steps=2000)
-    monkeypatch.setattr(fields, "TRAP_STEPS", 2001)
-    free = trace_streamlines(field, cur, seeds, step=a0 / 4, max_steps=2000)
+    # without the trap stop every trace runs on unchanged
+    field, cur, seeds, step, max_steps = stadium_case()
+    paths = trace_streamlines(field, cur, seeds, step=step,
+                              max_steps=max_steps)
+    monkeypatch.setattr(fields, "TRAP_STEPS", max_steps + 1)
+    free = trace_streamlines(field, cur, seeds, step=step,
+                             max_steps=max_steps)
     counts = paths.stop_counts()
     assert counts["trapped"] and counts["boundary"] and counts["max_steps"]
     assert sum(counts.values()) == len(paths) == len(seeds)
@@ -282,25 +332,18 @@ def test_trap_stop_only_truncates_traces(monkeypatch):
 
 
 def test_streamline_trapped_by_vortex_core(monkeypatch):
-    # V = (i - 10.3) + i (j - 10.6) has one vortex, at (1.03, 1.06); with
-    # link reactance omega L equal to R the active flow spirals into it
-    g = rasterize_rectangle(20, 20, 0.1)
-    a0 = g.spacing
-    i, j = np.meshgrid(np.arange(g.nx), np.arange(g.ny), indexing="ij")
-    field = make_field(g, (i - 10.3) + 1j * (j - 10.6), omega=1.0 / L,
-                       spec=CircuitSpec("I", L, C, 1.0))
-    cur = link_currents(field)
+    field, cur, seed, step, max_steps = vortex_case()
+    a0 = field.geometry.spacing
     core = np.array([1.03, 1.06])
-    seed = [(4 * a0, 4 * a0)]
-    path, = paths = trace_streamlines(field, cur, seed, step=a0 / 4,
-                                      max_steps=1000)
+    path, = paths = trace_streamlines(field, cur, seed, step=step,
+                                      max_steps=max_steps)
     assert paths.stop_reasons == ("trapped",)
     # about 9 a0 to the core at a0/4 per step, then TRAP_STEPS in orbit
     assert len(path) < 40 + 2 * fields.TRAP_STEPS
     assert np.hypot(*(path[-1] - core)) < a0
-    monkeypatch.setattr(fields, "TRAP_STEPS", 1001)
-    orbit, = paths = trace_streamlines(field, cur, seed, step=a0 / 4,
-                                       max_steps=1000)
+    monkeypatch.setattr(fields, "TRAP_STEPS", max_steps + 1)
+    orbit, = paths = trace_streamlines(field, cur, seed, step=step,
+                                       max_steps=max_steps)
     assert paths.stop_reasons == ("max_steps",) and len(orbit) == 1001
     assert np.array_equal(path, orbit[:len(path)])
     assert np.hypot(*(orbit[len(path):] - core).T).max() < a0
@@ -315,32 +358,37 @@ def sampled_flow(fx, fy, x, y, a0):
 
 
 def test_tabulated_flow_matches_direct_sampling():
+    # random flows, and the active flow of a lattice whose interior
+    # touches the rim; a0 is a power of 2, so every half-cell knot below is
+    # exact and the table holds the samples there bit for bit
     rng = np.random.default_rng(3)
-    nx, ny, a0 = 7, 5, 0.1
-    fx, fy = rng.normal(size=(nx, ny)), rng.normal(size=(nx, ny))
-    fmax = max(np.abs(fx).max(), np.abs(fy).max())
-    # random points over the whole domain, which reaches one site past the
-    # lattice on every side where the clamp acts, and every half-cell knot
-    # up to the domain's edge
-    u = np.concatenate((rng.uniform(-1.0, nx, 2000),
-                        np.repeat(np.arange(-2, 2 * nx + 1) / 2, 2 * ny + 3)))
-    w = np.concatenate((rng.uniform(-1.0, ny, 2000),
-                        np.tile(np.arange(-2, 2 * ny + 1) / 2, 2 * nx + 3)))
-    x, y = a0 * u, a0 * w
-    got = _tabulated_flow(fx, fy, a0)(x + 1j * y)
-    want = sampled_flow(fx, fy, x, y, a0)
-    assert np.abs(got - want).max() <= 1e-12 * fmax
+    _, rim_field, rim_cur = rim_setup(rng)
+    flows = (((rng.normal(size=(7, 5)), rng.normal(size=(7, 5))), 0.25),
+             (active_link_flow(rim_field, rim_cur), 1.0))
+    for (fx, fy), a0 in flows:
+        nx, ny = fx.shape
+        fmax = max(np.abs(fx).max(), np.abs(fy).max())
+        flow = _tabulated_flow(fx, fy, a0)
+        # every half-cell knot of the domain, which reaches one site past
+        # the lattice on every side where the clamp acts
+        u, w = np.meshgrid(np.arange(-2, 2 * nx + 1) / 2,
+                           np.arange(-2, 2 * ny + 1) / 2, indexing="ij")
+        x, y = a0 * u.ravel(), a0 * w.ravel()
+        assert np.array_equal(flow(x + 1j * y),
+                              sampled_flow(fx, fy, x, y, a0))
+        # random points over the whole domain, up to roundoff
+        x = a0 * rng.uniform(-1.0, nx, 2000)
+        y = a0 * rng.uniform(-1.0, ny, 2000)
+        got = flow(x + 1j * y)
+        want = sampled_flow(fx, fy, x, y, a0)
+        assert np.abs(got - want).max() <= 1e-12 * fmax
 
 
 def test_streamlines_first_step_at_lattice_rim():
     # every site interior, the rim included: stage points leave the lattice
     rng = np.random.default_rng(4)
-    n, a0 = 6, 1.0
-    g = GridGeometry(spacing=a0, nx=n, ny=n, interior=np.ones((n, n), bool),
-                     boundary=np.zeros((n, n), bool), bc=BCKind())
-    v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    field = make_field(g, v, spec=CircuitSpec("I", L, C, 1.0))
-    cur = link_currents(field, variant=OHMIC)
+    g, field, cur = rim_setup(rng)
+    n, a0 = g.nx, g.spacing
     fx, fy = active_link_flow(field, cur)
     lo, hi = -0.49 * a0, (n - 0.51) * a0
     z = np.concatenate((rng.uniform(lo, hi, 300)
@@ -373,25 +421,167 @@ def test_streamlines_first_step_at_lattice_rim():
 
 
 def test_tracer_samples_the_flow_once_per_trace(monkeypatch):
-    import scipy.ndimage
-    calls = []
-    sample = scipy.ndimage.map_coordinates
+    builds = []
+    tabulate = fields._tabulated_flow
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sample(*args, **kwargs)
+    def counted(*args):
+        builds.append(1)
+        return tabulate(*args)
 
-    monkeypatch.setattr(scipy.ndimage, "map_coordinates", counted)
+    monkeypatch.setattr(fields, "_tabulated_flow", counted)
     g, field, cur = plane_wave_setup()
     seed = [(5 * g.spacing, 5 * g.spacing)]
     counts = []
     for max_steps in (10, 200):
-        calls.clear()
+        builds.clear()
         path, = trace_streamlines(field, cur, seed, step=g.spacing / 4,
                                   max_steps=max_steps)
-        counts.append(len(calls))
+        counts.append(len(builds))
     assert len(path) > 100        # the long trace did take its steps
-    assert counts[0] == counts[1]
+    assert counts == [1, 1]
+
+
+def reference_flow(fx, fy, a0):
+    """The flow table sampled by map_coordinates, one row of the four
+    coefficients per cell."""
+    from scipy.ndimage import map_coordinates
+
+    nx, ny = fx.shape
+    u, w = np.meshgrid(np.arange(2 * nx + 4) / 2 - 1.0,
+                       np.arange(2 * ny + 4) / 2 - 1.0, indexing="ij")
+    g = (map_coordinates(fx, (u - 0.5, w), order=1, mode="nearest")
+         + 1j * map_coordinates(fy, (u, w - 0.5), order=1, mode="nearest"))
+    c0 = g[:-1, :-1]
+    cw = g[:-1, 1:] - c0
+    cu = g[1:, :-1] - c0
+    cuw = g[1:, 1:] - g[1:, :-1] - cw
+    table = np.stack((c0, cu, cw, cuw), axis=-1).reshape(-1, 4)
+    n_w = c0.shape[1]
+
+    def flow(z):
+        frac, whole = np.modf((z * (2.0 / a0) + (2.0 + 2.0j)).view(float))
+        k = whole.astype(np.intp)
+        c = table.take(k[0::2] * n_w + k[1::2], axis=0)
+        tu, tw = frac[0::2], frac[1::2]
+        return c[:, 0] + tu * c[:, 1] + tw * (c[:, 2] + tu * c[:, 3])
+
+    return flow
+
+
+def reference_contains(geom, x, y):
+    """The nearest-site interior test, by rounding to integer indices."""
+    a0 = geom.spacing
+    return geom.is_interior(np.rint(x / a0).astype(int),
+                            np.rint(y / a0).astype(int))
+
+
+def reference_direction(field, currents):
+    """The reference tracer's stage function: the unit flow direction and
+    whether |flow| clears the cutoff, the raw flow where it does not."""
+    fx, fy = active_link_flow(field, currents)
+    cutoff = FLOW_CUTOFF * max(np.abs(fx).max(), np.abs(fy).max())
+    flow = reference_flow(fx, fy, field.geometry.spacing)
+
+    def direction(z):
+        g = flow(z)
+        mag = np.abs(g)
+        alive = mag > cutoff
+        return np.divide(g, mag, out=g, where=alive), alive
+
+    return direction
+
+
+def reference_trace(field, currents, seeds, step, max_steps):
+    """Oracle for trace_streamlines: every trace steps over full-width
+    arrays, stopped or not, and a stopped trace keeps its position, so its
+    polyline is a prefix of the stacked positions.  Returns the polylines
+    and their stop reasons."""
+    geom = field.geometry
+    direction = reference_direction(field, currents)
+    x = np.array([s[0] for s in seeds], dtype=float)
+    y = np.array([s[1] for s in seeds], dtype=float)
+    z = x + 1j * y
+    zs = [z]
+    n_points = np.ones(z.shape, dtype=int)
+    active = np.ones(z.shape, dtype=bool)
+    why = np.full(z.shape, "max_steps", dtype=object)
+    anchor = z
+    still = np.zeros(z.shape, dtype=int)
+    for _ in range(max_steps):
+        if not np.any(active):
+            break
+        d1, a1 = direction(z)
+        z2 = z + 0.5 * step * d1
+        d2, a2 = direction(z2)
+        z3 = z + 0.5 * step * d2
+        d3, a3 = direction(z3)
+        z4 = z + step * d3
+        d4, a4 = direction(z4)
+        flowing = a1 & a2 & a3 & a4
+        dz = (d1 + 2 * d2 + 2 * d3 + d4) / 6.0
+        zn = np.where(active & flowing, z + step * dz, z)
+        inside = reference_contains(geom, zn.real, zn.imag)
+        stalled = np.flatnonzero(active & ~flowing)
+        if stalled.size:
+            stages = np.stack((z, z2, z3, z4))[:, stalled]
+            walled = ~reference_contains(geom, stages.real,
+                                         stages.imag).all(axis=0)
+            why[stalled] = np.where(walled, "boundary", "cutoff")
+        why[active & ~inside] = "boundary"
+        active &= flowing & inside
+        z = np.where(active, zn, z)
+        n_points += active
+        zs.append(z)
+        moved = np.abs(z - anchor) > step
+        anchor = np.where(moved, z, anchor)
+        still = np.where(moved, 0, still + 1)
+        trapped = active & (still >= fields.TRAP_STEPS)
+        why[trapped] = "trapped"
+        active &= ~trapped
+    points = np.stack(zs).view(float).reshape(len(zs), -1, 2)
+    return [points[:n, k] for k, n in enumerate(n_points)], tuple(why)
+
+
+def stalls_on_last_step(field, currents, path, step):
+    """True when an RK4 stage from the polyline's last point reads |flow|
+    below the cutoff."""
+    direction = reference_direction(field, currents)
+    z = np.array([path[-1, 0] + 1j * path[-1, 1]])
+    d, alive = direction(z)
+    for frac in (0.5, 0.5, 1.0):
+        d, a = direction(z + frac * step * d)
+        alive &= a
+    return not alive[0]
+
+
+# each case and the stop reasons its traces reach; together, every reason
+ORACLE_CASES = {
+    "wall": (wall_case, {"boundary"}),
+    "batch": (batch_case, {"boundary", "max_steps", "cutoff"}),
+    "vortex": (vortex_case, {"trapped"}),
+    "stadium": (stadium_case, {"boundary", "trapped", "max_steps"}),
+    "rim": (rim_case, {"boundary"}),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_tracer_matches_reference(name):
+    case, reasons = ORACLE_CASES[name]
+    assert set().union(*(r for _, r in ORACLE_CASES.values())) \
+        == set(fields.STOP_REASONS)
+    field, cur, seeds, step, max_steps = case()
+    want, want_why = reference_trace(field, cur, seeds, step, max_steps)
+    assert set(want_why) == reasons
+    got = trace_streamlines(field, cur, seeds, step=step, max_steps=max_steps)
+    assert got.stop_reasons == want_why
+    assert len(got) == len(want) == len(seeds)
+    for path, ref in zip(got, want):
+        assert path.shape == ref.shape and np.array_equal(path, ref)
+    if name == "wall":
+        # some trace stops at the boundary through a walled stage point
+        assert any(why == "boundary"
+                   and stalls_on_last_step(field, cur, path, step)
+                   for path, why in zip(got, got.stop_reasons))
 
 
 def test_streamline_preconditions():
@@ -402,3 +592,7 @@ def test_streamline_preconditions():
     with pytest.raises(ValueError):
         trace_streamlines(field, cur, [(-1.0, -1.0)], step=g.spacing / 4,
                           max_steps=10)
+    # no seeds, no traces
+    none = trace_streamlines(field, cur, [], step=g.spacing / 4,
+                             max_steps=100)
+    assert none == [] and none.stop_reasons == ()

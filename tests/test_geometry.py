@@ -129,6 +129,24 @@ def test_contains_rounds_half_to_even():
     assert [g.is_interior(round(x), round(y)) for x, y in points] == expected
     x, y = np.array(points).T
     assert g.contains(x, y).tolist() == expected
+    assert all(type(g.contains(x, y)) is bool for x, y in points)
+    # every site interior, the rim included: one site off the lattice on
+    # any side, far off it or at NaN the point is outside
+    full = GridGeometry(spacing=1.0, nx=3, ny=2,
+                        interior=np.ones((3, 2), bool),
+                        boundary=np.zeros((3, 2), bool), bc=BCKind())
+    big, nan = 1e300, float("nan")
+    points = [(0.0, 0.0), (2.0, 1.0), (-0.5, 0.0), (2.5, 0.5), (1.0, -0.5),
+              (-1.0, 0.0), (3.0, 1.0), (1.0, -1.0), (1.0, 2.0), (-0.51, 1.0),
+              (2.0, 1.51), (-1.0, -1.0), (3.0, 2.0), (big, 1.0), (-big, 1.0),
+              (1.0, big), (1.0, -big), (nan, 1.0), (1.0, nan), (nan, nan)]
+    expected = [True] * 5 + [False] * 15
+    assert [full.contains(x, y) for x, y in points] == expected
+    assert all(type(full.contains(x, y)) is bool for x, y in points)
+    x, y = np.array(points).T
+    got = full.contains(x, y)
+    assert got.dtype == bool and got.tolist() == expected
+    assert full.contains(x.reshape(4, 5), y.reshape(4, 5)).shape == (4, 5)
 
 
 def test_bc_kind_validation():
