@@ -314,8 +314,9 @@ def _tabulated_flow(fx, fy, a0):
     def flow(z):
         # shifted to cell units, every point is >= 0 (up to roundoff), so
         # modf's integer part is the cell and its fraction the cell offset;
-        # the fractions land in real parts, so that they multiply the
-        # complex coefficients as numpy would cast them
+        # the fractions land in the real parts of a complex buffer, so they
+        # multiply the complex coefficients as numpy's cast of a float
+        # would, without the cast
         frac = np.zeros(2 * len(z), dtype=complex)
         _, whole = np.modf((z * scale + shift).view(float),
                            out=(frac.real, None))
@@ -392,7 +393,6 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
 
     anchor = z.copy()   # updated in place; z is the run's first row
     moved_at = np.zeros(len(z), dtype=int)   # last step that moved the anchor
-    trap_check = TRAP_STEPS   # no live trace is trapped before this step
     for t in range(1, max_steps + 1):
         d1, a1 = direction(z)
         z2 = z + half * d1
@@ -424,18 +424,16 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
         moved = np.abs(z - anchor) > step
         np.copyto(anchor, z, where=moved)
         np.copyto(moved_at, t, where=moved)
-        if t >= trap_check:
-            trapped = t - moved_at >= TRAP_STEPS
-            if trapped.any():
-                for c in np.flatnonzero(trapped):
-                    why[live[c]] = "trapped"
-                close_run()
-                keep = ~trapped
-                z, anchor, moved_at, live = (a[keep] for a in
-                                             (z, anchor, moved_at, live))
-                if not live.size:
-                    break
-            trap_check = moved_at.min() + TRAP_STEPS
+        trapped = t - moved_at >= TRAP_STEPS
+        if trapped.any():
+            for c in np.flatnonzero(trapped):
+                why[live[c]] = "trapped"
+            close_run()
+            keep = ~trapped
+            z, anchor, moved_at, live = (a[keep] for a in
+                                         (z, anchor, moved_at, live))
+            if not live.size:
+                break
     if live.size:   # the traces that took max_steps steps
         close_run()
     return Streamlines([np.concatenate(p).view(float).reshape(-1, 2)

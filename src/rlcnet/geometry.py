@@ -72,37 +72,35 @@ class GridGeometry:
 
     def is_interior(self, i, j):
         """True where (i, j) is on the lattice and an interior site; takes
-        integer scalars (returns a bool) or integer arrays of one shape."""
-        i, j = np.asarray(i), np.asarray(j)
-        on = (i >= 0) & (i < self.nx) & (j >= 0) & (j < self.ny)
-        # off-lattice entries read site (0, 0); the cast also takes Python
-        # ints too large for int64, which numpy holds as objects
-        inside = on & self.interior[np.where(on, i, 0).astype(int),
-                                    np.where(on, j, 0).astype(int)]
+        whole-number scalars (returns a bool) or arrays of one shape, of
+        integer or float dtype (NaN reads False)."""
+        framed, _, lo, nx, ny, row, first = self._site_lookup
+        # as floats, Python ints too large for int64 clip like any other; an
+        # index past the lattice is clipped onto the False frame, and fmax
+        # and fmin send NaN there too
+        i = np.fmin(np.fmax(np.asarray(i, dtype=float), lo), nx)
+        j = np.fmin(np.fmax(np.asarray(j, dtype=float), lo), ny)
+        inside = framed.take((i * row + j + first).astype(np.intp))
         return bool(inside) if inside.ndim == 0 else inside
 
     def contains(self, x, y):
         """True where the site nearest the point (x, y) is interior; the
         nearest site rounds half to even (np.rint, as Python's round).
         Takes float scalars (returns a bool) or float arrays of one shape."""
-        padded, a0, lo, nx, ny, row, first = self._site_lookup
-        # a site index past the lattice is clipped onto the padding frame,
-        # which reads False; fmax and fmin send NaN there too
-        i = np.fmin(np.fmax(np.rint(x / a0), lo), nx)
-        j = np.fmin(np.fmax(np.rint(y / a0), lo), ny)
-        inside = padded.take((i * row + j + first).astype(np.intp))
-        return bool(inside) if inside.ndim == 0 else inside
+        a0 = self._site_lookup[1]
+        return self.is_interior(np.rint(x / a0), np.rint(y / a0))
 
     @cached_property
     def _site_lookup(self) -> tuple:
-        """What `contains` reads: the interior mask inside a one-site False
-        frame, flattened, so that site (i, j) for i in [-1, nx] and j in
-        [-1, ny] sits at i * (ny + 2) + j + (ny + 3); then a0, the lowest
+        """What `is_interior` reads: the interior mask inside a one-site
+        False frame, flattened, so that site (i, j) for i in [-1, nx] and j
+        in [-1, ny] sits at i * (ny + 2) + j + (ny + 3); then a0, the lowest
         and the highest i and j, the row length and that offset, as 0-d
-        float arrays, which numpy applies faster than Python scalars."""
-        padded = np.pad(self.interior, 1).ravel()
-        padded.flags.writeable = False
-        return (padded, *map(np.array, (self.spacing, -1.0, float(self.nx),
+        float arrays.  The streamline tracer calls `contains` once a step,
+        and numpy applies 0-d arrays faster than Python scalars."""
+        framed = np.pad(self.interior, 1).ravel()
+        framed.flags.writeable = False
+        return (framed, *map(np.array, (self.spacing, -1.0, float(self.nx),
                                         float(self.ny), self.ny + 2.0,
                                         self.ny + 3.0)))
 

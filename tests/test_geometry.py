@@ -111,6 +111,9 @@ def test_is_interior_arrays_match_scalars():
     got = g.is_interior(i, j)
     assert got.dtype == bool and got.tolist() == expected
     assert g.is_interior(i.reshape(13, 1), j.reshape(13, 1)).shape == (13, 1)
+    # whole numbers held as floats read the same; NaN reads False
+    assert g.is_interior(i.astype(float), j.astype(float)).tolist() == expected
+    assert not g.is_interior(float("nan"), 2) and not g.is_interior(2, np.nan)
     # the bounds check does not lean on an empty lattice rim
     full = GridGeometry(spacing=1.0, nx=2, ny=2,
                         interior=np.ones((2, 2), bool),
