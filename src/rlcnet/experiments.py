@@ -231,12 +231,15 @@ def place_source_at_maximum(geometry: GridGeometry, spec: CircuitSpec,
 
     Each of the n_iter passes solves the driven system and moves the
     source to the density argmax over the interior sites other than its
-    own (row-major tie-break), so the walk always makes n_iter moves.  One
-    more solve gives the returned field at the final site; all n_iter + 1
-    solves share one factorization.
+    own (row-major tie-break), so the walk always makes n_iter moves, and
+    the geometry needs at least 2 interior sites.  One more solve gives
+    the returned field at the final site; all n_iter + 1 solves share one
+    factorization.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    if geometry.n_interior < 2:
+        raise ValueError("density_max needs at least 2 interior sites")
     solve = driven_solver(geometry, spec, omega, pert)
     site = centroid_site(geometry) if start is None else tuple(start)
     for _ in range(n_iter):
@@ -376,6 +379,9 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
         raise ConfigError(f"n_modes: must be in [1, {geometry.n_interior}]")
     if cfg.experiment == "ensemble" and geometry.n_interior < 2:
         raise ConfigError("nx_interior/ny_interior: an ensemble needs 2 sites")
+    if cfg.source_rule == "density_max" and geometry.n_interior < 2 \
+            and cfg.experiment in ("drive", "sweep", "stats", "streamlines"):
+        raise ConfigError("source_rule: density_max needs 2 interior sites")
     # the topmost directory this run creates, which a failed run removes;
     # a directory that already existed stays
     created = None

@@ -422,8 +422,9 @@ def _newton_peak(response, omegas, f, slopes, tol: float):
     half shows that).  Every evaluation narrows the bracket by the sign of
     f'; a bisection step replaces the Newton step f f' / (2 f'^2 - f f'')
     when h'' <= 0 (that denominator <= 0) or when the step leaves the
-    bracket.  Stops once a step is below `tol` and returns (omega, f) at
-    the last omega evaluated.
+    bracket.  Stops once a step is below `tol` or no longer moves omega
+    (a `tol` that rounds to 0 is never met) and returns (omega, f) at the
+    last omega evaluated.
     """
     lo, hi = omegas[0], omegas[2]
     h_slopes = -slopes / f ** 2
@@ -443,7 +444,7 @@ def _newton_peak(response, omegas, f, slopes, tol: float):
         step = fw * df / curvature if curvature > 0.0 else np.inf
         if not lo < w + step < hi:
             step = 0.5 * (lo + hi) - w
-        if abs(step) < tol:
+        if abs(step) < tol or w + step == w:
             return float(w), fw
         w = w + step
 
@@ -602,7 +603,8 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     condition check needs an estimate, or the contract unmet at the cap)
     is one `driven_response` call: one factorization.  Returns a list of
     (omega_peak, response_norm_sq) in ascending omega, the value being
-    |V|^2 of the direct `driven_response` at omega_peak.
+    |V|^2 of the field that the last Newton evaluation computed at
+    omega_peak, which has met the residual contract.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi):
@@ -617,10 +619,6 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
         raise ValueError("rel_tol must be positive")
 
     krylov = _window_basis(geometry, spec, omega_range, pert, source)
-    direct = {}   # omega -> |V|^2 of a driven_response evaluation
-
-    def norm_sq(v):
-        return float(np.real(np.vdot(v, v)))
 
     def response(omega, order):
         """(f, f') for order 1, (f, f', f'') for order 2."""
@@ -628,9 +626,9 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
         if xs is None:
             xs = [field.interior_values for field in driven_response(
                 geometry, spec, omega, source, pert=pert, order=order)]
-            direct[omega] = norm_sq(xs[0])
         v, dv, *d2v = xs
-        out = (norm_sq(v), 2.0 * float(np.real(np.vdot(v, dv))))
+        out = (float(np.real(np.vdot(v, v))),
+               2.0 * float(np.real(np.vdot(v, dv))))
         if d2v:
             out += (2.0 * float(np.real(np.vdot(dv, dv) + np.vdot(v, d2v[0]))),)
         return out
@@ -639,13 +637,7 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     f, slopes = np.array([response(w, 1) for w in omegas]).T
     # a step of half rel_tol * omega keeps the bracket-width meaning of
     # rel_tol at the peak
-    peaks = [_newton_peak(response, omegas[k - 1:k + 2], f[k - 1:k + 2],
-                          slopes[k - 1:k + 2], 0.5 * rel_tol * omegas[k])
-             for k in range(1, n_points - 1)
-             if f[k] > f[k - 1] and f[k] > f[k + 1]]
-    # free the basis and its factor before the peaks' own factorizations,
-    # so that their memory does not add up
-    krylov = None
-    return [(w, direct[w] if w in direct else norm_sq(driven_response(
-        geometry, spec, w, source, pert=pert).interior_values))
-        for w, _ in peaks]
+    return [_newton_peak(response, omegas[k - 1:k + 2], f[k - 1:k + 2],
+                         slopes[k - 1:k + 2], 0.5 * rel_tol * omegas[k])
+            for k in range(1, n_points - 1)
+            if f[k] > f[k - 1] and f[k] > f[k + 1]]

@@ -395,6 +395,24 @@ def test_cli_streamlines_seed_ring(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_density_max_needs_two_sites(tmp_path, capsys):
+    # the walk moves the source to another interior site, which a 1x1
+    # rectangle lacks: a config error before the output directory exists
+    one_site = {"geometry": "rectangle", "nx_interior": 1, "ny_interior": 1,
+                "spacing": 0.1, "resistance": 0.3, "omega": 1.0e6,
+                "omega_min": 0.9e6, "omega_max": 1.1e6, "n_points": 5,
+                "source_rule": "density_max"}
+    cfg = write_cfg(tmp_path, one_site)
+    for experiment in ("drive", "sweep", "stats", "streamlines"):
+        out = tmp_path / "new" / experiment
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+        assert "density_max" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+    g = rasterize_rectangle(1, 1, 0.1)
+    with pytest.raises(ValueError, match="2 interior sites"):
+        place_source_at_maximum(g, CircuitSpec("I", L, C, 0.3), 1.0e6)
+
+
 def test_failed_run_removes_only_the_directory_it_created(tmp_path, capsys):
     # a 30x30 rectangle has 900 sites, too few for the stats fits: the
     # error is raised inside the experiment, after the output directory

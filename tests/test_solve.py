@@ -595,11 +595,39 @@ def test_resonance_sweep_peaks_converged():
         assert abs(w - w_fine) <= 1e-6 * w_fine
 
 
-def test_resonance_sweep_value_is_response_at_peak():
+def test_resonance_sweep_value_is_response_at_peak(monkeypatch):
+    # each peak's value is |V|^2 of the last field the sweep evaluated at
+    # omega_peak, basis-served or (with a one-vector cap) direct; that
+    # field meets the residual contract, as a direct solve there does
     g, spec, _, band = _sweep_case()
-    for w_peak, val in resonance_sweep(g, spec, band, 220, ((2, 2), 1.0)):
-        v = driven_response(g, spec, w_peak, ((2, 2), 1.0)).interior_values
-        assert val == float(np.real(np.vdot(v, v)))
+    served, direct = solve._ShiftedKrylov.solve, solve.driven_response
+    last = {}   # omega -> V of the sweep's last evaluation there
+
+    def record_served(self, omega, order):
+        xs = served(self, omega, order)
+        if xs is not None:
+            last[omega] = xs[0]
+        return xs
+
+    def record_direct(geometry, spec, omega, *args, **kwargs):
+        fields = direct(geometry, spec, omega, *args, **kwargs)
+        last[omega] = fields[0].interior_values
+        return fields
+
+    for cap in (solve.KRYLOV_CAP, 1):
+        last.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(solve, "KRYLOV_CAP", cap)
+            patch.setattr(solve._ShiftedKrylov, "solve", record_served)
+            patch.setattr(solve, "driven_response", record_direct)
+            peaks = resonance_sweep(g, spec, band, 220, ((2, 2), 1.0))
+        assert len(peaks) == 2
+        for w_peak, val in peaks:
+            v = last[w_peak]
+            assert val == float(np.real(np.vdot(v, v)))
+            v = driven_response(g, spec, w_peak, ((2, 2), 1.0)).interior_values
+            want = float(np.real(np.vdot(v, v)))
+            assert abs(val - want) <= 1e-8 * want
 
 
 def _count_factorizations(monkeypatch):
@@ -630,13 +658,14 @@ def _count_calls(monkeypatch, name):
 
 def test_resonance_sweep_solve_budget(monkeypatch):
     built = _count_factorizations(monkeypatch)
+    calls = _count_calls(monkeypatch, "driven_response")
     g, spec, _, band = _sweep_case()
     peaks = resonance_sweep(g, spec, band, 220, ((2, 2), 1.0))
     assert len(peaks) == 2
     # the window's Krylov basis serves every grid and Newton evaluation on
-    # one factorization at the window centre; each peak's value is one
-    # direct solve
-    assert len(built) == 1 + len(peaks)
+    # one factorization at the window centre, each peak's value included
+    assert len(built) == 1
+    assert calls == []
 
 
 def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
@@ -646,11 +675,9 @@ def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
     assert peaks
     orders = [kwargs["order"] for kwargs in assemblies]
     # the window centre and the grid ask for A' only; each Newton step
-    # also for A''; each peak's value is one solve of A alone
-    n_peaks = len(peaks)
+    # also for A'', and the last one's field gives the peak's value
     assert orders[:10] == [1] * 10
-    assert len(orders) > 10 + n_peaks and set(orders[10:-n_peaks]) == {2}
-    assert orders[-n_peaks:] == [0] * n_peaks
+    assert len(orders) > 10 and set(orders[10:]) == {2}
     assert stencil_builds == [g]
 
 
@@ -772,8 +799,7 @@ def test_resonance_sweep_preconditions(monkeypatch):
                         ((1, 1), 1.0))
     with pytest.raises(ValueError):
         resonance_sweep(g, lossy, (1e6, 2e6), 50, None)
-    # Newton stops only on a step below rel_tol * omega / 2, so a zero or
-    # NaN tolerance would refine forever; it is rejected before any solve
+    # a tolerance that is not positive is rejected before any solve
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before rel_tol was checked")
@@ -783,6 +809,16 @@ def test_resonance_sweep_preconditions(monkeypatch):
         with pytest.raises(ValueError, match="rel_tol"):
             resonance_sweep(g, lossy, (1e6, 2e6), 50, ((1, 1), 1.0),
                             rel_tol=rel_tol)
+
+
+def test_newton_stops_when_its_tolerance_underflows():
+    # 0.5 * 5e-324 rounds to 0, so no step is below the tolerance; Newton
+    # stops where a step no longer moves omega, as it does at 1e-300
+    g, spec, _, band = _sweep_case()
+    args = (g, spec, band, 40, ((2, 2), 1.0))
+    peaks = resonance_sweep(*args, rel_tol=1e-300)
+    assert len(peaks) == 2
+    assert resonance_sweep(*args, rel_tol=5e-324) == peaks
 
 
 def _bundled_openblas_threads():
@@ -814,9 +850,9 @@ def test_bundled_openblas_runs_one_thread():
 def test_drive_artifacts_independent_of_blas_threads(tmp_path):
     # threaded BLAS sums in an order set by its thread count; without the
     # pin the artifacts of both runs differ between 1 and 2 BLAS threads.
-    # The sweep factors at every grid point and Newton step (one peak
-    # here); at a0 = 0.02 its factors are too small for BLAS threads to
-    # move a bit, so it runs at a0 = 0.01
+    # The sweep factors once, at its window centre (one peak here); at
+    # a0 = 0.02 its factors are too small for BLAS threads to move a bit,
+    # so it runs at a0 = 0.01
     stadium = {"geometry": "quarter_stadium", "spacing": 0.01, "model": "I",
                "inductance": L, "capacitance": C, "resistance": 0.3}
     runs = {"drive": {**stadium, "omega": 861100.0,
