@@ -14,6 +14,7 @@ import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import cos, pi, sin
+from sys import float_info
 
 import numpy as np
 from scipy.special import ndtr
@@ -123,19 +124,22 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def validate(self) -> None:
+        # JSON reads NaN, Infinity and integers too large for a float, which
+        # pass every sign test below
+        for field in dataclasses.fields(self):
+            if field.type is float \
+                    and not abs(getattr(self, field.name)) <= float_info.max:
+                raise ConfigError(f"{field.name}: must be a finite number")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: unknown kind {self.experiment!r}")
         if self.geometry not in ("rectangle", "quarter_stadium"):
             raise ConfigError(f"geometry: unknown shape {self.geometry!r}")
-        if self.spacing <= 0.0:
-            raise ConfigError("spacing: must be positive")
-        for name in ("inductance", "capacitance"):
+        for name in ("spacing", "inductance", "capacitance"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name}: must be positive")
-        if self.resistance < 0.0:
-            raise ConfigError("resistance: must be >= 0")
-        if self.tolerance < 0.0:
-            raise ConfigError("tolerance: must be >= 0")
+        for name in ("resistance", "tolerance"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name}: must be >= 0")
         if self.tolerance_distribution not in ("uniform", "gaussian"):
             raise ConfigError("tolerance_distribution: unknown law "
                               f"{self.tolerance_distribution!r}")
@@ -149,24 +153,25 @@ class ExperimentConfig:
             raise ConfigError("source_amplitude: must be nonzero")
         if self.source_rule == "density_max" and self.source_iterations < 1:
             raise ConfigError("source_iterations: must be >= 1")
-        if self.experiment in ("drive", "stats", "streamlines") and self.omega <= 0.0:
-            raise ConfigError("omega: must be positive for driven experiments")
+        # omega is the drive, the ensemble's target, or where density_max
+        # places a sweep's source
+        if self.omega <= 0.0 and (self.experiment in (
+                "drive", "stats", "streamlines", "ensemble")
+                or self.experiment == "sweep"
+                and self.source_rule == "density_max"):
+            raise ConfigError(f"omega: {self.experiment} needs omega > 0")
         if self.experiment == "sweep":
             if not 0.0 < self.omega_min < self.omega_max:
                 raise ConfigError("omega_min/omega_max: need 0 < min < max")
             if self.n_points < 3:
                 raise ConfigError("n_points: a sweep needs at least 3 points")
-            if self.resistance <= 0.0:
-                raise ConfigError("resistance: a sweep needs R > 0 for "
-                                  "finite peaks")
-            if self.source_rule == "density_max" and self.omega <= 0.0:
-                raise ConfigError("omega: density_max places the source at "
-                                  "omega, which must be positive")
+        # a sweep's peaks are finite, and the stats' ohmic currents
+        # defined, only with loss
+        if self.experiment in ("sweep", "stats") and self.resistance <= 0.0:
+            raise ConfigError(f"resistance: {self.experiment} needs R > 0")
         if self.experiment == "ensemble":
             if self.tolerance <= 0.0 and self.n_realizations > 1:
                 raise ConfigError("tolerance: ensemble with tau = 0 is degenerate")
-            if self.omega <= 0.0:
-                raise ConfigError("omega: ensemble needs a target frequency")
             if self.n_realizations < 1:
                 raise ConfigError("n_realizations: must be >= 1")
         if self.experiment in ("spectrum", "ensemble") and self.bc != DIRICHLET:
@@ -174,8 +179,6 @@ class ExperimentConfig:
             # shunt maps onto lam = a0^2 k^2 in both models
             raise ConfigError(f"bc: {self.experiment} supports only "
                               f"{DIRICHLET!r} walls")
-        if self.experiment == "stats" and self.resistance <= 0.0:
-            raise ConfigError("resistance: stats needs R > 0 (ohmic currents)")
         if self.experiment == "stats" and self.exclude_wavelengths < 0.0:
             raise ConfigError("exclude_wavelengths: must be >= 0")
         if self.experiment in ("ensemble", "stats", "oracle") \

@@ -10,7 +10,7 @@ from math import pi
 import numpy as np
 
 from .geometry import GridGeometry
-from .network import element_admittances
+from .network import admittance_families
 from .solve import ComplexField
 
 PHYSICAL = "physical"
@@ -118,8 +118,8 @@ def link_currents(field: ComplexField,
             raise ValueError("ohmic currents undefined for R = 0")
         y = 1.0 / field.spec.resistance
     else:
-        y, _ = element_admittances(geom, field.spec, field.omega,
-                                   field.perturbation, stencil)
+        families = admittance_families(geom, field.spec, field.perturbation)
+        y = families.units(field.omega)[0] * families.link
     i_link = dv * y
     n_x = np.count_nonzero(stencil.mask_x)
     ix = np.zeros(field.values.shape, dtype=complex)
@@ -151,11 +151,11 @@ def power_balance(field: ComplexField) -> float:
     p_in = 0.5 * float(np.real(field.values[si, sj] * np.conj(amplitude)))
 
     stencil, dv = _voltage_drops(field)
-    y_link, y_shunt = element_admittances(geom, field.spec, field.omega,
-                                          field.perturbation, stencil)
-    shunted = y_shunt != 0.0   # grounded Dirichlet sites have no shunt
-    y = np.concatenate((y_link, y_shunt[shunted]))
-    drop = np.concatenate((dv, field.values[shunted]))
+    families = admittance_families(geom, field.spec, field.perturbation)
+    units = families.units(field.omega)
+    # every unknown has one shunt; grounded Dirichlet sites have none
+    y = np.concatenate((units[0] * families.link, families.shunts(units)))
+    drop = np.concatenate((dv, field.values[stencil.unknown]))
     p_diss = 0.5 * float(np.sum(np.real(1.0 / y) * np.abs(y * drop) ** 2))
 
     # lossless case: active power vanishes up to roundoff of the apparent

@@ -6,8 +6,8 @@ that touch an interior site through a lattice link are *boundary* sites and
 carry a boundary-condition tag.
 
 Each geometry builds the symbolic stencil of its lattice links once, on
-first use (`GridGeometry.stencil`); every Kirchhoff operator on it is one
-gather of element admittances into that stencil.
+first use (`GridGeometry.stencil`); every Kirchhoff operator on it shares
+that stencil's pattern.
 """
 
 from dataclasses import dataclass, replace
@@ -166,35 +166,27 @@ class LatticeStencil:
         """bool (nx, ny): the unknown sites."""
         return self.index >= 0
 
-    @property
+    @cached_property
     def four_links(self) -> bool:
         """True when every unknown has four links, grounded ones counted."""
         counts = np.bincount(self.ends.ravel(), minlength=self.n + 1)
         return bool(np.all(counts[:self.n] == 4))
 
-    def assemble(self, y_link, y_shunt) -> sp.csc_matrix:
-        """B^T diag(y_link) B + diag(y_shunt) as a CSC matrix with sorted
-        indices; `y_link` in link order, `y_shunt` over the unknowns or a
-        scalar.
+    def assemble(self, w) -> sp.csc_matrix:
+        """B^T diag(w) B as a CSC matrix with sorted indices, for real link
+        weights `w` in link order.
 
         It sums as the sparse product does, so the two agree bit for bit
-        wherever the product keeps an entry: an off-diagonal entry is 0 - y
-        of its link, and a diagonal entry adds its links' admittances to 0
-        in link order, then its shunt.  Entries that sum to zero stay as
-        explicit zeros; the product drops them.
+        wherever the product keeps an entry: an off-diagonal entry is 0 - w
+        of its link, and a diagonal entry adds its links' weights to 0 in
+        link order.  Entries that sum to zero stay as explicit zeros; the
+        product drops them.
         """
         n = self.n
-
-        def link_sums(y):
-            # bincount adds in input order, so each unknown takes its links
-            # in link order; grounded ends fall into the dropped bin n
-            return np.bincount(self.ends.ravel(), np.repeat(y, 2), n + 1)[:n]
-
-        diag = link_sums(y_link.real)
-        if np.iscomplexobj(y_link):
-            diag = diag.astype(complex)
-            diag.imag = link_sums(y_link.imag)
-        values = np.concatenate((0.0 - y_link, diag + y_shunt))
+        # bincount adds in input order, so each unknown takes its links in
+        # link order; grounded ends fall into the dropped bin n
+        diag = np.bincount(self.ends.ravel(), np.repeat(w, 2), n + 1)[:n]
+        values = np.concatenate((0.0 - w, diag))
         return sp.csc_matrix((values[self.source], self.indices, self.indptr),
                              shape=(n, n))
 

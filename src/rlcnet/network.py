@@ -8,9 +8,14 @@ The assembled row for site s reads
     sum_links (V_nbr - V_s) / z_link  -  V_s / z_shunt  =  -I_ext(s)
 
 so the matrix is complex symmetric for any R and any tolerance realization.
+Grouped into element families it is A(omega) = -sum_f y_f(omega) G_f, with
+scalar unit admittances y_f and real G_f that do not depend on omega
+(`admittance_families`); every Kirchhoff operator and eigen pencil in the
+package is built from them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, factorial, pi, sqrt
 
 import numpy as np
@@ -55,21 +60,17 @@ class CircuitSpec:
 
 
 def link_impedance(spec: CircuitSpec, omega: float) -> complex:
-    """Impedance of one lattice link at frequency omega."""
+    """Impedance 1 / y_L of one lattice link at frequency omega."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    if spec.model == MODEL_I:
-        return complex(spec.resistance, omega * spec.inductance)
-    return 1.0 / (1j * omega * spec.capacitance)
+    return 1.0 / unit_admittances(spec, omega)[0]
 
 
 def ground_impedance(spec: CircuitSpec, omega: float) -> complex:
-    """Impedance of the per-site shunt to ground."""
+    """Impedance 1 / y_S of the per-site shunt to ground."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    if spec.model == MODEL_I:
-        return 1.0 / (1j * omega * spec.capacitance)
-    return complex(spec.resistance, omega * spec.inductance)
+    return 1.0 / unit_admittances(spec, omega)[1]
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,9 @@ class AdmittanceSystem:
     """Sparse complex-symmetric Kirchhoff system over the unknown sites.
 
     `hermitian_floor` is a proven lower bound on the smallest eigenvalue of
-    the Hermitian part -Re(A), hence on the smallest singular value of A;
-    0 where no positive bound is known (R = 0, Neumann or mixed unknowns).
+    the Hermitian part -Re(A), hence on the smallest singular value of A,
+    from the element families (`AdmittanceFamilies.floor`); 0 where no
+    positive bound is known (R = 0, Neumann or mixed unknowns).
     `derivatives` holds the requested d^k A / domega^k, k = 1, ..., order.
     """
 
@@ -134,68 +136,167 @@ class AdmittanceSystem:
         return self.stencil.index
 
 
-def _element_forms(spec: CircuitSpec, omega: float, order: int):
-    """Admittance forms of the network's elements at omega, or their
-    `order`-th omega derivatives, as functions of a component multiplier:
-    (link, shunt, inductor, capacitor), the model's link and interior shunt
-    elements first.  `inductor` also takes its own L and R (a mixed wall's
-    shunt); every element admittance in the package comes from these."""
-    def inductor(mult, inductance=spec.inductance, resistance=spec.resistance):
-        y = 1.0 / (1j * omega * inductance * mult + resistance * mult)
-        if order == 0:
-            return y
-        # d^k y / d omega^k = k! (-i L m)^k y^(k+1)
-        return factorial(order) * (-1j * inductance * mult) ** order \
-            * y ** (order + 1)
+# Unit admittances, the admittance of one element at unit multiplier, or
+# its order-th omega derivative.  They are numpy scalars because numpy
+# divides complex numbers with other roundoff than Python does: these have
+# the bits of the same forms taken over arrays of unit multipliers.
+def _inductor(inductance: float, resistance: float, omega: float,
+              order: int):
+    """1/(R + i omega L); its k-th derivative is k! (-i L)^k y^(k+1)."""
+    y = 1.0 / np.complex128(1j * omega * inductance + resistance)
+    if order == 0:
+        return y
+    return factorial(order) * np.complex128(-1j * inductance) ** order \
+        * y ** (order + 1)
 
-    def capacitor(mult):
-        # y = i omega C m is linear in omega
-        scale = omega if order == 0 else float(order == 1)
-        return 1j * scale * spec.capacitance * mult
 
-    if spec.model == MODEL_I:
-        return inductor, capacitor, inductor, capacitor
-    return capacitor, inductor, inductor, capacitor
+def _capacitor(capacitance: float, omega: float, order: int):
+    """i omega C, linear in omega."""
+    scale = omega if order == 0 else float(order == 1)
+    return np.complex128(1j * scale * capacitance)
 
 
 def unit_admittances(spec: CircuitSpec, omega: float,
                      order: int = 0) -> tuple[complex, complex]:
     """(y_L, y_S): the admittance of one link element and of one interior
     shunt element at unit multiplier, or their `order`-th omega
-    derivatives.  Under Dirichlet walls A(omega) = -(y_L K_L + y_S K_S)
-    with K_L and K_S real and independent of omega, for any Perturbation."""
-    link, shunt, _, _ = _element_forms(spec, omega, order)
-    return complex(link(1.0)), complex(shunt(1.0))
+    derivatives: the link and interior shunt families' y_f."""
+    inductor = _inductor(spec.inductance, spec.resistance, omega, order)
+    capacitor = _capacitor(spec.capacitance, omega, order)
+    return (inductor, capacitor) if spec.model == MODEL_I \
+        else (capacitor, inductor)
 
 
-def element_admittances(geometry: GridGeometry, spec: CircuitSpec,
-                        omega: float, pert: Perturbation | None,
-                        stencil: LatticeStencil, order: int = 0):
-    """Admittance of every link, in the stencil's link order, and of every
-    site's shunt as an (nx, ny) array; with `order` k > 0, their k-th
-    derivatives with respect to omega.
+@dataclass(frozen=True)
+class AdmittanceFamilies:
+    """The network's elements in families: A(omega) = -sum_f y_f(omega) G_f.
 
-    Interior sites carry the model's shunt; boundary sites carry the
-    Neumann capacitor or the mixed resistive inductor.  A Dirichlet boundary
-    site is grounded, has no shunt element and reads 0.  `pert` None means
-    unit multipliers.
+    A family holds the elements of one kind and one L, C and R: their
+    admittances are the unit admittance y_f(omega) (`units`) times real
+    weights that do not depend on omega, 1/m for an inductor and m for a
+    capacitor of multiplier m.  Family 0 is the links, G_0 = B^T
+    diag(link) B (`link_matrix`), the only family with off-diagonal
+    entries; family 1 the interior shunts; family 2, under mixed walls,
+    the wall inductors with their own R and L.  A Neumann wall capacitor
+    joins the capacitor family (0 in model II, 1 in model I).  Each
+    unknown has one shunt element, of family `shunt_family` and weight
+    `shunt_weight`, on the diagonal of that family's G_f.
     """
-    link, shunt, inductor, capacitor = _element_forms(spec, omega, order)
+
+    stencil: LatticeStencil
+    spec: CircuitSpec
+    wall: tuple                 # (L, R) of a mixed wall's inductor, or ()
+    link: np.ndarray            # family 0's weight on each link, link order
+    shunt_family: np.ndarray    # int (n,)
+    shunt_weight: np.ndarray    # (n,)
+
+    @cached_property
+    def link_matrix(self) -> sp.csc_matrix:
+        """G_0 = B^T diag(link) B, real, on the stencil's pattern."""
+        return self.stencil.assemble(self.link)
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Position of each unknown's diagonal entry in the pattern, G_0's
+        diagonal and its off-diagonal column sums: G_0 1 is the weight of
+        each unknown's grounded links, so they are diag(G_0) - G_0 1."""
+        link = self.link_matrix
+        diagonal = np.flatnonzero(self.stencil.source >= self.stencil.n_links)
+        return (diagonal, link.data[diagonal],
+                link.data[diagonal] - link @ np.ones(self.stencil.n))
+
+    def units(self, omega: float, order: int = 0) -> np.ndarray:
+        """y_f^(order)(omega) of every family."""
+        wall = (_inductor(*self.wall, omega, order),) if self.wall else ()
+        return np.array([*unit_admittances(self.spec, omega, order), *wall])
+
+    def shunts(self, y) -> np.ndarray:
+        """Each unknown's shunt admittance, given the families' y."""
+        return y[self.shunt_family] * self.shunt_weight
+
+    def matrix(self, y) -> sp.csc_matrix:
+        """-sum_f y_f G_f on the stencil's pattern: A(omega) for y the
+        families' y_f(omega), and A^(k) for their y_f^(k)."""
+        link = self.link_matrix
+        # the element product's sums start from 0 and it negates the sum,
+        # not the admittances: both keep its signed zeros
+        data = y[0] * link.data + 0.0
+        data[self._columns[0]] += self.shunts(y)
+        return sp.csc_matrix((np.negative(data, out=data), link.indices,
+                              link.indptr), shape=link.shape)
+
+    def operator(self, ys, xs):
+        """apply(j, i) = A^(j) xs[i] for the families' ys[j] = y^(j),
+        without forming A: -(y_0 G_0 x + shunts x), with G_0 x taken once
+        per field, on the (n, 2) real view of x: scipy would otherwise copy
+        the real G_0 to complex at every product (0.41 -> 0.28 ms at
+        17,650 unknowns)."""
+        link = [(self.link_matrix @ x.view(float).reshape(-1, 2))
+                .view(complex).ravel() for x in xs]
+        shunts = [self.shunts(y) for y in ys]
+
+        def apply(j, i):
+            return -(ys[j][0] * link[i] + shunts[j] * xs[i])
+
+        return apply
+
+    def norm1(self, y) -> float:
+        """||A||_1 in O(n) at the families' y: the largest column sum
+        |y_0| o_j + |y_0 G_0[j, j] + shunt_j|, o_j the sum of column j's
+        off-diagonal weights."""
+        _, diagonal, off_diagonal = self._columns
+        return float(np.max(abs(y[0]) * off_diagonal
+                            + np.abs(y[0] * diagonal + self.shunts(y))))
+
+    def floor(self, y) -> float:
+        """hermitian_floor at the families' y.
+
+        -Re(A) = Re(y_0) G_0 + diag(Re shunts) with Re y >= 0.  When every
+        unknown has four links (in practice with Dirichlet unknowns: a
+        Neumann or mixed boundary site links only to interior sites), none
+        sits on the lattice rim and B^T B is a principal submatrix of the
+        Dirichlet Laplacian of the (nx-2)-by-(ny-2) block inside the rim,
+        so by Cauchy interlacing its eigenvalues are at least that block's
+        lowest; G_0 >= min(link) B^T B.  0 otherwise.
+        """
+        if not self.stencil.four_links:
+            return 0.0
+        nx, ny = self.stencil.index.shape
+        lam_rect = 4.0 - 2.0 * cos(pi / (nx - 1)) - 2.0 * cos(pi / (ny - 1))
+        return float(lam_rect * (y[0].real * self.link.min())
+                     + self.shunts(y).real.min())
+
+
+def admittance_families(geometry: GridGeometry, spec: CircuitSpec,
+                        pert: Perturbation | None = None,
+                        stencil: LatticeStencil | None = None
+                        ) -> AdmittanceFamilies:
+    """The element families of the network over `stencil`'s unknowns (the
+    geometry's driven stencil by default).  Walls that are unknowns there
+    carry the Neumann capacitor or the mixed resistive inductor at unit
+    multiplier; a Dirichlet wall site is grounded and has no shunt.
+    `pert` None means unit multipliers."""
+    stencil = geometry.stencil if stencil is None else stencil
+    unknown = stencil.unknown
     if pert is None:
-        site_mult = np.ones(geometry.interior.shape)
-        link_mult = np.ones(stencil.n_links)
-    else:
-        site_mult = pert.site
-        link_mult = np.concatenate((pert.link_x[stencil.mask_x],
-                                    pert.link_y[stencil.mask_y]))
-    y_shunt = np.where(geometry.interior, shunt(site_mult), 0.0)
+        pert = Perturbation(*np.ones((3, *unknown.shape)))
+    mult = np.concatenate((pert.link_x[stencil.mask_x],
+                           pert.link_y[stencil.mask_y]))
+    model_i = spec.model == MODEL_I
+    # an inductor weighs its element by 1/m, a capacitor by m
+    link, weight = (1.0 / mult, pert.site) if model_i \
+        else (mult, 1.0 / pert.site)
+    walls = unknown & geometry.boundary
+    family = np.ones(unknown.shape, dtype=np.intp)
     bc = geometry.bc
     if bc.kind == NEUMANN:
-        y_shunt[geometry.boundary] = capacitor(1.0)
-    elif bc.kind == MIXED:
-        y_shunt[geometry.boundary] = inductor(1.0, bc.shunt_inductance,
-                                              bc.shunt_resistance)
-    return link(link_mult), y_shunt
+        family[walls] = 1 if model_i else 0
+    wall = ()
+    if bc.kind == MIXED:
+        wall = (bc.shunt_inductance, bc.shunt_resistance)
+        family[walls] = 2
+    return AdmittanceFamilies(stencil, spec, wall, link, family[unknown],
+                              np.where(walls, 1.0, weight)[unknown])
 
 
 def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
@@ -205,41 +306,20 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
 
     For Dirichlet boundaries the unknowns are the interior sites only;
     Neumann/mixed boundary sites enter as extra unknowns shunted through
-    the tagged element.  The matrix is
-    A = -(B^T diag(y_link) B + diag(y_shunt)) with B the lattice incidence,
-    gathered into the geometry's stencil.  With `order` k in (1, 2) the
-    same stencil also gives dA/domega, ..., d^k A/domega^k from the element
-    admittances' derivatives.
+    the tagged element.  The matrix is A = -sum_f y_f(omega) G_f over the
+    element families (`admittance_families`), formed from the families'
+    data on the geometry's stencil; with `order` k in (1, 2) the same
+    families give dA/domega, ..., d^k A/domega^k from the scalar
+    derivatives y_f^(k).  The families are built for this call and not
+    kept.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, not {order!r}")
-    stencil = geometry.stencil
-    unknown = stencil.unknown
-
-    def kirchhoff(y_link, y_shunt):
-        matrix = stencil.assemble(y_link, y_shunt[unknown])
-        # negating the sum, not the admittances, keeps the signed zeros
-        np.negative(matrix.data, out=matrix.data)
-        return matrix
-
-    y_link, y_shunt = element_admittances(geometry, spec, omega, pert, stencil)
-    matrix = kirchhoff(y_link, y_shunt)
-    # -Re(A) = B^T diag(Re y_link) B + diag(Re y_shunt) with Re y >= 0.  When
-    # every unknown has four links (in practice with Dirichlet unknowns: a
-    # Neumann or mixed boundary site links only to interior sites), none
-    # sits on the lattice rim and B^T B is a principal submatrix of the
-    # Dirichlet Laplacian of the (nx-2)-by-(ny-2) block inside the rim, so
-    # by Cauchy interlacing its eigenvalues are at least that block's lowest
-    floor = 0.0
-    if stencil.four_links:
-        lam_rect = 4.0 - 2.0 * cos(pi / (geometry.nx - 1)) \
-            - 2.0 * cos(pi / (geometry.ny - 1))
-        floor = float(lam_rect * y_link.real.min()
-                      + y_shunt[unknown].real.min())
-    d_matrices = tuple(
-        kirchhoff(*element_admittances(geometry, spec, omega, pert, stencil, k))
-        for k in range(1, order + 1))
-    return AdmittanceSystem(matrix=matrix, stencil=stencil,
-                            hermitian_floor=floor, derivatives=d_matrices)
+    families = admittance_families(geometry, spec, pert)
+    ys = [families.units(omega, k) for k in range(order + 1)]
+    return AdmittanceSystem(
+        matrix=families.matrix(ys[0]), stencil=families.stencil,
+        hermitian_floor=families.floor(ys[0]),
+        derivatives=tuple(families.matrix(y) for y in ys[1:]))

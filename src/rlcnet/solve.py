@@ -11,7 +11,7 @@ builds are left alone.
 
 import ctypes
 from dataclasses import dataclass, replace
-from math import pi, sqrt
+from math import inf, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import DIRICHLET, GridGeometry
-from .network import (MODEL_I, CircuitSpec, Perturbation, assemble_admittance,
-                      element_admittances, ground_impedance, link_impedance,
-                      unit_admittances)
+from .network import (MODEL_I, CircuitSpec, Perturbation, admittance_families,
+                      assemble_admittance, unit_admittances)
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
@@ -144,27 +143,24 @@ def dirichlet_laplacian(geometry: GridGeometry) -> sp.csc_matrix:
     contribute V = 0.
     """
     stencil = geometry.dirichlet_stencil
-    return stencil.assemble(np.ones(stencil.n_links), 0.0)
+    return stencil.assemble(np.ones(stencil.n_links))
 
 
 def _omega_from_lam(spec: CircuitSpec, lam: float) -> float:
+    """Frequency of billiard eigenvalue lam >= 0; lam = 0, the uniform
+    mode of a network without a grounded link, is at 0 in model I and at
+    infinite frequency in model II."""
     if spec.model == MODEL_I:
         return spec.omega0 * sqrt(lam)
-    return spec.omega0 / sqrt(lam)
-
-
-def _lam_from_omega(spec: CircuitSpec, omega: float) -> float:
-    """Lossless billiard eigenvalue at omega, the inverse of _omega_from_lam
-    (the real part of `dispersion` at R = 0, up to roundoff)."""
-    if spec.model == MODEL_I:
-        return omega ** 2 / spec.omega0 ** 2
-    return spec.omega0 ** 2 / omega ** 2
+    return spec.omega0 / sqrt(lam) if lam > 0.0 else inf
 
 
 def _mode(geometry: GridGeometry, spec: CircuitSpec, index: int, lam,
           vector) -> Mode:
-    """Mode of billiard eigenvalue lam = a0^2 k^2, vector scaled to unit norm."""
-    lam = float(lam)
+    """Mode of billiard eigenvalue lam = a0^2 k^2, vector scaled to unit
+    norm.  Every pencil here has K >= 0 and M > 0, so a lam below 0 is
+    the roundoff of an exact 0."""
+    lam = max(float(lam), 0.0)
     return Mode(index=index, omega=_omega_from_lam(spec, lam),
                 lam_grid=lam, eps=lam / geometry.spacing ** 2,
                 vector=vector / np.linalg.norm(vector))
@@ -194,7 +190,7 @@ class Factorization:
     `solve(b)` is A^-1 b refined to the residual contract.  A sweep's
     shifted Krylov basis (`_ShiftedKrylov`) applies the unrefined
     `lu.solve` of its window-centre factor, and checks the fields it
-    serves against the residual contract on each assembled operator.
+    serves against the residual contract on the element families.
     """
 
     def __init__(self, A):
@@ -276,13 +272,14 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
     """Lossless eigenmode whose frequency is nearest omega_target.
 
     Supports component-tolerance realizations through the pencil K v =
-    lam M v with lam = a0^2 k^2: K = B^T diag|y_link| B and M = diag|y_shunt|
-    at omega0 and R = 0, where every modulus shares the factor sqrt(C/L) in
-    either model.  K and the real shift K - sigma M, sigma the target's
-    lam, are gathered into the geometry's interior stencil; one
-    `Factorization` of the shift drives shift-invert Lanczos (`_eigsh_near`)
-    from ones(n).  In an exactly degenerate eigenspace the vector is the
-    Ritz vector that start gives.  Needs at least 2 unknowns (ARPACK asks
+    lam M v of the link and shunt families over the interior sites
+    (`admittance_families`): K = G_link = B^T diag(w) B and M = G_shunt =
+    diag(w), w = 1/m for inductors and m for capacitors.  A = -(y_L K +
+    y_S M) is singular where lam = -y_S / y_L, so lam = a0^2 k^2 and the
+    shift sigma is `dispersion` of the lossless network at the target.
+    One `Factorization` of the real shift K - sigma M drives shift-invert
+    Lanczos (`_eigsh_near`) from ones(n).  In an exactly degenerate eigenspace
+    the vector is the Ritz vector that start gives.  Needs at least 2 unknowns (ARPACK asks
     for k < n); raises SingularSystemError when the shift is exactly an
     eigenvalue.
     """
@@ -290,17 +287,19 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
         raise ValueError("omega_target must be positive")
     if geometry.n_interior < 2:
         raise ValueError("eigenmode_nearest needs at least 2 unknowns")
-    stencil = geometry.dirichlet_stencil
-    lossless = replace(spec, resistance=0.0)
-    y_link, y_shunt = element_admittances(geometry, lossless, spec.omega0,
-                                          pert, stencil)
-    k_link = np.abs(y_link)
-    m = np.abs(y_shunt[stencil.unknown])
-    sigma = _lam_from_omega(spec, omega_target)
-    K = stencil.assemble(k_link, 0.0)
-    shifted = stencil.assemble(k_link, -sigma * m)
-    lam, vec = _eigsh_near(K, shifted, 1, sigma, sp.diags(m, format="csc"))
+    families = admittance_families(geometry, spec, pert,
+                                   geometry.dirichlet_stencil)
+    K = families.link_matrix
+    M = sp.diags(families.shunt_weight, format="csc")
+    sigma = dispersion(replace(spec, resistance=0.0), omega_target).real
+    lam, vec = _eigsh_near(K, K - sigma * M, 1, sigma, M)
     return _mode(geometry, spec, -1, lam[0], vec[:, 0])
+
+
+def _bound(n: int, norm_a: float, floor: float) -> float:
+    """The condition bound sqrt(n) ||A||_1 / floor of an n x n A with
+    sigma_min(A) >= floor; inf where floor is not positive."""
+    return sqrt(n) * norm_a / floor if floor > 0.0 else np.inf
 
 
 def _condition(system, spec: CircuitSpec, omega: float,
@@ -318,18 +317,15 @@ def _condition(system, spec: CircuitSpec, omega: float,
     # ||A||_1 is the largest column sum of |A|; the transpose of CSC |A| is
     # a CSR view, so its row sums need no format conversion
     norm_a = (abs(A).T @ np.ones(n)).max()
-    cond = np.inf
-    if system.hermitian_floor > 0.0:
-        cond = sqrt(n) * norm_a / system.hermitian_floor
+    cond = _bound(n, norm_a, system.hermitian_floor)
     if cond > COND_LIMIT and factor is not None:
         if n >= 2:
             cond = spla.onenormest(factor.inverse) * norm_a
         else:
             # 1x1 system: compare the surviving entry against the admittance
             # scale of its summands (cancellation to roundoff means resonance)
-            scale = 4.0 / abs(link_impedance(spec, omega)) \
-                + 1.0 / abs(ground_impedance(spec, omega))
-            cond = scale / abs(A[0, 0])
+            y_link, y_shunt = unit_admittances(spec, omega)
+            cond = (4.0 * abs(y_link) + abs(y_shunt)) / abs(A[0, 0])
     return cond
 
 
@@ -343,14 +339,13 @@ def _source_vector(geometry: GridGeometry, system, source) -> np.ndarray:
     return b
 
 
-def _derivative_rhs(derivatives, xs, k: int) -> np.ndarray:
+def _derivative_rhs(apply, k: int) -> np.ndarray:
     """Right-hand side of the k-th omega derivative (k = 1, 2) of A V = b,
-    given (A', A'') and the lower derivatives xs = (V, dV): -A' V, or
-    -(A'' V + 2 A' dV)."""
-    d1 = derivatives[0]
+    -A' V or -(A'' V + 2 A' dV), where apply(j, i) is d^j A / domega^j
+    times the i-th field of (V, dV)."""
     if k == 1:
-        return -(d1 @ xs[0])
-    return -(derivatives[1] @ xs[0] + 2.0 * (d1 @ xs[1]))
+        return -apply(1, 0)
+    return -(apply(2, 0) + 2.0 * apply(1, 1))
 
 
 def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
@@ -388,8 +383,8 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     def solve(source):
         xs = [factor.solve(_source_vector(geometry, system, source))]
         for k in range(1, order + 1):
-            xs.append(factor.solve(
-                _derivative_rhs(system.derivatives, xs, k)))
+            xs.append(factor.solve(_derivative_rhs(
+                lambda j, i: system.derivatives[j - 1] @ xs[i], k)))
         fields = []
         for x in xs:
             values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
@@ -452,8 +447,9 @@ def _newton_peak(response, omegas, f, slopes, tol: float):
 class _ShiftedKrylov:
     """One Krylov space that serves the driven solves of a sweep window.
 
-    Under Dirichlet walls A(omega) = -(y_L K_L + y_S K_S), K_L and K_S
-    real and fixed (`unit_admittances`), so every A(omega) and its omega
+    Under Dirichlet walls the network has two element families,
+    A(omega) = -(y_L G_link + y_S G_shunt) with G_link and G_shunt real
+    and fixed (`admittance_families`), so every A(omega) and its omega
     derivatives are combinations alpha A_c + beta A'_c of the assembled
     A_c = A(omega_c) and A'_c = dA/domega(omega_c); alpha^(k) and beta^(k)
     solve a 2x2 system on the unit admittances and their derivatives.
@@ -467,21 +463,24 @@ class _ShiftedKrylov:
     Q_m H_m + h q e_m^T on one `Factorization` of A_c, into a basis
     preallocated for KRYLOV_CAP vectors and grown KRYLOV_BLOCK at a time
     when an evaluation needs it.  An evaluation solves the m x m
-    (alpha I + beta H_m) c = ||r0|| e1 and its omega derivatives, and is
-    served only when each field meets the residual contract on the
-    assembled A(omega), A' and A'' with `driven_solver`'s right-hand sides.
-    A space that closes (h = 0, an invariant space) is exact and grows no
-    further.
+    (alpha I + beta H_m) c = ||r0|| e1 and its omega derivatives, and
+    assembles nothing: the families, held for the window, give its
+    condition bound sqrt(n) ||A||_1 / hermitian_floor in O(n)
+    (`AdmittanceFamilies.norm1` and `floor`), and it is served only when
+    that bound settles the check and each field meets the residual
+    contract with `driven_solver`'s right-hand sides, A^(k) x taken as
+    -(y_L^(k) G_link x + y_S^(k) diag(G_shunt) x).  A space that closes
+    (h = 0, an invariant space) is exact and grows no further.
     """
 
-    def __init__(self, geometry: GridGeometry, spec: CircuitSpec,
-                 center, omega_c: float, pert: Perturbation | None, source):
-        self.geometry, self.spec, self.pert = geometry, spec, pert
+    def __init__(self, geometry: GridGeometry, families, center,
+                 omega_c: float, source):
+        self.families = families
         self.b = _source_vector(geometry, center, source)
         self.lu = Factorization(center.matrix).lu
         self.slope = center.derivatives[0]
-        # columns: (y_L, y_S) at omega_c and their first derivatives
-        self.units = np.array([unit_admittances(spec, omega_c, k)
+        # columns: the two families' y at omega_c and their derivatives
+        self.units = np.array([families.units(omega_c, k)
                                for k in (0, 1)]).T
         n = len(self.b)
         size = min(KRYLOV_CAP, n)
@@ -523,17 +522,16 @@ class _ShiftedKrylov:
         """[V, dV/domega, ...] up to `order` over the unknowns, or None
         when the basis cannot serve omega: the bound does not settle the
         condition check, or the residual contract fails at the cap."""
-        system = assemble_admittance(self.geometry, self.spec, omega,
-                                     pert=self.pert, order=order)
-        if _condition(system, self.spec, omega) > COND_LIMIT:
+        families = self.families
+        ys = [families.units(omega, k) for k in range(order + 1)]
+        if _bound(len(self.b), families.norm1(ys[0]),
+                  families.floor(ys[0])) > COND_LIMIT:
             return None
         # row k: (alpha^(k), beta^(k)) of A^(k)(omega) = alpha A_c + beta A'_c
-        coef = np.linalg.solve(self.units, np.array(
-            [unit_admittances(self.spec, omega, k)
-             for k in range(order + 1)]).T).T
+        coef = np.linalg.solve(self.units, np.array(ys).T).T
         while True:
             xs = self._project(coef)
-            if xs is not None and self._meets_contract(system, xs):
+            if xs is not None and self._meets_contract(ys, xs):
                 return xs
             if not self._grow():
                 return None
@@ -550,20 +548,20 @@ class _ShiftedKrylov:
         try:
             for k in range(len(coef)):
                 if k:
-                    rhs = _derivative_rhs(pencils[1:], cs, k)
+                    rhs = _derivative_rhs(lambda j, i: pencils[j] @ cs[i], k)
                 cs.append(np.linalg.solve(pencils[0], rhs))
         except np.linalg.LinAlgError:
             return None
         return [c @ self.Q[:m] for c in cs]
 
-    def _meets_contract(self, system, xs) -> bool:
-        """True when every field meets the residual contract on `system`,
-        with the right-hand sides of `driven_solver`."""
-        A = system.matrix
-        for k, x in enumerate(xs):
-            rhs = _derivative_rhs(system.derivatives, xs, k) if k \
-                else self.b
-            if not np.linalg.norm(A @ x - rhs) \
+    def _meets_contract(self, ys, xs) -> bool:
+        """True when every field meets the residual contract on the
+        families' A^(k) for ys[k] = y^(k), with the right-hand sides of
+        `driven_solver`."""
+        apply = self.families.operator(ys, xs)
+        for k in range(len(xs)):
+            rhs = _derivative_rhs(apply, k) if k else self.b
+            if not np.linalg.norm(apply(0, k) - rhs) \
                     <= RESIDUAL_TOL * np.linalg.norm(rhs):
                 return False
         return True
@@ -581,7 +579,8 @@ def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     center = assemble_admittance(geometry, spec, omega_c, pert=pert, order=1)
     if not center.hermitian_floor > 0.0:
         return None
-    return _ShiftedKrylov(geometry, spec, center, omega_c, pert, source)
+    return _ShiftedKrylov(geometry, admittance_families(geometry, spec, pert),
+                          center, omega_c, source)
 
 
 def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
@@ -598,7 +597,8 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     gives V and dV/domega, and d2V/domega2 for a Newton step.  Under
     Dirichlet walls they come from one shifted Krylov basis of the window
     (`_ShiftedKrylov`), on one factorization at the window centre, with
-    the assembled A(omega) checked against the residual contract; an
+    each field checked against the residual contract on the element
+    families, and the centre is the sweep's only assembly; an
     evaluation the basis cannot serve (Neumann or mixed walls, whose
     condition check needs an estimate, or the contract unmet at the cap)
     is one `driven_response` call: one factorization.  Returns a list of

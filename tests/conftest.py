@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -48,6 +50,52 @@ def _incidence(geometry, unknown):
                          shape=(n_links, np.count_nonzero(unknown)))
 
 
+def _element_admittances(geometry, spec, omega, pert, unknown, order=0):
+    """Reference admittances of every element, or their order-th omega
+    derivatives, from the closed forms of each element with its own
+    multiplier m: the links in link order, and the shunt of each site as
+    an (nx, ny) array (0 at a grounded Dirichlet site).
+
+    An inductor is 1/(m (R + i omega L)), with d^k/domega^k = k! (-i L m)^k
+    y^(k+1); a capacitor i omega C m.  Interior sites carry the model's
+    shunt; boundary sites that are unknowns carry the Neumann capacitor or
+    the mixed resistive inductor at m = 1.
+    """
+    shape = geometry.interior.shape
+    ones = np.ones(shape)
+
+    def inductor(mult, inductance=spec.inductance,
+                 resistance=spec.resistance):
+        y = 1.0 / (1j * omega * inductance * mult + resistance * mult)
+        if order == 0:
+            return y
+        return factorial(order) * (-1j * inductance * mult) ** order \
+            * y ** (order + 1)
+
+    def capacitor(mult):
+        scale = omega if order == 0 else float(order == 1)
+        return 1j * scale * spec.capacitance * mult
+
+    link, shunt = (inductor, capacitor) if spec.model == "I" \
+        else (capacitor, inductor)
+    inter = geometry.interior
+    member = inter | geometry.boundary
+    mults = []
+    for lo, hi, m in ((np.s_[:-1, :], np.s_[1:, :], pert.link_x),
+                      (np.s_[:, :-1], np.s_[:, 1:], pert.link_y)):
+        exists = member[lo] & member[hi] & (inter[lo] | inter[hi])
+        mults.append(m[lo][exists])
+    y_shunt = np.where(inter, shunt(pert.site), 0.0)
+    walls = geometry.boundary & unknown
+    bc = geometry.bc
+    if bc.kind == "neumann":
+        y_shunt[walls] = capacitor(ones)[walls]
+    elif bc.kind == "mixed":
+        y_shunt[walls] = inductor(ones, bc.shunt_inductance,
+                                  bc.shunt_resistance)[walls]
+    return link(np.concatenate(mults)), y_shunt
+
+
 def _bits_equal(got, want):
     """True when two sparse matrices hold the same bits: entry by entry on
     one pattern, or as dense arrays where `want` (a sparse product, which
@@ -69,6 +117,12 @@ def _bits_equal(got, want):
 def incidence():
     """Builder of the reference incidence B(geometry, unknown)."""
     return _incidence
+
+
+@pytest.fixture(scope="session")
+def element_admittances():
+    """Reference per-element admittances (and derivatives) of a network."""
+    return _element_admittances
 
 
 @pytest.fixture(scope="session")

@@ -332,6 +332,23 @@ def test_cli_config_error(tmp_path, capsys):
                  "--threads", "0"]) == 2
 
 
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
+    # JSON's NaN and Infinity pass every sign test; without the finiteness
+    # check a NaN spacing wrote x, y = nan and a manifest that is not JSON,
+    # a NaN L, R or omega failed in the solver (exit 3), and an integer
+    # too large for a float raised OverflowError (exit 1)
+    drive = {"geometry": "rectangle", "nx_interior": 6, "ny_interior": 5,
+             "spacing": 0.05, "resistance": 0.3, "omega": 1.0e6}
+    out = tmp_path / "o"
+    for key in ("spacing", "inductance", "resistance", "omega"):
+        for value in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
+            cfg = write_cfg(tmp_path, {**drive, key: value})
+            assert main(["drive", "--config", cfg, "--out", str(out)]) == 2
+            assert f"{key}: must be a finite number" \
+                in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_cli_validates_the_config_for_its_subcommand(tmp_path, capsys):
     # the file names no experiment: the subcommand's own rules apply
     cfg = write_cfg(tmp_path, {

@@ -6,9 +6,10 @@ import scipy.sparse as sp
 
 from rlcnet.geometry import (BCKind, GridGeometry, rasterize_rectangle,
                              tag_boundary)
-from rlcnet.network import (CircuitSpec, assemble_admittance,
-                            element_admittances, ground_impedance,
+from rlcnet.network import (CircuitSpec, admittance_families,
+                            assemble_admittance, ground_impedance,
                             link_impedance, sample_perturbation)
+from rlcnet.solve import _bound, _condition
 
 L, C = 1e-4, 1e-9
 
@@ -220,13 +221,27 @@ def _walled(walls):
     return g
 
 
+def _absolute(B, y_link, y_shunt):
+    """B^T diag|y_link| B + diag|y_shunt| with |B|: the sum of moduli that
+    bounds the roundoff of each entry of the element product."""
+    B = abs(B)
+    return B.T @ sp.diags(np.abs(y_link)) @ B + sp.diags(np.abs(y_shunt))
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
 @pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed", "rim"])
 def test_stencil_assembly_bitwise_equals_incidence_product(
-        walls, model, tau, incidence, bits_equal):
-    # A, A' and A'' gathered into the stencil hold the bits of the sparse
-    # product -(B^T diag(y_link) B + diag(y_shunt)), lossless and lossy
+        walls, model, tau, incidence, bits_equal, element_admittances):
+    # A, A' and A'' formed from the element families hold the bits of the
+    # sparse family product -(y_0 B^T diag(w_link) B + diag(shunts)),
+    # lossless and lossy.  At tau = 0 (every weight 1) they also hold the
+    # bits of the element product -(B^T diag(y_link) B + diag(y_shunt)).
+    # At tau > 0 a family scales y_0 by 1/m where an element computes
+    # 1/(m z), and a diagonal takes y_0 times the summed weights rather
+    # than the sum of y_0 w: that rounds differently.  Each entry stays
+    # within 8 eps of its sum of moduli; the largest differences measured
+    # here are 2.5 eps for A, 3.6 eps for A' and 5.9 eps for A''.
     g = _walled(walls)
     unknown = g.interior if walls in ("dirichlet", "rim") \
         else g.interior | g.boundary
@@ -236,10 +251,92 @@ def test_stencil_assembly_bitwise_equals_incidence_product(
         spec = CircuitSpec(model, L, C, resistance)
         system = assemble_admittance(g, spec, 1.3e6, pert=pert, order=2)
         assert np.array_equal(system.stencil.unknown, unknown)
+        families = admittance_families(g, spec, pert)
+        link = B.T @ sp.diags(families.link) @ B
         for k, got in enumerate((system.matrix, *system.derivatives)):
+            y = families.units(1.3e6, k)
+            family = -(y[0] * link + sp.diags(families.shunts(y)))
+            assert bits_equal(got, family), (resistance, k)
             y_link, y_shunt = element_admittances(g, spec, 1.3e6, pert,
-                                                  g.stencil, k)
-            want = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt[unknown]))
-            assert bits_equal(got, want), (resistance, k)
+                                                  unknown, k)
+            y_shunt = y_shunt[unknown]
+            element = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt))
+            if tau == 0.0:
+                assert bits_equal(got, element), (resistance, k)
+            scale = _absolute(B, y_link, y_shunt).toarray()
+            error = np.abs(got.toarray() - element.toarray())
+            assert np.all(error <= 8 * np.finfo(float).eps * scale), \
+                (resistance, k)
     # the Hermitian floor needs four links at every unknown
     assert g.stencil.four_links == (walls == "dirichlet")
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.03])
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed"])
+def test_family_operator_matches_the_element_product(
+        walls, model, tau, incidence, element_admittances):
+    # the operator that a sweep's Krylov basis checks its fields on,
+    # -(y_0 G_0 x + shunts x) with no matrix formed, against A, A' and A''
+    # of the element admittances on random vectors, within 8 eps of
+    # |A| |x| (measured: 1.6 eps at tau = 0; at tau = 0.03, where the
+    # families round differently, 1.6, 3.1 and 5.3 eps for orders 0-2);
+    # every wall family counts, the mixed wall's inductor included
+    g = _walled(walls)
+    unknown = g.stencil.unknown
+    B = incidence(g, unknown)
+    pert = sample_perturbation(g, tau, 6)
+    rng = np.random.default_rng(3)
+    for resistance in (0.0, 0.7):
+        spec = CircuitSpec(model, L, C, resistance)
+        families = admittance_families(g, spec, pert)
+        ys = [families.units(1.3e6, k) for k in range(3)]
+        xs = [rng.standard_normal(g.stencil.n)
+              + 1j * rng.standard_normal(g.stencil.n) for _ in range(3)]
+        apply = families.operator(ys, xs)
+        for k in range(3):
+            y_link, y_shunt = element_admittances(g, spec, 1.3e6, pert,
+                                                  unknown, k)
+            y_shunt = y_shunt[unknown]
+            element = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt))
+            scale = _absolute(B, y_link, y_shunt)
+            for i, x in enumerate(xs):
+                error = np.abs(apply(k, i) - element @ x)
+                assert np.all(error <= 8 * np.finfo(float).eps
+                              * (scale @ np.abs(x))), (resistance, k, i)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.03])
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed"])
+def test_family_condition_figure_matches_the_assembled_one(
+        walls, model, tau, element_admittances):
+    # the O(n) ||A||_1 and hermitian_floor that a sweep evaluation checks,
+    # against the column sums of the assembled |A| (`_condition`) and the
+    # floor lam_rect min Re(y_link) + min Re(y_shunt) of the element
+    # admittances; both at roundoff, near a resonance and away from it
+    g = _walled(walls)
+    pert = sample_perturbation(g, tau, 6)
+    unknown = g.stencil.unknown
+    nx, ny = unknown.shape
+    lam_rect = 4.0 - 2.0 * np.cos(np.pi / (nx - 1)) \
+        - 2.0 * np.cos(np.pi / (ny - 1))
+    for resistance in (0.0, 0.7):
+        spec = CircuitSpec(model, L, C, resistance)
+        families = admittance_families(g, spec, pert)
+        for omega in (0.4e6, 1.3e6, 4.1e6):
+            system = assemble_admittance(g, spec, omega, pert=pert)
+            y = families.units(omega)
+            norm = np.max(abs(system.matrix).T @ np.ones(g.stencil.n))
+            assert families.norm1(y) == pytest.approx(norm, rel=1e-14)
+            floor = families.floor(y)
+            assert floor == system.hermitian_floor
+            y_link, y_shunt = element_admittances(g, spec, omega, pert,
+                                                  unknown)
+            want = 0.0
+            if walls == "dirichlet":
+                want = lam_rect * y_link.real.min() \
+                    + y_shunt[unknown].real.min()
+            assert floor == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert _bound(g.stencil.n, families.norm1(y), floor) \
+                == pytest.approx(_condition(system, spec, omega), rel=1e-14)

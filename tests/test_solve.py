@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
-from math import cos, pi, sqrt
+from math import cos, inf, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,8 @@ from rlcnet import solve
 from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
                              rasterize_rectangle, tag_boundary)
 from rlcnet.network import (CircuitSpec, assemble_admittance,
-                            element_admittances, ground_impedance,
-                            link_impedance, sample_perturbation)
+                            ground_impedance, link_impedance,
+                            sample_perturbation)
 from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
                           dispersion, dirichlet_laplacian, driven_response,
                           driven_solver, eigenmode_nearest, eigenmodes_lossless,
@@ -205,17 +205,25 @@ def test_one_factorization_per_sparse_eigen_call(monkeypatch):
     assert all(lu.solves > 1 for lu in calls)
 
 
+def _family_weights(g, model, pert):
+    """The link and interior shunt families' weights over the interior
+    sites: 1/m for an inductor, m for a capacitor (links in link order)."""
+    st = g.dirichlet_stencil
+    link = np.concatenate((pert.link_x[st.mask_x], pert.link_y[st.mask_y]))
+    site = pert.site[g.interior]
+    return (1.0 / link, site) if model == "I" else (link, 1.0 / site)
+
+
 def test_eigenmode_nearest_solves_the_pencil(incidence):
     # dense generalized eigensolve of the tau = 0.03 pencil built from the
-    # documented K = B^T diag|y_link| B, M = diag|y_shunt| (lossless, omega0)
+    # documented K = G_link = B^T diag(1/m) B, M = G_shunt = diag(m)
     g = rasterize_rectangle(10, 7, 0.05)
     spec = CircuitSpec("I", L, C, 0.0)
     pert = sample_perturbation(g, 0.03, 8)
-    y_link, y_shunt = element_admittances(g, spec, spec.omega0, pert,
-                                          g.stencil)
+    w_link, w_site = _family_weights(g, "I", pert)
     B = incidence(g, g.interior).toarray()
-    K = B.T @ np.diag(np.abs(y_link)) @ B
-    M = np.diag(np.abs(y_shunt[g.interior]))
+    K = B.T @ np.diag(w_link) @ B
+    M = np.diag(w_site)
     lams, vecs = scipy.linalg.eigh(K, M)
     j = 20
     gap = min(lams[j] - lams[j - 1], lams[j + 1] - lams[j]) / lams[j]
@@ -234,9 +242,10 @@ def test_eigenmode_nearest_solves_the_pencil(incidence):
 @pytest.mark.parametrize("walls", ["dirichlet", "neumann", "rim"])
 def test_eigen_operators_bitwise_equal_incidence_product(
         walls, model, tau, monkeypatch, incidence, bits_equal):
-    # the Laplacian, and the K and K - sigma M that eigenmode_nearest
-    # gathers into the interior stencil, against the sparse products; the
-    # eigen path spans the interior sites under any wall tag
+    # the Laplacian, and the family pencil K = G_link, M = G_shunt and the
+    # K - sigma M that eigenmode_nearest gathers into the interior stencil,
+    # against the sparse products; the eigen path spans the interior sites
+    # under any wall tag, and sigma is the lossless dispersion's lam
     if walls == "rim":
         g = GridGeometry(spacing=0.05, nx=6, ny=6,
                          interior=np.ones((6, 6), bool),
@@ -258,10 +267,10 @@ def test_eigen_operators_bitwise_equal_incidence_product(
 
     monkeypatch.setattr(solve, "_eigsh_near", spy)
     eigenmode_nearest(g, spec, 1.0e6, pert=pert)
-    y_link, y_shunt = element_admittances(g, spec, spec.omega0, pert,
-                                          g.dirichlet_stencil)
-    K = B.T @ sp.diags(np.abs(y_link)) @ B
-    M = sp.diags(np.abs(y_shunt[g.interior]), format="csc")
+    w_link, w_site = _family_weights(g, model, pert)
+    K = B.T @ sp.diags(w_link) @ B
+    M = sp.diags(w_site, format="csc")
+    assert seen["sigma"] == dispersion(spec, 1.0e6).real
     assert bits_equal(seen["K"], K)
     assert bits_equal(seen["M"], M)
     assert bits_equal(seen["shifted"], K - seen["sigma"] * M)
@@ -299,6 +308,28 @@ def test_eigenmode_nearest_needs_two_unknowns():
     g = rasterize_rectangle(1, 1, 0.1)
     with pytest.raises(ValueError):
         eigenmode_nearest(g, CircuitSpec("I", L, C, 0.0), 1.0e6)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.03])
+def test_uniform_mode_of_an_ungrounded_network(tau):
+    # with every site interior no link is grounded, so K = G_link has the
+    # uniform null vector: lam = 0 up to roundoff of either sign, near
+    # omega 0 in model I and near infinite frequency in model II
+    g = GridGeometry(spacing=0.05, nx=6, ny=6, interior=np.ones((6, 6), bool),
+                     boundary=np.zeros((6, 6), bool), bc=BCKind())
+    pert = sample_perturbation(g, tau, 8)
+    spec = CircuitSpec("I", L, C, 0.0)
+    for model, target in (("I", 1e3), ("I", 1e6), ("II", 1e9)):
+        mode = eigenmode_nearest(g, CircuitSpec(model, L, C, 0.0), target,
+                                 pert=pert)
+        assert 0.0 <= mode.lam_grid < 1e-14
+        if model == "I":
+            assert 0.0 <= mode.omega < 1e-7 * spec.omega0
+        else:
+            assert mode.omega > 1e7 * spec.omega0
+        assert np.ptp(mode.vector) < 1e-12
+    assert solve._omega_from_lam(spec, 0.0) == 0.0
+    assert solve._omega_from_lam(CircuitSpec("II", L, C, 0.0), 0.0) == inf
 
 
 def test_eigenmode_nearest_perturbed_shifts():
@@ -673,11 +704,10 @@ def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
     g, spec, _, band = _sweep_case()
     peaks = resonance_sweep(g, spec, band, 9, ((2, 2), 1.0))
     assert peaks
-    orders = [kwargs["order"] for kwargs in assemblies]
-    # the window centre and the grid ask for A' only; each Newton step
-    # also for A'', and the last one's field gives the peak's value
-    assert orders[:10] == [1] * 10
-    assert len(orders) > 10 and set(orders[10:]) == {2}
+    # only the window centre is assembled, with A'; every grid and Newton
+    # evaluation is checked on the element families, and the last Newton
+    # evaluation's field gives each peak's value
+    assert [kwargs["order"] for kwargs in assemblies] == [1]
     assert stencil_builds == [g]
 
 
