@@ -301,7 +301,9 @@ def admittance_families(geometry: GridGeometry, spec: CircuitSpec,
 
 def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
                         pert: Perturbation | None = None,
-                        order: int = 0) -> AdmittanceSystem:
+                        order: int = 0,
+                        families: AdmittanceFamilies | None = None
+                        ) -> AdmittanceSystem:
     """Build the Kirchhoff current-law matrix at frequency omega.
 
     For Dirichlet boundaries the unknowns are the interior sites only;
@@ -311,13 +313,15 @@ def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     data on the geometry's stencil; with `order` k in (1, 2) the same
     families give dA/domega, ..., d^k A/domega^k from the scalar
     derivatives y_f^(k).  The families are built for this call and not
-    kept.
+    kept, unless the caller passes the network's `families`, which it
+    already holds; `pert` is then not read.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, not {order!r}")
-    families = admittance_families(geometry, spec, pert)
+    if families is None:
+        families = admittance_families(geometry, spec, pert)
     ys = [families.units(omega, k) for k in range(order + 1)]
     return AdmittanceSystem(
         matrix=families.matrix(ys[0]), stencil=families.stencil,

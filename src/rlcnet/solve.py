@@ -166,6 +166,63 @@ def _mode(geometry: GridGeometry, spec: CircuitSpec, index: int, lam,
                 vector=vector / np.linalg.norm(vector))
 
 
+class Ordering:
+    """The symmetric ordering that factorizations of one sparsity pattern share.
+
+    A minimum-degree ordering of A^T + A depends on the pattern alone, so
+    every matrix of one pattern, such as the pencil shifts of a disorder
+    ensemble, can take the ordering of the first.  An Ordering is empty
+    until a `Factorization` given it computes that ordering.  It then holds
+    the factor's pattern and column permutation p, and the one gather of
+    A's data that forms P A P^T (row and column i of A at p[i]).  Each
+    later `Factorization` given it factors P A P^T in its natural order,
+    with no ordering step; a matrix of another shape or pattern raises
+    ValueError.  Fill it before threads share it.
+    """
+
+    perm = None
+
+    def reserve(self, A):
+        """Keep the pattern of CSC A and allocate the arrays that `record`
+        fills.  A `Factorization` calls it before it factors: allocated
+        after the factor, the arrays would sit above it in the allocator's
+        heap and keep its freed memory resident (4 MB of the peak memory
+        of the 100-realization 99x99 ensemble)."""
+        n, nnz = A.shape[0], len(A.indices)
+        self.pattern = (A.shape, A.indptr.copy(), A.indices.copy())
+        self.gather = np.empty(nnz, dtype=np.intp)
+        self.indices = np.empty(nnz, dtype=A.indices.dtype)
+        self.indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
+        self.order = np.empty(n, dtype=np.intp)
+        self._perm = np.empty(n, dtype=np.intp)
+
+    def record(self, perm):
+        """Fill the ordering from its factor's column permutation."""
+        # a copy: SuperLU's perm_c is a view that keeps its whole factor alive
+        self._perm[:] = perm
+        perm = self._perm
+        _, indptr, indices = self.pattern
+        rows = perm[indices]
+        cols = perm[np.repeat(np.arange(len(perm)), np.diff(indptr))]
+        # P A P^T in CSC: by column, then by row within a column
+        self.gather[:] = np.lexsort((rows, cols))
+        np.take(rows, self.gather, out=self.indices)
+        np.cumsum(np.bincount(cols, minlength=len(perm)), out=self.indptr[1:])
+        # p^-1: row k of P A P^T is row order[k] of A
+        self.order[:] = np.argsort(perm)
+        self.perm = perm
+
+    def permute(self, A):
+        """P A P^T of CSC A, which must have the recorded pattern."""
+        shape, indptr, indices = self.pattern
+        if A.shape != shape or not (np.array_equal(A.indptr, indptr)
+                                    and np.array_equal(A.indices, indices)):
+            raise ValueError("the matrix does not have the pattern of the "
+                             "ordering")
+        return sp.csc_matrix((A.data[self.gather], self.indices, self.indptr),
+                             shape=shape)
+
+
 class Factorization:
     """One SuperLU factorization of a square sparse A with a symmetric pattern.
 
@@ -186,31 +243,60 @@ class Factorization:
     SingularSystemError on every path.  The factors' roundoff depends on
     these settings, so the vector that Lanczos picks from an exactly
     degenerate eigenspace depends on them as well as on its start.
-    `inverse` is A^-1 as one LinearOperator whose adjoint is A^-H;
+
+    Given a filled `ordering`, A is factored on that ordering instead:
+    P A P^T, formed by one gather, in its natural order with the same
+    pivoting, panels and symmetric mode, which gives the fill and the
+    diagonal pivots of the minimum-degree path without its ordering step.
+    Given an empty one, A is factored as above and the ordering recorded
+    there.  `lu` is SuperLU's factor of the matrix it factored, P A P^T
+    on a filled ordering; `apply(b[, trans])` is A^-1 b (A^-H b for trans
+    "H") from it, unrefined, and `inverse` the same A^-1 as one
+    LinearOperator whose adjoint is A^-H;
     `solve(b)` is A^-1 b refined to the residual contract.  A sweep's
     shifted Krylov basis (`_ShiftedKrylov`) applies the unrefined
-    `lu.solve` of its window-centre factor, and checks the fields it
-    serves against the residual contract on the element families.
+    inverse of its window-centre factor, and checks the fields it serves
+    against the residual contract on the element families.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, ordering: Ordering | None = None):
         self.matrix = A
+        A = A.tocsc()
+        record = ordering is not None and ordering.perm is None
+        reuse = ordering is not None and not record
+        if record:
+            ordering.reserve(A)
+        factored = ordering.permute(A) if reuse else A
         try:
-            self.lu = lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0, panel_size=1,
-                                     options={"SymmetricMode": True})
+            self.lu = lu = spla.splu(
+                factored, permc_spec="NATURAL" if reuse else "MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, panel_size=1,
+                options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularSystemError(f"factorization failed: {exc}") from exc
+        if record:
+            ordering.record(lu.perm_c)
+        if reuse:
+            order, perm = ordering.order, ordering.perm
+
+            def apply(b, trans="N"):
+                return lu.solve(b[order], trans)[perm]
+        else:
+            apply = lu.solve
+        # closures over lu, not bound methods: a reference back to self
+        # would make a cycle that keeps each factor alive until the
+        # garbage collector runs (6 MB per 99x99 pencil factor)
+        self.apply = apply
         self.inverse = spla.LinearOperator(
-            A.shape, matvec=lu.solve,
-            rmatvec=lambda v: lu.solve(v, trans="H"), dtype=A.dtype)
+            A.shape, matvec=apply, rmatvec=lambda v: apply(v, "H"),
+            dtype=A.dtype)
 
     def solve(self, b):
         """A^-1 b, refined on the factorization until the relative residual
         is below RESIDUAL_TOL, in at most 5 correction steps; raises
         SingularSystemError when it is not."""
         bnorm = np.linalg.norm(b)
-        x = self.lu.solve(b)
+        x = self.apply(b)
         # each residual is computed once; the last pass only measures the
         # residual of the fifth correction for the final check
         for step in range(6):
@@ -218,23 +304,38 @@ class Factorization:
             rnorm = np.linalg.norm(r)
             if rnorm <= RESIDUAL_TOL * bnorm or step == 5:
                 break
-            x = x + self.lu.solve(r)
+            x = x + self.apply(r)
         if not np.all(np.isfinite(x)) or rnorm > RESIDUAL_TOL * bnorm:
             raise SingularSystemError(
                 "system too ill-conditioned for the residual contract")
         return x
 
 
-def _eigsh_near(K, shifted, k: int, sigma: float, M=None):
-    """k eigenpairs of K v = lam M v (M = I by default) nearest sigma.
+def _eigsh_near(shifted, k: int, sigma: float, weights=None,
+                ordering: Ordering | None = None):
+    """k eigenpairs of K v = lam M v nearest sigma, M = diag(weights) with
+    positive weights (M = I by default), from one `Factorization` of
+    `shifted` = K - sigma M, made on `ordering` when one is given.
 
-    Shift-invert Lanczos on one `Factorization` of `shifted` = K - sigma M,
-    started from ones(n) so the result does not depend on ARPACK's random
-    start.
+    With r = sqrt(weights), u = r v solves the standard problem R^-1 K
+    R^-1 u = lam u, whose shift-invert operator is u -> r * A^-1 (r * u)
+    for A = `shifted`.  ARPACK runs it in standard mode 3, which makes no
+    M products and runs the Lanczos iteration of generalized mode 3 (ARPACK
+    Users' Guide, Lehoucq, Sorensen and Yang, SIAM 1998, sec. 3.2).  It
+    starts from r, which is ones(n) in pencil coordinates, so the result
+    does not depend on ARPACK's random start.  Returns (lam, v), the
+    columns of v = u / r M-orthonormal.
     """
-    return spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
-                      OPinv=Factorization(shifted).inverse,
-                      v0=np.ones(K.shape[0]))
+    factor = Factorization(shifted, ordering)
+    n = shifted.shape[0]
+    r = np.ones(n) if weights is None else np.sqrt(weights)
+    opinv = spla.LinearOperator(
+        (n, n), matvec=lambda u: r * factor.apply(r * np.ravel(u)),
+        dtype=float)
+    # shift-invert mode applies OPinv only; A gives eigsh its shape and dtype
+    lam, u = spla.eigsh(opinv, k=k, sigma=sigma, which="LM", OPinv=opinv,
+                        v0=r)
+    return lam, u / r[:, None]
 
 
 def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
@@ -256,7 +357,7 @@ def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
         raise ValueError(f"n_modes must be in [1, {n}]")
     lap = dirichlet_laplacian(geometry)
     if 10 * n_modes <= n:
-        lam, vec = _eigsh_near(lap, lap, n_modes, 0.0)
+        lam, vec = _eigsh_near(lap, n_modes, 0.0)
         order = np.argsort(lam)
         lam, vec = lam[order], vec[:, order]
     else:
@@ -268,7 +369,8 @@ def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
 
 def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
                       omega_target: float,
-                      pert: Perturbation | None = None) -> Mode:
+                      pert: Perturbation | None = None,
+                      ordering: Ordering | None = None) -> Mode:
     """Lossless eigenmode whose frequency is nearest omega_target.
 
     Supports component-tolerance realizations through the pencil K v =
@@ -277,11 +379,14 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
     diag(w), w = 1/m for inductors and m for capacitors.  A = -(y_L K +
     y_S M) is singular where lam = -y_S / y_L, so lam = a0^2 k^2 and the
     shift sigma is `dispersion` of the lossless network at the target.
-    One `Factorization` of the real shift K - sigma M drives shift-invert
-    Lanczos (`_eigsh_near`) from ones(n).  In an exactly degenerate eigenspace
-    the vector is the Ritz vector that start gives.  Needs at least 2 unknowns (ARPACK asks
-    for k < n); raises SingularSystemError when the shift is exactly an
-    eigenvalue.
+    The real shift K - sigma M is the families' operator at y = (-1,
+    sigma), formed on the Dirichlet stencil's fixed pattern, and one
+    `Factorization` of it, on `ordering` when one is given, drives
+    shift-invert Lanczos in standard form (`_eigsh_near`) from ones(n) in
+    pencil coordinates.  In an exactly degenerate eigenspace the vector is
+    the Ritz vector that start gives.  Needs at least 2 unknowns (ARPACK
+    asks for k < n); raises SingularSystemError when the shift is exactly
+    an eigenvalue.
     """
     if omega_target <= 0.0:
         raise ValueError("omega_target must be positive")
@@ -289,10 +394,9 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
         raise ValueError("eigenmode_nearest needs at least 2 unknowns")
     families = admittance_families(geometry, spec, pert,
                                    geometry.dirichlet_stencil)
-    K = families.link_matrix
-    M = sp.diags(families.shunt_weight, format="csc")
     sigma = dispersion(replace(spec, resistance=0.0), omega_target).real
-    lam, vec = _eigsh_near(K, K - sigma * M, 1, sigma, M)
+    lam, vec = _eigsh_near(families.matrix(np.array([-1.0, sigma])), 1,
+                           sigma, families.shunt_weight, ordering)
     return _mode(geometry, spec, -1, lam[0], vec[:, 0])
 
 
@@ -477,7 +581,7 @@ class _ShiftedKrylov:
                  omega_c: float, source):
         self.families = families
         self.b = _source_vector(geometry, center, source)
-        self.lu = Factorization(center.matrix).lu
+        self.apply = Factorization(center.matrix).apply
         self.slope = center.derivatives[0]
         # columns: the two families' y at omega_c and their derivatives
         self.units = np.array([families.units(omega_c, k)
@@ -487,7 +591,7 @@ class _ShiftedKrylov:
         # one basis vector per row, so the rows in use are contiguous
         self.Q = np.empty((size + 1, n), dtype=complex)
         self.H = np.zeros((size + 1, size), dtype=complex)
-        r0 = self.lu.solve(self.b)
+        r0 = self.apply(self.b)
         self.beta0 = np.linalg.norm(r0)
         self.Q[0] = r0 / self.beta0
         self.m = 0
@@ -502,7 +606,7 @@ class _ShiftedKrylov:
             return False
         Q, H = self.Q, self.H
         for j in range(self.m, stop):
-            w = self.lu.solve(self.slope @ Q[j])
+            w = self.apply(self.slope @ Q[j])
             scale = np.linalg.norm(w)
             for _ in range(2):
                 h = (Q[:j + 1] @ w.conj()).conj()
@@ -576,11 +680,12 @@ def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     if geometry.bc.kind != DIRICHLET:
         return None
     omega_c = 0.5 * (omega_range[0] + omega_range[1])
-    center = assemble_admittance(geometry, spec, omega_c, pert=pert, order=1)
+    families = admittance_families(geometry, spec, pert)
+    center = assemble_admittance(geometry, spec, omega_c, order=1,
+                                 families=families)
     if not center.hermitian_floor > 0.0:
         return None
-    return _ShiftedKrylov(geometry, admittance_families(geometry, spec, pert),
-                          center, omega_c, source)
+    return _ShiftedKrylov(geometry, families, center, omega_c, source)
 
 
 def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,

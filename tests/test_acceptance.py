@@ -251,8 +251,8 @@ def state_anisotropies(geometry, spec, omega, n_states):
     """
     lam0 = dispersion(spec, omega).real
     lap = dirichlet_laplacian(geometry)
-    lam, vec = _eigsh_near(lap, lap - lam0 * sp.identity(lap.shape[0]),
-                           n_states, lam0)
+    lam, vec = _eigsh_near(lap - lam0 * sp.identity(lap.shape[0]), n_states,
+                           lam0)
     r = []
     for k in np.argsort(np.abs(lam - lam0)):
         values = np.zeros((geometry.nx, geometry.ny), dtype=complex)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import rlcnet.geometry
 from rlcnet.cli import main
@@ -149,6 +150,44 @@ def test_ensemble_workers_share_one_stencil(monkeypatch, stencil_builds):
     edges = np.linspace(-5, 5, 51)
     ensemble_average(g, spec, 1.0e6, 0.03, 6, 1, edges, threads=2)
     assert stencil_builds == [g]
+
+
+def test_ensemble_computes_one_ordering(monkeypatch):
+    # realization 0's minimum-degree factorization gives the ordering that
+    # every other realization factors on; no factorization is made for the
+    # ordering alone, so each eigsh call has exactly one splu call
+    specs, eigsh_calls = [], []
+    splu, eigsh = spla.splu, spla.eigsh
+
+    def spied_splu(*args, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    def spied_eigsh(*args, **kwargs):
+        eigsh_calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spied_splu)
+    monkeypatch.setattr(spla, "eigsh", spied_eigsh)
+    g = rasterize_rectangle(20, 15, 0.05)
+    spec = CircuitSpec("I", L, C, 0.0)
+    edges = np.linspace(-5, 5, 51)
+    results = []
+    # more workers than cores, switching often, share the filled ordering
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 4):
+            specs.clear()
+            eigsh_calls.clear()
+            results.append(ensemble_average(g, spec, 1.0e6, 0.03, 8, 1, edges,
+                                            threads=threads))
+            assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 7
+            assert len(eigsh_calls) == len(specs)
+    finally:
+        sys.setswitchinterval(interval)
+    for avg, ks in results[1:]:
+        assert np.array_equal(avg, results[0][0]) and ks == results[0][1]
 
 
 def test_run_spectrum_unit_square(tmp_path):

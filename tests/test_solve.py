@@ -18,9 +18,9 @@ import scipy.sparse.linalg as spla
 from rlcnet import solve
 from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
                              rasterize_rectangle, tag_boundary)
-from rlcnet.network import (CircuitSpec, assemble_admittance,
-                            ground_impedance, link_impedance,
-                            sample_perturbation)
+from rlcnet.network import (CircuitSpec, admittance_families,
+                            assemble_admittance, ground_impedance,
+                            link_impedance, sample_perturbation)
 from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
                           dispersion, dirichlet_laplacian, driven_response,
                           driven_solver, eigenmode_nearest, eigenmodes_lossless,
@@ -214,13 +214,16 @@ def _family_weights(g, model, pert):
     return (1.0 / link, site) if model == "I" else (link, 1.0 / site)
 
 
-def test_eigenmode_nearest_solves_the_pencil(incidence):
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_eigenmode_nearest_solves_the_pencil(incidence, model):
     # dense generalized eigensolve of the tau = 0.03 pencil built from the
-    # documented K = G_link = B^T diag(1/m) B, M = G_shunt = diag(m)
+    # documented K = G_link = B^T diag(w) B, M = G_shunt = diag(w): model I
+    # w = 1/m on links and m on sites, model II w = m on links and 1/m on
+    # sites, so the standard form scales by M^(1/2) with non-unit weights
     g = rasterize_rectangle(10, 7, 0.05)
-    spec = CircuitSpec("I", L, C, 0.0)
+    spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, 0.03, 8)
-    w_link, w_site = _family_weights(g, "I", pert)
+    w_link, w_site = _family_weights(g, model, pert)
     B = incidence(g, g.interior).toarray()
     K = B.T @ np.diag(w_link) @ B
     M = np.diag(w_site)
@@ -229,7 +232,9 @@ def test_eigenmode_nearest_solves_the_pencil(incidence):
     gap = min(lams[j] - lams[j - 1], lams[j + 1] - lams[j]) / lams[j]
     assert gap > 1e-3
     # target just above lam_j, nearer to it than to lam_{j+1}
-    target = spec.omega0 * sqrt(lams[j] + 0.1 * (lams[j + 1] - lams[j]))
+    lam_target = lams[j] + 0.1 * (lams[j + 1] - lams[j])
+    target = spec.omega0 * (sqrt(lam_target) if model == "I"
+                            else 1.0 / sqrt(lam_target))
     mode = eigenmode_nearest(g, spec, target, pert=pert)
     assert mode.lam_grid == pytest.approx(lams[j], rel=1e-12)
     v, w = mode.vector, vecs[:, j]
@@ -243,9 +248,10 @@ def test_eigenmode_nearest_solves_the_pencil(incidence):
 def test_eigen_operators_bitwise_equal_incidence_product(
         walls, model, tau, monkeypatch, incidence, bits_equal):
     # the Laplacian, and the family pencil K = G_link, M = G_shunt and the
-    # K - sigma M that eigenmode_nearest gathers into the interior stencil,
-    # against the sparse products; the eigen path spans the interior sites
-    # under any wall tag, and sigma is the lossless dispersion's lam
+    # K - sigma M that eigenmode_nearest forms on the interior stencil and
+    # factors, against the sparse products; the eigen path spans the
+    # interior sites under any wall tag, and sigma is the lossless
+    # dispersion's lam
     if walls == "rim":
         g = GridGeometry(spacing=0.05, nx=6, ny=6,
                          interior=np.ones((6, 6), bool),
@@ -261,9 +267,9 @@ def test_eigen_operators_bitwise_equal_incidence_product(
     seen = {}
     eigsh_near = solve._eigsh_near
 
-    def spy(K, shifted, k, sigma, M=None):
-        seen.update(K=K, shifted=shifted, sigma=sigma, M=M)
-        return eigsh_near(K, shifted, k, sigma, M)
+    def spy(shifted, k, sigma, weights=None, ordering=None):
+        seen.update(shifted=shifted, sigma=sigma, weights=weights)
+        return eigsh_near(shifted, k, sigma, weights, ordering)
 
     monkeypatch.setattr(solve, "_eigsh_near", spy)
     eigenmode_nearest(g, spec, 1.0e6, pert=pert)
@@ -271,8 +277,9 @@ def test_eigen_operators_bitwise_equal_incidence_product(
     K = B.T @ sp.diags(w_link) @ B
     M = sp.diags(w_site, format="csc")
     assert seen["sigma"] == dispersion(spec, 1.0e6).real
-    assert bits_equal(seen["K"], K)
-    assert bits_equal(seen["M"], M)
+    families = admittance_families(g, spec, pert, g.dirichlet_stencil)
+    assert bits_equal(families.link_matrix, K)
+    assert bits_equal(sp.diags(seen["weights"], format="csc"), M)
     assert bits_equal(seen["shifted"], K - seen["sigma"] * M)
 
 
@@ -496,9 +503,9 @@ def test_factorization_keeps_the_default_panels_fill_and_pivots(
     shifts = []
     eigsh_near = solve._eigsh_near
 
-    def spy(K, shifted, k, sigma, M=None):
+    def spy(shifted, k, sigma, weights=None, ordering=None):
         shifts.append(shifted)
-        return eigsh_near(K, shifted, k, sigma, M)
+        return eigsh_near(shifted, k, sigma, weights, ordering)
 
     monkeypatch.setattr(solve, "_eigsh_near", spy)
     square = rasterize_rectangle(40, 40, 0.025)
@@ -521,6 +528,49 @@ def test_factorization_keeps_the_default_panels_fill_and_pivots(
         want = default.solve(b)
         assert np.linalg.norm(lu.solve(b) - want) \
             <= 1e-12 * np.linalg.norm(want)
+
+
+def _pencil_shift(geometry, seed):
+    """The real pencil shift that eigenmode_nearest factors on a tau = 0.03
+    realization of `geometry`, model I, at omega = 1.722e6."""
+    spec = CircuitSpec("I", L, C, 0.0)
+    families = admittance_families(geometry, spec,
+                                   sample_perturbation(geometry, 0.03, seed),
+                                   geometry.dirichlet_stencil)
+    return families.matrix(np.array([-1.0, dispersion(spec, 1.722e6).real]))
+
+
+def test_factorization_on_a_reused_ordering(monkeypatch):
+    # a pencil shift of one realization factored on the minimum-degree
+    # ordering of another realization's shift: the fill and the diagonal
+    # pivots are those of its own minimum-degree factorization, and the
+    # solves agree at roundoff
+    square = rasterize_rectangle(40, 40, 0.025)
+    ordering = solve.Ordering()
+    first = solve.Factorization(_pencil_shift(square, 2), ordering)
+    assert ordering.perm is not None
+    A = _pencil_shift(square, 3)
+    mmd = solve.Factorization(A)
+    reused = solve.Factorization(A, ordering)
+    assert np.array_equal(ordering.perm, mmd.lu.perm_c)
+    assert np.array_equal(first.lu.perm_c, mmd.lu.perm_c)
+    assert reused.lu.L.nnz + reused.lu.U.nnz == mmd.lu.L.nnz + mmd.lu.U.nnz
+    assert np.array_equal(reused.lu.perm_r, reused.lu.perm_c)
+    assert np.array_equal(mmd.lu.perm_r, mmd.lu.perm_c)
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal(A.shape[0])
+    for got, want in ((reused.solve(b), mmd.solve(b)),
+                      (reused.inverse.matvec(b), mmd.inverse.matvec(b)),
+                      (reused.inverse.rmatvec(b), mmd.inverse.rmatvec(b))):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # another size, and the same size (1,600 unknowns) on another pattern,
+    # raise before any factorization
+    calls = _count_splu(monkeypatch)
+    for other in (rasterize_rectangle(30, 30, 0.025),
+                  rasterize_rectangle(50, 32, 0.025)):
+        with pytest.raises(ValueError):
+            solve.Factorization(_pencil_shift(other, 2), ordering)
+    assert calls == []
 
 
 def test_driven_lossless_on_rectangle_modes_rejected():
