@@ -416,7 +416,8 @@ def _run_experiment(cfg, geometry, spec, out_dir, threads) -> dict:
     extra = {}
 
     if cfg.experiment == "spectrum":
-        modes = eigenmodes_lossless(geometry, spec, cfg.n_modes)
+        modes = eigenmodes_lossless(geometry, spec, cfg.n_modes,
+                                    _maybe_pert(cfg, geometry))
         write_csv(os.path.join(out_dir, "modes.csv"), ("n", "omega", "eps_n"),
                   ([m.index for m in modes], [m.omega for m in modes],
                    [m.eps for m in modes]))

@@ -1,6 +1,7 @@
 """Resonance spectra, driven responses and dispersion maps.
 
-The lossless network maps onto the 5-point discrete Dirichlet Laplacian:
+The lossless network maps onto the pencil K v = lam M v of its link and
+shunt families (the discrete Dirichlet Laplacian at unit multipliers):
 its eigenvalues lam = a0^2 k^2 give circuit resonances omega = omega0 *
 sqrt(lam) for model I and omega = omega0 / sqrt(lam) for model II.
 
@@ -74,7 +75,7 @@ class Mode:
 
     index: int
     omega: float          # rad/s
-    lam_grid: float       # a0^2 k^2, discrete-Laplacian eigenvalue
+    lam_grid: float       # a0^2 k^2, eigenvalue of the pencil K v = lam M v
     eps: float            # lam_grid / a0^2, billiard eigenvalue
     vector: np.ndarray    # real, unit norm, over interior sites (row-major)
 
@@ -134,16 +135,6 @@ def quality_factor(spec: CircuitSpec) -> float:
     if spec.resistance <= 0.0:
         raise ValueError("Q undefined for R = 0")
     return sqrt(spec.inductance / spec.capacitance) / spec.resistance
-
-
-def dirichlet_laplacian(geometry: GridGeometry) -> sp.csc_matrix:
-    """5-point discrete Laplacian B^T B over interior sites, Dirichlet boundary.
-
-    Diagonal 4, off-diagonal -1 for interior neighbors; boundary neighbors
-    contribute V = 0.
-    """
-    stencil = geometry.dirichlet_stencil
-    return stencil.assemble(np.ones(stencil.n_links))
 
 
 def _omega_from_lam(spec: CircuitSpec, lam: float) -> float:
@@ -311,11 +302,11 @@ class Factorization:
         return x
 
 
-def _eigsh_near(shifted, k: int, sigma: float, weights=None,
+def _eigsh_near(shifted, k: int, sigma: float, weights,
                 ordering: Ordering | None = None):
     """k eigenpairs of K v = lam M v nearest sigma, M = diag(weights) with
-    positive weights (M = I by default), from one `Factorization` of
-    `shifted` = K - sigma M, made on `ordering` when one is given.
+    positive weights, from one `Factorization` of `shifted` = K - sigma M,
+    made on `ordering` when one is given.
 
     With r = sqrt(weights), u = r v solves the standard problem R^-1 K
     R^-1 u = lam u, whose shift-invert operator is u -> r * A^-1 (r * u)
@@ -328,7 +319,7 @@ def _eigsh_near(shifted, k: int, sigma: float, weights=None,
     """
     factor = Factorization(shifted, ordering)
     n = shifted.shape[0]
-    r = np.ones(n) if weights is None else np.sqrt(weights)
+    r = np.sqrt(weights)
     opinv = spla.LinearOperator(
         (n, n), matvec=lambda u: r * factor.apply(r * np.ravel(u)),
         dtype=float)
@@ -338,31 +329,46 @@ def _eigsh_near(shifted, k: int, sigma: float, weights=None,
     return lam, u / r[:, None]
 
 
-def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
-                        n_modes: int) -> list[Mode]:
-    """Lowest-lam resonances of the lossless (R = 0) Dirichlet network.
+def _pencil(geometry: GridGeometry, spec: CircuitSpec, pert):
+    """The pencil K v = lam M v of every eigen solve: the link and shunt
+    families over the interior sites, K = G_link = B^T diag(w) B and M =
+    G_shunt = diag(w), w = 1/m for inductors and m for capacitors.  A =
+    -(y_L K + y_S M) is singular where lam = -y_S / y_L = a0^2 k^2."""
+    return admittance_families(geometry, spec, pert,
+                               geometry.dirichlet_stencil)
 
-    Shift-invert Lanczos at sigma = 0 (`_eigsh_near`) serves requests of
-    at most n / 10 modes; dense `scipy.linalg.eigh` serves the rest, which
-    covers every grid below 10 unknowns and n_modes = n, where ARPACK
-    (k < n) cannot serve.  The share is measured on one BLAS thread: on
-    squares of 2,401 and 3,600 unknowns Lanczos is 10-15% faster at
-    n / 10 modes, about 40x faster below it (49x49, 10 modes: 0.03 s
-    against 1.3 s), and dense is faster above it (49x49, 480 modes: 1.9 s
-    against 6.6 s).  Eigenvectors are orthonormal and real; a degenerate
-    eigenspace gets the basis that the solver (and its start) gives.
+
+def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
+                        n_modes: int,
+                        pert: Perturbation | None = None) -> list[Mode]:
+    """The n_modes lowest-lam lossless resonances of the realization `pert`.
+
+    Shift-invert Lanczos at sigma = 0 on the pencil (`_pencil`) serves
+    requests of at most n / 10 modes; dense `scipy.linalg.eigh` of the
+    M^(1/2)-scaled R^-1 K R^-1, as in `_eigsh_near`, serves the rest,
+    which covers every grid below 10 unknowns and n_modes = n, where
+    ARPACK (k < n) cannot serve.  The share is measured on one BLAS
+    thread: on squares of 2,401 and 3,600 unknowns Lanczos is 10-15%
+    faster at n / 10 modes, about 40x faster below it (49x49, 10 modes:
+    0.03 s against 1.3 s), and dense is faster above it (49x49, 480
+    modes: 1.9 s against 6.6 s).  Eigenvectors are real, M-orthogonal
+    and of unit norm; a degenerate eigenspace gets the basis that the
+    solver (and its start) gives.
     """
     n = geometry.n_interior
     if not 1 <= n_modes <= n:
         raise ValueError(f"n_modes must be in [1, {n}]")
-    lap = dirichlet_laplacian(geometry)
+    families = _pencil(geometry, spec, pert)
+    K, w = families.link_matrix, families.shunt_weight
     if 10 * n_modes <= n:
-        lam, vec = _eigsh_near(lap, n_modes, 0.0)
+        lam, vec = _eigsh_near(K, n_modes, 0.0, w)
         order = np.argsort(lam)
         lam, vec = lam[order], vec[:, order]
     else:
-        lam, vec = scipy.linalg.eigh(lap.toarray(),
-                                     subset_by_index=[0, n_modes - 1])
+        r = np.sqrt(w)
+        lam, u = scipy.linalg.eigh(K.toarray() / r[:, None] / r,
+                                   subset_by_index=[0, n_modes - 1])
+        vec = u / r[:, None]
     return [_mode(geometry, spec, k, lam[k], vec[:, k])
             for k in range(n_modes)]
 
@@ -371,29 +377,22 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
                       omega_target: float,
                       pert: Perturbation | None = None,
                       ordering: Ordering | None = None) -> Mode:
-    """Lossless eigenmode whose frequency is nearest omega_target.
+    """Lossless eigenmode nearest omega_target in the realization `pert`.
 
-    Supports component-tolerance realizations through the pencil K v =
-    lam M v of the link and shunt families over the interior sites
-    (`admittance_families`): K = G_link = B^T diag(w) B and M = G_shunt =
-    diag(w), w = 1/m for inductors and m for capacitors.  A = -(y_L K +
-    y_S M) is singular where lam = -y_S / y_L, so lam = a0^2 k^2 and the
-    shift sigma is `dispersion` of the lossless network at the target.
-    The real shift K - sigma M is the families' operator at y = (-1,
-    sigma), formed on the Dirichlet stencil's fixed pattern, and one
-    `Factorization` of it, on `ordering` when one is given, drives
-    shift-invert Lanczos in standard form (`_eigsh_near`) from ones(n) in
-    pencil coordinates.  In an exactly degenerate eigenspace the vector is
-    the Ritz vector that start gives.  Needs at least 2 unknowns (ARPACK
-    asks for k < n); raises SingularSystemError when the shift is exactly
-    an eigenvalue.
+    The shift sigma is the lossless `dispersion` at the target.  K -
+    sigma M is the pencil's (`_pencil`) operator at y = (-1, sigma) on
+    the Dirichlet stencil's fixed pattern, and one `Factorization` of it,
+    on `ordering` when one is given, drives shift-invert Lanczos in
+    standard form (`_eigsh_near`) from ones(n) in pencil coordinates.
+    In an exactly degenerate eigenspace the vector is the Ritz vector
+    that start gives.  Needs at least 2 unknowns (ARPACK asks for k <
+    n); raises SingularSystemError when the shift is exactly an eigenvalue.
     """
     if omega_target <= 0.0:
         raise ValueError("omega_target must be positive")
     if geometry.n_interior < 2:
         raise ValueError("eigenmode_nearest needs at least 2 unknowns")
-    families = admittance_families(geometry, spec, pert,
-                                   geometry.dirichlet_stencil)
+    families = _pencil(geometry, spec, pert)
     sigma = dispersion(replace(spec, resistance=0.0), omega_target).real
     lam, vec = _eigsh_near(families.matrix(np.array([-1.0, sigma])), 1,
                            sigma, families.shunt_weight, ordering)

@@ -10,7 +10,6 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy import integrate
 
 from rlcnet.experiments import ExperimentConfig, driven_statistics, run, \
@@ -19,8 +18,8 @@ from rlcnet.fields import OHMIC, CurrentField, link_currents, \
     nodal_vortices, power_balance, trace_streamlines
 from rlcnet.geometry import rasterize_quarter_stadium, rasterize_rectangle
 from rlcnet.network import CircuitSpec
-from rlcnet.solve import (ComplexField, _eigsh_near, dirichlet_laplacian,
-                          dispersion, driven_response, eigenmode_nearest,
+from rlcnet.solve import (ComplexField, _eigsh_near, _pencil, dispersion,
+                          driven_response, eigenmode_nearest,
                           eigenmodes_lossless, quality_factor, wavelength)
 from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
                           density_ppf, fit_histogram, heat_cdf, mc_heat_oracle,
@@ -243,16 +242,17 @@ N_STATES = 60   # lossless stadium states averaged per reference frequency
 def state_anisotropies(geometry, spec, omega, n_states):
     """r of the n_states lossless states nearest omega, nearest first.
 
-    `_eigsh_near` factors the shift once with the package's own ordering
-    and starts ARPACK from a fixed vector, so the result does not depend on
-    its random start.  A real eigenvector carries no imaginary current,
+    The shift K - lam0 M is the pencil's operator at y = (-1, lam0), as
+    `eigenmode_nearest` forms it; `_eigsh_near` factors it once with the
+    package's own ordering and starts ARPACK from a fixed vector, so the
+    result does not depend on its random start.  A real eigenvector carries no imaginary current,
     which anisotropy_metrics rejects; the phase 1 + 1j makes Re and Im
     identical copies of the state, so r_real is the state's own r.
     """
     lam0 = dispersion(spec, omega).real
-    lap = dirichlet_laplacian(geometry)
-    lam, vec = _eigsh_near(lap - lam0 * sp.identity(lap.shape[0]), n_states,
-                           lam0)
+    pencil = _pencil(geometry, spec, None)
+    lam, vec = _eigsh_near(pencil.matrix(np.array([-1.0, lam0])), n_states,
+                           lam0, pencil.shunt_weight)
     r = []
     for k in np.argsort(np.abs(lam - lam0)):
         values = np.zeros((geometry.nx, geometry.ny), dtype=complex)

@@ -292,6 +292,23 @@ def test_cli_success(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_cli_spectrum_applies_tolerance(tmp_path):
+    # the spectrum solves the realization that tolerance and seed draw,
+    # and the same seed draws the same one
+    spectrum = {"geometry": "rectangle", "nx_interior": 12, "ny_interior": 9,
+                "spacing": 0.05, "n_modes": 5, "write_mode_fields": False}
+    modes = {}
+    for name, over in (("unit", {}),
+                       ("a", {"tolerance": 0.05, "seed": 3}),
+                       ("b", {"tolerance": 0.05, "seed": 3})):
+        cfg = write_cfg(tmp_path, {**spectrum, **over})
+        out = tmp_path / name
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        modes[name] = (out / "modes.csv").read_bytes()
+    assert modes["a"] != modes["unit"]
+    assert modes["a"] == modes["b"]
+
+
 def test_cli_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"spacing": -1.0})
     assert main(["spectrum", "--config", cfg, "--out",

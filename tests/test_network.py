@@ -118,15 +118,15 @@ def test_matrix_complex_symmetric(model, resistance):
     assert np.max(np.abs(diff)) < 1e-15 * np.max(np.abs(a.toarray()))
 
 
-def test_lossless_matrix_is_scaled_laplacian():
+def test_lossless_matrix_is_scaled_laplacian(incidence):
     # R=0 model I: A * (i omega L) = -(A_lap - omega^2 L C * Id)
     g = rasterize_rectangle(6, 4, 0.1)
     spec = CircuitSpec("I", L, C, 0.0)
     omega = 1.1e6
     a = assemble_admittance(g, spec, omega).matrix.toarray()
     scaled = a * (1j * omega * L)
-    from rlcnet.solve import dirichlet_laplacian
-    lap = dirichlet_laplacian(g).toarray()
+    B = incidence(g, g.interior)
+    lap = (B.T @ B).toarray()
     expected = -(lap - omega ** 2 * L * C * np.eye(lap.shape[0]))
     assert np.max(np.abs(scaled - expected)) < 1e-12
     assert np.max(np.abs(scaled.imag)) < 1e-15

@@ -22,7 +22,7 @@ from rlcnet.network import (CircuitSpec, admittance_families,
                             assemble_admittance, ground_impedance,
                             link_impedance, sample_perturbation)
 from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
-                          dispersion, dirichlet_laplacian, driven_response,
+                          dispersion, driven_response,
                           driven_solver, eigenmode_nearest, eigenmodes_lossless,
                           quality_factor, resonance_sweep, wavelength)
 
@@ -55,7 +55,7 @@ def test_dispersion_model_ii_at_omega0():
 
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("model", ["I", "II"])
-def test_dispersion_is_the_shift_of_the_operator(model, ratio):
+def test_dispersion_is_the_shift_of_the_operator(model, ratio, incidence):
     # Dirichlet walls, no disorder: A(omega) = -(y_L K + y_S I), K the
     # Laplacian, so a lossless eigenvector v of K (K v = lam v) has the
     # Rayleigh quotient q = v^T A v = -y_L (lam - mu), and two of them give
@@ -63,7 +63,8 @@ def test_dispersion_is_the_shift_of_the_operator(model, ratio):
     g = rasterize_rectangle(6, 5, 0.1)
     spec = CircuitSpec(model, L, C, 0.3)
     omega = ratio * spec.omega0
-    lam, vec = scipy.linalg.eigh(dirichlet_laplacian(g).toarray())
+    B = incidence(g, g.interior)
+    lam, vec = scipy.linalg.eigh((B.T @ B).toarray())
     A = assemble_admittance(g, spec, omega).matrix
     q1, q2 = (vec[:, k] @ (A @ vec[:, k]) for k in (0, -1))
     mu = (q2 * lam[0] - q1 * lam[-1]) / (q2 - q1)
@@ -163,6 +164,35 @@ def test_spectrum_on_both_sides_of_the_lanczos_share(n_modes):
     assert np.allclose(vectors @ vectors.T, np.eye(n_modes), atol=1e-10)
 
 
+@pytest.mark.parametrize("n_modes", [7, 30])
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_disordered_spectrum_solves_the_pencil(incidence, model, n_modes):
+    # 70 unknowns: 7 modes take the Lanczos path, 30 the dense one; both
+    # against the dense generalized eigensolve of the tau = 0.05 pencil K =
+    # B^T diag(w) B, M = diag(w) of the same realization
+    g = rasterize_rectangle(10, 7, 0.05)
+    spec = CircuitSpec(model, L, C, 0.0)
+    pert = sample_perturbation(g, 0.05, 3)
+    w_link, w_site = _family_weights(g, model, pert)
+    B = incidence(g, g.interior).toarray()
+    M = np.diag(w_site)
+    lams, vecs = scipy.linalg.eigh(B.T @ np.diag(w_link) @ B, M)
+    modes = eigenmodes_lossless(g, spec, n_modes, pert=pert)
+    lam = np.array([m.lam_grid for m in modes])
+    assert np.max(np.abs(lam - lams[:n_modes]) / lams[:n_modes]) < 1e-10
+    unit = eigenmodes_lossless(g, spec, n_modes)
+    assert not np.any(lam == [m.lam_grid for m in unit])
+    V = np.array([m.vector for m in modes]).T
+    assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0.0, atol=1e-14)
+    gram = V.T @ M @ V
+    scale = np.sqrt(np.diag(gram))
+    assert np.allclose(gram / np.outer(scale, scale), np.eye(n_modes),
+                       rtol=0.0, atol=1e-10)
+    # each vector spans its dense eigenvector (no eigenvalue is degenerate)
+    overlap = np.abs(np.sum(V * (M @ vecs[:, :n_modes]), axis=0)) / scale
+    assert np.all(overlap > 1.0 - 1e-10)
+
+
 class _CountedFactor:
     """A SuperLU factor that counts its solves."""
 
@@ -198,10 +228,16 @@ def test_one_factorization_per_sparse_eigen_call(monkeypatch):
     assert len(calls) == 2
     eigenmodes_lossless(g, spec, 8)
     assert len(calls) == 2
+    # a disordered spectrum factors its K once on the Lanczos side only
+    pert = sample_perturbation(g, 0.05, 3)
+    eigenmodes_lossless(g, spec, 7, pert=pert)
+    assert len(calls) == 3
+    eigenmodes_lossless(g, spec, 8, pert=pert)
+    assert len(calls) == 3
     # the Lanczos test above and criterion 12's spectrum run stay sparse
     for nx, ny, n_modes in ((80, 60, 6), (70, 60, 4)):
         eigenmodes_lossless(rasterize_rectangle(nx, ny, 0.02), spec, n_modes)
-    assert len(calls) == 4
+    assert len(calls) == 5
     assert all(lu.solves > 1 for lu in calls)
 
 
@@ -247,11 +283,11 @@ def test_eigenmode_nearest_solves_the_pencil(incidence, model):
 @pytest.mark.parametrize("walls", ["dirichlet", "neumann", "rim"])
 def test_eigen_operators_bitwise_equal_incidence_product(
         walls, model, tau, monkeypatch, incidence, bits_equal):
-    # the Laplacian, and the family pencil K = G_link, M = G_shunt and the
-    # K - sigma M that eigenmode_nearest forms on the interior stencil and
-    # factors, against the sparse products; the eigen path spans the
-    # interior sites under any wall tag, and sigma is the lossless
-    # dispersion's lam
+    # the family pencil K = G_link, M = G_shunt, the K - sigma M that
+    # eigenmode_nearest forms on the interior stencil and factors, and the
+    # K that the spectrum factors at sigma = 0, against the sparse
+    # products; the eigen path spans the interior sites under any wall
+    # tag, and sigma is the lossless dispersion's lam
     if walls == "rim":
         g = GridGeometry(spacing=0.05, nx=6, ny=6,
                          interior=np.ones((6, 6), bool),
@@ -261,26 +297,32 @@ def test_eigen_operators_bitwise_equal_incidence_product(
         if walls == "neumann":
             g = tag_boundary(g, BCKind("neumann"))
     B = incidence(g, g.interior)
-    assert bits_equal(dirichlet_laplacian(g), B.T @ B)
     spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, tau, 8)
-    seen = {}
+    seen = []
     eigsh_near = solve._eigsh_near
 
-    def spy(shifted, k, sigma, weights=None, ordering=None):
-        seen.update(shifted=shifted, sigma=sigma, weights=weights)
+    def spy(shifted, k, sigma, weights, ordering=None):
+        seen.append((shifted, sigma, weights))
         return eigsh_near(shifted, k, sigma, weights, ordering)
 
     monkeypatch.setattr(solve, "_eigsh_near", spy)
     eigenmode_nearest(g, spec, 1.0e6, pert=pert)
+    eigenmodes_lossless(g, spec, 3, pert=pert)
     w_link, w_site = _family_weights(g, model, pert)
     K = B.T @ sp.diags(w_link) @ B
     M = sp.diags(w_site, format="csc")
-    assert seen["sigma"] == dispersion(spec, 1.0e6).real
     families = admittance_families(g, spec, pert, g.dirichlet_stencil)
     assert bits_equal(families.link_matrix, K)
-    assert bits_equal(sp.diags(seen["weights"], format="csc"), M)
-    assert bits_equal(seen["shifted"], K - seen["sigma"] * M)
+    (shifted, sigma, weights), (spectrum, zero, spectrum_weights) = seen
+    assert sigma == dispersion(spec, 1.0e6).real
+    assert bits_equal(sp.diags(weights, format="csc"), M)
+    assert bits_equal(shifted, K - sigma * M)
+    assert zero == 0.0
+    assert bits_equal(sp.diags(spectrum_weights, format="csc"), M)
+    assert bits_equal(spectrum, K)
+    if tau == 0.0:
+        assert bits_equal(spectrum, B.T @ B)
 
 
 def test_eigenmodes_bad_count():
@@ -364,8 +406,9 @@ def test_eigenmode_is_null_vector_of_admittance(model, tau):
 
 
 def test_laplacian_row_sums():
+    # the spectrum's K at unit multipliers
     g = rasterize_rectangle(5, 5, 0.1)
-    lap = dirichlet_laplacian(g).toarray()
+    lap = solve._pencil(g, CircuitSpec(), None).link_matrix.toarray()
     assert np.array_equal(lap, lap.T)
     assert np.all(np.diag(lap) == 4.0)
 
