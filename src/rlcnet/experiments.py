@@ -295,16 +295,17 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
                      omega_target: float, tolerance: float,
                      n_realizations: int, seed: int,
                      bin_edges, distribution: str = "uniform",
-                     threads: int = 1):
+                     threads: int = 1, ordering: Ordering | None = None):
     """Average the standardized Re(V) histogram over disorder realizations.
 
     Each realization perturbs the components, recomputes the lossless mode
     nearest omega_target and histograms its standardized amplitudes on the
     shared bin edges.  Every pencil shift has the Dirichlet stencil's
-    pattern, so realization 0's factorization computes the one
-    minimum-degree `Ordering` of the call, before the workers start, and
-    every other realization factors on it.  Returns (averaged frequencies,
-    KS to unit normal).
+    pattern, so every realization factors on one minimum-degree
+    `Ordering`: the given `ordering`, or else a new one.  Realization 0's
+    factorization fills it, before the workers start, unless an earlier
+    factorization of that pattern has.  Returns (averaged frequencies, KS
+    to unit normal).
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -323,10 +324,12 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
                                  ordering=ordering)
         return standardized_mode_histogram(mode.vector, bin_edges)
 
-    ordering = Ordering()
-    # realization 0 builds the stencil and fills the ordering here, so the
-    # workers share both rather than race to build them (functools.
-    # cached_property takes no lock from Python 3.12 on)
+    if ordering is None:
+        ordering = Ordering()
+    # realization 0 builds the stencil and fills the ordering here, where
+    # no earlier call has, so the workers share both rather than race to
+    # build them (functools.cached_property takes no lock from Python 3.12
+    # on)
     hists = [one(0)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         hists += pool.map(one, range(1, n_realizations))
@@ -454,12 +457,16 @@ def _run_experiment(cfg, geometry, spec, out_dir, threads) -> dict:
 
     elif cfg.experiment == "ensemble":
         bin_edges = np.linspace(-5.0, 5.0, cfg.n_bins + 1)
-        baseline_mode = eigenmode_nearest(geometry, spec, cfg.omega)
+        # the tau = 0 baseline fills the one ordering of the run, which
+        # every realization then factors on
+        ordering = Ordering()
+        baseline_mode = eigenmode_nearest(geometry, spec, cfg.omega,
+                                          ordering=ordering)
         base_hist = standardized_mode_histogram(baseline_mode.vector, bin_edges)
         avg, ks = ensemble_average(geometry, spec, cfg.omega, cfg.tolerance,
                                    cfg.n_realizations, cfg.seed, bin_edges,
                                    distribution=cfg.tolerance_distribution,
-                                   threads=threads)
+                                   threads=threads, ordering=ordering)
         write_csv(os.path.join(out_dir, "histogram.csv"),
                   ("bin_lo", "bin_hi", "baseline", "averaged"),
                   (bin_edges[:-1], bin_edges[1:], base_hist, avg))

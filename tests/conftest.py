@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import rlcnet.geometry
 
@@ -143,3 +144,19 @@ def stencil_builds(monkeypatch):
 
     monkeypatch.setattr(rlcnet.geometry, "lattice_stencil", counted)
     return builds
+
+
+@pytest.fixture
+def perturb_eigsh(monkeypatch):
+    """Call it to make every later eigsh call return its eigenvectors
+    perturbed by 1e-6, far outside the residual contract."""
+    def perturb():
+        eigsh = spla.eigsh
+
+        def perturbed(*args, **kwargs):
+            lam, u = eigsh(*args, **kwargs)
+            noise = np.random.default_rng(0).standard_normal(u.shape)
+            return lam, u + 1e-6 * noise
+
+        monkeypatch.setattr(spla, "eigsh", perturbed)
+    return perturb

@@ -190,6 +190,33 @@ def test_ensemble_computes_one_ordering(monkeypatch):
         assert np.array_equal(avg, results[0][0]) and ks == results[0][1]
 
 
+def test_cli_ensemble_computes_one_ordering(tmp_path, monkeypatch):
+    # the tau = 0 baseline fills the run's one ordering, which every
+    # realization factors on: one ordering step per run, and each eigsh
+    # call has exactly one splu call
+    specs, eigsh_calls = [], []
+    splu, eigsh = spla.splu, spla.eigsh
+
+    def spied_splu(*args, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    def spied_eigsh(*args, **kwargs):
+        eigsh_calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spied_splu)
+    monkeypatch.setattr(spla, "eigsh", spied_eigsh)
+    cfg = write_cfg(tmp_path, {"geometry": "rectangle", "nx_interior": 20,
+                               "ny_interior": 15, "spacing": 0.05,
+                               "omega": 1.0e6, "tolerance": 0.03,
+                               "n_realizations": 6, "seed": 1})
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "2"]) == 0
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 6
+    assert len(eigsh_calls) == len(specs)
+
+
 def test_run_spectrum_unit_square(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "experiment": "spectrum", "geometry": "rectangle",
@@ -504,7 +531,7 @@ def test_failed_run_removes_only_the_directory_it_created(tmp_path, capsys):
     assert (kept / "notes.txt").read_text() == "mine"
 
 
-def test_cli_solver_failure(tmp_path):
+def test_cli_solver_failure(tmp_path, perturb_eigsh):
     spec = CircuitSpec("I", L, C, 0.0)
     # a lossless drive exactly on the lowest resonance of a tiny rectangle,
     # and an eigen shift exactly on the 1x2 rectangle's eigenvalue 5
@@ -519,6 +546,15 @@ def test_cli_solver_failure(tmp_path):
         assert main([experiment, "--config", path, "--out",
                      str(tmp_path / "o")]) == 3, experiment
         assert not (tmp_path / "o").exists()
+    # eigenvectors off by 1e-6 miss the residual contract
+    perturb_eigsh()
+    path = write_cfg(tmp_path, {"geometry": "rectangle", "nx_interior": 10,
+                                "ny_interior": 7, "spacing": 0.05,
+                                "omega": 1.0e6, "tolerance": 0.03,
+                                "n_realizations": 3})
+    assert main(["ensemble", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_seed_override(tmp_path):

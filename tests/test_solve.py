@@ -280,6 +280,83 @@ def test_eigenmode_nearest_solves_the_pencil(incidence, model):
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("shape", [(1, 2), (3, 1)])
+def test_eigenmode_nearest_on_the_smallest_networks(incidence, shape, model,
+                                                    tau):
+    # ARPACK keeps at most n Lanczos vectors, and needs more than k = 1:
+    # 2 and 3 unknowns leave it exactly that room
+    g = rasterize_rectangle(*shape, 0.1)
+    spec = CircuitSpec(model, L, C, 0.0)
+    pert = sample_perturbation(g, tau, 8)
+    w_link, w_site = _family_weights(g, model, pert)
+    B = incidence(g, g.interior).toarray()
+    M = np.diag(w_site)
+    lams, vecs = scipy.linalg.eigh(B.T @ np.diag(w_link) @ B, M)
+    for j, lam in enumerate(lams):
+        target = spec.omega0 * (sqrt(1.001 * lam) if model == "I"
+                                else 1.0 / sqrt(1.001 * lam))
+        mode = eigenmode_nearest(g, spec, target, pert=pert)
+        assert mode.lam_grid == pytest.approx(lam, rel=1e-12)
+        v, w = mode.vector, vecs[:, j]
+        overlap = abs(v @ M @ w) / sqrt((v @ M @ v) * (w @ M @ w))
+        assert overlap > 1.0 - 1e-10
+
+
+def test_eigenmode_nearest_lanczos_work(monkeypatch):
+    # ARPACK stops at the residual contract: one call on this 99x99
+    # realization applies the operator 16 times, where its default 20
+    # Lanczos vectors at tol = 0 (machine precision) took 21
+    calls = _count_splu(monkeypatch)
+    g = rasterize_rectangle(99, 99, 0.01)
+    eigenmode_nearest(g, CircuitSpec("I", L, C, 0.0), 1.722e6,
+                      pert=sample_perturbation(g, 0.03, 2))
+    assert [lu.solves for lu in calls] == [16]
+
+
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_backward_error_is_normwise_on_the_pencil(incidence, model):
+    # against the dense ||K v - lam M v|| / ((||K||_1 + |lam| ||M||_1)
+    # ||v||) at a shift whose K - sigma M has diagonal entries of both
+    # signs, for pairs that are not eigenpairs
+    g = rasterize_rectangle(10, 7, 0.05)
+    pert = sample_perturbation(g, 0.03, 8)
+    w_link, w_site = _family_weights(g, model, pert)
+    B = incidence(g, g.interior).toarray()
+    K = B.T @ np.diag(w_link) @ B
+    sigma = 4.0
+    shifted = sp.csc_matrix(K - sigma * np.diag(w_site))
+    assert shifted.diagonal().min() < 0.0 < shifted.diagonal().max()
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((g.n_interior, 3))
+    lam = np.array([0.5, 3.0, 7.0])
+    eta = solve._backward_errors(shifted, sigma, w_site, lam, v)
+    norm_k = np.abs(K).sum(axis=0).max()
+    for j in range(3):
+        want = np.linalg.norm(K @ v[:, j] - lam[j] * w_site * v[:, j]) / (
+            (norm_k + lam[j] * w_site.max()) * np.linalg.norm(v[:, j]))
+        assert eta[j] == pytest.approx(want, rel=1e-12)
+
+
+def test_eigenpairs_that_miss_the_contract_raise(perturb_eigsh):
+    # the same calls pass unperturbed; eigenvectors off by 1e-6 fail the
+    # backward-error check on both eigen paths
+    g = rasterize_rectangle(10, 7, 0.05)
+    spec = CircuitSpec("I", L, C, 0.0)
+    pert = sample_perturbation(g, 0.03, 8)
+    families = solve._pencil(g, spec, pert)
+    sigma = dispersion(spec, 1.0e6).real
+    shifted = families.matrix(np.array([-1.0, sigma]))
+    solve._eigsh_near(shifted, 1, sigma, families.shunt_weight)
+    eigenmodes_lossless(g, spec, 5, pert=pert)
+    perturb_eigsh()
+    with pytest.raises(SingularSystemError):
+        solve._eigsh_near(shifted, 1, sigma, families.shunt_weight)
+    with pytest.raises(SingularSystemError):
+        eigenmodes_lossless(g, spec, 5, pert=pert)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.03])
+@pytest.mark.parametrize("model", ["I", "II"])
 @pytest.mark.parametrize("walls", ["dirichlet", "neumann", "rim"])
 def test_eigen_operators_bitwise_equal_incidence_product(
         walls, model, tau, monkeypatch, incidence, bits_equal):
