@@ -23,7 +23,7 @@ from . import __version__
 from .geometry import (DIRICHLET, BCKind, GridGeometry, rasterize_quarter_stadium,
                        rasterize_rectangle, tag_boundary)
 from .io import write_csv, write_json, write_pgm, write_polylines
-from .network import CircuitSpec, sample_perturbation
+from .network import TOLERANCE_REACH, CircuitSpec, sample_perturbation
 from .solve import (ComplexField, Ordering, damping_length, driven_response,
                     driven_solver, eigenmode_nearest, eigenmodes_lossless,
                     quality_factor, resonance_sweep, wavelength)
@@ -140,9 +140,15 @@ class ExperimentConfig:
         for name in ("resistance", "tolerance"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name}: must be >= 0")
-        if self.tolerance_distribution not in ("uniform", "gaussian"):
+        if self.tolerance_distribution not in TOLERANCE_REACH:
             raise ConfigError("tolerance_distribution: unknown law "
                               f"{self.tolerance_distribution!r}")
+        if self.tolerance * TOLERANCE_REACH[self.tolerance_distribution] \
+                >= 1.0:
+            raise ConfigError(f"tolerance: {self.tolerance_distribution} "
+                              "multipliers can reach m <= 0")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.source_rule not in ("site", "density_max"):
             raise ConfigError(f"source_rule: unknown rule {self.source_rule!r}")
         if self.source_site is not None and not (

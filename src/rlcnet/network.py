@@ -26,7 +26,8 @@ from .geometry import NEUMANN, MIXED, GridGeometry, LatticeStencil
 MODEL_I = "I"
 MODEL_II = "II"
 
-_SQRT3 = sqrt(3.0)
+# the largest |m - 1| / tau that a multiplier of each tolerance law reaches
+TOLERANCE_REACH = {"uniform": sqrt(3.0), "gaussian": 3.0}
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,18 @@ def sample_perturbation(geometry: GridGeometry, tolerance: float, seed: int,
     """Independent multiplier per element, std = tolerance, mean 1.
 
     Uniform draws span [1 - tau*sqrt(3), 1 + tau*sqrt(3)]; Gaussian draws are
-    clipped to +-3 tau so multipliers stay in [1 - 3 tau, 1 + 3 tau].
+    clipped to +-3 tau so multipliers stay in [1 - 3 tau, 1 + 3 tau]
+    (`TOLERANCE_REACH`).  A tolerance whose law can reach a multiplier m
+    <= 0, an element of no or negative value, raises ValueError.
     """
     if tolerance < 0.0:
         raise ValueError("tolerance must be >= 0")
-    if distribution not in ("uniform", "gaussian"):
+    if distribution not in TOLERANCE_REACH:
         raise ValueError(f"unknown tolerance distribution: {distribution!r}")
+    reach = tolerance * TOLERANCE_REACH[distribution]
+    if reach >= 1.0:
+        raise ValueError(f"tolerance {tolerance} lets {distribution} "
+                         "multipliers reach m <= 0")
     rng = np.random.default_rng(seed)
     shape = (geometry.nx, geometry.ny)
 
@@ -107,33 +114,10 @@ def sample_perturbation(geometry: GridGeometry, tolerance: float, seed: int,
         if tolerance == 0.0:
             return np.ones(shape)
         if distribution == "uniform":
-            return rng.uniform(1.0 - tolerance * _SQRT3, 1.0 + tolerance * _SQRT3, shape)
-        return 1.0 + np.clip(rng.normal(0.0, tolerance, shape),
-                             -3.0 * tolerance, 3.0 * tolerance)
+            return rng.uniform(1.0 - reach, 1.0 + reach, shape)
+        return 1.0 + np.clip(rng.normal(0.0, tolerance, shape), -reach, reach)
 
     return Perturbation(draw(), draw(), draw())
-
-
-@dataclass
-class AdmittanceSystem:
-    """Sparse complex-symmetric Kirchhoff system over the unknown sites.
-
-    `hermitian_floor` is a proven lower bound on the smallest eigenvalue of
-    the Hermitian part -Re(A), hence on the smallest singular value of A,
-    from the element families (`AdmittanceFamilies.floor`); 0 where no
-    positive bound is known (R = 0, Neumann or mixed unknowns).
-    `derivatives` holds the requested d^k A / domega^k, k = 1, ..., order.
-    """
-
-    matrix: sp.csc_matrix
-    stencil: LatticeStencil
-    hermitian_floor: float
-    derivatives: tuple = ()
-
-    @property
-    def index(self) -> np.ndarray:
-        """(nx, ny) unknown number, -1 where not an unknown."""
-        return self.stencil.index
 
 
 # Unit admittances, the admittance of one element at unit multiplier, or
@@ -249,7 +233,10 @@ class AdmittanceFamilies:
                             + np.abs(y[0] * diagonal + self.shunts(y))))
 
     def floor(self, y) -> float:
-        """hermitian_floor at the families' y.
+        """A proven lower bound on the smallest eigenvalue of the Hermitian
+        part -Re(A), hence on the smallest singular value of A, at the
+        families' y; 0 where no positive bound is known (R = 0, Neumann or
+        mixed unknowns).
 
         -Re(A) = Re(y_0) G_0 + diag(Re shunts) with Re y >= 0.  When every
         unknown has four links (in practice with Dirichlet unknowns: a
@@ -301,29 +288,21 @@ def admittance_families(geometry: GridGeometry, spec: CircuitSpec,
 
 def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
                         pert: Perturbation | None = None,
-                        order: int = 0,
                         families: AdmittanceFamilies | None = None
-                        ) -> AdmittanceSystem:
-    """Build the Kirchhoff current-law matrix at frequency omega.
+                        ) -> sp.csc_matrix:
+    """The Kirchhoff current-law matrix A at frequency omega, CSC.
 
     For Dirichlet boundaries the unknowns are the interior sites only;
     Neumann/mixed boundary sites enter as extra unknowns shunted through
-    the tagged element.  The matrix is A = -sum_f y_f(omega) G_f over the
-    element families (`admittance_families`), formed from the families'
-    data on the geometry's stencil; with `order` k in (1, 2) the same
-    families give dA/domega, ..., d^k A/domega^k from the scalar
-    derivatives y_f^(k).  The families are built for this call and not
-    kept, unless the caller passes the network's `families`, which it
-    already holds; `pert` is then not read.
+    the tagged element.  A = -sum_f y_f(omega) G_f over the element
+    families (`admittance_families`), formed from the families' data on
+    the geometry's stencil.  The families are built for this call and
+    not kept, unless the caller passes the network's `families`, which it
+    already holds; `pert` is then not read.  Norms, floors and omega
+    derivatives of A come from the families, not from a matrix.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    if order not in (0, 1, 2):
-        raise ValueError(f"derivative order must be 0, 1 or 2, not {order!r}")
     if families is None:
         families = admittance_families(geometry, spec, pert)
-    ys = [families.units(omega, k) for k in range(order + 1)]
-    return AdmittanceSystem(
-        matrix=families.matrix(ys[0]), stencil=families.stencil,
-        hermitian_floor=families.floor(ys[0]),
-        derivatives=tuple(families.matrix(y) for y in ys[1:]))
+    return families.matrix(families.units(omega))

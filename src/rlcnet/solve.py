@@ -21,8 +21,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import DIRICHLET, GridGeometry
-from .network import (MODEL_I, CircuitSpec, Perturbation, admittance_families,
-                      assemble_admittance, unit_admittances)
+from .network import (MODEL_I, AdmittanceFamilies, CircuitSpec, Perturbation,
+                      admittance_families, assemble_admittance,
+                      unit_admittances)
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
@@ -303,20 +304,21 @@ class Factorization:
         return x
 
 
-def _eigsh_near(shifted, k: int, sigma: float, weights,
+def _eigsh_near(families: AdmittanceFamilies, k: int, sigma: float,
                 ordering: Ordering | None = None):
-    """k eigenpairs of K v = lam M v nearest sigma, M = diag(weights) with
-    positive weights, from one `Factorization` of `shifted` = K - sigma M,
-    made on `ordering` when one is given.
+    """k eigenpairs of the pencil K v = lam M v of `families` (`_pencil`)
+    nearest sigma, from one `Factorization` of the shift K - sigma M, the
+    families' matrix at y = (-1, sigma), made on `ordering` when one is
+    given.  M = diag(w), w the families' positive shunt weights.
 
-    With r = sqrt(weights), u = r v solves the standard problem R^-1 K
-    R^-1 u = lam u, whose shift-invert operator is u -> r * A^-1 (r * u)
-    for A = `shifted`.  ARPACK runs it in standard mode 3, which makes no
-    M products and runs the Lanczos iteration of generalized mode 3 (ARPACK
-    Users' Guide, Lehoucq, Sorensen and Yang, SIAM 1998, sec. 3.2).  It
-    starts from r, which is ones(n) in pencil coordinates, so the result
-    does not depend on ARPACK's random start.  Returns (lam, v), the
-    columns of v = u / r M-orthonormal.
+    With r = sqrt(w), u = r v solves the standard problem R^-1 K R^-1 u =
+    lam u, whose shift-invert operator is u -> r * A^-1 (r * u) for A the
+    shift.  ARPACK runs it in standard mode 3, which makes no M products
+    and runs the Lanczos iteration of generalized mode 3 (ARPACK Users'
+    Guide, Lehoucq, Sorensen and Yang, SIAM 1998, sec. 3.2).  It starts
+    from r, which is ones(n) in pencil coordinates, so the result does not
+    depend on ARPACK's random start.  Returns (lam, v), the columns of v =
+    u / r M-orthonormal.
 
     ARPACK stops once every Ritz estimate ||OP u - theta u|| is at most
     RESIDUAL_TOL |theta| (Users' Guide, sec. 4.6), which bounds the
@@ -332,17 +334,15 @@ def _eigsh_near(shifted, k: int, sigma: float, weights,
     19, 15 and 21 solves.  The lowest 1, 4, 6 and 9 modes of an 80x60
     rectangle took 21, 35, 53 and 55 solves at tol = 0 and 11, 31, 48
     and 47 here.  Every pair is then checked against the contract on the
-    pencil: its normwise backward error ||K v - lam M v|| / ((||K||_1 +
-    |lam| max w) ||v||), with K v formed as `shifted` v + sigma w v, must
-    be at most RESIDUAL_TOL, or SingularSystemError is raised.  Roundoff
-    sets that error, not the stopping rule: at most 3.3e-12 over those
-    100 realizations (the same at tol = 0), 1.5e-12 over 60 states near
-    each of two shifts of the a0 = 0.005 quarter stadium and 1.1e-15
-    over its 200 lowest modes at a0 = 0.01.
+    pencil (`_checked_pairs`).  Roundoff sets its backward error, not the
+    stopping rule: at most 3.3e-12 over those 100 realizations (the same
+    at tol = 0), 1.5e-12 over 60 states near each of two shifts of the
+    a0 = 0.005 quarter stadium and 1.1e-15 over its 200 lowest modes at
+    a0 = 0.01.
     """
-    factor = Factorization(shifted, ordering)
-    n = shifted.shape[0]
-    r = np.sqrt(weights)
+    factor = Factorization(families.matrix(np.array([-1.0, sigma])), ordering)
+    r = np.sqrt(families.shunt_weight)
+    n = len(r)
     opinv = spla.LinearOperator(
         (n, n), matvec=lambda u: r * factor.apply(r * np.ravel(u)),
         dtype=float)
@@ -350,26 +350,31 @@ def _eigsh_near(shifted, k: int, sigma: float, weights,
     lam, u = spla.eigsh(opinv, k=k, sigma=sigma, which="LM", OPinv=opinv,
                         v0=r, tol=RESIDUAL_TOL,
                         ncv=min(n, max(2 * k + 1, 10)))
-    v = u / r[:, None]
-    eta = _backward_errors(shifted, sigma, weights, lam, v)
+    return _checked_pairs(families, lam, u / r[:, None])
+
+
+def _backward_errors(families: AdmittanceFamilies, lam, v):
+    """Normwise backward error ||K v - lam M v|| / ((||K||_1 + |lam| max
+    w) ||v||) of each column of v on the pencil of `families`, K = G_link
+    and M = diag(w) (normwise, as in Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., SIAM 2002); ||K||_1 is the families'
+    norm at y = (-1, 0), and neither K nor M is formed."""
+    w = families.shunt_weight
+    residual = families.link_matrix @ v - lam * (w[:, None] * v)
+    norm_k = families.norm1(np.array([-1.0, 0.0]))
+    return np.linalg.norm(residual, axis=0) / (
+        (norm_k + abs(lam) * np.max(w)) * np.linalg.norm(v, axis=0))
+
+
+def _checked_pairs(families: AdmittanceFamilies, lam, v):
+    """(lam, v) once every pair's `_backward_errors` is at most
+    RESIDUAL_TOL; raises SingularSystemError otherwise."""
+    eta = _backward_errors(families, lam, v)
     if not np.all(eta <= RESIDUAL_TOL):
         raise SingularSystemError(
             f"eigenpair backward error {np.max(eta):.2e} misses the residual "
             "contract")
     return lam, v
-
-
-def _backward_errors(shifted, sigma: float, weights, lam, v):
-    """Normwise backward error ||K v - lam M v|| / ((||K||_1 + |lam| max
-    w) ||v||) of each column of v, for K = `shifted` + sigma M and M =
-    diag(weights); forms neither K nor M."""
-    residual = shifted @ v + (sigma - lam) * (weights[:, None] * v)
-    # column sums of |K|: those of |shifted| with its diagonal made K's
-    diag = shifted.diagonal()
-    norm_k = np.max(abs(shifted).T @ np.ones(len(weights)) - abs(diag)
-                    + abs(diag + sigma * weights))
-    return np.linalg.norm(residual, axis=0) / (
-        (norm_k + abs(lam) * np.max(weights)) * np.linalg.norm(v, axis=0))
 
 
 def _pencil(geometry: GridGeometry, spec: CircuitSpec, pert):
@@ -386,9 +391,10 @@ def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
                         pert: Perturbation | None = None) -> list[Mode]:
     """The n_modes lowest-lam lossless resonances of the realization `pert`.
 
-    Shift-invert Lanczos at sigma = 0 on the pencil (`_pencil`) serves
-    requests of at most n / 10 modes; dense `scipy.linalg.eigh` of the
-    M^(1/2)-scaled R^-1 K R^-1, as in `_eigsh_near`, serves the rest,
+    Shift-invert Lanczos at sigma = 0 on the pencil (`_pencil`), whose
+    shift K - 0 M holds the bits of K, serves requests of at most n / 10
+    modes; dense `scipy.linalg.eigh` of the M^(1/2)-scaled R^-1 K R^-1, as
+    in `_eigsh_near`, serves the rest,
     which covers every grid below 10 unknowns and n_modes = n, where
     ARPACK (k < n) cannot serve.  The share is measured on one BLAS
     thread: on squares of 2,401 and 3,600 unknowns Lanczos is 10-15%
@@ -396,22 +402,23 @@ def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
     0.03 s against 1.3 s), and dense is faster above it (49x49, 480
     modes: 1.9 s against 6.6 s).  Eigenvectors are real, M-orthogonal
     and of unit norm; a degenerate eigenspace gets the basis that the
-    solver (and its start) gives.
+    solver (and its start) gives.  Both paths check every pair against
+    the residual contract (`_checked_pairs`).
     """
     n = geometry.n_interior
     if not 1 <= n_modes <= n:
         raise ValueError(f"n_modes must be in [1, {n}]")
     families = _pencil(geometry, spec, pert)
-    K, w = families.link_matrix, families.shunt_weight
     if 10 * n_modes <= n:
-        lam, vec = _eigsh_near(K, n_modes, 0.0, w)
+        lam, vec = _eigsh_near(families, n_modes, 0.0)
         order = np.argsort(lam)
         lam, vec = lam[order], vec[:, order]
     else:
-        r = np.sqrt(w)
-        lam, u = scipy.linalg.eigh(K.toarray() / r[:, None] / r,
-                                   subset_by_index=[0, n_modes - 1])
-        vec = u / r[:, None]
+        r = np.sqrt(families.shunt_weight)
+        lam, u = scipy.linalg.eigh(
+            families.link_matrix.toarray() / r[:, None] / r,
+            subset_by_index=[0, n_modes - 1])
+        lam, vec = _checked_pairs(families, lam, u / r[:, None])
     return [_mode(geometry, spec, k, lam[k], vec[:, k])
             for k in range(n_modes)]
 
@@ -437,51 +444,44 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
         raise ValueError("eigenmode_nearest needs at least 2 unknowns")
     families = _pencil(geometry, spec, pert)
     sigma = dispersion(replace(spec, resistance=0.0), omega_target).real
-    lam, vec = _eigsh_near(families.matrix(np.array([-1.0, sigma])), 1,
-                           sigma, families.shunt_weight, ordering)
+    lam, vec = _eigsh_near(families, 1, sigma, ordering)
     return _mode(geometry, spec, -1, lam[0], vec[:, 0])
 
 
-def _bound(n: int, norm_a: float, floor: float) -> float:
-    """The condition bound sqrt(n) ||A||_1 / floor of an n x n A with
-    sigma_min(A) >= floor; inf where floor is not positive."""
-    return sqrt(n) * norm_a / floor if floor > 0.0 else np.inf
-
-
-def _condition(system, spec: CircuitSpec, omega: float,
+def _condition(families: AdmittanceFamilies, y,
                factor: Factorization | None = None) -> float:
-    """The 1-norm condition figure of an assembled system that the driven
-    paths check against COND_LIMIT.
+    """The 1-norm condition figure of A = `families`.matrix(y) that the
+    driven paths check against COND_LIMIT (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 15).
 
-    Where the assembly proves sigma_min(A) >= hermitian_floor > 0 it is the
-    bound sqrt(n) ||A||_1 / hermitian_floor, which needs no solve; where
-    that bound is missing or above COND_LIMIT it is ||A||_1 times an
-    estimate of ||A^-1||_1 on `factor`, and inf without one.
+    Where the families prove sigma_min(A) >= floor > 0
+    (`AdmittanceFamilies.floor`) it is the bound sqrt(n) ||A||_1 / floor,
+    which needs no solve; where that bound is missing or above
+    COND_LIMIT it is ||A||_1 times an estimate of ||A^-1||_1 on `factor`,
+    and inf without one.  A 1x1 system compares its one entry with the
+    moduli of its summands, ||A||_1 at |y|: cancellation to roundoff
+    means resonance.  ||A||_1 is `AdmittanceFamilies.norm1`, exact in
+    O(n).
     """
-    A = system.matrix
-    n = A.shape[0]
-    # ||A||_1 is the largest column sum of |A|; the transpose of CSC |A| is
-    # a CSR view, so its row sums need no format conversion
-    norm_a = (abs(A).T @ np.ones(n)).max()
-    cond = _bound(n, norm_a, system.hermitian_floor)
+    n = families.stencil.n
+    floor = families.floor(y)
+    cond = sqrt(n) * families.norm1(y) / floor if floor > 0.0 else inf
     if cond > COND_LIMIT and factor is not None:
         if n >= 2:
-            cond = spla.onenormest(factor.inverse) * norm_a
+            cond = spla.onenormest(factor.inverse) * families.norm1(y)
         else:
-            # 1x1 system: compare the surviving entry against the admittance
-            # scale of its summands (cancellation to roundoff means resonance)
-            y_link, y_shunt = unit_admittances(spec, omega)
-            cond = (4.0 * abs(y_link) + abs(y_shunt)) / abs(A[0, 0])
+            cond = families.norm1(np.abs(y)) / abs(factor.matrix[0, 0])
     return cond
 
 
-def _source_vector(geometry: GridGeometry, system, source) -> np.ndarray:
-    """Right-hand side of a ((i, j), complex amplitude) current injection."""
+def _source_vector(geometry: GridGeometry, source) -> np.ndarray:
+    """Right-hand side of a ((i, j), complex amplitude) current injection
+    over the unknowns of the geometry's driven stencil."""
     (si, sj), amplitude = source
     if amplitude == 0.0 or not geometry.is_interior(si, sj):
         raise ValueError(f"not a nonzero interior source: {source}")
-    b = np.zeros(system.matrix.shape[0], dtype=complex)
-    b[system.index[si, sj]] = -amplitude
+    b = np.zeros(geometry.stencil.n, dtype=complex)
+    b[geometry.stencil.index[si, sj]] = -amplitude
     return b
 
 
@@ -500,41 +500,53 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     solve(source) -> ComplexField for a ((i, j), complex amplitude) current
     injection, refined until the relative residual is below RESIDUAL_TOL.
 
-    A is complex symmetric; one `Factorization` holds it, and its
-    `solve` refines every right-hand side.  The system is rejected when
-    its 1-norm condition number may exceed COND_LIMIT (`_condition`):
-    where the assembly proves sigma_min(A) >= hermitian_floor > 0
-    (Dirichlet unknowns, R > 0) the check is a bound that needs no solve;
-    where that proves nothing (R = 0, Neumann or mixed unknowns, or a
-    bound above COND_LIMIT) it estimates ||A^-1||_1 on the factorization.
-    Raises SingularSystemError when the factorization, the check or the
-    residual contract fails (lossless drive on resonance).
+    A is complex symmetric and the only matrix formed; one
+    `Factorization` holds it, and its `solve` refines every right-hand
+    side.  The system is rejected when its 1-norm condition number may
+    exceed COND_LIMIT (`_condition` on the element families): where the
+    families prove sigma_min(A) >= floor > 0 (Dirichlet unknowns, R > 0)
+    the check is a bound taken before the factorization, which needs no
+    solve; where that proves nothing (R = 0, Neumann or mixed unknowns,
+    or a bound above COND_LIMIT) it estimates ||A^-1||_1 on the
+    factorization.  Raises SingularSystemError when the factorization,
+    the check or the residual contract fails (lossless drive on
+    resonance).
 
     With derivative `order` 1 or 2, solve returns the fields (V,
     dV/domega) or (V, dV/domega, d2V/domega2), the derivatives from the
     same factorization as dV = -A^-1 A' V and d2V = -A^-1 (A'' V + 2 A'
-    dV), and the assembly builds only the A' and A'' they need; each is
-    refined and checked against the residual contract as V is.
+    dV), with A^(k) x taken from the families at y^(k)
+    (`AdmittanceFamilies.operator`), no A' or A'' formed; each is refined
+    and checked against the residual contract as V is.  At order 0 a
+    settled bound leaves the families unused, and they are freed before
+    the factorization so that they stay off its peak memory.
     """
-    system = assemble_admittance(geometry, spec, omega, pert=pert,
-                                 order=order)
-    factor = Factorization(system.matrix)
+    if order not in (0, 1, 2):
+        raise ValueError(f"derivative order must be 0, 1 or 2, not {order!r}")
+    families = admittance_families(geometry, spec, pert)
+    ys = [families.units(omega, k) for k in range(order + 1)]
+    A = assemble_admittance(geometry, spec, omega, families=families)
+    cond = _condition(families, ys[0])
+    if not order and cond <= COND_LIMIT:
+        families = None
+    factor = Factorization(A)
     # reject numerically singular systems that still factorize (an exact
     # lossless resonance)
-    cond = _condition(system, spec, omega, factor)
+    if cond > COND_LIMIT:
+        cond = _condition(families, ys[0], factor)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError(
             f"system numerically singular (condition estimate {cond:.2e})")
 
     def solve(source):
-        xs = [factor.solve(_source_vector(geometry, system, source))]
+        xs = [factor.solve(_source_vector(geometry, source))]
         for k in range(1, order + 1):
             xs.append(factor.solve(_derivative_rhs(
-                lambda j, i: system.derivatives[j - 1] @ xs[i], k)))
+                families.operator(ys, xs), k)))
         fields = []
         for x in xs:
             values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
-            values[system.stencil.unknown] = x
+            values[geometry.stencil.unknown] = x
             fields.append(ComplexField(geometry=geometry, values=values,
                                        omega=omega, spec=spec, source=source,
                                        perturbation=pert))
@@ -596,9 +608,9 @@ class _ShiftedKrylov:
     Under Dirichlet walls the network has two element families,
     A(omega) = -(y_L G_link + y_S G_shunt) with G_link and G_shunt real
     and fixed (`admittance_families`), so every A(omega) and its omega
-    derivatives are combinations alpha A_c + beta A'_c of the assembled
-    A_c = A(omega_c) and A'_c = dA/domega(omega_c); alpha^(k) and beta^(k)
-    solve a 2x2 system on the unit admittances and their derivatives.
+    derivatives are combinations alpha A_c + beta A'_c of A_c = A(omega_c)
+    and A'_c = dA/domega(omega_c); alpha^(k) and beta^(k) solve a 2x2
+    system on the unit admittances and their derivatives.
     A(omega) = A_c (alpha I + beta S) with S = A_c^-1 A'_c, so V = A^-1 b
     and its derivatives lie in K_m(S, r0), r0 = A_c^-1 b, for every omega
     at once (shifted systems: Frommer and Glaessner, SIAM J. Sci. Comput.
@@ -606,25 +618,25 @@ class _ShiftedKrylov:
     14 (1995) 639).
 
     Arnoldi with two passes of classical Gram-Schmidt builds S Q_m =
-    Q_m H_m + h q e_m^T on one `Factorization` of A_c, into a basis
-    preallocated for KRYLOV_CAP vectors and grown KRYLOV_BLOCK at a time
-    when an evaluation needs it.  An evaluation solves the m x m
-    (alpha I + beta H_m) c = ||r0|| e1 and its omega derivatives, and
-    assembles nothing: the families, held for the window, give its
-    condition bound sqrt(n) ||A||_1 / hermitian_floor in O(n)
-    (`AdmittanceFamilies.norm1` and `floor`), and it is served only when
-    that bound settles the check and each field meets the residual
-    contract with `driven_solver`'s right-hand sides, A^(k) x taken as
-    -(y_L^(k) G_link x + y_S^(k) diag(G_shunt) x).  A space that closes
-    (h = 0, an invariant space) is exact and grows no further.
+    Q_m H_m + h q e_m^T on one `Factorization` of the assembled A_c, its
+    A'_c q taken from the families at y'(omega_c) with no A'_c formed,
+    into a basis preallocated for KRYLOV_CAP vectors and grown
+    KRYLOV_BLOCK at a time when an evaluation needs it.  An evaluation
+    solves the m x m (alpha I + beta H_m) c = ||r0|| e1 and its omega
+    derivatives, and assembles nothing: the families, held for the
+    window, give its condition bound (`_condition`) in O(n), and it is
+    served only when that bound settles the check and each field meets
+    the residual contract with `driven_solver`'s right-hand sides, A^(k)
+    x taken as -(y_L^(k) G_link x + y_S^(k) diag(G_shunt) x).  A space
+    that closes (h = 0, an invariant space) is exact and grows no
+    further.
     """
 
-    def __init__(self, geometry: GridGeometry, families, center,
-                 omega_c: float, source):
+    def __init__(self, geometry: GridGeometry, families: AdmittanceFamilies,
+                 center, omega_c: float, source):
         self.families = families
-        self.b = _source_vector(geometry, center, source)
-        self.apply = Factorization(center.matrix).apply
-        self.slope = center.derivatives[0]
+        self.b = _source_vector(geometry, source)
+        self.apply = Factorization(center).apply
         # columns: the two families' y at omega_c and their derivatives
         self.units = np.array([families.units(omega_c, k)
                                for k in (0, 1)]).T
@@ -648,7 +660,8 @@ class _ShiftedKrylov:
             return False
         Q, H = self.Q, self.H
         for j in range(self.m, stop):
-            w = self.apply(self.slope @ Q[j])
+            w = self.apply(self.families.operator([self.units[:, 1]],
+                                                  [Q[j]])(0, 0))
             scale = np.linalg.norm(w)
             for _ in range(2):
                 h = (Q[:j + 1] @ w.conj()).conj()
@@ -670,8 +683,7 @@ class _ShiftedKrylov:
         condition check, or the residual contract fails at the cap."""
         families = self.families
         ys = [families.units(omega, k) for k in range(order + 1)]
-        if _bound(len(self.b), families.norm1(ys[0]),
-                  families.floor(ys[0])) > COND_LIMIT:
+        if _condition(families, ys[0]) > COND_LIMIT:
             return None
         # row k: (alpha^(k), beta^(k)) of A^(k)(omega) = alpha A_c + beta A'_c
         coef = np.linalg.solve(self.units, np.array(ys).T).T
@@ -715,18 +727,19 @@ class _ShiftedKrylov:
 
 def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                   pert: Perturbation | None, source):
-    """The `_ShiftedKrylov` basis of a sweep window, or None where it could
-    serve no evaluation: Neumann and mixed unknowns have no
-    hermitian_floor, so the bound never settles their condition check
-    (mixed walls also add a third element family)."""
+    """The `_ShiftedKrylov` basis of a sweep window on the assembled A at
+    its centre, or None where it could serve no evaluation: Neumann and
+    mixed unknowns have no positive `AdmittanceFamilies.floor`, so the
+    bound never settles their condition check (mixed walls also add a
+    third element family), and a window whose centre has none assembles
+    nothing."""
     if geometry.bc.kind != DIRICHLET:
         return None
     omega_c = 0.5 * (omega_range[0] + omega_range[1])
     families = admittance_families(geometry, spec, pert)
-    center = assemble_admittance(geometry, spec, omega_c, order=1,
-                                 families=families)
-    if not center.hermitian_floor > 0.0:
+    if not families.floor(families.units(omega_c)) > 0.0:
         return None
+    center = assemble_admittance(geometry, spec, omega_c, families=families)
     return _ShiftedKrylov(geometry, families, center, omega_c, source)
 
 

@@ -2,6 +2,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -159,4 +160,20 @@ def perturb_eigsh(monkeypatch):
             return lam, u + 1e-6 * noise
 
         monkeypatch.setattr(spla, "eigsh", perturbed)
+    return perturb
+
+
+@pytest.fixture
+def perturb_eigh(monkeypatch):
+    """Call it to make every later scipy.linalg.eigh call return its
+    eigenvectors perturbed by 1e-6, as `perturb_eigsh` does for ARPACK's."""
+    def perturb():
+        eigh = scipy.linalg.eigh
+
+        def perturbed(*args, **kwargs):
+            lam, u = eigh(*args, **kwargs)
+            noise = np.random.default_rng(0).standard_normal(u.shape)
+            return lam, u + 1e-6 * noise
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
     return perturb

@@ -242,8 +242,8 @@ N_STATES = 60   # lossless stadium states averaged per reference frequency
 def state_anisotropies(geometry, spec, omega, n_states):
     """r of the n_states lossless states nearest omega, nearest first.
 
-    The shift K - lam0 M is the pencil's operator at y = (-1, lam0), as
-    `eigenmode_nearest` forms it; `_eigsh_near` factors it once with the
+    `_eigsh_near` forms the shift K - lam0 M, the pencil's operator at
+    y = (-1, lam0), as `eigenmode_nearest` does, factors it once with the
     package's own ordering and starts ARPACK from a fixed vector, so the
     result does not depend on its random start.  A real eigenvector carries no imaginary current,
     which anisotropy_metrics rejects; the phase 1 + 1j makes Re and Im
@@ -251,8 +251,7 @@ def state_anisotropies(geometry, spec, omega, n_states):
     """
     lam0 = dispersion(spec, omega).real
     pencil = _pencil(geometry, spec, None)
-    lam, vec = _eigsh_near(pencil.matrix(np.array([-1.0, lam0])), n_states,
-                           lam0, pencil.shunt_weight)
+    lam, vec = _eigsh_near(pencil, n_states, lam0)
     r = []
     for k in np.argsort(np.abs(lam - lam0)):
         values = np.zeros((geometry.nx, geometry.ny), dtype=complex)

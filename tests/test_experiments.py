@@ -415,6 +415,43 @@ def test_cli_config_error(tmp_path, capsys):
                  "--threads", "0"]) == 2
 
 
+def test_cli_rejects_a_tolerance_that_reaches_zero_multipliers(tmp_path,
+                                                              capsys):
+    # uniform multipliers at tau = 0.6 reach 1 - 0.6 sqrt(3) < 0: this 9x7
+    # spectrum drew multipliers down to -0.039 and a link weight of -1345.6
+    # in K, and still wrote modes.csv; Gaussian ones clipped at 3 tau reach
+    # 0 from tau = 1/3 on
+    spectrum = {"geometry": "rectangle", "nx_interior": 9, "ny_interior": 7,
+                "spacing": 0.05, "seed": 5}
+    for over in ({"tolerance": 0.6},
+                 {"tolerance": 1.0 / 3.0,
+                  "tolerance_distribution": "gaussian"}):
+        cfg = write_cfg(tmp_path, {**spectrum, **over})
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert "tolerance:" in capsys.readouterr().err
+        assert not out.exists()
+    ExperimentConfig.from_dict({"experiment": "spectrum", "tolerance": 0.33,
+                                "tolerance_distribution": "gaussian"})
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's SeedSequence takes no negative seed; the ensemble met it only
+    # after its tau = 0 baseline solve, and --seed bypassed the config check
+    rect = {"geometry": "rectangle", "nx_interior": 10, "ny_interior": 8,
+            "spacing": 0.05, "omega": 1.0e6, "tolerance": 0.03,
+            "n_realizations": 2}
+    runs = (("ensemble", rect, ["--seed", "-1"]),
+            ("spectrum", {**rect, "seed": -5}, []))
+    for experiment, config, extra in runs:
+        cfg = write_cfg(tmp_path, config)
+        out = tmp_path / "o"
+        assert main([experiment, "--config", cfg, "--out", str(out),
+                     *extra]) == 2
+        assert "seed:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
     # JSON's NaN and Infinity pass every sign test; without the finiteness
     # check a NaN spacing wrote x, y = nan and a manifest that is not JSON,

@@ -9,7 +9,7 @@ from rlcnet.geometry import (BCKind, GridGeometry, rasterize_rectangle,
 from rlcnet.network import (CircuitSpec, admittance_families,
                             assemble_admittance, ground_impedance,
                             link_impedance, sample_perturbation)
-from rlcnet.solve import _bound, _condition
+from rlcnet.solve import _condition
 
 L, C = 1e-4, 1e-9
 
@@ -95,16 +95,28 @@ def test_perturbation_bounds():
         sample_perturbation(g, -0.1, 0)
 
 
+def test_perturbation_rejects_multipliers_that_reach_zero():
+    # uniform draws reach 1 - tau sqrt(3), Gaussian ones 1 - 3 tau: a law
+    # that can reach m <= 0 gives elements of no or negative value
+    g = rasterize_rectangle(50, 50, 1.0)
+    for dist, ok, bad in (("uniform", 0.57, 0.6),
+                          ("gaussian", 0.33, 1.0 / 3.0)):
+        p = sample_perturbation(g, ok, 4, distribution=dist)
+        assert min(arr.min() for arr in (p.link_x, p.link_y, p.site)) > 0.0
+        with pytest.raises(ValueError, match="m <= 0"):
+            sample_perturbation(g, bad, 4, distribution=dist)
+
+
 def test_single_site_assembly_entry():
     g = rasterize_rectangle(1, 1, 0.1)
     spec = CircuitSpec("I", L, C, 0.5)
     omega = 1e6
-    sys = assemble_admittance(g, spec, omega)
+    a = assemble_admittance(g, spec, omega)
     z_link = link_impedance(spec, omega)
     z_c = ground_impedance(spec, omega)
     expected = -(4.0 / z_link + 1.0 / z_c)
-    assert sys.matrix.shape == (1, 1)
-    assert sys.matrix[0, 0] == pytest.approx(expected)
+    assert a.shape == (1, 1)
+    assert a[0, 0] == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("model,resistance", [("I", 0.0), ("I", 0.7),
@@ -113,7 +125,7 @@ def test_matrix_complex_symmetric(model, resistance):
     g = rasterize_rectangle(7, 5, 0.1)
     spec = CircuitSpec(model, L, C, resistance)
     pert = sample_perturbation(g, 0.02, 9)
-    a = assemble_admittance(g, spec, 1.3e6, pert=pert).matrix
+    a = assemble_admittance(g, spec, 1.3e6, pert=pert)
     diff = (a - a.T).toarray()
     assert np.max(np.abs(diff)) < 1e-15 * np.max(np.abs(a.toarray()))
 
@@ -123,7 +135,7 @@ def test_lossless_matrix_is_scaled_laplacian(incidence):
     g = rasterize_rectangle(6, 4, 0.1)
     spec = CircuitSpec("I", L, C, 0.0)
     omega = 1.1e6
-    a = assemble_admittance(g, spec, omega).matrix.toarray()
+    a = assemble_admittance(g, spec, omega).toarray()
     scaled = a * (1j * omega * L)
     B = incidence(g, g.interior)
     lap = (B.T @ B).toarray()
@@ -135,9 +147,9 @@ def test_lossless_matrix_is_scaled_laplacian(incidence):
 def test_zero_tolerance_reproduces_matrix_exactly():
     g = rasterize_rectangle(6, 4, 0.1)
     spec = CircuitSpec("I", L, C, 0.4)
-    base = assemble_admittance(g, spec, 1.2e6).matrix
+    base = assemble_admittance(g, spec, 1.2e6)
     pert = sample_perturbation(g, 0.0, 5)
-    again = assemble_admittance(g, spec, 1.2e6, pert=pert).matrix
+    again = assemble_admittance(g, spec, 1.2e6, pert=pert)
     assert np.array_equal(base.toarray(), again.toarray())
 
 
@@ -152,11 +164,11 @@ def test_source_must_be_interior():
         with pytest.raises(ValueError):
             solve((site, 1.0))
     # the injection enters the right-hand side as -I at the source row only
-    sys = assemble_admittance(g, spec, 1e6)
+    a = assemble_admittance(g, spec, 1e6)
     field = solve(((2, 2), 1.0))
-    rhs = sys.matrix @ field.values[sys.stencil.unknown]
+    rhs = a @ field.values[g.stencil.unknown]
     expected = np.zeros_like(rhs)
-    expected[sys.index[2, 2]] = -1.0
+    expected[g.stencil.index[2, 2]] = -1.0
     assert np.max(np.abs(rhs - expected)) < 1e-10
 
 
@@ -165,11 +177,11 @@ def test_neumann_and_mixed_boundary_unknowns():
     spec = CircuitSpec("I", L, C, 0.2)
     n_int = g.n_interior
     n_all = n_int + np.count_nonzero(g.boundary)
-    assert assemble_admittance(g, spec, 1e6).matrix.shape == (n_int, n_int)
+    assert assemble_admittance(g, spec, 1e6).shape == (n_int, n_int)
     gn = tag_boundary(g, BCKind("neumann"))
-    assert assemble_admittance(gn, spec, 1e6).matrix.shape == (n_all, n_all)
+    assert assemble_admittance(gn, spec, 1e6).shape == (n_all, n_all)
     gm = tag_boundary(g, BCKind("mixed", 0.5, 1e-4))
-    am = assemble_admittance(gm, spec, 1e6).matrix
+    am = assemble_admittance(gm, spec, 1e6)
     assert am.shape == (n_all, n_all)
     assert np.max(np.abs((am - am.T).toarray())) < 1e-15
 
@@ -178,8 +190,9 @@ def test_neumann_and_mixed_boundary_unknowns():
 @pytest.mark.parametrize("bc", [None, BCKind("neumann"),
                                 BCKind("mixed", 0.5, 1e-4)])
 def test_derivative_matrices_match_finite_differences(model, bc):
-    # dA/domega and d2A/domega2 against central differences of A(omega),
-    # with loss, disorder and every wall kind
+    # the families' dA/domega and d2A/domega2, the matrices at the scalar
+    # derivatives y_f^(k), against central differences of the assembled
+    # A(omega), with loss, disorder and every wall kind
     g = rasterize_rectangle(5, 4, 0.1)
     if bc is not None:
         g = tag_boundary(g, bc)
@@ -188,22 +201,16 @@ def test_derivative_matrices_match_finite_differences(model, bc):
     omega, h = 1.3e6, 1.3e3
 
     def a(w):
-        return assemble_admittance(g, spec, w, pert=pert).matrix.toarray()
+        return assemble_admittance(g, spec, w, pert=pert).toarray()
 
-    system = assemble_admittance(g, spec, omega, pert=pert, order=2)
-    assert np.array_equal(system.matrix.toarray(), a(omega))
-    d1, d2 = (m.toarray() for m in system.derivatives)
+    families = admittance_families(g, spec, pert)
+    a0, d1, d2 = (families.matrix(families.units(omega, k)).toarray()
+                  for k in range(3))
+    assert np.array_equal(a0, a(omega))
     fd1 = (a(omega + h) - a(omega - h)) / (2.0 * h)
     fd2 = (a(omega + h) - 2.0 * a(omega) + a(omega - h)) / h ** 2
     assert np.max(np.abs(fd1 - d1)) < 1e-5 * np.max(np.abs(d1))
     assert np.max(np.abs(fd2 - d2)) < 1e-5 * np.max(np.abs(d2))
-    # only the derivatives asked for are assembled
-    assert assemble_admittance(g, spec, omega).derivatives == ()
-    first = assemble_admittance(g, spec, omega, pert=pert, order=1)
-    assert len(first.derivatives) == 1
-    assert np.array_equal(first.derivatives[0].toarray(), d1)
-    with pytest.raises(ValueError):
-        assemble_admittance(g, spec, omega, order=3)
 
 
 def _walled(walls):
@@ -233,7 +240,8 @@ def _absolute(B, y_link, y_shunt):
 @pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed", "rim"])
 def test_stencil_assembly_bitwise_equals_incidence_product(
         walls, model, tau, incidence, bits_equal, element_admittances):
-    # A, A' and A'' formed from the element families hold the bits of the
+    # A, and the A' and A'' of the families' derivative matrices, formed
+    # from the element families hold the bits of the
     # sparse family product -(y_0 B^T diag(w_link) B + diag(shunts)),
     # lossless and lossy.  At tau = 0 (every weight 1) they also hold the
     # bits of the element product -(B^T diag(y_link) B + diag(y_shunt)).
@@ -249,12 +257,14 @@ def test_stencil_assembly_bitwise_equals_incidence_product(
     pert = sample_perturbation(g, tau, 6)
     for resistance in (0.0, 0.7):
         spec = CircuitSpec(model, L, C, resistance)
-        system = assemble_admittance(g, spec, 1.3e6, pert=pert, order=2)
-        assert np.array_equal(system.stencil.unknown, unknown)
+        assert np.array_equal(g.stencil.unknown, unknown)
         families = admittance_families(g, spec, pert)
         link = B.T @ sp.diags(families.link) @ B
-        for k, got in enumerate((system.matrix, *system.derivatives)):
+        assert bits_equal(assemble_admittance(g, spec, 1.3e6, pert=pert),
+                          families.matrix(families.units(1.3e6)))
+        for k in range(3):
             y = families.units(1.3e6, k)
+            got = families.matrix(y)
             family = -(y[0] * link + sp.diags(families.shunts(y)))
             assert bits_equal(got, family), (resistance, k)
             y_link, y_shunt = element_admittances(g, spec, 1.3e6, pert,
@@ -311,9 +321,9 @@ def test_family_operator_matches_the_element_product(
 @pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed"])
 def test_family_condition_figure_matches_the_assembled_one(
         walls, model, tau, element_admittances):
-    # the O(n) ||A||_1 and hermitian_floor that a sweep evaluation checks,
-    # against the column sums of the assembled |A| (`_condition`) and the
-    # floor lam_rect min Re(y_link) + min Re(y_shunt) of the element
+    # the O(n) ||A||_1 and floor that every condition check takes
+    # (`_condition`), against the largest column sum of the dense |A| and
+    # the floor lam_rect min Re(y_link) + min Re(y_shunt) of the element
     # admittances; both at roundoff, near a resonance and away from it
     g = _walled(walls)
     pert = sample_perturbation(g, tau, 6)
@@ -325,12 +335,11 @@ def test_family_condition_figure_matches_the_assembled_one(
         spec = CircuitSpec(model, L, C, resistance)
         families = admittance_families(g, spec, pert)
         for omega in (0.4e6, 1.3e6, 4.1e6):
-            system = assemble_admittance(g, spec, omega, pert=pert)
+            a = assemble_admittance(g, spec, omega, pert=pert).toarray()
             y = families.units(omega)
-            norm = np.max(abs(system.matrix).T @ np.ones(g.stencil.n))
+            norm = np.abs(a).sum(axis=0).max()
             assert families.norm1(y) == pytest.approx(norm, rel=1e-14)
             floor = families.floor(y)
-            assert floor == system.hermitian_floor
             y_link, y_shunt = element_admittances(g, spec, omega, pert,
                                                   unknown)
             want = 0.0
@@ -338,5 +347,6 @@ def test_family_condition_figure_matches_the_assembled_one(
                 want = lam_rect * y_link.real.min() \
                     + y_shunt[unknown].real.min()
             assert floor == pytest.approx(want, rel=1e-14, abs=0.0)
-            assert _bound(g.stencil.n, families.norm1(y), floor) \
-                == pytest.approx(_condition(system, spec, omega), rel=1e-14)
+            bound = np.sqrt(g.stencil.n) * norm / floor if floor > 0.0 \
+                else np.inf
+            assert _condition(families, y) == pytest.approx(bound, rel=1e-14)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from math import cos, inf, pi, sqrt
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import scipy.sparse.linalg as spla
 from rlcnet import solve
 from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
                              rasterize_rectangle, tag_boundary)
-from rlcnet.network import (CircuitSpec, admittance_families,
+from rlcnet.network import (AdmittanceFamilies, CircuitSpec, admittance_families,
                             assemble_admittance, ground_impedance,
                             link_impedance, sample_perturbation)
 from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
@@ -65,7 +66,7 @@ def test_dispersion_is_the_shift_of_the_operator(model, ratio, incidence):
     omega = ratio * spec.omega0
     B = incidence(g, g.interior)
     lam, vec = scipy.linalg.eigh((B.T @ B).toarray())
-    A = assemble_admittance(g, spec, omega).matrix
+    A = assemble_admittance(g, spec, omega)
     q1, q2 = (vec[:, k] @ (A @ vec[:, k]) for k in (0, -1))
     mu = (q2 * lam[0] - q1 * lam[-1]) / (q2 - q1)
     d = dispersion(spec, omega)
@@ -316,20 +317,18 @@ def test_eigenmode_nearest_lanczos_work(monkeypatch):
 @pytest.mark.parametrize("model", ["I", "II"])
 def test_backward_error_is_normwise_on_the_pencil(incidence, model):
     # against the dense ||K v - lam M v|| / ((||K||_1 + |lam| ||M||_1)
-    # ||v||) at a shift whose K - sigma M has diagonal entries of both
-    # signs, for pairs that are not eigenpairs
+    # ||v||) of the pencil built from the incidence, for pairs that are not
+    # eigenpairs
     g = rasterize_rectangle(10, 7, 0.05)
     pert = sample_perturbation(g, 0.03, 8)
     w_link, w_site = _family_weights(g, model, pert)
     B = incidence(g, g.interior).toarray()
     K = B.T @ np.diag(w_link) @ B
-    sigma = 4.0
-    shifted = sp.csc_matrix(K - sigma * np.diag(w_site))
-    assert shifted.diagonal().min() < 0.0 < shifted.diagonal().max()
+    families = solve._pencil(g, CircuitSpec(model, L, C, 0.0), pert)
     rng = np.random.default_rng(3)
     v = rng.standard_normal((g.n_interior, 3))
     lam = np.array([0.5, 3.0, 7.0])
-    eta = solve._backward_errors(shifted, sigma, w_site, lam, v)
+    eta = solve._backward_errors(families, lam, v)
     norm_k = np.abs(K).sum(axis=0).max()
     for j in range(3):
         want = np.linalg.norm(K @ v[:, j] - lam[j] * w_site * v[:, j]) / (
@@ -345,14 +344,32 @@ def test_eigenpairs_that_miss_the_contract_raise(perturb_eigsh):
     pert = sample_perturbation(g, 0.03, 8)
     families = solve._pencil(g, spec, pert)
     sigma = dispersion(spec, 1.0e6).real
-    shifted = families.matrix(np.array([-1.0, sigma]))
-    solve._eigsh_near(shifted, 1, sigma, families.shunt_weight)
+    solve._eigsh_near(families, 1, sigma)
     eigenmodes_lossless(g, spec, 5, pert=pert)
     perturb_eigsh()
     with pytest.raises(SingularSystemError):
-        solve._eigsh_near(shifted, 1, sigma, families.shunt_weight)
+        solve._eigsh_near(families, 1, sigma)
     with pytest.raises(SingularSystemError):
         eigenmodes_lossless(g, spec, 5, pert=pert)
+
+
+@pytest.mark.parametrize("n_modes", [8, 70])
+def test_dense_spectrum_pairs_that_miss_the_contract_raise(perturb_eigh,
+                                                           n_modes):
+    # above n / 10 modes the spectrum solves densely; its pairs meet the
+    # same backward-error check, which eigenvectors off by 1e-6 fail
+    g = rasterize_rectangle(10, 7, 0.05)
+    spec = CircuitSpec("II", L, C, 0.0)
+    pert = sample_perturbation(g, 0.03, 8)
+    modes = eigenmodes_lossless(g, spec, n_modes, pert=pert)
+    families = solve._pencil(g, spec, pert)
+    eta = solve._backward_errors(
+        families, np.array([m.lam_grid for m in modes]),
+        np.array([m.vector for m in modes]).T)
+    assert np.all(eta <= 1e-14)
+    perturb_eigh()
+    with pytest.raises(SingularSystemError):
+        eigenmodes_lossless(g, spec, n_modes, pert=pert)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
@@ -362,9 +379,9 @@ def test_eigen_operators_bitwise_equal_incidence_product(
         walls, model, tau, monkeypatch, incidence, bits_equal):
     # the family pencil K = G_link, M = G_shunt, the K - sigma M that
     # eigenmode_nearest forms on the interior stencil and factors, and the
-    # K that the spectrum factors at sigma = 0, against the sparse
-    # products; the eigen path spans the interior sites under any wall
-    # tag, and sigma is the lossless dispersion's lam
+    # shift at sigma = 0 that the spectrum factors, which holds K's bits,
+    # against the sparse products; the eigen path spans the interior sites
+    # under any wall tag, and sigma is the lossless dispersion's lam
     if walls == "rim":
         g = GridGeometry(spacing=0.05, nx=6, ny=6,
                          interior=np.ones((6, 6), bool),
@@ -379,11 +396,12 @@ def test_eigen_operators_bitwise_equal_incidence_product(
     seen = []
     eigsh_near = solve._eigsh_near
 
-    def spy(shifted, k, sigma, weights, ordering=None):
-        seen.append((shifted, sigma, weights))
-        return eigsh_near(shifted, k, sigma, weights, ordering)
+    def spy(families, k, sigma, ordering=None):
+        seen.append((families, sigma))
+        return eigsh_near(families, k, sigma, ordering)
 
     monkeypatch.setattr(solve, "_eigsh_near", spy)
+    factored = _count_factorizations(monkeypatch)
     eigenmode_nearest(g, spec, 1.0e6, pert=pert)
     eigenmodes_lossless(g, spec, 3, pert=pert)
     w_link, w_site = _family_weights(g, model, pert)
@@ -391,12 +409,13 @@ def test_eigen_operators_bitwise_equal_incidence_product(
     M = sp.diags(w_site, format="csc")
     families = admittance_families(g, spec, pert, g.dirichlet_stencil)
     assert bits_equal(families.link_matrix, K)
-    (shifted, sigma, weights), (spectrum, zero, spectrum_weights) = seen
+    (nearest, sigma), (pencil, zero) = seen
+    shifted, spectrum = factored
     assert sigma == dispersion(spec, 1.0e6).real
-    assert bits_equal(sp.diags(weights, format="csc"), M)
+    assert bits_equal(sp.diags(nearest.shunt_weight, format="csc"), M)
     assert bits_equal(shifted, K - sigma * M)
     assert zero == 0.0
-    assert bits_equal(sp.diags(spectrum_weights, format="csc"), M)
+    assert bits_equal(sp.diags(pencil.shunt_weight, format="csc"), M)
     assert bits_equal(spectrum, K)
     if tau == 0.0:
         assert bits_equal(spectrum, B.T @ B)
@@ -476,7 +495,7 @@ def test_eigenmode_is_null_vector_of_admittance(model, tau):
     spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, tau, 21)
     mode = eigenmode_nearest(g, spec, spec.omega0, pert=pert)
-    a = assemble_admittance(g, spec, mode.omega, pert=pert).matrix
+    a = assemble_admittance(g, spec, mode.omega, pert=pert)
     residual = np.linalg.norm(a @ mode.vector) \
         / (spla.norm(a, 1) * np.linalg.norm(mode.vector))
     assert residual < 1e-12
@@ -506,11 +525,11 @@ def test_driven_satisfies_kirchhoff_rows():
     spec = CircuitSpec("I", L, C, 0.3)
     omega = 1.1e6
     field = driven_response(g, spec, omega, ((4, 5), 1.0))
-    sys = assemble_admittance(g, spec, omega)
-    x = field.values[sys.stencil.unknown]
+    a = assemble_admittance(g, spec, omega)
+    x = field.values[g.stencil.unknown]
     rhs = np.zeros(len(x), dtype=complex)
-    rhs[sys.index[4, 5]] = -1.0
-    res = np.linalg.norm(sys.matrix @ x - rhs) / np.linalg.norm(rhs)
+    rhs[g.stencil.index[4, 5]] = -1.0
+    res = np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
 
 
@@ -550,21 +569,21 @@ def test_hermitian_floor_below_smallest_singular_value(geometry, model):
         resonance = eigenmode_nearest(g, lossless, lowest, pert=pert).omega
         for r in (1e-3, 0.1, 1.0):
             spec = CircuitSpec(model, L, C, r)
+            families = admittance_families(g, spec, pert)
             for omega in (resonance, spec.omega0, 1.7 * spec.omega0):
-                system = assemble_admittance(g, spec, omega, pert=pert)
-                sv = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
+                a = assemble_admittance(g, spec, omega, families=families)
+                sv = np.linalg.svd(a.toarray(), compute_uv=False)
                 # a dense SVD is accurate to a few eps * sigma_max
-                assert 0.0 < system.hermitian_floor \
+                assert 0.0 < families.floor(families.units(omega)) \
                     <= sv[-1] + 64 * np.finfo(float).eps * sv[0]
 
 
 def test_hermitian_floor_needs_dirichlet_loss():
     g = rasterize_rectangle(5, 4, 0.1)
-    assert assemble_admittance(g, CircuitSpec("I", L, C, 0.0),
-                               1e6).hermitian_floor == 0.0
     neumann = tag_boundary(g, BCKind("neumann"))
-    assert assemble_admittance(neumann, CircuitSpec("I", L, C, 0.3),
-                               1e6).hermitian_floor == 0.0
+    for geometry, r in ((g, 0.0), (neumann, 0.3)):
+        families = admittance_families(geometry, CircuitSpec("I", L, C, r))
+        assert families.floor(families.units(1e6)) == 0.0
 
 
 def _count_onenormest(monkeypatch):
@@ -601,7 +620,7 @@ def test_factorization_inverse_and_its_adjoint():
     g = rasterize_rectangle(5, 4, 0.1)
     spec = CircuitSpec("II", L, C, 0.3)
     pert = sample_perturbation(g, 0.02, 5)
-    A = assemble_admittance(g, spec, 2.0e6, pert=pert).matrix
+    A = assemble_admittance(g, spec, 2.0e6, pert=pert)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     inverse = solve.Factorization(A).inverse
@@ -620,20 +639,13 @@ def test_factorization_keeps_the_default_panels_fill_and_pivots(
     # the fill and the diagonal pivots (perm_r == perm_c, which an inertia
     # count of a shift needs) stay those of its default panels, and the
     # solves agree at roundoff
-    shifts = []
-    eigsh_near = solve._eigsh_near
-
-    def spy(shifted, k, sigma, weights=None, ordering=None):
-        shifts.append(shifted)
-        return eigsh_near(shifted, k, sigma, weights, ordering)
-
-    monkeypatch.setattr(solve, "_eigsh_near", spy)
+    shifts = _count_factorizations(monkeypatch)
     square = rasterize_rectangle(40, 40, 0.025)
     eigenmode_nearest(square, CircuitSpec("I", L, C, 0.0), 1.722e6,
                       pert=sample_perturbation(square, 0.03, 2))
     stadium = rasterize_quarter_stadium(0.02)
     driven = assemble_admittance(stadium, CircuitSpec("I", L, C, 0.3),
-                                 861100.0).matrix
+                                 861100.0)
     rng = np.random.default_rng(1)
     for A in (driven, shifts[0]):
         lu = solve.Factorization(A).lu
@@ -719,11 +731,11 @@ def test_unpivoted_factor_meets_residual_with_little_fill(
     pert = sample_perturbation(g, tau, 3)
     source = (tuple(g.interior_sites[len(g.interior_sites) // 3]), 1.0)
     field = driven_response(g, spec, omega, source, pert=pert)
-    system = assemble_admittance(g, spec, omega, pert=pert)
-    x = field.values[system.stencil.unknown]
+    a = assemble_admittance(g, spec, omega, pert=pert)
+    x = field.values[g.stencil.unknown]
     b = np.zeros(len(x), dtype=complex)
-    b[system.index[source[0]]] = -1.0
-    assert np.linalg.norm(system.matrix @ x - b) <= RESIDUAL_TOL
+    b[g.stencil.index[source[0]]] = -1.0
+    assert np.linalg.norm(a @ x - b) <= RESIDUAL_TOL
     # COLAMD leaves 1.32M entries here, the minimum-degree ordering 0.70M
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz < 1_000_000
@@ -755,10 +767,11 @@ def test_driven_derivatives_match_finite_differences(model):
     fd2 = (v(omega + h) - 2.0 * v(omega) + v(omega - h)) / h ** 2
     for got, fd in ((fields[1].values, fd1), (fields[2].values, fd2)):
         assert np.max(np.abs(got - fd)) < 1e-5 * np.max(np.abs(got))
-    # each derivative meets the residual contract on its own right side
-    system = assemble_admittance(g, spec, omega, pert=pert, order=2)
-    a, d1, d2 = system.matrix, *system.derivatives
-    x, dx, d2x = (f.values[system.stencil.unknown] for f in fields)
+    # each derivative meets the residual contract on its own right side,
+    # with the families' derivative matrices
+    families = admittance_families(g, spec, pert)
+    a, d1, d2 = (families.matrix(families.units(omega, k)) for k in range(3))
+    x, dx, d2x = (f.values[g.stencil.unknown] for f in fields)
     for lhs, rhs in ((a @ dx, -(d1 @ x)),
                      (a @ d2x, -(d2 @ x + 2.0 * (d1 @ dx)))):
         assert np.linalg.norm(lhs - rhs) <= RESIDUAL_TOL * np.linalg.norm(rhs)
@@ -767,6 +780,8 @@ def test_driven_derivatives_match_finite_differences(model):
     assert len(first) == 2
     for got, want in zip(first, fields):
         assert np.array_equal(got.values, want.values)
+    with pytest.raises(ValueError):
+        driven_solver(g, spec, omega, pert, order=3)
 
 
 def _sweep_case():
@@ -832,13 +847,13 @@ def test_resonance_sweep_value_is_response_at_peak(monkeypatch):
 
 
 def _count_factorizations(monkeypatch):
-    """List of the shapes of every `Factorization` built in rlcnet.solve."""
+    """List of the matrices of every `Factorization` built in rlcnet.solve."""
     built = []
 
     class Counted(solve.Factorization):
-        def __init__(self, A):
-            built.append(A.shape)
-            super().__init__(A)
+        def __init__(self, A, ordering=None):
+            built.append(A)
+            super().__init__(A, ordering)
 
     monkeypatch.setattr(solve, "Factorization", Counted)
     return built
@@ -855,6 +870,78 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(solve, name, counted)
     return calls
+
+
+def _count_family_matrices(monkeypatch):
+    """List of the matrices that every `AdmittanceFamilies.matrix` call
+    forms."""
+    formed = []
+    matrix = AdmittanceFamilies.matrix
+
+    def counted(self, y):
+        formed.append(matrix(self, y))
+        return formed[-1]
+
+    monkeypatch.setattr(AdmittanceFamilies, "matrix", counted)
+    return formed
+
+
+def test_every_formed_matrix_is_factored(monkeypatch):
+    # the package forms only the matrices that a Factorization factors:
+    # the driven A at any derivative order (A' and A'' act through the
+    # families), a sweep's window centre A_c (A'_c too), the A of each
+    # evaluation of a Neumann sweep, and the pencil shift K - sigma M of
+    # eigenmode_nearest and of a Lanczos spectrum (sigma = 0)
+    g, spec, _, band = _sweep_case()
+    neumann = tag_boundary(g, BCKind("neumann"))
+    source = ((2, 2), 1.0)
+    lossless = CircuitSpec("I", L, C, 0.0)
+    paths = {
+        "driven, order 0": lambda: driven_solver(g, spec, band[0])(source),
+        "driven, order 2": lambda: driven_solver(g, spec, band[0],
+                                                 order=2)(source),
+        "Dirichlet sweep": lambda: resonance_sweep(g, spec, band, 9, source),
+        "Neumann sweep": lambda: resonance_sweep(neumann, spec, band, 9,
+                                                 source),
+        "nearest mode": lambda: eigenmode_nearest(g, lossless, band[0]),
+        "Lanczos spectrum": lambda: eigenmodes_lossless(
+            rasterize_rectangle(10, 7, 0.05), lossless, 5),
+    }
+    for path, run in paths.items():
+        with monkeypatch.context() as patch:
+            formed = _count_family_matrices(patch)
+            built = _count_factorizations(patch)
+            run()
+        assert len(formed) == len(built) > 0, path
+        assert all(a is b for a, b in zip(formed, built)), path
+
+
+def test_order_0_solver_frees_the_families_before_it_factors(monkeypatch):
+    # a settled bound leaves an order-0 solve nothing to read from the
+    # families, so they are gone before splu runs and stay off its peak
+    # memory; the derivative right-hand sides of order 1 keep them
+    refs = []
+    build = solve.admittance_families
+
+    def kept(*args, **kwargs):
+        families = build(*args, **kwargs)
+        refs.append(weakref.ref(families))
+        return families
+
+    alive = []
+    factor = spla.splu
+
+    def checked(*args, **kwargs):
+        alive.append(refs[-1]() is not None)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "admittance_families", kept)
+    monkeypatch.setattr(spla, "splu", checked)
+    g = rasterize_rectangle(12, 9, 0.05)
+    spec = CircuitSpec("I", L, C, 0.3)
+    for order in (0, 1):
+        driven_solver(g, spec, 1.1e6, order=order)(((4, 5), 1.0))
+    assert alive == [False, True]
 
 
 def test_resonance_sweep_solve_budget(monkeypatch):
@@ -874,10 +961,10 @@ def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
     g, spec, _, band = _sweep_case()
     peaks = resonance_sweep(g, spec, band, 9, ((2, 2), 1.0))
     assert peaks
-    # only the window centre is assembled, with A'; every grid and Newton
-    # evaluation is checked on the element families, and the last Newton
-    # evaluation's field gives each peak's value
-    assert [kwargs["order"] for kwargs in assemblies] == [1]
+    # only the window centre is assembled, without A'; every grid and
+    # Newton evaluation is checked on the element families, and the last
+    # Newton evaluation's field gives each peak's value
+    assert len(assemblies) == 1
     assert stencil_builds == [g]
 
 
@@ -894,11 +981,12 @@ def test_krylov_fields_meet_the_residual_contract():
     for omega in np.linspace(*band, 7):
         xs = basis.solve(omega, 2)
         assert xs is not None
-        system = assemble_admittance(g, spec, omega, pert=pert, order=2)
-        a, d1, d2 = system.matrix, *system.derivatives
+        families = admittance_families(g, spec, pert)
+        a, d1, d2 = (families.matrix(families.units(omega, k))
+                     for k in range(3))
         x, dx, d2x = xs
         b = np.zeros(len(x), dtype=complex)
-        b[system.index[source[0]]] = -1.0
+        b[g.stencil.index[source[0]]] = -1.0
         for lhs, rhs in ((a @ x, b), (a @ dx, -(d1 @ x)),
                          (a @ d2x, -(d2 @ x + 2.0 * (d1 @ dx)))):
             assert np.linalg.norm(lhs - rhs) \
@@ -923,7 +1011,7 @@ def test_krylov_space_that_closes_is_exact():
         assert basis.closed and basis.m == 3
         for omega in np.linspace(*band, 5):
             (x,) = basis.solve(omega, 0)
-            A = assemble_admittance(g, spec, omega).matrix.toarray()
+            A = assemble_admittance(g, spec, omega).toarray()
             want = np.linalg.solve(A, [-1.0, 0.0, 0.0, 0.0])
             assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
         peaks = resonance_sweep(g, spec, band, 9, source)
