@@ -26,7 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for ensemble realizations")
+                       help="worker processes for ensemble realizations "
+                            "(forked; any count gives the same artifacts)")
     return parser
 
 

@@ -11,12 +11,12 @@ import dataclasses
 import json
 import os
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import cos, pi, sin
 from sys import float_info
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 from scipy.special import ndtr
 
 from . import __version__
@@ -297,6 +297,35 @@ def ks_binned_vs_normal(bin_edges, frequencies) -> float:
     return float(np.max(np.abs(cum - ndtr(bin_edges))))
 
 
+class _WorkerArpackError(ArpackError):
+    """An ARPACK failure in an ensemble worker process, as its caller sees
+    it.  scipy's ARPACK errors do not survive the pickle that carries a
+    worker's exception back (ArpackNoConvergence cannot be rebuilt, which
+    breaks the pool, and ArpackError is rebuilt with another message), so
+    a worker raises this one, with the same message, instead."""
+
+    def __init__(self, message):
+        RuntimeError.__init__(self, message)
+
+
+# the realization function of the ensemble that this worker process
+# serves; each worker's initializer sets it, and the parent never does
+_worker_realization = None
+
+
+def _start_worker(realization):
+    global _worker_realization
+    _worker_realization = realization
+
+
+def _run_realization(k):
+    """Histogram of realization k, in a worker process."""
+    try:
+        return _worker_realization(k)
+    except ArpackError as exc:
+        raise _WorkerArpackError(str(exc)) from exc
+
+
 def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
                      omega_target: float, tolerance: float,
                      n_realizations: int, seed: int,
@@ -308,10 +337,18 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
     nearest omega_target and histograms its standardized amplitudes on the
     shared bin edges.  Every pencil shift has the Dirichlet stencil's
     pattern, so every realization factors on one minimum-degree
-    `Ordering`: the given `ordering`, or else a new one.  Realization 0's
-    factorization fills it, before the workers start, unless an earlier
-    factorization of that pattern has.  Returns (averaged frequencies, KS
-    to unit normal).
+    `Ordering`: the given `ordering`, or else a new one.  Realization 0
+    runs in this process and fills it, unless an earlier factorization of
+    that pattern has.  The others then run on min(threads, n_realizations
+    - 1) worker processes, forked after realization 0, so that each
+    inherits the geometry's stencil and the filled ordering and nothing
+    large is pickled; with one worker or none they run in this process.
+    Each task is a realization index and each result one histogram, and
+    the histograms are averaged in realization order, so the result is
+    the same at any worker count.  A worker's solver failure reaches the
+    caller as SingularSystemError or ArpackError, and no worker outlives
+    the call.  The fork start method needs a POSIX system.  Returns
+    (averaged frequencies, KS to unit normal).
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -332,13 +369,28 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
 
     if ordering is None:
         ordering = Ordering()
-    # realization 0 builds the stencil and fills the ordering here, where
-    # no earlier call has, so the workers share both rather than race to
-    # build them (functools.cached_property takes no lock from Python 3.12
-    # on)
+    # realization 0 builds the stencil (a cached_property of the geometry)
+    # and fills the ordering here, before any fork, so every worker
+    # inherits both instead of building its own
     hists = [one(0)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        hists += pool.map(one, range(1, n_realizations))
+    workers = min(threads, n_realizations - 1)
+    if workers <= 1:
+        hists += map(one, range(1, n_realizations))
+    else:
+        # imported here: no other run needs multiprocessing (4 ms)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # under fork the initializer's argument is inherited, not pickled,
+        # so the workers can run the closure
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(one,))
+        try:
+            hists += pool.map(_run_realization, range(1, n_realizations))
+        finally:
+            # after a failure, the realizations not yet started are
+            # dropped rather than run
+            pool.shutdown(cancel_futures=True)
     avg = np.mean(hists, axis=0)
     return avg, ks_binned_vs_normal(bin_edges, avg)
 

@@ -209,14 +209,18 @@ class AdmittanceFamilies:
         return sp.csc_matrix((np.negative(data, out=data), link.indices,
                               link.indptr), shape=link.shape)
 
+    def link_product(self, x) -> np.ndarray:
+        """G_0 x for complex x, on the (n, 2) real view of x: scipy would
+        otherwise copy the real G_0 to complex at every product (0.41 ->
+        0.28 ms at 17,650 unknowns)."""
+        return (self.link_matrix @ x.view(float).reshape(-1, 2)) \
+            .view(complex).ravel()
+
     def operator(self, ys, xs):
         """apply(j, i) = A^(j) xs[i] for the families' ys[j] = y^(j),
         without forming A: -(y_0 G_0 x + shunts x), with G_0 x taken once
-        per field, on the (n, 2) real view of x: scipy would otherwise copy
-        the real G_0 to complex at every product (0.41 -> 0.28 ms at
-        17,650 unknowns)."""
-        link = [(self.link_matrix @ x.view(float).reshape(-1, 2))
-                .view(complex).ravel() for x in xs]
+        per field (`link_product`)."""
+        link = [self.link_product(x) for x in xs]
         shunts = [self.shunts(y) for y in ys]
 
         def apply(j, i):

@@ -1,4 +1,5 @@
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,10 +134,54 @@ def bits_equal():
     return _bits_equal
 
 
+class ProcessLog:
+    """A list of values that this process and every process forked from it
+    append to: one line, key(value), per call in a file, since what a
+    forked worker appends to a Python list stays in the worker's memory.
+    It compares equal to a list of values whose keys are its lines.  The
+    default key is str; an object's id is the same in the process that
+    made it and in the processes forked from it."""
+
+    def __init__(self, path, key=str):
+        self.path = Path(path)
+        self.key = key
+        self.clear()
+
+    def append(self, value):
+        # one short write in append mode: lines from several processes
+        # do not interleave
+        with open(self.path, "a") as fh:
+            fh.write(f"{self.key(value)}\n")
+
+    def clear(self):
+        self.path.write_text("")
+
+    def lines(self) -> list:
+        return self.path.read_text().splitlines()
+
+    def __len__(self):
+        return len(self.lines())
+
+    def __eq__(self, values):
+        return self.lines() == [f"{self.key(v)}" for v in values]
+
+    def __repr__(self):
+        return f"ProcessLog({self.lines()})"
+
+
 @pytest.fixture
-def stencil_builds(monkeypatch):
-    """List that records the geometry of every lattice stencil build."""
-    builds = []
+def process_log(tmp_path):
+    """Call it as process_log(name, key=str) for a new `ProcessLog`."""
+    def make(name, key=str):
+        return ProcessLog(tmp_path / f"{name}.log", key)
+    return make
+
+
+@pytest.fixture
+def stencil_builds(monkeypatch, process_log):
+    """`ProcessLog` of the geometry (by id) of every lattice stencil build,
+    in this process or in any process forked from it."""
+    builds = process_log("stencil_builds", key=id)
     build = rlcnet.geometry.lattice_stencil
 
     def counted(geometry, unknown):

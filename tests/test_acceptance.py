@@ -362,8 +362,8 @@ def test_criterion_12_determinism(acceptance_report, tmp_path):
             "n_modes": 4,
         })
 
-    # the ensemble's second run uses two worker threads: its result must
-    # not depend on the thread count either
+    # the ensemble's second run uses two worker processes: its result
+    # must not depend on the worker count either
     mismatched = []
     for name, make, threads in (("drive", drive_cfg, 1),
                                 ("oracle", oracle_cfg, 1),

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import rlcnet.experiments
 import rlcnet.geometry
 from rlcnet.cli import main
 from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
@@ -22,7 +24,8 @@ from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
 from rlcnet.geometry import rasterize_rectangle
 from rlcnet.io import FLOAT, write_csv, write_polylines
 from rlcnet.network import CircuitSpec
-from rlcnet.solve import driven_response, eigenmodes_lossless
+from rlcnet.solve import (SingularSystemError, driven_response,
+                          eigenmodes_lossless)
 
 L, C = 1e-4, 1e-9
 
@@ -136,8 +139,9 @@ def test_ensemble_single_realization_identity():
 
 
 def test_ensemble_workers_share_one_stencil(monkeypatch, stencil_builds):
-    # a build slow enough for both workers to find the stencil missing,
-    # as they would from Python 3.12, whose cached_property takes no lock
+    # a build slow enough for two worker threads to both find the stencil
+    # missing; worker processes forked before realization 0 built it
+    # would each build their own, which the log records too
     build = rlcnet.geometry.lattice_stencil
 
     def slow(*args):
@@ -152,11 +156,12 @@ def test_ensemble_workers_share_one_stencil(monkeypatch, stencil_builds):
     assert stencil_builds == [g]
 
 
-def test_ensemble_computes_one_ordering(monkeypatch):
+def test_ensemble_computes_one_ordering(monkeypatch, process_log):
     # realization 0's minimum-degree factorization gives the ordering that
     # every other realization factors on; no factorization is made for the
-    # ordering alone, so each eigsh call has exactly one splu call
-    specs, eigsh_calls = [], []
+    # ordering alone, so each eigsh call has exactly one splu call.  The
+    # logs record the calls of the worker processes too
+    specs, eigsh_calls = process_log("splu"), process_log("eigsh")
     splu, eigsh = spla.splu, spla.eigsh
 
     def spied_splu(*args, **kwargs):
@@ -173,7 +178,8 @@ def test_ensemble_computes_one_ordering(monkeypatch):
     spec = CircuitSpec("I", L, C, 0.0)
     edges = np.linspace(-5, 5, 51)
     results = []
-    # more workers than cores, switching often, share the filled ordering
+    # more workers than cores share the filled ordering; the parent's
+    # threads (the pool's manager and queue feeder) switch often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -190,11 +196,12 @@ def test_ensemble_computes_one_ordering(monkeypatch):
         assert np.array_equal(avg, results[0][0]) and ks == results[0][1]
 
 
-def test_cli_ensemble_computes_one_ordering(tmp_path, monkeypatch):
+def test_cli_ensemble_computes_one_ordering(tmp_path, monkeypatch,
+                                           process_log):
     # the tau = 0 baseline fills the run's one ordering, which every
     # realization factors on: one ordering step per run, and each eigsh
-    # call has exactly one splu call
-    specs, eigsh_calls = [], []
+    # call has exactly one splu call, in this process or a worker
+    specs, eigsh_calls = process_log("splu"), process_log("eigsh")
     splu, eigsh = spla.splu, spla.eigsh
 
     def spied_splu(*args, **kwargs):
@@ -215,6 +222,31 @@ def test_cli_ensemble_computes_one_ordering(tmp_path, monkeypatch):
                  "--threads", "2"]) == 0
     assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 6
     assert len(eigsh_calls) == len(specs)
+
+
+def test_ensemble_workers_capped(monkeypatch, process_log):
+    # never more workers than realizations left after realization 0, and
+    # none where one worker or none would serve them
+    started = process_log("workers")
+    start = rlcnet.experiments._start_worker
+
+    def logged(realization):
+        started.append(os.getpid())
+        start(realization)
+
+    monkeypatch.setattr(rlcnet.experiments, "_start_worker", logged)
+    g = rasterize_rectangle(12, 8, 0.05)
+    spec = CircuitSpec("I", L, C, 0.0)
+    edges = np.linspace(-5, 5, 51)
+    for n_realizations, threads, n_workers in ((3, 4, 2), (2, 4, 0),
+                                               (3, 1, 0)):
+        started.clear()
+        ensemble_average(g, spec, 1.0e6, 0.03, n_realizations, 1, edges,
+                         threads=threads)
+        pids = started.lines()
+        assert len(set(pids)) == len(pids) == n_workers
+        assert str(os.getpid()) not in pids
+        assert multiprocessing.active_children() == []
 
 
 def test_run_spectrum_unit_square(tmp_path):
@@ -592,6 +624,36 @@ def test_cli_solver_failure(tmp_path, perturb_eigsh):
     assert main(["ensemble", "--config", path, "--out",
                  str(tmp_path / "o")]) == 3
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("failure", [
+    SingularSystemError("eigen shift on an eigenvalue"),
+    spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
+], ids=["singular", "arpack_no_convergence"])
+def test_cli_worker_failure(tmp_path, monkeypatch, capsys, failure):
+    # every realization k >= 1 fails, each in a worker process: the run
+    # still exits 3 with the solver's message, removes its output and
+    # leaves no worker running (an ArpackNoConvergence that reached the
+    # parent as such would break the pool)
+    parent = os.getpid()
+    nearest = rlcnet.experiments.eigenmode_nearest
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise failure
+        return nearest(*args, **kwargs)
+
+    monkeypatch.setattr(rlcnet.experiments, "eigenmode_nearest", failing)
+    path = write_cfg(tmp_path, {"geometry": "rectangle", "nx_interior": 10,
+                                "ny_interior": 7, "spacing": 0.05,
+                                "omega": 1.0e6, "tolerance": 0.03,
+                                "n_realizations": 6})
+    out = tmp_path / "new" / "o"
+    assert main(["ensemble", "--config", path, "--out", str(out),
+                 "--threads", "2"]) == 3
+    assert f"solver failure: {failure}" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_seed_override(tmp_path):

@@ -998,6 +998,22 @@ def test_krylov_fields_meet_the_residual_contract():
     assert basis.m < g.n_interior
 
 
+def test_krylov_step_product_is_the_family_operator():
+    # the Arnoldi step's A'_c x, computed in place and in a scratch
+    # vector, holds the bits of the families' operator at y'(omega_c)
+    g = rasterize_rectangle(12, 9, 0.05)
+    spec = CircuitSpec("II", L, C, 0.3)
+    pert = sample_perturbation(g, 0.03, 7)
+    basis = solve._window_basis(g, spec, (1.0e6, 1.1e6), pert, ((4, 5), 1.0))
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        x = rng.standard_normal(g.n_interior) \
+            + 1j * rng.standard_normal(g.n_interior)
+        want = basis.families.operator([basis.units[:, 1]], [x])(0, 0)
+        got = basis._derivative_product(x, np.empty_like(x))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_krylov_space_that_closes_is_exact():
     # the 2x2 Laplacian has eigenvalues 2, 4, 4, 6; a corner source meets
     # one vector of the degenerate pair, so the space closes at m = 3 < n
