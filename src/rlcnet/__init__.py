@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
                        rasterize_rectangle, tag_boundary)
 from .network import (CircuitSpec, Perturbation, assemble_admittance,
-                      ground_impedance, link_impedance, sample_perturbation)
+                      sample_perturbation)
 from .solve import (ComplexField, Mode, SingularSystemError, damping_length,
                     dispersion, driven_response, eigenmode_nearest,
                     eigenmodes_lossless, quality_factor, resonance_sweep,

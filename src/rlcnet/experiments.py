@@ -23,7 +23,8 @@ from . import __version__
 from .geometry import (DIRICHLET, BCKind, GridGeometry, rasterize_quarter_stadium,
                        rasterize_rectangle, tag_boundary)
 from .io import write_csv, write_json, write_pgm, write_polylines
-from .network import TOLERANCE_REACH, CircuitSpec, sample_perturbation
+from .network import (MODEL_II, TOLERANCE_REACH, CircuitSpec,
+                      sample_perturbation)
 from .solve import (ComplexField, Ordering, damping_length, driven_response,
                     driven_solver, eigenmode_nearest, eigenmodes_lossless,
                     quality_factor, resonance_sweep, wavelength)
@@ -175,6 +176,11 @@ class ExperimentConfig:
         # defined, only with loss
         if self.experiment in ("sweep", "stats") and self.resistance <= 0.0:
             raise ConfigError(f"resistance: {self.experiment} needs R > 0")
+        if self.experiment == "stats" and self.model == MODEL_II:
+            # the heat statistics read R/2 |dV/R|^2 on the links, which are
+            # lossless capacitors in model II; its loss is in the shunts
+            raise ConfigError("model: stats supports only model I; model II "
+                              "links are capacitors and dissipate no heat")
         if self.experiment == "ensemble":
             if self.tolerance <= 0.0 and self.n_realizations > 1:
                 raise ConfigError("tolerance: ensemble with tau = 0 is degenerate")
@@ -330,25 +336,26 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
                      omega_target: float, tolerance: float,
                      n_realizations: int, seed: int,
                      bin_edges, distribution: str = "uniform",
-                     threads: int = 1, ordering: Ordering | None = None):
+                     threads: int = 1):
     """Average the standardized Re(V) histogram over disorder realizations.
 
-    Each realization perturbs the components, recomputes the lossless mode
-    nearest omega_target and histograms its standardized amplitudes on the
-    shared bin edges.  Every pencil shift has the Dirichlet stencil's
-    pattern, so every realization factors on one minimum-degree
-    `Ordering`: the given `ordering`, or else a new one.  Realization 0
-    runs in this process and fills it, unless an earlier factorization of
-    that pattern has.  The others then run on min(threads, n_realizations
-    - 1) worker processes, forked after realization 0, so that each
-    inherits the geometry's stencil and the filled ordering and nothing
-    large is pickled; with one worker or none they run in this process.
-    Each task is a realization index and each result one histogram, and
-    the histograms are averaged in realization order, so the result is
-    the same at any worker count.  A worker's solver failure reaches the
-    caller as SingularSystemError or ArpackError, and no worker outlives
-    the call.  The fork start method needs a POSIX system.  Returns
-    (averaged frequencies, KS to unit normal).
+    First the tau = 0 baseline: the lossless mode nearest omega_target of
+    the unperturbed network, solved in this process.  Each realization
+    then perturbs the components, recomputes the lossless mode nearest
+    omega_target and histograms its standardized amplitudes on the shared
+    bin edges.  Every pencil shift has the Dirichlet stencil's pattern, so
+    the baseline and every realization factor on one minimum-degree
+    `Ordering`, which the baseline's factorization fills.  The
+    realizations run on min(threads, n_realizations) worker processes,
+    forked after the baseline, so that each inherits the geometry's
+    stencil and the filled ordering and nothing large is pickled; with
+    one worker or none they run in this process.  Each task is a
+    realization index and each result one histogram, and the histograms
+    are averaged in realization order, so the result is the same at any
+    worker count.  A worker's solver failure reaches the caller as
+    SingularSystemError or ArpackError, and no worker outlives the call.
+    The fork start method needs a POSIX system.  Returns (baseline mode,
+    averaged frequencies, KS of the average to the unit normal).
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -356,6 +363,7 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
         raise ValueError("tau = 0 ensemble with several realizations is degenerate")
     root = np.random.SeedSequence(seed)
     sub_seeds = [int(s.generate_state(1)[0]) for s in root.spawn(n_realizations)]
+    ordering = Ordering()
 
     def one(k):
         if tolerance > 0.0:
@@ -367,15 +375,14 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
                                  ordering=ordering)
         return standardized_mode_histogram(mode.vector, bin_edges)
 
-    if ordering is None:
-        ordering = Ordering()
-    # realization 0 builds the stencil (a cached_property of the geometry)
+    # the baseline builds the stencil (a cached_property of the geometry)
     # and fills the ordering here, before any fork, so every worker
     # inherits both instead of building its own
-    hists = [one(0)]
-    workers = min(threads, n_realizations - 1)
+    baseline = eigenmode_nearest(geometry, spec, omega_target,
+                                 ordering=ordering)
+    workers = min(threads, n_realizations)
     if workers <= 1:
-        hists += map(one, range(1, n_realizations))
+        hists = list(map(one, range(n_realizations)))
     else:
         # imported here: no other run needs multiprocessing (4 ms)
         import multiprocessing
@@ -386,13 +393,13 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=(one,))
         try:
-            hists += pool.map(_run_realization, range(1, n_realizations))
+            hists = list(pool.map(_run_realization, range(n_realizations)))
         finally:
             # after a failure, the realizations not yet started are
             # dropped rather than run
             pool.shutdown(cancel_futures=True)
     avg = np.mean(hists, axis=0)
-    return avg, ks_binned_vs_normal(bin_edges, avg)
+    return baseline, avg, ks_binned_vs_normal(bin_edges, avg)
 
 
 def _write_sites(path, geometry, names, *values):
@@ -515,16 +522,11 @@ def _run_experiment(cfg, geometry, spec, out_dir, threads) -> dict:
 
     elif cfg.experiment == "ensemble":
         bin_edges = np.linspace(-5.0, 5.0, cfg.n_bins + 1)
-        # the tau = 0 baseline fills the one ordering of the run, which
-        # every realization then factors on
-        ordering = Ordering()
-        baseline_mode = eigenmode_nearest(geometry, spec, cfg.omega,
-                                          ordering=ordering)
+        baseline_mode, avg, ks = ensemble_average(
+            geometry, spec, cfg.omega, cfg.tolerance, cfg.n_realizations,
+            cfg.seed, bin_edges, distribution=cfg.tolerance_distribution,
+            threads=threads)
         base_hist = standardized_mode_histogram(baseline_mode.vector, bin_edges)
-        avg, ks = ensemble_average(geometry, spec, cfg.omega, cfg.tolerance,
-                                   cfg.n_realizations, cfg.seed, bin_edges,
-                                   distribution=cfg.tolerance_distribution,
-                                   threads=threads, ordering=ordering)
         write_csv(os.path.join(out_dir, "histogram.csv"),
                   ("bin_lo", "bin_hi", "baseline", "averaged"),
                   (bin_edges[:-1], bin_edges[1:], base_hist, avg))

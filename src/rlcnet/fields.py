@@ -93,13 +93,6 @@ def probability_density(field: ComplexField) -> np.ndarray:
     return out
 
 
-def _voltage_drops(field: ComplexField):
-    """The geometry's stencil and the drop V_hi - V_lo on each of its links,
-    read from the field's values at every network site."""
-    stencil = field.geometry.stencil
-    return stencil, stencil.link_drops(field.values)
-
-
 def link_currents(field: ComplexField,
                   variant: str = PHYSICAL) -> CurrentField:
     """Currents I = dV / z on every network link of the field's own circuit.
@@ -112,7 +105,8 @@ def link_currents(field: ComplexField,
     if variant not in (PHYSICAL, OHMIC):
         raise ValueError(f"unknown current variant: {variant!r}")
     geom = field.geometry
-    stencil, dv = _voltage_drops(field)
+    stencil = geom.stencil
+    dv = stencil.link_drops(field.values)
     if variant == OHMIC:
         if field.spec.resistance <= 0.0:
             raise ValueError("ohmic currents undefined for R = 0")
@@ -150,12 +144,13 @@ def power_balance(field: ComplexField) -> float:
     (si, sj), amplitude = field.source
     p_in = 0.5 * float(np.real(field.values[si, sj] * np.conj(amplitude)))
 
-    stencil, dv = _voltage_drops(field)
+    stencil = geom.stencil
     families = admittance_families(geom, field.spec, field.perturbation)
     units = families.units(field.omega)
     # every unknown has one shunt; grounded Dirichlet sites have none
     y = np.concatenate((units[0] * families.link, families.shunts(units)))
-    drop = np.concatenate((dv, field.values[stencil.unknown]))
+    drop = np.concatenate((stencil.link_drops(field.values),
+                           field.values[stencil.unknown]))
     p_diss = 0.5 * float(np.sum(np.real(1.0 / y) * np.abs(y * drop) ** 2))
 
     # lossless case: active power vanishes up to roundoff of the apparent

@@ -60,20 +60,6 @@ class CircuitSpec:
         return self.resistance * self.capacitance
 
 
-def link_impedance(spec: CircuitSpec, omega: float) -> complex:
-    """Impedance 1 / y_L of one lattice link at frequency omega."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    return 1.0 / unit_admittances(spec, omega)[0]
-
-
-def ground_impedance(spec: CircuitSpec, omega: float) -> complex:
-    """Impedance 1 / y_S of the per-site shunt to ground."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    return 1.0 / unit_admittances(spec, omega)[1]
-
-
 @dataclass(frozen=True)
 class Perturbation:
     """Component-tolerance multipliers for one disorder realization.
@@ -290,23 +276,18 @@ def admittance_families(geometry: GridGeometry, spec: CircuitSpec,
                               np.where(walls, 1.0, weight)[unknown])
 
 
-def assemble_admittance(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                        pert: Perturbation | None = None,
-                        families: AdmittanceFamilies | None = None
-                        ) -> sp.csc_matrix:
-    """The Kirchhoff current-law matrix A at frequency omega, CSC.
+def assemble_admittance(families: AdmittanceFamilies,
+                        omega: float) -> sp.csc_matrix:
+    """The Kirchhoff current-law matrix A of the network `families` at
+    frequency omega, CSC.
 
     For Dirichlet boundaries the unknowns are the interior sites only;
     Neumann/mixed boundary sites enter as extra unknowns shunted through
     the tagged element.  A = -sum_f y_f(omega) G_f over the element
     families (`admittance_families`), formed from the families' data on
-    the geometry's stencil.  The families are built for this call and
-    not kept, unless the caller passes the network's `families`, which it
-    already holds; `pert` is then not read.  Norms, floors and omega
-    derivatives of A come from the families, not from a matrix.
+    their stencil.  Norms, floors and omega derivatives of A come from the
+    families, not from a matrix.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    if families is None:
-        families = admittance_families(geometry, spec, pert)
     return families.matrix(families.units(omega))

@@ -525,7 +525,7 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
         raise ValueError(f"derivative order must be 0, 1 or 2, not {order!r}")
     families = admittance_families(geometry, spec, pert)
     ys = [families.units(omega, k) for k in range(order + 1)]
-    A = assemble_admittance(geometry, spec, omega, families=families)
+    A = assemble_admittance(families, omega)
     cond = _condition(families, ys[0])
     if not order and cond <= COND_LIMIT:
         families = None
@@ -755,7 +755,7 @@ def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     families = admittance_families(geometry, spec, pert)
     if not families.floor(families.units(omega_c)) > 0.0:
         return None
-    center = assemble_admittance(geometry, spec, omega_c, families=families)
+    center = assemble_admittance(families, omega_c)
     return _ShiftedKrylov(geometry, families, center, omega_c, source)
 
 

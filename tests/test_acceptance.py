@@ -19,8 +19,8 @@ from rlcnet.fields import OHMIC, CurrentField, link_currents, \
 from rlcnet.geometry import rasterize_quarter_stadium, rasterize_rectangle
 from rlcnet.network import CircuitSpec
 from rlcnet.solve import (ComplexField, _eigsh_near, _pencil, dispersion,
-                          driven_response, eigenmode_nearest,
-                          eigenmodes_lossless, quality_factor, wavelength)
+                          driven_response, eigenmodes_lossless,
+                          quality_factor, wavelength)
 from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
                           density_ppf, fit_histogram, heat_cdf, mc_heat_oracle,
                           sigma_p_sq, sigma_p_sq_empirical)
@@ -215,12 +215,13 @@ def test_criterion_09_tolerance_smoothing(acceptance_report):
     spec = CircuitSpec("I", L, C, 0.0)
     omega = 1.722e6
     edges = np.linspace(-5.0, 5.0, 51)
-    base = standardized_mode_histogram(
-        eigenmode_nearest(g, spec, omega).vector, edges)
-    ks = {0.0: ks_binned_vs_normal(edges, base)}
+    ks = {}
     for tau in (0.01, 0.03, 0.05):
-        _, ks[tau] = ensemble_average(g, spec, omega, tau, 100, 12345,
-                                      edges, threads=4)
+        baseline, _, ks[tau] = ensemble_average(g, spec, omega, tau, 100,
+                                                12345, edges, threads=4)
+    # every call solves the same tau = 0 baseline; the last one's serves
+    base = standardized_mode_histogram(baseline.vector, edges)
+    ks[0.0] = ks_binned_vs_normal(edges, base)
     elapsed = time.perf_counter() - t0
     ok = (ks[0.01] < ks[0.0]
           and ks[0.03] <= ks[0.01]

@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import time
 from math import pi
 from pathlib import Path
 
@@ -130,25 +129,19 @@ def test_ensemble_single_realization_identity():
     edges = np.linspace(-5, 5, 51)
     modes = eigenmodes_lossless(g, spec, 3)
     target = modes[1].omega
-    avg, ks = ensemble_average(g, spec, target, 0.0, 1, 0, edges)
+    baseline, avg, ks = ensemble_average(g, spec, target, 0.0, 1, 0, edges)
     from rlcnet.solve import eigenmode_nearest
     single = standardized_mode_histogram(
         eigenmode_nearest(g, spec, target).vector, edges)
     assert np.allclose(avg, single)
+    assert np.allclose(standardized_mode_histogram(baseline.vector, edges),
+                       single)
     assert ks >= 0.0
 
 
-def test_ensemble_workers_share_one_stencil(monkeypatch, stencil_builds):
-    # a build slow enough for two worker threads to both find the stencil
-    # missing; worker processes forked before realization 0 built it
-    # would each build their own, which the log records too
-    build = rlcnet.geometry.lattice_stencil
-
-    def slow(*args):
-        time.sleep(0.2)
-        return build(*args)
-
-    monkeypatch.setattr(rlcnet.geometry, "lattice_stencil", slow)
+def test_ensemble_workers_share_one_stencil(stencil_builds):
+    # worker processes forked before the baseline built the stencil would
+    # each build their own, which the log records too
     g = rasterize_rectangle(40, 40, 0.025)
     spec = CircuitSpec("I", L, C, 0.0)
     edges = np.linspace(-5, 5, 51)
@@ -157,10 +150,10 @@ def test_ensemble_workers_share_one_stencil(monkeypatch, stencil_builds):
 
 
 def test_ensemble_computes_one_ordering(monkeypatch, process_log):
-    # realization 0's minimum-degree factorization gives the ordering that
-    # every other realization factors on; no factorization is made for the
-    # ordering alone, so each eigsh call has exactly one splu call.  The
-    # logs record the calls of the worker processes too
+    # the tau = 0 baseline's minimum-degree factorization gives the
+    # ordering that every realization factors on; no factorization is made
+    # for the ordering alone, so each eigsh call has exactly one splu call.
+    # The logs record the calls of the worker processes too
     specs, eigsh_calls = process_log("splu"), process_log("eigsh")
     splu, eigsh = spla.splu, spla.eigsh
 
@@ -178,22 +171,17 @@ def test_ensemble_computes_one_ordering(monkeypatch, process_log):
     spec = CircuitSpec("I", L, C, 0.0)
     edges = np.linspace(-5, 5, 51)
     results = []
-    # more workers than cores share the filled ordering; the parent's
-    # threads (the pool's manager and queue feeder) switch often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for threads in (1, 2, 4):
-            specs.clear()
-            eigsh_calls.clear()
-            results.append(ensemble_average(g, spec, 1.0e6, 0.03, 8, 1, edges,
-                                            threads=threads))
-            assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 7
-            assert len(eigsh_calls) == len(specs)
-    finally:
-        sys.setswitchinterval(interval)
-    for avg, ks in results[1:]:
-        assert np.array_equal(avg, results[0][0]) and ks == results[0][1]
+    # more workers than cores share the filled ordering
+    for threads in (1, 2, 4):
+        specs.clear()
+        eigsh_calls.clear()
+        results.append(ensemble_average(g, spec, 1.0e6, 0.03, 8, 1, edges,
+                                        threads=threads))
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 8
+        assert len(eigsh_calls) == len(specs)
+    for baseline, avg, ks in results[1:]:
+        assert np.array_equal(baseline.vector, results[0][0].vector)
+        assert np.array_equal(avg, results[0][1]) and ks == results[0][2]
 
 
 def test_cli_ensemble_computes_one_ordering(tmp_path, monkeypatch,
@@ -225,8 +213,8 @@ def test_cli_ensemble_computes_one_ordering(tmp_path, monkeypatch,
 
 
 def test_ensemble_workers_capped(monkeypatch, process_log):
-    # never more workers than realizations left after realization 0, and
-    # none where one worker or none would serve them
+    # never more workers than realizations, and none where one worker
+    # would serve them
     started = process_log("workers")
     start = rlcnet.experiments._start_worker
 
@@ -238,7 +226,7 @@ def test_ensemble_workers_capped(monkeypatch, process_log):
     g = rasterize_rectangle(12, 8, 0.05)
     spec = CircuitSpec("I", L, C, 0.0)
     edges = np.linspace(-5, 5, 51)
-    for n_realizations, threads, n_workers in ((3, 4, 2), (2, 4, 0),
+    for n_realizations, threads, n_workers in ((3, 4, 3), (1, 4, 0),
                                                (3, 1, 0)):
         started.clear()
         ensemble_average(g, spec, 1.0e6, 0.03, n_realizations, 1, edges,
@@ -515,6 +503,25 @@ def test_cli_validates_the_config_for_its_subcommand(tmp_path, capsys):
     assert "bc: ensemble supports only" in capsys.readouterr().err
 
 
+def test_cli_rejects_model_ii_stats(tmp_path, monkeypatch, capsys):
+    # stats fits the heat law to R/2 |dV/R|^2 on the links, which are
+    # lossless capacitors in model II: the run stops before any solve and
+    # leaves no output directory behind
+    def no_solve(*args, **kwargs):
+        raise AssertionError("stats solved a model II network")
+
+    monkeypatch.setattr(rlcnet.experiments, "driven_solver", no_solve)
+    monkeypatch.setattr(rlcnet.experiments, "driven_response", no_solve)
+    cfg = write_cfg(tmp_path, {
+        "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
+        "spacing": 0.02, "model": "II", "resistance": 0.3, "omega": 4.0e6,
+        "source_rule": "density_max"})
+    out = tmp_path / "new" / "o"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 2
+    assert "model: stats supports only model I" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_cli_stats_end_to_end(tmp_path):
     cfg = write_cfg(tmp_path, {
         "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
@@ -631,7 +638,7 @@ def test_cli_solver_failure(tmp_path, perturb_eigsh):
     spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
 ], ids=["singular", "arpack_no_convergence"])
 def test_cli_worker_failure(tmp_path, monkeypatch, capsys, failure):
-    # every realization k >= 1 fails, each in a worker process: the run
+    # every realization fails, each in a worker process: the run
     # still exits 3 with the solver's message, removes its output and
     # leaves no worker running (an ArpackNoConvergence that reached the
     # parent as such would break the pool)

@@ -20,8 +20,8 @@ from rlcnet import solve
 from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
                              rasterize_rectangle, tag_boundary)
 from rlcnet.network import (AdmittanceFamilies, CircuitSpec, admittance_families,
-                            assemble_admittance, ground_impedance,
-                            link_impedance, sample_perturbation)
+                            assemble_admittance, sample_perturbation,
+                            unit_admittances)
 from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
                           dispersion, driven_response,
                           driven_solver, eigenmode_nearest, eigenmodes_lossless,
@@ -66,7 +66,7 @@ def test_dispersion_is_the_shift_of_the_operator(model, ratio, incidence):
     omega = ratio * spec.omega0
     B = incidence(g, g.interior)
     lam, vec = scipy.linalg.eigh((B.T @ B).toarray())
-    A = assemble_admittance(g, spec, omega)
+    A = assemble_admittance(admittance_families(g, spec), omega)
     q1, q2 = (vec[:, k] @ (A @ vec[:, k]) for k in (0, -1))
     mu = (q2 * lam[0] - q1 * lam[-1]) / (q2 - q1)
     d = dispersion(spec, omega)
@@ -495,7 +495,7 @@ def test_eigenmode_is_null_vector_of_admittance(model, tau):
     spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, tau, 21)
     mode = eigenmode_nearest(g, spec, spec.omega0, pert=pert)
-    a = assemble_admittance(g, spec, mode.omega, pert=pert)
+    a = assemble_admittance(admittance_families(g, spec, pert), mode.omega)
     residual = np.linalg.norm(a @ mode.vector) \
         / (spla.norm(a, 1) * np.linalg.norm(mode.vector))
     assert residual < 1e-12
@@ -514,8 +514,8 @@ def test_driven_single_site():
     spec = CircuitSpec("I", L, C, 0.5)
     omega = 1e6
     field = driven_response(g, spec, omega, ((1, 1), 1.0))
-    z_link = link_impedance(spec, omega)
-    z_c = ground_impedance(spec, omega)
+    z_link = 1.0 / unit_admittances(spec, omega)[0]
+    z_c = 1.0 / unit_admittances(spec, omega)[1]
     expected = 1.0 / (4.0 / z_link + 1.0 / z_c)
     assert field.values[1, 1] == pytest.approx(expected)
 
@@ -525,7 +525,7 @@ def test_driven_satisfies_kirchhoff_rows():
     spec = CircuitSpec("I", L, C, 0.3)
     omega = 1.1e6
     field = driven_response(g, spec, omega, ((4, 5), 1.0))
-    a = assemble_admittance(g, spec, omega)
+    a = assemble_admittance(admittance_families(g, spec), omega)
     x = field.values[g.stencil.unknown]
     rhs = np.zeros(len(x), dtype=complex)
     rhs[g.stencil.index[4, 5]] = -1.0
@@ -571,7 +571,7 @@ def test_hermitian_floor_below_smallest_singular_value(geometry, model):
             spec = CircuitSpec(model, L, C, r)
             families = admittance_families(g, spec, pert)
             for omega in (resonance, spec.omega0, 1.7 * spec.omega0):
-                a = assemble_admittance(g, spec, omega, families=families)
+                a = assemble_admittance(families, omega)
                 sv = np.linalg.svd(a.toarray(), compute_uv=False)
                 # a dense SVD is accurate to a few eps * sigma_max
                 assert 0.0 < families.floor(families.units(omega)) \
@@ -620,7 +620,7 @@ def test_factorization_inverse_and_its_adjoint():
     g = rasterize_rectangle(5, 4, 0.1)
     spec = CircuitSpec("II", L, C, 0.3)
     pert = sample_perturbation(g, 0.02, 5)
-    A = assemble_admittance(g, spec, 2.0e6, pert=pert)
+    A = assemble_admittance(admittance_families(g, spec, pert), 2.0e6)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     inverse = solve.Factorization(A).inverse
@@ -644,8 +644,8 @@ def test_factorization_keeps_the_default_panels_fill_and_pivots(
     eigenmode_nearest(square, CircuitSpec("I", L, C, 0.0), 1.722e6,
                       pert=sample_perturbation(square, 0.03, 2))
     stadium = rasterize_quarter_stadium(0.02)
-    driven = assemble_admittance(stadium, CircuitSpec("I", L, C, 0.3),
-                                 861100.0)
+    driven = assemble_admittance(
+        admittance_families(stadium, CircuitSpec("I", L, C, 0.3)), 861100.0)
     rng = np.random.default_rng(1)
     for A in (driven, shifts[0]):
         lu = solve.Factorization(A).lu
@@ -731,7 +731,7 @@ def test_unpivoted_factor_meets_residual_with_little_fill(
     pert = sample_perturbation(g, tau, 3)
     source = (tuple(g.interior_sites[len(g.interior_sites) // 3]), 1.0)
     field = driven_response(g, spec, omega, source, pert=pert)
-    a = assemble_admittance(g, spec, omega, pert=pert)
+    a = assemble_admittance(admittance_families(g, spec, pert), omega)
     x = field.values[g.stencil.unknown]
     b = np.zeros(len(x), dtype=complex)
     b[g.stencil.index[source[0]]] = -1.0
@@ -1027,7 +1027,8 @@ def test_krylov_space_that_closes_is_exact():
         assert basis.closed and basis.m == 3
         for omega in np.linspace(*band, 5):
             (x,) = basis.solve(omega, 0)
-            A = assemble_admittance(g, spec, omega).toarray()
+            A = assemble_admittance(admittance_families(g, spec),
+                                    omega).toarray()
             want = np.linalg.solve(A, [-1.0, 0.0, 0.0, 0.0])
             assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
         peaks = resonance_sweep(g, spec, band, 9, source)
