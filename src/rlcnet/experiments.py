@@ -343,7 +343,7 @@ def ensemble_average(geometry: GridGeometry, spec: CircuitSpec,
     the unperturbed network, solved in this process.  Each realization
     then perturbs the components, recomputes the lossless mode nearest
     omega_target and histograms its standardized amplitudes on the shared
-    bin edges.  Every pencil shift has the Dirichlet stencil's pattern, so
+    bin edges.  Every pencil shift has the geometry's stencil pattern, so
     the baseline and every realization factor on one minimum-degree
     `Ordering`, which the baseline's factorization fills.  The
     realizations run on min(threads, n_realizations) worker processes,

@@ -119,15 +119,6 @@ class GridGeometry:
             unknown = unknown | self.boundary
         return lattice_stencil(self, unknown)
 
-    @cached_property
-    def dirichlet_stencil(self) -> "LatticeStencil":
-        """Stencil over the interior sites with grounded walls, which the
-        eigen pencils use whatever the boundary tag; the same object as
-        `stencil` under Dirichlet walls."""
-        if self.bc.kind == DIRICHLET:
-            return self.stencil
-        return lattice_stencil(self, self.interior)
-
 
 @dataclass(frozen=True)
 class LatticeStencil:

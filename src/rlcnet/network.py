@@ -245,15 +245,14 @@ class AdmittanceFamilies:
 
 
 def admittance_families(geometry: GridGeometry, spec: CircuitSpec,
-                        pert: Perturbation | None = None,
-                        stencil: LatticeStencil | None = None
+                        pert: Perturbation | None = None
                         ) -> AdmittanceFamilies:
-    """The element families of the network over `stencil`'s unknowns (the
-    geometry's driven stencil by default).  Walls that are unknowns there
-    carry the Neumann capacitor or the mixed resistive inductor at unit
-    multiplier; a Dirichlet wall site is grounded and has no shunt.
-    `pert` None means unit multipliers."""
-    stencil = geometry.stencil if stencil is None else stencil
+    """The element families of the network over the unknowns of the
+    geometry's stencil.  Walls that are unknowns there carry the Neumann
+    capacitor or the mixed resistive inductor at unit multiplier; a
+    Dirichlet wall site is grounded and has no shunt.  `pert` None means
+    unit multipliers."""
+    stencil = geometry.stencil
     unknown = stencil.unknown
     if pert is None:
         pert = Perturbation(*np.ones((3, *unknown.shape)))

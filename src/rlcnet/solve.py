@@ -174,34 +174,20 @@ class Ordering:
 
     perm = None
 
-    def reserve(self, A):
-        """Keep the pattern of CSC A and allocate the arrays that `record`
-        fills.  A `Factorization` calls it before it factors: allocated
-        after the factor, the arrays would sit above it in the allocator's
-        heap and keep its freed memory resident (4 MB of the peak memory
-        of the 100-realization 99x99 ensemble)."""
-        n, nnz = A.shape[0], len(A.indices)
-        self.pattern = (A.shape, A.indptr.copy(), A.indices.copy())
-        self.gather = np.empty(nnz, dtype=np.intp)
-        self.indices = np.empty(nnz, dtype=A.indices.dtype)
-        self.indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
-        self.order = np.empty(n, dtype=np.intp)
-        self._perm = np.empty(n, dtype=np.intp)
-
-    def record(self, perm):
-        """Fill the ordering from its factor's column permutation."""
+    def record(self, A, perm):
+        """Fill the ordering from CSC A and its factor's column permutation."""
         # a copy: SuperLU's perm_c is a view that keeps its whole factor alive
-        self._perm[:] = perm
-        perm = self._perm
-        _, indptr, indices = self.pattern
-        rows = perm[indices]
-        cols = perm[np.repeat(np.arange(len(perm)), np.diff(indptr))]
+        perm = np.array(perm, dtype=np.intp)
+        self.pattern = (A.shape, A.indptr.copy(), A.indices.copy())
+        rows = perm[A.indices]
+        cols = perm[np.repeat(np.arange(len(perm)), np.diff(A.indptr))]
         # P A P^T in CSC: by column, then by row within a column
-        self.gather[:] = np.lexsort((rows, cols))
-        np.take(rows, self.gather, out=self.indices)
+        self.gather = np.lexsort((rows, cols))
+        self.indices = rows[self.gather].astype(A.indices.dtype)
+        self.indptr = np.zeros(len(perm) + 1, dtype=A.indptr.dtype)
         np.cumsum(np.bincount(cols, minlength=len(perm)), out=self.indptr[1:])
         # p^-1: row k of P A P^T is row order[k] of A
-        self.order[:] = np.argsort(perm)
+        self.order = np.argsort(perm)
         self.perm = perm
 
     def permute(self, A):
@@ -257,8 +243,6 @@ class Factorization:
         A = A.tocsc()
         record = ordering is not None and ordering.perm is None
         reuse = ordering is not None and not record
-        if record:
-            ordering.reserve(A)
         factored = ordering.permute(A) if reuse else A
         try:
             self.lu = lu = spla.splu(
@@ -268,7 +252,7 @@ class Factorization:
         except RuntimeError as exc:
             raise SingularSystemError(f"factorization failed: {exc}") from exc
         if record:
-            ordering.record(lu.perm_c)
+            ordering.record(A, lu.perm_c)
         if reuse:
             order, perm = ordering.order, ordering.perm
 
@@ -381,15 +365,21 @@ def _pencil(geometry: GridGeometry, spec: CircuitSpec, pert):
     """The pencil K v = lam M v of every eigen solve: the link and shunt
     families over the interior sites, K = G_link = B^T diag(w) B and M =
     G_shunt = diag(w), w = 1/m for inductors and m for capacitors.  A =
-    -(y_L K + y_S M) is singular where lam = -y_S / y_L = a0^2 k^2."""
-    return admittance_families(geometry, spec, pert,
-                               geometry.dirichlet_stencil)
+    -(y_L K + y_S M) is singular where lam = -y_S / y_L = a0^2 k^2.  Only
+    Dirichlet walls make A that pencil: Neumann and mixed walls add
+    unknowns and wall elements that it does not hold, so a geometry with
+    them raises ValueError."""
+    if geometry.bc.kind != DIRICHLET:
+        raise ValueError("eigen solves model Dirichlet walls only, not "
+                         f"{geometry.bc.kind!r} walls")
+    return admittance_families(geometry, spec, pert)
 
 
 def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
                         n_modes: int,
                         pert: Perturbation | None = None) -> list[Mode]:
-    """The n_modes lowest-lam lossless resonances of the realization `pert`.
+    """The n_modes lowest-lam lossless resonances of the realization `pert`,
+    under Dirichlet walls only (ValueError otherwise, `_pencil`).
 
     Shift-invert Lanczos at sigma = 0 on the pencil (`_pencil`), whose
     shift K - 0 M holds the bits of K, serves requests of at most n / 10
@@ -427,11 +417,12 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
                       omega_target: float,
                       pert: Perturbation | None = None,
                       ordering: Ordering | None = None) -> Mode:
-    """Lossless eigenmode nearest omega_target in the realization `pert`.
+    """Lossless eigenmode nearest omega_target in the realization `pert`,
+    under Dirichlet walls only (ValueError otherwise, `_pencil`).
 
     The shift sigma is the lossless `dispersion` at the target.  K -
     sigma M is the pencil's (`_pencil`) operator at y = (-1, sigma) on
-    the Dirichlet stencil's fixed pattern, and one `Factorization` of it,
+    the geometry's fixed stencil pattern, and one `Factorization` of it,
     on `ordering` when one is given, drives shift-invert Lanczos in
     standard form (`_eigsh_near`) from ones(n) in pencil coordinates.
     In an exactly degenerate eigenspace the vector is the Ritz vector
@@ -619,16 +610,16 @@ class _ShiftedKrylov:
 
     Arnoldi with two passes of classical Gram-Schmidt builds S Q_m =
     Q_m H_m + h q e_m^T on one `Factorization` of the assembled A_c, its
-    A'_c q taken from the families at y'(omega_c) with no A'_c formed,
-    into a basis preallocated for KRYLOV_CAP vectors and grown
-    KRYLOV_BLOCK at a time when an evaluation needs it.  An evaluation
-    solves the m x m (alpha I + beta H_m) c = ||r0|| e1 and its omega
-    derivatives, and assembles nothing: the families, held for the
-    window, give its condition bound (`_condition`) in O(n), and it is
-    served only when that bound settles the check and each field meets
-    the residual contract with `driven_solver`'s right-hand sides, A^(k)
-    x taken as -(y_L^(k) G_link x + y_S^(k) diag(G_shunt) x).  A space
-    that closes (h = 0, an invariant space) is exact and grows no
+    A'_c q the families' `AdmittanceFamilies.operator` at y'(omega_c)
+    with no A'_c formed, into a basis preallocated for KRYLOV_CAP vectors
+    and grown KRYLOV_BLOCK at a time when an evaluation needs it.  An
+    evaluation solves the m x m (alpha I + beta H_m) c = ||r0|| e1 and
+    its omega derivatives, and assembles nothing: the families, held for
+    the window, give its condition bound (`_condition`) in O(n), and it
+    is served only when that bound settles the check and each field
+    meets the residual contract with `driven_solver`'s right-hand sides,
+    A^(k) x taken as -(y_L^(k) G_link x + y_S^(k) diag(G_shunt) x).  A
+    space that closes (h = 0, an invariant space) is exact and grows no
     further.
     """
 
@@ -641,8 +632,6 @@ class _ShiftedKrylov:
         self.units = np.array([families.units(omega_c, k)
                                for k in (0, 1)]).T
         n = len(self.b)
-        # the shunts of A'_c, taken once for every Arnoldi product
-        self.shunts = families.shunts(self.units[:, 1])
         size = min(KRYLOV_CAP, n)
         # one basis vector per row, so the rows in use are contiguous
         self.Q = np.empty((size + 1, n), dtype=complex)
@@ -655,15 +644,16 @@ class _ShiftedKrylov:
         self._grow()
 
     def _grow(self) -> bool:
-        """Add up to KRYLOV_BLOCK Arnoldi vectors; False when the basis is
-        at its cap or its space has closed."""
+        """Add up to KRYLOV_BLOCK Arnoldi vectors, each step's A'_c q_j
+        from `AdmittanceFamilies.operator`; False when the basis is at its
+        cap or its space has closed."""
         stop = min(self.m + KRYLOV_BLOCK, self.H.shape[1])
         if self.closed or self.m == stop:
             return False
         Q, H = self.Q, self.H
         for j in range(self.m, stop):
-            # row j + 1 is free until w / norm fills it
-            w = self.apply(self._derivative_product(Q[j], Q[j + 1]))
+            product = self.families.operator([self.units[:, 1]], [Q[j]])
+            w = self.apply(product(0, 0))
             scale = np.linalg.norm(w)
             for _ in range(2):
                 h = (Q[:j + 1] @ w.conj()).conj()
@@ -678,20 +668,6 @@ class _ShiftedKrylov:
                 break
             Q[j + 1] = w / norm
         return True
-
-    def _derivative_product(self, x, scratch):
-        """A'_c x, bit for bit as `AdmittanceFamilies.operator` computes
-        it, -(y'_0 G_0 x + shunts' x), with the shunts taken once per basis
-        and every product after G_0 x written into G_0 x's own array or
-        into `scratch`, an n-vector that it overwrites, so that no other
-        temporary is allocated: 0.33 -> 0.26 ms at 17,650 unknowns,
-        against 0.16 ms for the one-pass product with an assembled complex
-        A'_c, which is not formed."""
-        product = self.families.link_product(x)
-        np.multiply(self.units[0, 1], product, out=product)
-        np.multiply(self.shunts, x, out=scratch)
-        np.add(product, scratch, out=product)
-        return np.negative(product, out=product)
 
     def solve(self, omega: float, order: int):
         """[V, dV/domega, ...] up to `order` over the unknowns, or None

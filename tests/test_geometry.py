@@ -180,14 +180,10 @@ def test_area_positive():
 def test_geometry_builds_its_stencil_once(stencil_builds):
     g = rasterize_rectangle(6, 5, 0.1)
     assert g.stencil is g.stencil
-    assert g.dirichlet_stencil is g.stencil
     assert len(stencil_builds) == 1
     # a tagged copy is a new geometry with its own unknowns and stencil
     gn = tag_boundary(g, BCKind("neumann"))
     assert gn.stencil.n == g.n_interior + np.count_nonzero(g.boundary)
     assert stencil_builds == [g, gn]
-    # its eigen pencils keep to the interior sites
-    assert np.array_equal(gn.dirichlet_stencil.indices, g.stencil.indices)
-    assert stencil_builds == [g, gn, gn]
     with pytest.raises(ValueError):
         g.stencil.ends[0, 0] = 0   # every matrix on the stencil shares it

@@ -245,7 +245,7 @@ def test_one_factorization_per_sparse_eigen_call(monkeypatch):
 def _family_weights(g, model, pert):
     """The link and interior shunt families' weights over the interior
     sites: 1/m for an inductor, m for a capacitor (links in link order)."""
-    st = g.dirichlet_stencil
+    st = g.stencil
     link = np.concatenate((pert.link_x[st.mask_x], pert.link_y[st.mask_y]))
     site = pert.site[g.interior]
     return (1.0 / link, site) if model == "I" else (link, 1.0 / site)
@@ -374,25 +374,34 @@ def test_dense_spectrum_pairs_that_miss_the_contract_raise(perturb_eigh,
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "rim"])
+@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed", "rim"])
 def test_eigen_operators_bitwise_equal_incidence_product(
         walls, model, tau, monkeypatch, incidence, bits_equal):
     # the family pencil K = G_link, M = G_shunt, the K - sigma M that
-    # eigenmode_nearest forms on the interior stencil and factors, and the
+    # eigenmode_nearest forms on the geometry's stencil and factors, and the
     # shift at sigma = 0 that the spectrum factors, which holds K's bits,
-    # against the sparse products; the eigen path spans the interior sites
-    # under any wall tag, and sigma is the lossless dispersion's lam
+    # against the sparse products, sigma being the lossless dispersion's
+    # lam; the eigen path spans the interior sites and refuses Neumann and
+    # mixed walls, whose extra unknowns and wall elements the pencil does
+    # not hold
     if walls == "rim":
         g = GridGeometry(spacing=0.05, nx=6, ny=6,
                          interior=np.ones((6, 6), bool),
                          boundary=np.zeros((6, 6), bool), bc=BCKind())
     else:
         g = rasterize_rectangle(10, 7, 0.05)
-        if walls == "neumann":
-            g = tag_boundary(g, BCKind("neumann"))
-    B = incidence(g, g.interior)
     spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, tau, 8)
+    factored = _count_factorizations(monkeypatch)
+    if walls in ("neumann", "mixed"):
+        g = tag_boundary(g, BCKind(walls, 0.5, 1e-4))
+        with pytest.raises(ValueError, match=walls):
+            eigenmode_nearest(g, spec, 1.0e6, pert=pert)
+        with pytest.raises(ValueError, match=walls):
+            eigenmodes_lossless(g, spec, 3, pert=pert)
+        assert factored == []
+        return
+    B = incidence(g, g.interior)
     seen = []
     eigsh_near = solve._eigsh_near
 
@@ -401,13 +410,12 @@ def test_eigen_operators_bitwise_equal_incidence_product(
         return eigsh_near(families, k, sigma, ordering)
 
     monkeypatch.setattr(solve, "_eigsh_near", spy)
-    factored = _count_factorizations(monkeypatch)
     eigenmode_nearest(g, spec, 1.0e6, pert=pert)
     eigenmodes_lossless(g, spec, 3, pert=pert)
     w_link, w_site = _family_weights(g, model, pert)
     K = B.T @ sp.diags(w_link) @ B
     M = sp.diags(w_site, format="csc")
-    families = admittance_families(g, spec, pert, g.dirichlet_stencil)
+    families = admittance_families(g, spec, pert)
     assert bits_equal(families.link_matrix, K)
     (nearest, sigma), (pencil, zero) = seen
     shifted, spectrum = factored
@@ -667,8 +675,7 @@ def _pencil_shift(geometry, seed):
     realization of `geometry`, model I, at omega = 1.722e6."""
     spec = CircuitSpec("I", L, C, 0.0)
     families = admittance_families(geometry, spec,
-                                   sample_perturbation(geometry, 0.03, seed),
-                                   geometry.dirichlet_stencil)
+                                   sample_perturbation(geometry, 0.03, seed))
     return families.matrix(np.array([-1.0, dispersion(spec, 1.722e6).real]))
 
 
@@ -703,6 +710,21 @@ def test_factorization_on_a_reused_ordering(monkeypatch):
         with pytest.raises(ValueError):
             solve.Factorization(_pencil_shift(other, 2), ordering)
     assert calls == []
+
+
+def test_ordering_holds_no_view_of_its_factor():
+    # SuperLU's perm_c is a view whose base is the factor, so an ordering
+    # that kept it would keep the whole factor alive (SuperLU objects take
+    # no weak reference, hence the check on .base)
+    ordering = solve.Ordering()
+    shift = _pencil_shift(rasterize_rectangle(20, 20, 0.05), 2)
+    lu = solve.Factorization(shift, ordering).lu
+    assert lu.perm_c.base is lu
+    held = [a for value in vars(ordering).values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+    assert len(held) == 7
+    assert not any(a.base is lu for a in held)
 
 
 def test_driven_lossless_on_rectangle_modes_rejected():
@@ -998,22 +1020,6 @@ def test_krylov_fields_meet_the_residual_contract():
     assert basis.m < g.n_interior
 
 
-def test_krylov_step_product_is_the_family_operator():
-    # the Arnoldi step's A'_c x, computed in place and in a scratch
-    # vector, holds the bits of the families' operator at y'(omega_c)
-    g = rasterize_rectangle(12, 9, 0.05)
-    spec = CircuitSpec("II", L, C, 0.3)
-    pert = sample_perturbation(g, 0.03, 7)
-    basis = solve._window_basis(g, spec, (1.0e6, 1.1e6), pert, ((4, 5), 1.0))
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        x = rng.standard_normal(g.n_interior) \
-            + 1j * rng.standard_normal(g.n_interior)
-        want = basis.families.operator([basis.units[:, 1]], [x])(0, 0)
-        got = basis._derivative_product(x, np.empty_like(x))
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 def test_krylov_space_that_closes_is_exact():
     # the 2x2 Laplacian has eigenvalues 2, 4, 4, 6; a corner source meets
     # one vector of the degenerate pair, so the space closes at m = 3 < n
@@ -1070,9 +1076,10 @@ def test_sweep_without_a_hermitian_floor_solves_directly(walls, monkeypatch):
     # third element family.  No basis is built, and each evaluation is one
     # driven_response call with one assembly and one factorization, the
     # last Newton evaluation giving each peak's value
-    g = tag_boundary(rasterize_rectangle(6, 4, 0.1), walls)
+    rectangle = rasterize_rectangle(6, 4, 0.1)
+    g = tag_boundary(rectangle, walls)
     spec = CircuitSpec("I", L, C, 0.05)
-    modes = eigenmodes_lossless(g, CircuitSpec("I", L, C, 0.0), 3)
+    modes = eigenmodes_lossless(rectangle, CircuitSpec("I", L, C, 0.0), 3)
     args = (g, spec, (modes[0].omega * 0.97, modes[1].omega * 1.03), 9,
             ((2, 2), 1.0))
     want = _direct_sweep(monkeypatch, *args)
