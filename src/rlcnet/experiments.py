@@ -210,6 +210,9 @@ class ExperimentConfig:
                 raise ConfigError("n_seeds: must be >= 1")
             if self.max_steps < 1:
                 raise ConfigError("max_steps: must be >= 1")
+            # a ring of radius 0 puts every seed on the source site
+            if self.seed_radius <= 0.0:
+                raise ConfigError("seed_radius: must be positive")
 
     def build_geometry(self) -> GridGeometry:
         if self.geometry == "rectangle":

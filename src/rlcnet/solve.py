@@ -29,9 +29,10 @@ RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
 # a sweep's shifted Krylov basis grows by KRYLOV_BLOCK vectors at a time, up
 # to KRYLOV_CAP; an evaluation it cannot serve there factors its own matrix.
-# On the a0 = 0.01 quarter stadium (17,650 unknowns) 40 vectors took 0.23 s,
-# 3.5 factorizations, and 11 MB, below the factor's own 14.5 MB; a window
-# of +-2.4% around 860,000 rad/s needed 38 of them, one of +-0.5% 18-19
+# On the a0 = 0.01 quarter stadium (17,650 unknowns) 40 vectors took
+# 0.20-0.22 s with the factorization, about 5 factorizations of 38-47 ms,
+# and 11.6 MB, below the factor's own 13.6 MB; a window of +-2.4% around
+# 860,000 rad/s (21 points) needed all 40 of them, one of +-0.5% (9) 20
 KRYLOV_BLOCK = 10
 KRYLOV_CAP = 40
 
@@ -596,31 +597,33 @@ def _newton_peak(response, omegas, f, slopes, tol: float):
 class _ShiftedKrylov:
     """One Krylov space that serves the driven solves of a sweep window.
 
-    Under Dirichlet walls the network has two element families,
-    A(omega) = -(y_L G_link + y_S G_shunt) with G_link and G_shunt real
-    and fixed (`admittance_families`), so every A(omega) and its omega
-    derivatives are combinations alpha A_c + beta A'_c of A_c = A(omega_c)
-    and A'_c = dA/domega(omega_c); alpha^(k) and beta^(k) solve a 2x2
-    system on the unit admittances and their derivatives.
-    A(omega) = A_c (alpha I + beta S) with S = A_c^-1 A'_c, so V = A^-1 b
-    and its derivatives lie in K_m(S, r0), r0 = A_c^-1 b, for every omega
-    at once (shifted systems: Frommer and Glaessner, SIAM J. Sci. Comput.
-    19 (1998) 15; Pade via Lanczos: Feldmann and Freund, IEEE Trans. CAD
-    14 (1995) 639).
+    Under Dirichlet walls A(omega) = -(y_L K + y_S M) on the pencil K v =
+    lam M v of the element families (`_pencil`), M = diag(w), so A_c =
+    A(omega_c) = -y_L(omega_c) (K - mu_c M) is the pencil shifted at the
+    complex mu_c = `dispersion`(omega_c), and every A(omega) and its omega
+    derivatives are alpha A_c + beta M, with alpha^(k) = y_L^(k)(omega) /
+    y_L(omega_c) and beta^(k) = y_L^(k)(omega) y_S(omega_c) / y_L(omega_c)
+    - y_S^(k)(omega).  In the M-scaled coordinates of `_eigsh_near`, r =
+    sqrt(w), u = r V and T u = r A_c^-1 (r u), the pencil shift-inverted
+    at mu_c, A V = b reads (alpha I + beta T) u = u0, u0 = r A_c^-1 b, so u
+    and its derivatives lie in K_m(T, u0) for every omega at once (shifted
+    systems: Frommer and Glaessner, SIAM J. Sci. Comput. 19 (1998) 15;
+    Pade via Lanczos: Feldmann and Freund, IEEE Trans. CAD 14 (1995) 639).
+    The Galerkin projection onto it is in the w-weighted inner product on
+    V; at unit weights that is the Euclidean one.
 
-    Arnoldi with two passes of classical Gram-Schmidt builds S Q_m =
-    Q_m H_m + h q e_m^T on one `Factorization` of the assembled A_c, its
-    A'_c q the families' `AdmittanceFamilies.operator` at y'(omega_c)
-    with no A'_c formed, into a basis preallocated for KRYLOV_CAP vectors
-    and grown KRYLOV_BLOCK at a time when an evaluation needs it.  An
-    evaluation solves the m x m (alpha I + beta H_m) c = ||r0|| e1 and
-    its omega derivatives, and assembles nothing: the families, held for
-    the window, give its condition bound (`_condition`) in O(n), and it
-    is served only when that bound settles the check and each field
-    meets the residual contract with `driven_solver`'s right-hand sides,
-    A^(k) x taken as -(y_L^(k) G_link x + y_S^(k) diag(G_shunt) x).  A
-    space that closes (h = 0, an invariant space) is exact and grows no
-    further.
+    Arnoldi with two passes of classical Gram-Schmidt builds T Q_m = Q_m
+    H_m + h q e_m^T, each step one solve on one `Factorization` of the
+    assembled A_c and two scalings by r, into a basis preallocated for
+    KRYLOV_CAP vectors and grown KRYLOV_BLOCK at a time when an
+    evaluation needs it.  An evaluation solves the m x m (alpha I + beta
+    H_m) c = ||u0|| e1 and its omega derivatives, returns the fields (c^T
+    Q_m) / r, and assembles nothing: the families, held for the window,
+    give its condition bound (`_condition`) in O(n), and it is served only
+    when that bound settles the check and each field meets the residual
+    contract with `driven_solver`'s right-hand sides, A^(k) x taken from
+    `AdmittanceFamilies.operator`.  A space that closes (h = 0, an
+    invariant space) is exact and grows no further.
     """
 
     def __init__(self, geometry: GridGeometry, families: AdmittanceFamilies,
@@ -628,32 +631,29 @@ class _ShiftedKrylov:
         self.families = families
         self.b = _source_vector(geometry, source)
         self.apply = Factorization(center).apply
-        # columns: the two families' y at omega_c and their derivatives
-        self.units = np.array([families.units(omega_c, k)
-                               for k in (0, 1)]).T
+        self.r = np.sqrt(families.shunt_weight)
+        self.y_c = families.units(omega_c)
         n = len(self.b)
         size = min(KRYLOV_CAP, n)
         # one basis vector per row, so the rows in use are contiguous
         self.Q = np.empty((size + 1, n), dtype=complex)
         self.H = np.zeros((size + 1, size), dtype=complex)
-        r0 = self.apply(self.b)
-        self.beta0 = np.linalg.norm(r0)
-        self.Q[0] = r0 / self.beta0
+        u0 = self.r * self.apply(self.b)
+        self.beta0 = np.linalg.norm(u0)
+        self.Q[0] = u0 / self.beta0
         self.m = 0
         self.closed = False
         self._grow()
 
     def _grow(self) -> bool:
-        """Add up to KRYLOV_BLOCK Arnoldi vectors, each step's A'_c q_j
-        from `AdmittanceFamilies.operator`; False when the basis is at its
-        cap or its space has closed."""
+        """Add up to KRYLOV_BLOCK Arnoldi vectors, each step r A_c^-1 (r
+        q_j); False when the basis is at its cap or its space has closed."""
         stop = min(self.m + KRYLOV_BLOCK, self.H.shape[1])
         if self.closed or self.m == stop:
             return False
-        Q, H = self.Q, self.H
+        Q, H, r = self.Q, self.H, self.r
         for j in range(self.m, stop):
-            product = self.families.operator([self.units[:, 1]], [Q[j]])
-            w = self.apply(product(0, 0))
+            w = r * self.apply(r * Q[j])
             scale = np.linalg.norm(w)
             for _ in range(2):
                 h = (Q[:j + 1] @ w.conj()).conj()
@@ -670,15 +670,17 @@ class _ShiftedKrylov:
         return True
 
     def solve(self, omega: float, order: int):
-        """[V, dV/domega, ...] up to `order` over the unknowns, or None
+        """[V, dV/domega, ...] up to `order` over the unknowns, from the
+        projected pencils alpha^(k) I + beta^(k) H_m at omega, or None
         when the basis cannot serve omega: the bound does not settle the
         condition check, or the residual contract fails at the cap."""
         families = self.families
         ys = [families.units(omega, k) for k in range(order + 1)]
         if _condition(families, ys[0]) > COND_LIMIT:
             return None
-        # row k: (alpha^(k), beta^(k)) of A^(k)(omega) = alpha A_c + beta A'_c
-        coef = np.linalg.solve(self.units, np.array(ys).T).T
+        # row k: (alpha^(k), beta^(k)) of A^(k)(omega) = alpha A_c + beta M
+        y_l, y_s = self.y_c
+        coef = [(y[0] / y_l, y[0] * y_s / y_l - y[1]) for y in ys]
         while True:
             xs = self._project(coef)
             if xs is not None and self._meets_contract(ys, xs):
@@ -687,9 +689,9 @@ class _ShiftedKrylov:
                 return None
 
     def _project(self, coef):
-        """Basis fields from the m x m solves of (alpha I + beta H_m) c =
-        ||r0|| e1 and of its omega derivatives; None where that matrix is
-        exactly singular."""
+        """Fields (c^T Q_m) / r from the m x m solves of (alpha I + beta
+        H_m) c = ||u0|| e1 and of its omega derivatives; None where that
+        matrix is exactly singular."""
         m = self.m
         pencils = [a * np.eye(m) + b * self.H[:m, :m] for a, b in coef]
         rhs = np.zeros(m, dtype=complex)
@@ -702,7 +704,7 @@ class _ShiftedKrylov:
                 cs.append(np.linalg.solve(pencils[0], rhs))
         except np.linalg.LinAlgError:
             return None
-        return [c @ self.Q[:m] for c in cs]
+        return [c @ self.Q[:m] / self.r for c in cs]
 
     def _meets_contract(self, ys, xs) -> bool:
         """True when every field meets the residual contract on the
@@ -720,7 +722,8 @@ class _ShiftedKrylov:
 def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                   pert: Perturbation | None, source):
     """The `_ShiftedKrylov` basis of a sweep window on the assembled A at
-    its centre, or None where it could serve no evaluation: Neumann and
+    its centre, the pencil (`_pencil`) shifted at the complex dispersion
+    there, or None where it could serve no evaluation: Neumann and
     mixed unknowns have no positive `AdmittanceFamilies.floor`, so the
     bound never settles their condition check (mixed walls also add a
     third element family), and a window whose centre has none assembles
@@ -747,16 +750,17 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     (`_newton_peak`), until a step is below half of rel_tol * omega, so
     rel_tol must be positive (ValueError otherwise).  Each evaluation
     gives V and dV/domega, and d2V/domega2 for a Newton step.  Under
-    Dirichlet walls they come from one shifted Krylov basis of the window
-    (`_ShiftedKrylov`), on one factorization at the window centre, with
-    each field checked against the residual contract on the element
-    families, and the centre is the sweep's only assembly; an
-    evaluation the basis cannot serve (Neumann or mixed walls, whose
-    condition check needs an estimate, or the contract unmet at the cap)
-    is one `driven_response` call: one factorization.  Returns a list of
-    (omega_peak, response_norm_sq) in ascending omega, the value being
-    |V|^2 of the field that the last Newton evaluation computed at
-    omega_peak, which has met the residual contract.
+    Dirichlet walls they come from one Krylov basis of the billiard
+    pencil shift-inverted at the window centre's complex dispersion
+    (`_ShiftedKrylov`), on one factorization of A there, with each field
+    checked against the residual contract on the element families, and
+    the centre is the sweep's only assembly; an evaluation the basis
+    cannot serve (Neumann or mixed walls, whose condition check needs an
+    estimate, or the contract unmet at the cap) is one `driven_response`
+    call: one factorization.  Returns a list of (omega_peak,
+    response_norm_sq) in ascending omega, the value being |V|^2 of the
+    field that the last Newton evaluation computed at omega_peak, which
+    has met the residual contract.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi):

@@ -397,6 +397,8 @@ def test_cli_config_error(tmp_path, capsys):
                             ("streamlines", {"n_seeds": -3}),
                             ("streamlines", {"max_steps": 0}),
                             ("streamlines", {"max_steps": -1}),
+                            ("streamlines", {"seed_radius": 0.0}),
+                            ("streamlines", {"seed_radius": -0.05}),
                             ("oracle", {"n_samples": 0}),
                             ("oracle", {"n_samples": 500}),
                             ("oracle", {"sigma_r": 1.0, "sigma_i": 0.5,

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rlcnet import solve
+from rlcnet.experiments import centroid_site
 from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
                              rasterize_rectangle, tag_boundary)
 from rlcnet.network import (AdmittanceFamilies, CircuitSpec, admittance_families,
@@ -967,15 +968,25 @@ def test_order_0_solver_frees_the_families_before_it_factors(monkeypatch):
 
 
 def test_resonance_sweep_solve_budget(monkeypatch):
-    built = _count_factorizations(monkeypatch)
-    calls = _count_calls(monkeypatch, "driven_response")
-    g, spec, _, band = _sweep_case()
-    peaks = resonance_sweep(g, spec, band, 220, ((2, 2), 1.0))
-    assert len(peaks) == 2
     # the window's Krylov basis serves every grid and Newton evaluation on
-    # one factorization at the window centre, each peak's value included
-    assert len(built) == 1
-    assert calls == []
+    # one factorization at the window centre, each peak's value included.
+    # On the a0 = 0.01 quarter stadium at R = 0.1, 20 vectors of the
+    # pencil shift-inverted at the complex centre dispersion serve all 13
+    # evaluations; a basis shift-inverted at its real part misses the
+    # contract at the 40-vector cap there and solves 11 of them directly
+    g, spec, _, band = _sweep_case()
+    stadium = rasterize_quarter_stadium(0.01)
+    cases = ((g, spec, band, 220, ((2, 2), 1.0)),
+             (stadium, CircuitSpec("I", L, C, 0.1), (850000.0, 858000.0), 9,
+              (centroid_site(stadium), 1.0)))
+    for case in cases:
+        with monkeypatch.context() as patch:
+            built = _count_factorizations(patch)
+            calls = _count_calls(patch, "driven_response")
+            peaks = resonance_sweep(*case)
+        assert len(peaks) == 2
+        assert len(built) == 1
+        assert calls == []
 
 
 def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
@@ -990,14 +1001,17 @@ def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
     assert stencil_builds == [g]
 
 
-def test_krylov_fields_meet_the_residual_contract():
-    # model II with disorder: the link family is C m, the shunt family
-    # 1 / (m (R + i omega L)), and both still scale one fixed matrix each
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_krylov_fields_meet_the_residual_contract(model):
+    # with disorder the shunt weights are w = m (model I, capacitors) or
+    # w = 1 / m (model II, inductors), so the basis, scaled by r = sqrt(w),
+    # is not the fields' own; in model II the link family is C m and the
+    # shunt family 1 / (m (R + i omega L)), both still one fixed matrix each
     g = rasterize_rectangle(12, 9, 0.05)
-    spec = CircuitSpec("II", L, C, 0.3)
+    spec = CircuitSpec(model, L, C, 0.3)
     pert = sample_perturbation(g, 0.03, 7)
     source = ((4, 5), 1.0)
-    modes = eigenmodes_lossless(g, CircuitSpec("II", L, C, 0.0), 4)
+    modes = eigenmodes_lossless(g, CircuitSpec(model, L, C, 0.0), 4)
     band = (modes[1].omega * 0.98, modes[3].omega * 1.02)
     basis = solve._window_basis(g, spec, band, pert, source)
     for omega in np.linspace(*band, 7):
