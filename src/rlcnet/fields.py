@@ -342,8 +342,8 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
     """
     geom = field.geometry
     a0 = geom.spacing
-    if step > 0.5 * a0:
-        raise ValueError("step must be <= a0/2")
+    if not 0.0 < step <= 0.5 * a0:
+        raise ValueError("step must be > 0 and <= a0/2")
     fx, fy = active_link_flow(field, currents)
     fmax = max(np.abs(fx).max(), np.abs(fy).max())
 
@@ -371,22 +371,15 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
         return np.divide(g, mag, out=g, where=alive), alive
 
     # The arrays hold the live traces only: column c is trace live[c].  A
-    # stopped trace never restarts.  `run` collects the points every live
-    # trace took since the live set last changed; each trace's polyline is
-    # its pieces of the runs, in order.
+    # stopped trace never restarts.  Each record (live, rows) holds one row
+    # of positions per step of the live set `live`; every compaction of the
+    # arrays starts a new record, which stays empty when the next step
+    # compacts them again before taking a row.
     z = x + 1j * y
     live = np.arange(len(z))
     why = ["max_steps"] * len(z)
-    pieces = [[] for _ in live]
-    run = [z]
-
-    def close_run():
-        points = np.stack(run)
-        for c, k in enumerate(live):
-            pieces[k].append(points[:, c])
-        run.clear()
-
-    anchor = z.copy()   # updated in place; z is the run's first row
+    records = [(live, [z])]
+    anchor = z.copy()   # updated in place; z is the first record's first row
     moved_at = np.zeros(len(z), dtype=int)   # last step that moved the anchor
     for t in range(1, max_steps + 1):
         d1, a1 = direction(z)
@@ -409,13 +402,13 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
                 # a trace still flowing stops because its next point is out
                 at_boundary = flowing[c] or walled[c]
                 why[live[c]] = "boundary" if at_boundary else "cutoff"
-            close_run()   # the run holds the stopping traces' last points
             zn, anchor, moved_at, live = (a[go] for a in
                                           (zn, anchor, moved_at, live))
             if not live.size:
                 break
+            records.append((live, []))
         z = zn
-        run.append(z)
+        records[-1][1].append(z)
         moved = np.abs(z - anchor) > step
         np.copyto(anchor, z, where=moved)
         np.copyto(moved_at, t, where=moved)
@@ -423,13 +416,17 @@ def trace_streamlines(field: ComplexField, currents: CurrentField, seeds,
         if trapped.any():
             for c in np.flatnonzero(trapped):
                 why[live[c]] = "trapped"
-            close_run()
             keep = ~trapped
             z, anchor, moved_at, live = (a[keep] for a in
                                          (z, anchor, moved_at, live))
             if not live.size:
                 break
-    if live.size:   # the traces that took max_steps steps
-        close_run()
+            records.append((live, []))
+    # each trace's polyline is its column of every record, in order
+    pieces = [[] for _ in why]
+    for cols, rows in records:
+        if rows:
+            for k, points in zip(cols, np.stack(rows, axis=1)):
+                pieces[k].append(points)
     return Streamlines([np.concatenate(p).view(float).reshape(-1, 2)
                         for p in pieces], why)

@@ -45,7 +45,10 @@ def _pin_bundled_openblas():
     Threaded BLAS also sums in an order that depends on the core count,
     which leaks into the artifacts through SuperLU and numpy's dot.  Set
     once for the process; the worker processes that `ensemble_average`
-    forks inherit it.  Does nothing where neither wheel bundles OpenBLAS.
+    forks inherit it.  Each pool's idle threads are then stopped, so the
+    process forks with no other OS thread (OpenBLAS restarts a pool if a
+    caller raises the thread count again).  Does nothing where neither
+    wheel bundles OpenBLAS.
     """
     for pkg in (np, scipy):
         libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
@@ -59,6 +62,11 @@ def _pin_bundled_openblas():
                     set_threads.restype = None
                     set_threads(1)
                     break
+            shutdown = getattr(handle, "blas_thread_shutdown_", None)
+            if shutdown is not None:
+                shutdown.argtypes = []
+                shutdown.restype = ctypes.c_int
+                shutdown()
 
 
 _pin_bundled_openblas()

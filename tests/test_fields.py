@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rlcnet import fields
-from rlcnet.experiments import centroid_site
+from rlcnet.experiments import centroid_site, place_source_at_maximum
 from rlcnet.fields import (CurrentField, _tabulated_flow, active_link_flow,
                            heat_power, link_currents, nodal_vortices,
                            power_balance, probability_density,
@@ -247,6 +247,21 @@ def stadium_case():
                       a0 * source[1] + 0.1 * np.sin(ang)), axis=1)
     seeds = seeds[g.contains(*seeds.T)]
     return field, link_currents(field), seeds, a0 / 4, 2000
+
+
+def trap_then_stop_case():
+    # the stadium at tau = 0.02: trace 16 is trapped on step 312, and trace
+    # 26 leaves the billiard on the very next step
+    g = rasterize_quarter_stadium(0.02)
+    a0 = g.spacing
+    field = place_source_at_maximum(g, CircuitSpec("I", L, C, 0.3), 861100.0,
+                                    3, pert=sample_perturbation(g, 0.02, 0))
+    (si, sj), _ = field.source
+    ang = 2.0 * np.pi * np.arange(32) / 32
+    seeds = np.stack((a0 * si + 0.05 * np.cos(ang),
+                      a0 * sj + 0.05 * np.sin(ang)), axis=1)
+    seeds = seeds[g.contains(*seeds.T)]
+    return field, link_currents(field), seeds, a0 / 4, 500
 
 
 def vortex_case():
@@ -567,6 +582,8 @@ ORACLE_CASES = {
     "batch": (batch_case, {"boundary", "max_steps", "cutoff"}),
     "vortex": (vortex_case, {"trapped"}),
     "stadium": (stadium_case, {"boundary", "trapped", "max_steps"}),
+    "trap_then_stop": (trap_then_stop_case,
+                       {"boundary", "trapped", "max_steps"}),
     "rim": (rim_case, {"boundary"}),
 }
 
@@ -596,6 +613,11 @@ def test_streamline_preconditions():
     with pytest.raises(ValueError):
         trace_streamlines(field, cur, [(0.5, 0.5)], step=g.spacing,
                           max_steps=10)
+    # a step of 0 would never move, and a negative one traces backwards
+    for step in (0.0, -g.spacing / 4):
+        with pytest.raises(ValueError):
+            trace_streamlines(field, cur, [(0.5, 0.5)], step=step,
+                              max_steps=10)
     with pytest.raises(ValueError):
         trace_streamlines(field, cur, [(-1.0, -1.0)], step=g.spacing / 4,
                           max_steps=10)

@@ -1173,6 +1173,25 @@ def test_bundled_openblas_runs_one_thread():
     assert threads == dict.fromkeys(threads, 1)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_import_leaves_one_os_thread():
+    # ensemble workers are forked, and from Python 3.12 on os.fork warns in
+    # a process with other OS threads.  Two BLAS threads make each bundled
+    # OpenBLAS start a pool at load; the import must stop both pools
+    if not _bundled_openblas_threads():
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import rlcnet\n"
+            "print(*(line for line in open('/proc/self/status')\n"
+            "        if line.startswith('Threads:')), end='')")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Threads:", "1"]
+
+
 def test_drive_artifacts_independent_of_blas_threads(tmp_path):
     # threaded BLAS sums in an order set by its thread count; without the
     # pin the artifacts of both runs differ between 1 and 2 BLAS threads.
