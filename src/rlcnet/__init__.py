@@ -8,8 +8,8 @@ chaotic (Bunimovich) geometries.
 
 __version__ = "0.1.0"
 
-from .geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
-                       rasterize_rectangle, tag_boundary)
+from .geometry import (GridGeometry, rasterize_quarter_stadium,
+                       rasterize_rectangle)
 from .network import (CircuitSpec, Perturbation, assemble_admittance,
                       sample_perturbation)
 from .solve import (ComplexField, Mode, SingularSystemError, damping_length,

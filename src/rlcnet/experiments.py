@@ -20,8 +20,8 @@ from scipy.sparse.linalg import ArpackError
 from scipy.special import ndtr
 
 from . import __version__
-from .geometry import (DIRICHLET, BCKind, GridGeometry, rasterize_quarter_stadium,
-                       rasterize_rectangle, tag_boundary)
+from .geometry import (GridGeometry, rasterize_quarter_stadium,
+                       rasterize_rectangle)
 from .io import write_csv, write_json, write_pgm, write_polylines
 from .network import (MODEL_II, TOLERANCE_REACH, CircuitSpec,
                       sample_perturbation)
@@ -57,10 +57,6 @@ class ExperimentConfig:
     inductance: float = 1e-4
     capacitance: float = 1e-9
     resistance: float = 0.0
-    # boundary
-    bc: str = DIRICHLET
-    bc_shunt_resistance: float = 0.0
-    bc_shunt_inductance: float = 0.0
     # drive / sweep
     omega: float = 0.0
     omega_min: float = 0.0
@@ -186,11 +182,6 @@ class ExperimentConfig:
                 raise ConfigError("tolerance: ensemble with tau = 0 is degenerate")
             if self.n_realizations < 1:
                 raise ConfigError("n_realizations: must be >= 1")
-        if self.experiment in ("spectrum", "ensemble") and self.bc != DIRICHLET:
-            # the eigen pencils span interior unknowns only; no boundary
-            # shunt maps onto lam = a0^2 k^2 in both models
-            raise ConfigError(f"bc: {self.experiment} supports only "
-                              f"{DIRICHLET!r} walls")
         if self.experiment == "stats" and self.exclude_wavelengths < 0.0:
             raise ConfigError("exclude_wavelengths: must be >= 0")
         if self.experiment in ("ensemble", "stats", "oracle") \
@@ -216,15 +207,9 @@ class ExperimentConfig:
 
     def build_geometry(self) -> GridGeometry:
         if self.geometry == "rectangle":
-            geom = rasterize_rectangle(self.nx_interior, self.ny_interior,
+            return rasterize_rectangle(self.nx_interior, self.ny_interior,
                                        self.spacing)
-        else:
-            geom = rasterize_quarter_stadium(self.spacing)
-        if self.bc != DIRICHLET:
-            geom = tag_boundary(geom, BCKind(self.bc,
-                                             self.bc_shunt_resistance,
-                                             self.bc_shunt_inductance))
-        return geom
+        return rasterize_quarter_stadium(self.spacing)
 
     def build_spec(self) -> CircuitSpec:
         return CircuitSpec(model=self.model, inductance=self.inductance,
@@ -287,14 +272,20 @@ def _driven_field(cfg: ExperimentConfig, geometry, spec):
 
 
 def standardized_mode_histogram(mode_vector, bin_edges) -> np.ndarray:
-    """Frequencies of the sign-fixed, standardized eigenvector amplitudes."""
+    """Frequencies of the sign-fixed, standardized eigenvector amplitudes.
+
+    A constant vector has no spread to standardize by.  It is the mode
+    that a config's omega selects (on a 2x2 rectangle, say), so it raises
+    ConfigError naming omega."""
     v = np.asarray(mode_vector, dtype=float)
     k = int(np.argmax(np.abs(v)))
     if v[k] < 0.0:
         v = -v
     std = v.std()
     if std == 0.0:
-        raise ValueError("degenerate eigenvector")
+        raise ConfigError("omega: the mode nearest this omega is constant "
+                          "over the sites; its amplitudes cannot be "
+                          "standardized")
     z = (v - v.mean()) / std
     counts, _ = np.histogram(z, bins=bin_edges)
     return counts / v.size

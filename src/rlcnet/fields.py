@@ -137,8 +137,8 @@ def power_balance(field: ComplexField) -> float:
 
     P_in = Re(V_s conj(I_s)) / 2 at the field's source; the dissipation is
     one sum of Re(1/y) |I|^2 / 2 over every network element of nonzero
-    admittance y: each link, with I = y dV, and each shunt (interior cells
-    and Neumann or mixed boundary sites), with I = y V.
+    admittance y: each link, with I = y dV, and each interior site's
+    shunt, with I = y V.
     """
     geom = field.geometry
     (si, sj), amplitude = field.source
@@ -147,10 +147,10 @@ def power_balance(field: ComplexField) -> float:
     stencil = geom.stencil
     families = admittance_families(geom, field.spec, field.perturbation)
     units = families.units(field.omega)
-    # every unknown has one shunt; grounded Dirichlet sites have none
+    # every interior site has one shunt; grounded boundary sites have none
     y = np.concatenate((units[0] * families.link, families.shunts(units)))
     drop = np.concatenate((stencil.link_drops(field.values),
-                           field.values[stencil.unknown]))
+                           field.values[geom.interior]))
     p_diss = 0.5 * float(np.sum(np.real(1.0 / y) * np.abs(y * drop) ** 2))
 
     # lossless case: active power vanishes up to roundoff of the apparent

@@ -2,47 +2,21 @@
 
 Lattice sites live at (x, y) = a0 * (i, j).  A site is *interior* when its
 center falls strictly inside the continuum region; sites outside the region
-that touch an interior site through a lattice link are *boundary* sites and
-carry a boundary-condition tag.
+that touch an interior site through a lattice link are *boundary* sites.
+The network is grounded at its edge: boundary sites hold V = 0, so the
+interior sites are the unknowns and the lattice maps onto the Dirichlet
+Laplacian.
 
 Each geometry builds the symbolic stencil of its lattice links once, on
 first use (`GridGeometry.stencil`); every Kirchhoff operator on it shares
 that stencil's pattern.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
-MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class BCKind:
-    """Boundary treatment for the network edge.
-
-    ``dirichlet``: boundary sites grounded (voltage forced to zero).
-    ``neumann``:   boundary sites shunted to ground through capacitors.
-    ``mixed``:     boundary sites shunted through resistive inductors; the
-                   shunt R and L are carried here.
-    """
-
-    kind: str = DIRICHLET
-    shunt_resistance: float = 0.0
-    shunt_inductance: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (DIRICHLET, NEUMANN, MIXED):
-            raise ValueError(f"unknown boundary kind: {self.kind!r}")
-        if self.kind == MIXED:
-            if self.shunt_inductance <= 0.0:
-                raise ValueError("mixed BC requires a positive shunt inductance")
-            if self.shunt_resistance < 0.0:
-                raise ValueError("mixed BC shunt resistance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -54,7 +28,6 @@ class GridGeometry:
     ny: int
     interior: np.ndarray   # bool, shape (nx, ny)
     boundary: np.ndarray   # bool, shape (nx, ny)
-    bc: BCKind
 
     def __post_init__(self):
         if self.spacing <= 0.0:
@@ -111,29 +84,25 @@ class GridGeometry:
 
     @cached_property
     def stencil(self) -> "LatticeStencil":
-        """Stencil over the driven network's unknowns: the interior sites,
-        plus the boundary sites under Neumann or mixed walls.  Built on
-        first use and kept with the geometry."""
-        unknown = self.interior
-        if self.bc.kind != DIRICHLET:
-            unknown = unknown | self.boundary
-        return lattice_stencil(self, unknown)
+        """Stencil over the network's unknowns, the interior sites.  Built
+        on first use and kept with the geometry."""
+        return lattice_stencil(self)
 
 
 @dataclass(frozen=True)
 class LatticeStencil:
-    """Symbolic Kirchhoff operator of the lattice links over a set of
-    unknown sites.
+    """Symbolic Kirchhoff operator of the lattice links over the interior
+    sites, the unknowns.
 
     Links join (i,j)-(i+1,j) (x links) and (i,j)-(i,j+1) (y links); a link
     exists when both ends are network sites and at least one end is
     interior.  Links are numbered x links first, then y links, each in
-    row-major order of the link's lower end.  An end that is not an
-    unknown is grounded (V = 0): `ends` reads n there, and the link still
-    adds its admittance to the other end's diagonal.  `indptr` and
-    `indices` hold the sorted CSC pattern of B^T B + I, B the oriented
-    link incidence over the unknowns; `source` holds the link behind each
-    off-diagonal entry and n_links + u on the diagonal of unknown u.
+    row-major order of the link's lower end.  A boundary end is grounded
+    (V = 0): `ends` reads n there, and the link still adds its admittance
+    to the other end's diagonal.  `indptr` and `indices` hold the sorted
+    CSC pattern of B^T B + I, B the oriented link incidence over the
+    unknowns; `source` holds the link behind each off-diagonal entry and
+    n_links + u on the diagonal of unknown u.
     """
 
     mask_x: np.ndarray    # bool (nx, ny): x link at its lower end exists
@@ -152,14 +121,11 @@ class LatticeStencil:
     def n_links(self) -> int:
         return len(self.ends)
 
-    @property
-    def unknown(self) -> np.ndarray:
-        """bool (nx, ny): the unknown sites."""
-        return self.index >= 0
-
     @cached_property
     def four_links(self) -> bool:
-        """True when every unknown has four links, grounded ones counted."""
+        """True when every unknown has four links, grounded ones counted;
+        False where an interior site sits on the lattice rim, which the
+        rasterizers never make but a hand-built geometry can."""
         counts = np.bincount(self.ends.ravel(), minlength=self.n + 1)
         return bool(np.all(counts[:self.n] == 4))
 
@@ -192,17 +158,17 @@ class LatticeStencil:
         return np.concatenate(drops)
 
 
-def lattice_stencil(geometry: GridGeometry, unknown: np.ndarray) -> LatticeStencil:
-    """Stencil of the network links over the sites where `unknown` is True.
+def lattice_stencil(geometry: GridGeometry) -> LatticeStencil:
+    """Stencil of the network links over the interior sites.
 
     Its arrays are read-only: every matrix assembled on it shares them.
     """
     inter = geometry.interior
     member = inter | geometry.boundary
-    n = int(np.count_nonzero(unknown))
+    n = geometry.n_interior
     index = np.full(inter.shape, -1, dtype=np.int32)
-    index[unknown] = np.arange(n, dtype=np.int32)
-    end_of = np.where(unknown, index, np.int32(n))   # n marks a grounded end
+    index[inter] = np.arange(n, dtype=np.int32)
+    end_of = np.where(inter, index, np.int32(n))   # n marks a grounded end
     masks, ends = [], []
     for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
         mask = np.zeros_like(inter)
@@ -256,7 +222,6 @@ def rasterize_rectangle(nx_interior: int, ny_interior: int, spacing: float) -> G
     return GridGeometry(
         spacing=spacing, nx=nx, ny=ny,
         interior=interior, boundary=boundary,
-        bc=BCKind(DIRICHLET),
     )
 
 
@@ -282,10 +247,5 @@ def rasterize_quarter_stadium(spacing: float) -> GridGeometry:
     return GridGeometry(
         spacing=spacing, nx=nx, ny=ny,
         interior=interior, boundary=_boundary_from_interior(interior),
-        bc=BCKind(DIRICHLET),
     )
 
-
-def tag_boundary(geometry: GridGeometry, kind: BCKind) -> GridGeometry:
-    """Return a copy of the geometry with every boundary site tagged `kind`."""
-    return replace(geometry, bc=kind)

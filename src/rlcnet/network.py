@@ -21,7 +21,7 @@ from math import cos, factorial, pi, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import NEUMANN, MIXED, GridGeometry, LatticeStencil
+from .geometry import GridGeometry, LatticeStencil
 
 MODEL_I = "I"
 MODEL_II = "II"
@@ -146,18 +146,13 @@ class AdmittanceFamilies:
     weights that do not depend on omega, 1/m for an inductor and m for a
     capacitor of multiplier m.  Family 0 is the links, G_0 = B^T
     diag(link) B (`link_matrix`), the only family with off-diagonal
-    entries; family 1 the interior shunts; family 2, under mixed walls,
-    the wall inductors with their own R and L.  A Neumann wall capacitor
-    joins the capacitor family (0 in model II, 1 in model I).  Each
-    unknown has one shunt element, of family `shunt_family` and weight
-    `shunt_weight`, on the diagonal of that family's G_f.
+    entries; family 1 the shunts, G_1 = diag(shunt_weight): each unknown
+    has one shunt element.
     """
 
     stencil: LatticeStencil
     spec: CircuitSpec
-    wall: tuple                 # (L, R) of a mixed wall's inductor, or ()
     link: np.ndarray            # family 0's weight on each link, link order
-    shunt_family: np.ndarray    # int (n,)
     shunt_weight: np.ndarray    # (n,)
 
     @cached_property
@@ -177,12 +172,11 @@ class AdmittanceFamilies:
 
     def units(self, omega: float, order: int = 0) -> np.ndarray:
         """y_f^(order)(omega) of every family."""
-        wall = (_inductor(*self.wall, omega, order),) if self.wall else ()
-        return np.array([*unit_admittances(self.spec, omega, order), *wall])
+        return np.array(unit_admittances(self.spec, omega, order))
 
     def shunts(self, y) -> np.ndarray:
         """Each unknown's shunt admittance, given the families' y."""
-        return y[self.shunt_family] * self.shunt_weight
+        return y[1] * self.shunt_weight
 
     def matrix(self, y) -> sp.csc_matrix:
         """-sum_f y_f G_f on the stencil's pattern: A(omega) for y the
@@ -225,16 +219,16 @@ class AdmittanceFamilies:
     def floor(self, y) -> float:
         """A proven lower bound on the smallest eigenvalue of the Hermitian
         part -Re(A), hence on the smallest singular value of A, at the
-        families' y; 0 where no positive bound is known (R = 0, Neumann or
-        mixed unknowns).
+        families' y; 0 where no positive bound is known (R = 0, or an
+        unknown with fewer than four links).
 
         -Re(A) = Re(y_0) G_0 + diag(Re shunts) with Re y >= 0.  When every
-        unknown has four links (in practice with Dirichlet unknowns: a
-        Neumann or mixed boundary site links only to interior sites), none
-        sits on the lattice rim and B^T B is a principal submatrix of the
-        Dirichlet Laplacian of the (nx-2)-by-(ny-2) block inside the rim,
-        so by Cauchy interlacing its eigenvalues are at least that block's
-        lowest; G_0 >= min(link) B^T B.  0 otherwise.
+        unknown has four links, none sits on the lattice rim and B^T B is
+        a principal submatrix of the Dirichlet Laplacian of the
+        (nx-2)-by-(ny-2) block inside the rim, so by Cauchy interlacing its
+        eigenvalues are at least that block's lowest; G_0 >= min(link) B^T
+        B.  A hand-built geometry can put interior sites on the rim, where
+        B^T B is no such submatrix and the bound would not hold: 0 there.
         """
         if not self.stencil.four_links:
             return 0.0
@@ -247,32 +241,19 @@ class AdmittanceFamilies:
 def admittance_families(geometry: GridGeometry, spec: CircuitSpec,
                         pert: Perturbation | None = None
                         ) -> AdmittanceFamilies:
-    """The element families of the network over the unknowns of the
-    geometry's stencil.  Walls that are unknowns there carry the Neumann
-    capacitor or the mixed resistive inductor at unit multiplier; a
-    Dirichlet wall site is grounded and has no shunt.  `pert` None means
-    unit multipliers."""
+    """The element families of the network over the interior sites, its
+    unknowns; a boundary site is grounded and has no shunt.  The same
+    families are the pencil K v = lam M v of every eigen solve, K = G_0
+    and M = G_1.  `pert` None means unit multipliers."""
     stencil = geometry.stencil
-    unknown = stencil.unknown
     if pert is None:
-        pert = Perturbation(*np.ones((3, *unknown.shape)))
+        pert = Perturbation(*np.ones((3, geometry.nx, geometry.ny)))
     mult = np.concatenate((pert.link_x[stencil.mask_x],
                            pert.link_y[stencil.mask_y]))
-    model_i = spec.model == MODEL_I
     # an inductor weighs its element by 1/m, a capacitor by m
-    link, weight = (1.0 / mult, pert.site) if model_i \
+    link, weight = (1.0 / mult, pert.site) if spec.model == MODEL_I \
         else (mult, 1.0 / pert.site)
-    walls = unknown & geometry.boundary
-    family = np.ones(unknown.shape, dtype=np.intp)
-    bc = geometry.bc
-    if bc.kind == NEUMANN:
-        family[walls] = 1 if model_i else 0
-    wall = ()
-    if bc.kind == MIXED:
-        wall = (bc.shunt_inductance, bc.shunt_resistance)
-        family[walls] = 2
-    return AdmittanceFamilies(stencil, spec, wall, link, family[unknown],
-                              np.where(walls, 1.0, weight)[unknown])
+    return AdmittanceFamilies(stencil, spec, link, weight[geometry.interior])
 
 
 def assemble_admittance(families: AdmittanceFamilies,
@@ -280,11 +261,10 @@ def assemble_admittance(families: AdmittanceFamilies,
     """The Kirchhoff current-law matrix A of the network `families` at
     frequency omega, CSC.
 
-    For Dirichlet boundaries the unknowns are the interior sites only;
-    Neumann/mixed boundary sites enter as extra unknowns shunted through
-    the tagged element.  A = -sum_f y_f(omega) G_f over the element
-    families (`admittance_families`), formed from the families' data on
-    their stencil.  Norms, floors and omega derivatives of A come from the
+    The unknowns are the interior sites; the grounded boundary sites hold
+    V = 0.  A = -sum_f y_f(omega) G_f over the element families
+    (`admittance_families`), formed from the families' data on their
+    stencil.  Norms, floors and omega derivatives of A come from the
     families, not from a matrix.
     """
     if omega <= 0.0:

@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import DIRICHLET, GridGeometry
+from .geometry import GridGeometry
 from .network import (MODEL_I, AdmittanceFamilies, CircuitSpec, Perturbation,
                       admittance_families, assemble_admittance,
                       unit_admittances)
@@ -93,8 +93,8 @@ class Mode:
 class ComplexField:
     """Complex voltage over the lattice; the wave-function analogue.
 
-    `values` is (nx, ny) complex with zeros outside the unknown sites, so
-    Dirichlet boundaries read naturally as V = 0.
+    `values` is (nx, ny) complex with zeros outside the interior sites, so
+    the grounded boundary reads naturally as V = 0.
     """
 
     geometry: GridGeometry
@@ -112,9 +112,9 @@ class ComplexField:
 def dispersion(spec: CircuitSpec, omega: float) -> complex:
     """Complex billiard eigenvalue a0^2 k^2 that resonates at omega.
 
-    Under Dirichlet walls A(omega) = -(y_L K + y_S M), K the (weighted)
-    Laplacian, so A is singular where K v = mu v with mu = -y_S / y_L, y_L
-    and y_S the unit link and shunt admittances (`unit_admittances`).
+    A(omega) = -(y_L K + y_S M), K the (weighted) Laplacian, so A is
+    singular where K v = mu v with mu = -y_S / y_L, y_L and y_S the unit
+    link and shunt admittances (`unit_admittances`).
     Model I: mu = omega^2 L C - i omega R C; model II: mu = 1 / (omega^2 L
     C - i omega R C).
     """
@@ -299,10 +299,11 @@ class Factorization:
 
 def _eigsh_near(families: AdmittanceFamilies, k: int, sigma: float,
                 ordering: Ordering | None = None):
-    """k eigenpairs of the pencil K v = lam M v of `families` (`_pencil`)
-    nearest sigma, from one `Factorization` of the shift K - sigma M, the
-    families' matrix at y = (-1, sigma), made on `ordering` when one is
-    given.  M = diag(w), w the families' positive shunt weights.
+    """k eigenpairs of the pencil K v = lam M v of `families`
+    (`admittance_families`) nearest sigma, from one `Factorization` of the
+    shift K - sigma M, the families' matrix at y = (-1, sigma), made on
+    `ordering` when one is given.  M = diag(w), w the families' positive
+    shunt weights.
 
     With r = sqrt(w), u = r v solves the standard problem R^-1 K R^-1 u =
     lam u, whose shift-invert operator is u -> r * A^-1 (r * u) for A the
@@ -370,31 +371,17 @@ def _checked_pairs(families: AdmittanceFamilies, lam, v):
     return lam, v
 
 
-def _pencil(geometry: GridGeometry, spec: CircuitSpec, pert):
-    """The pencil K v = lam M v of every eigen solve: the link and shunt
-    families over the interior sites, K = G_link = B^T diag(w) B and M =
-    G_shunt = diag(w), w = 1/m for inductors and m for capacitors.  A =
-    -(y_L K + y_S M) is singular where lam = -y_S / y_L = a0^2 k^2.  Only
-    Dirichlet walls make A that pencil: Neumann and mixed walls add
-    unknowns and wall elements that it does not hold, so a geometry with
-    them raises ValueError."""
-    if geometry.bc.kind != DIRICHLET:
-        raise ValueError("eigen solves model Dirichlet walls only, not "
-                         f"{geometry.bc.kind!r} walls")
-    return admittance_families(geometry, spec, pert)
-
-
 def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
                         n_modes: int,
                         pert: Perturbation | None = None) -> list[Mode]:
-    """The n_modes lowest-lam lossless resonances of the realization `pert`,
-    under Dirichlet walls only (ValueError otherwise, `_pencil`).
+    """The n_modes lowest-lam lossless resonances of the realization `pert`.
 
-    Shift-invert Lanczos at sigma = 0 on the pencil (`_pencil`), whose
-    shift K - 0 M holds the bits of K, serves requests of at most n / 10
-    modes; dense `scipy.linalg.eigh` of the M^(1/2)-scaled R^-1 K R^-1, as
-    in `_eigsh_near`, serves the rest,
-    which covers every grid below 10 unknowns and n_modes = n, where
+    Shift-invert Lanczos at sigma = 0 on the pencil of the element
+    families (`admittance_families`), whose shift K - 0 M holds the bits
+    of K, serves requests of at most n / 10 modes; dense
+    `scipy.linalg.eigh` of the M^(1/2)-scaled R^-1 K R^-1, as in
+    `_eigsh_near`, serves the rest, which covers every grid below 10
+    unknowns and n_modes = n, where
     ARPACK (k < n) cannot serve.  The share is measured on one BLAS
     thread: on squares of 2,401 and 3,600 unknowns Lanczos is 10-15%
     faster at n / 10 modes, about 40x faster below it (49x49, 10 modes:
@@ -407,7 +394,7 @@ def eigenmodes_lossless(geometry: GridGeometry, spec: CircuitSpec,
     n = geometry.n_interior
     if not 1 <= n_modes <= n:
         raise ValueError(f"n_modes must be in [1, {n}]")
-    families = _pencil(geometry, spec, pert)
+    families = admittance_families(geometry, spec, pert)
     if 10 * n_modes <= n:
         lam, vec = _eigsh_near(families, n_modes, 0.0)
         order = np.argsort(lam)
@@ -426,14 +413,14 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
                       omega_target: float,
                       pert: Perturbation | None = None,
                       ordering: Ordering | None = None) -> Mode:
-    """Lossless eigenmode nearest omega_target in the realization `pert`,
-    under Dirichlet walls only (ValueError otherwise, `_pencil`).
+    """Lossless eigenmode nearest omega_target in the realization `pert`.
 
     The shift sigma is the lossless `dispersion` at the target.  K -
-    sigma M is the pencil's (`_pencil`) operator at y = (-1, sigma) on
-    the geometry's fixed stencil pattern, and one `Factorization` of it,
-    on `ordering` when one is given, drives shift-invert Lanczos in
-    standard form (`_eigsh_near`) from ones(n) in pencil coordinates.
+    sigma M is the families' (`admittance_families`) operator at y = (-1,
+    sigma) on the geometry's fixed stencil pattern, and one
+    `Factorization` of it, on `ordering` when one is given, drives
+    shift-invert Lanczos in standard form (`_eigsh_near`) from ones(n) in
+    pencil coordinates.
     In an exactly degenerate eigenspace the vector is the Ritz vector
     that start gives.  Needs at least 2 unknowns (ARPACK asks for k <
     n); raises SingularSystemError when the shift is exactly an eigenvalue.
@@ -442,7 +429,7 @@ def eigenmode_nearest(geometry: GridGeometry, spec: CircuitSpec,
         raise ValueError("omega_target must be positive")
     if geometry.n_interior < 2:
         raise ValueError("eigenmode_nearest needs at least 2 unknowns")
-    families = _pencil(geometry, spec, pert)
+    families = admittance_families(geometry, spec, pert)
     sigma = dispersion(replace(spec, resistance=0.0), omega_target).real
     lam, vec = _eigsh_near(families, 1, sigma, ordering)
     return _mode(geometry, spec, -1, lam[0], vec[:, 0])
@@ -456,9 +443,9 @@ def _condition(families: AdmittanceFamilies, y,
 
     Where the families prove sigma_min(A) >= floor > 0
     (`AdmittanceFamilies.floor`) it is the bound sqrt(n) ||A||_1 / floor,
-    which needs no solve; where that bound is missing or above
-    COND_LIMIT it is ||A||_1 times an estimate of ||A^-1||_1 on `factor`,
-    and inf without one.  A 1x1 system compares its one entry with the
+    which needs no solve; where that bound is missing (R = 0, or an
+    unknown with fewer than four links) or above COND_LIMIT it is ||A||_1
+    times an estimate of ||A^-1||_1 on `factor`, and inf without one.  A 1x1 system compares its one entry with the
     moduli of its summands, ||A||_1 at |y|: cancellation to roundoff
     means resonance.  ||A||_1 is `AdmittanceFamilies.norm1`, exact in
     O(n).
@@ -504,10 +491,10 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     `Factorization` holds it, and its `solve` refines every right-hand
     side.  The system is rejected when its 1-norm condition number may
     exceed COND_LIMIT (`_condition` on the element families): where the
-    families prove sigma_min(A) >= floor > 0 (Dirichlet unknowns, R > 0)
-    the check is a bound taken before the factorization, which needs no
-    solve; where that proves nothing (R = 0, Neumann or mixed unknowns,
-    or a bound above COND_LIMIT) it estimates ||A^-1||_1 on the
+    families prove sigma_min(A) >= floor > 0 (R > 0) the check is a
+    bound taken before the factorization, which needs no solve; where
+    that proves nothing (R = 0, an unknown with fewer than four links, or
+    a bound above COND_LIMIT) it estimates ||A^-1||_1 on the
     factorization.  Raises SingularSystemError when the factorization,
     the check or the residual contract fails (lossless drive on
     resonance).
@@ -546,7 +533,7 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
         fields = []
         for x in xs:
             values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
-            values[geometry.stencil.unknown] = x
+            values[geometry.interior] = x
             fields.append(ComplexField(geometry=geometry, values=values,
                                        omega=omega, spec=spec, source=source,
                                        perturbation=pert))
@@ -605,8 +592,8 @@ def _newton_peak(response, omegas, f, slopes, tol: float):
 class _ShiftedKrylov:
     """One Krylov space that serves the driven solves of a sweep window.
 
-    Under Dirichlet walls A(omega) = -(y_L K + y_S M) on the pencil K v =
-    lam M v of the element families (`_pencil`), M = diag(w), so A_c =
+    A(omega) = -(y_L K + y_S M) on the pencil K v = lam M v of the
+    element families (`admittance_families`), M = diag(w), so A_c =
     A(omega_c) = -y_L(omega_c) (K - mu_c M) is the pencil shifted at the
     complex mu_c = `dispersion`(omega_c), and every A(omega) and its omega
     derivatives are alpha A_c + beta M, with alpha^(k) = y_L^(k)(omega) /
@@ -730,14 +717,11 @@ class _ShiftedKrylov:
 def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                   pert: Perturbation | None, source):
     """The `_ShiftedKrylov` basis of a sweep window on the assembled A at
-    its centre, the pencil (`_pencil`) shifted at the complex dispersion
-    there, or None where it could serve no evaluation: Neumann and
-    mixed unknowns have no positive `AdmittanceFamilies.floor`, so the
-    bound never settles their condition check (mixed walls also add a
-    third element family), and a window whose centre has none assembles
-    nothing."""
-    if geometry.bc.kind != DIRICHLET:
-        return None
+    its centre, the families' pencil shifted at the complex dispersion
+    there, or None where it could serve no evaluation: a geometry with an
+    interior site on the lattice rim has no positive
+    `AdmittanceFamilies.floor`, so the bound never settles its condition
+    check, and a window whose centre has none assembles nothing."""
     omega_c = 0.5 * (omega_range[0] + omega_range[1])
     families = admittance_families(geometry, spec, pert)
     if not families.floor(families.units(omega_c)) > 0.0:
@@ -757,15 +741,15 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     two-step bracket by safeguarded Newton on the roots of f'
     (`_newton_peak`), until a step is below half of rel_tol * omega, so
     rel_tol must be positive (ValueError otherwise).  Each evaluation
-    gives V and dV/domega, and d2V/domega2 for a Newton step.  Under
-    Dirichlet walls they come from one Krylov basis of the billiard
-    pencil shift-inverted at the window centre's complex dispersion
-    (`_ShiftedKrylov`), on one factorization of A there, with each field
-    checked against the residual contract on the element families, and
-    the centre is the sweep's only assembly; an evaluation the basis
-    cannot serve (Neumann or mixed walls, whose condition check needs an
-    estimate, or the contract unmet at the cap) is one `driven_response`
-    call: one factorization.  Returns a list of (omega_peak,
+    gives V and dV/domega, and d2V/domega2 for a Newton step.  They come
+    from one Krylov basis of the billiard pencil shift-inverted at the
+    window centre's complex dispersion (`_ShiftedKrylov`), on one
+    factorization of A there, with each field checked against the
+    residual contract on the element families, and the centre is the
+    sweep's only assembly; an evaluation the basis cannot serve (no
+    positive floor at the window centre, whose condition check then needs
+    an estimate, or the contract unmet at the cap) is one
+    `driven_response` call: one factorization.  Returns a list of (omega_peak,
     response_norm_sq) in ascending omega, the value being |V|^2 of the
     field that the last Newton evaluation computed at omega_peak, which
     has met the residual contract.

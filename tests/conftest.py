@@ -25,20 +25,19 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def _incidence(geometry, unknown):
-    """Oriented incidence B of the network links over the sites where
-    `unknown` is True, built as a sparse matrix from the site masks.
+def _incidence(geometry):
+    """Oriented incidence B of the network links over the interior sites,
+    built as a sparse matrix from the site masks.
 
     Rows are the x links (i,j)-(i+1,j), then the y links (i,j)-(i,j+1),
     each in row-major order of the lower end; a link joins two network
     sites, at least one interior.  A row holds -1 at the lower end and +1
-    at the upper end; an end that is not an unknown is grounded and
-    dropped.
+    at the upper end; a boundary end is grounded and dropped.
     """
     inter = geometry.interior
     member = inter | geometry.boundary
     index = -np.ones(inter.shape, dtype=np.int64)
-    index[unknown] = np.arange(np.count_nonzero(unknown))
+    index[inter] = np.arange(np.count_nonzero(inter))
     lo_ends, hi_ends = [], []
     for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
         link = member[lo] & member[hi] & (inter[lo] | inter[hi])
@@ -50,29 +49,25 @@ def _incidence(geometry, unknown):
     vals = np.repeat([-1.0, 1.0], n_links)
     keep = cols >= 0
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(n_links, np.count_nonzero(unknown)))
+                         shape=(n_links, np.count_nonzero(inter)))
 
 
-def _element_admittances(geometry, spec, omega, pert, unknown, order=0):
+def _element_admittances(geometry, spec, omega, pert, order=0):
     """Reference admittances of every element, or their order-th omega
     derivatives, from the closed forms of each element with its own
     multiplier m: the links in link order, and the shunt of each site as
-    an (nx, ny) array (0 at a grounded Dirichlet site).
+    an (nx, ny) array (0 at a grounded boundary site).
 
     An inductor is 1/(m (R + i omega L)), with d^k/domega^k = k! (-i L m)^k
     y^(k+1); a capacitor i omega C m.  Interior sites carry the model's
-    shunt; boundary sites that are unknowns carry the Neumann capacitor or
-    the mixed resistive inductor at m = 1.
+    shunt.
     """
-    shape = geometry.interior.shape
-    ones = np.ones(shape)
-
-    def inductor(mult, inductance=spec.inductance,
-                 resistance=spec.resistance):
-        y = 1.0 / (1j * omega * inductance * mult + resistance * mult)
+    def inductor(mult):
+        y = 1.0 / (1j * omega * spec.inductance * mult
+                   + spec.resistance * mult)
         if order == 0:
             return y
-        return factorial(order) * (-1j * inductance * mult) ** order \
+        return factorial(order) * (-1j * spec.inductance * mult) ** order \
             * y ** (order + 1)
 
     def capacitor(mult):
@@ -89,13 +84,6 @@ def _element_admittances(geometry, spec, omega, pert, unknown, order=0):
         exists = member[lo] & member[hi] & (inter[lo] | inter[hi])
         mults.append(m[lo][exists])
     y_shunt = np.where(inter, shunt(pert.site), 0.0)
-    walls = geometry.boundary & unknown
-    bc = geometry.bc
-    if bc.kind == "neumann":
-        y_shunt[walls] = capacitor(ones)[walls]
-    elif bc.kind == "mixed":
-        y_shunt[walls] = inductor(ones, bc.shunt_inductance,
-                                  bc.shunt_resistance)[walls]
     return link(np.concatenate(mults)), y_shunt
 
 
@@ -184,9 +172,9 @@ def stencil_builds(monkeypatch, process_log):
     builds = process_log("stencil_builds", key=id)
     build = rlcnet.geometry.lattice_stencil
 
-    def counted(geometry, unknown):
+    def counted(geometry):
         builds.append(geometry)
-        return build(geometry, unknown)
+        return build(geometry)
 
     monkeypatch.setattr(rlcnet.geometry, "lattice_stencil", counted)
     return builds

@@ -17,8 +17,8 @@ from rlcnet.experiments import ExperimentConfig, driven_statistics, run, \
 from rlcnet.fields import OHMIC, CurrentField, link_currents, \
     nodal_vortices, power_balance, trace_streamlines
 from rlcnet.geometry import rasterize_quarter_stadium, rasterize_rectangle
-from rlcnet.network import CircuitSpec
-from rlcnet.solve import (ComplexField, _eigsh_near, _pencil, dispersion,
+from rlcnet.network import CircuitSpec, admittance_families
+from rlcnet.solve import (ComplexField, _eigsh_near, dispersion,
                           driven_response, eigenmodes_lossless,
                           quality_factor, wavelength)
 from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
@@ -251,7 +251,7 @@ def state_anisotropies(geometry, spec, omega, n_states):
     identical copies of the state, so r_real is the state's own r.
     """
     lam0 = dispersion(spec, omega).real
-    pencil = _pencil(geometry, spec, None)
+    pencil = admittance_families(geometry, spec, None)
     lam, vec = _eigsh_near(pencil, n_states, lam0)
     r = []
     for k in np.argsort(np.abs(lam - lam0)):

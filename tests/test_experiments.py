@@ -33,6 +33,12 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "drive", "omega": 1e6,
                                     "resitance": 0.5})
+    # the network is grounded at its edge: no wall kind is configurable
+    for key, value in (("bc", "dirichlet"), ("bc_shunt_resistance", 0.5),
+                       ("bc_shunt_inductance", 1e-4)):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"experiment": "spectrum",
+                                        key: value})
 
 
 def test_config_validation_errors():
@@ -375,14 +381,14 @@ def test_cli_config_error(tmp_path, capsys):
                                        "source_iterations": 0}),
                             ("ensemble", {"tolerance": 0.02,
                                           "n_realizations": 0}),
-                            ("spectrum", {"bc": "neumann"}),
-                            ("spectrum", {"bc": "mixed",
-                                          "bc_shunt_inductance": 1e-4}),
-                            ("ensemble", {"bc": "neumann"}),
-                            ("ensemble", {"bc": "mixed",
-                                          "bc_shunt_inductance": 1e-4}),
                             ("spectrum", {"n_modes": 81}),
                             ("ensemble", {"nx_interior": 1, "ny_interior": 1}),
+                            # the baseline mode is a constant vector, which
+                            # has no spread to standardize by
+                            ("ensemble", {"nx_interior": 2, "ny_interior": 2,
+                                          "omega": 3.0e6}),
+                            ("ensemble", {"nx_interior": 1, "ny_interior": 2,
+                                          "omega": 1.0e6}),
                             ("sweep", {"omega_min": 0.9e6, "omega_max": 1.1e6,
                                        "n_points": 5, "omega": 0.0,
                                        "source_rule": "density_max"}),
@@ -416,6 +422,17 @@ def test_cli_config_error(tmp_path, capsys):
                      str(tmp_path / "o")]) == 2, bad
         err = capsys.readouterr().err
         assert any(f"{key}:" in err for key in bad), err
+        assert not (tmp_path / "o").exists(), bad
+    # the wall kinds are gone: their keys are unknown to every experiment
+    for experiment in ("drive", "spectrum", "ensemble"):
+        for key, value in (("bc", "neumann"), ("bc_shunt_resistance", 0.5),
+                           ("bc_shunt_inductance", 1e-4)):
+            cfg = write_cfg(tmp_path, {**drive, key: value})
+            assert main([experiment, "--config", cfg, "--out",
+                         str(tmp_path / "o")]) == 2, key
+            assert f"unknown config keys: ['{key}']" \
+                in capsys.readouterr().err
+            assert not (tmp_path / "o").exists(), key
     # stats runs whose sample is too small for the fits, or undefined
     rect = {"geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
             "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6}
@@ -495,14 +512,15 @@ def test_cli_validates_the_config_for_its_subcommand(tmp_path, capsys):
     # the file names no experiment: the subcommand's own rules apply
     cfg = write_cfg(tmp_path, {
         "geometry": "rectangle", "nx_interior": 10, "ny_interior": 8,
-        "spacing": 0.05, "resistance": 0.3, "omega": 1.0e6, "bc": "neumann",
+        "spacing": 0.05, "model": "II", "resistance": 0.3, "omega": 1.0e6,
     })
     assert main(["drive", "--config", cfg, "--out",
                  str(tmp_path / "drive")]) == 0
     capsys.readouterr()
-    assert main(["ensemble", "--config", cfg, "--out",
-                 str(tmp_path / "ensemble")]) == 2
-    assert "bc: ensemble supports only" in capsys.readouterr().err
+    assert main(["stats", "--config", cfg, "--out",
+                 str(tmp_path / "stats")]) == 2
+    assert "model: stats supports only model I" in capsys.readouterr().err
+    assert not (tmp_path / "stats").exists()
 
 
 def test_cli_rejects_model_ii_stats(tmp_path, monkeypatch, capsys):

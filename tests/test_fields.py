@@ -9,8 +9,8 @@ from rlcnet.fields import (CurrentField, _tabulated_flow, active_link_flow,
                            heat_power, link_currents, nodal_vortices,
                            power_balance, probability_density,
                            trace_streamlines, FLOW_CUTOFF, OHMIC)
-from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
-                             rasterize_rectangle, tag_boundary)
+from rlcnet.geometry import (GridGeometry, rasterize_quarter_stadium,
+                             rasterize_rectangle)
 from rlcnet.network import CircuitSpec, sample_perturbation
 from rlcnet.solve import ComplexField, driven_response
 
@@ -106,10 +106,10 @@ def test_power_balance_lossless():
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.02])
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "mixed"])
+@pytest.mark.parametrize("bc", ["dirichlet"])
 @pytest.mark.parametrize("model", ["I", "II"])
 def test_power_balance_lossy(model, bc, tau):
-    g = tag_boundary(rasterize_rectangle(12, 9, 0.05), BCKind(bc, 0.5, 1e-4))
+    g = rasterize_rectangle(12, 9, 0.05)
     spec = CircuitSpec(model, L, C, 0.4)
     source = ((5, 4), 1.0)
     pert = sample_perturbation(g, tau, 21)
@@ -280,7 +280,7 @@ def rim_setup(rng):
     interior, the rim included, and its ohmic currents."""
     n = 6
     g = GridGeometry(spacing=1.0, nx=n, ny=n, interior=np.ones((n, n), bool),
-                     boundary=np.zeros((n, n), bool), bc=BCKind())
+                     boundary=np.zeros((n, n), bool))
     v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     field = make_field(g, v, spec=CircuitSpec("I", L, C, 1.0))
     return g, field, link_currents(field, variant=OHMIC)

@@ -1,4 +1,4 @@
-"""Rasterization and boundary-tagging tests."""
+"""Rasterization, site lookup and stencil tests."""
 
 from math import pi
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
-                             rasterize_rectangle, tag_boundary,
-                             _boundary_from_interior)
+from rlcnet.geometry import (GridGeometry, rasterize_quarter_stadium,
+                             rasterize_rectangle, _boundary_from_interior)
 
 
 def _area(g):
@@ -117,7 +116,7 @@ def test_is_interior_arrays_match_scalars():
     # the bounds check does not lean on an empty lattice rim
     full = GridGeometry(spacing=1.0, nx=2, ny=2,
                         interior=np.ones((2, 2), bool),
-                        boundary=np.zeros((2, 2), bool), bc=BCKind())
+                        boundary=np.zeros((2, 2), bool))
     assert full.is_interior(np.array([-1, 0, 2]), np.zeros(3, int)).tolist() \
         == [False, True, False]
 
@@ -137,7 +136,7 @@ def test_contains_rounds_half_to_even():
     # any side, far off it or at NaN the point is outside
     full = GridGeometry(spacing=1.0, nx=3, ny=2,
                         interior=np.ones((3, 2), bool),
-                        boundary=np.zeros((3, 2), bool), bc=BCKind())
+                        boundary=np.zeros((3, 2), bool))
     big, nan = 1e300, float("nan")
     points = [(0.0, 0.0), (2.0, 1.0), (-0.5, 0.0), (2.5, 0.5), (1.0, -0.5),
               (-1.0, 0.0), (3.0, 1.0), (1.0, -1.0), (1.0, 2.0), (-0.51, 1.0),
@@ -152,26 +151,6 @@ def test_contains_rounds_half_to_even():
     assert full.contains(x.reshape(4, 5), y.reshape(4, 5)).shape == (4, 5)
 
 
-def test_bc_kind_validation():
-    BCKind("dirichlet")
-    BCKind("neumann")
-    BCKind("mixed", shunt_resistance=1.0, shunt_inductance=1e-4)
-    with pytest.raises(ValueError):
-        BCKind("periodic")
-    with pytest.raises(ValueError):
-        BCKind("mixed", shunt_resistance=1.0, shunt_inductance=0.0)
-    with pytest.raises(ValueError):
-        BCKind("mixed", shunt_resistance=-1.0, shunt_inductance=1e-4)
-
-
-def test_tag_boundary_replaces_kind():
-    g = rasterize_rectangle(3, 3, 0.1)
-    tagged = tag_boundary(g, BCKind("neumann"))
-    assert tagged.bc.kind == "neumann"
-    assert g.bc.kind == "dirichlet"
-    assert np.array_equal(tagged.interior, g.interior)
-
-
 def test_area_positive():
     g = rasterize_quarter_stadium(0.02)
     assert _area(g) > 0.0
@@ -180,10 +159,7 @@ def test_area_positive():
 def test_geometry_builds_its_stencil_once(stencil_builds):
     g = rasterize_rectangle(6, 5, 0.1)
     assert g.stencil is g.stencil
-    assert len(stencil_builds) == 1
-    # a tagged copy is a new geometry with its own unknowns and stencil
-    gn = tag_boundary(g, BCKind("neumann"))
-    assert gn.stencil.n == g.n_interior + np.count_nonzero(g.boundary)
-    assert stencil_builds == [g, gn]
+    assert stencil_builds == [g]
+    assert g.stencil.n == g.n_interior
     with pytest.raises(ValueError):
         g.stencil.ends[0, 0] = 0   # every matrix on the stencil shares it

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlcnet.geometry import (BCKind, GridGeometry, rasterize_rectangle,
-                             tag_boundary)
+from rlcnet.geometry import GridGeometry, rasterize_rectangle
 from rlcnet.network import (CircuitSpec, admittance_families,
                             assemble_admittance, sample_perturbation,
                             unit_admittances)
@@ -135,7 +134,7 @@ def test_lossless_matrix_is_scaled_laplacian(incidence):
     omega = 1.1e6
     a = assemble_admittance(admittance_families(g, spec), omega).toarray()
     scaled = a * (1j * omega * L)
-    B = incidence(g, g.interior)
+    B = incidence(g)
     lap = (B.T @ B).toarray()
     expected = -(lap - omega ** 2 * L * C * np.eye(lap.shape[0]))
     assert np.max(np.abs(scaled - expected)) < 1e-12
@@ -164,38 +163,19 @@ def test_source_must_be_interior():
     # the injection enters the right-hand side as -I at the source row only
     a = assemble_admittance(admittance_families(g, spec), 1e6)
     field = solve(((2, 2), 1.0))
-    rhs = a @ field.values[g.stencil.unknown]
+    rhs = a @ field.values[g.interior]
     expected = np.zeros_like(rhs)
     expected[g.stencil.index[2, 2]] = -1.0
     assert np.max(np.abs(rhs - expected)) < 1e-10
 
 
-def test_neumann_and_mixed_boundary_unknowns():
-    g = rasterize_rectangle(4, 4, 0.1)
-    spec = CircuitSpec("I", L, C, 0.2)
-    n_int = g.n_interior
-    n_all = n_int + np.count_nonzero(g.boundary)
-    a = assemble_admittance(admittance_families(g, spec), 1e6)
-    assert a.shape == (n_int, n_int)
-    gn = tag_boundary(g, BCKind("neumann"))
-    an = assemble_admittance(admittance_families(gn, spec), 1e6)
-    assert an.shape == (n_all, n_all)
-    gm = tag_boundary(g, BCKind("mixed", 0.5, 1e-4))
-    am = assemble_admittance(admittance_families(gm, spec), 1e6)
-    assert am.shape == (n_all, n_all)
-    assert np.max(np.abs((am - am.T).toarray())) < 1e-15
-
-
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("bc", [None, BCKind("neumann"),
-                                BCKind("mixed", 0.5, 1e-4)])
+@pytest.mark.parametrize("bc", [None])   # the grounded edge; keeps the ids
 def test_derivative_matrices_match_finite_differences(model, bc):
     # the families' dA/domega and d2A/domega2, the matrices at the scalar
     # derivatives y_f^(k), against central differences of the assembled
-    # A(omega), with loss, disorder and every wall kind
+    # A(omega), with loss and disorder
     g = rasterize_rectangle(5, 4, 0.1)
-    if bc is not None:
-        g = tag_boundary(g, bc)
     spec = CircuitSpec(model, L, C, 0.7)
     pert = sample_perturbation(g, 0.03, 4)
     omega, h = 1.3e6, 1.3e3
@@ -215,18 +195,14 @@ def test_derivative_matrices_match_finite_differences(model, bc):
 
 
 def _walled(walls):
-    """7x5 rectangle under the named walls, or the 6x6 lattice whose every
-    site is interior, its rim included (rim sites have fewer links)."""
+    """The 7x5 rectangle ("dirichlet"), or ("rim") the 6x6 lattice whose
+    every site is interior, its rim included (rim sites have fewer
+    links)."""
     if walls == "rim":
         return GridGeometry(spacing=1.0, nx=6, ny=6,
                             interior=np.ones((6, 6), bool),
-                            boundary=np.zeros((6, 6), bool), bc=BCKind())
-    g = rasterize_rectangle(7, 5, 0.1)
-    if walls == "neumann":
-        return tag_boundary(g, BCKind("neumann"))
-    if walls == "mixed":
-        return tag_boundary(g, BCKind("mixed", 0.5, 1e-4))
-    return g
+                            boundary=np.zeros((6, 6), bool))
+    return rasterize_rectangle(7, 5, 0.1)
 
 
 def _absolute(B, y_link, y_shunt):
@@ -238,7 +214,7 @@ def _absolute(B, y_link, y_shunt):
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed", "rim"])
+@pytest.mark.parametrize("walls", ["dirichlet", "rim"])
 def test_stencil_assembly_bitwise_equals_incidence_product(
         walls, model, tau, incidence, bits_equal, element_admittances):
     # A, and the A' and A'' of the families' derivative matrices, formed
@@ -252,13 +228,10 @@ def test_stencil_assembly_bitwise_equals_incidence_product(
     # within 8 eps of its sum of moduli; the largest differences measured
     # here are 2.5 eps for A, 3.6 eps for A' and 5.9 eps for A''.
     g = _walled(walls)
-    unknown = g.interior if walls in ("dirichlet", "rim") \
-        else g.interior | g.boundary
-    B = incidence(g, unknown)
+    B = incidence(g)
     pert = sample_perturbation(g, tau, 6)
     for resistance in (0.0, 0.7):
         spec = CircuitSpec(model, L, C, resistance)
-        assert np.array_equal(g.stencil.unknown, unknown)
         families = admittance_families(g, spec, pert)
         link = B.T @ sp.diags(families.link) @ B
         assert bits_equal(assemble_admittance(families, 1.3e6),
@@ -268,9 +241,8 @@ def test_stencil_assembly_bitwise_equals_incidence_product(
             got = families.matrix(y)
             family = -(y[0] * link + sp.diags(families.shunts(y)))
             assert bits_equal(got, family), (resistance, k)
-            y_link, y_shunt = element_admittances(g, spec, 1.3e6, pert,
-                                                  unknown, k)
-            y_shunt = y_shunt[unknown]
+            y_link, y_shunt = element_admittances(g, spec, 1.3e6, pert, k)
+            y_shunt = y_shunt[g.interior]
             element = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt))
             if tau == 0.0:
                 assert bits_equal(got, element), (resistance, k)
@@ -284,18 +256,16 @@ def test_stencil_assembly_bitwise_equals_incidence_product(
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed"])
+@pytest.mark.parametrize("walls", ["dirichlet"])
 def test_family_operator_matches_the_element_product(
         walls, model, tau, incidence, element_admittances):
     # the operator that a sweep's Krylov basis checks its fields on,
     # -(y_0 G_0 x + shunts x) with no matrix formed, against A, A' and A''
     # of the element admittances on random vectors, within 8 eps of
     # |A| |x| (measured: 1.6 eps at tau = 0; at tau = 0.03, where the
-    # families round differently, 1.6, 3.1 and 5.3 eps for orders 0-2);
-    # every wall family counts, the mixed wall's inductor included
+    # families round differently, 1.6, 3.1 and 5.3 eps for orders 0-2)
     g = _walled(walls)
-    unknown = g.stencil.unknown
-    B = incidence(g, unknown)
+    B = incidence(g)
     pert = sample_perturbation(g, tau, 6)
     rng = np.random.default_rng(3)
     for resistance in (0.0, 0.7):
@@ -306,9 +276,8 @@ def test_family_operator_matches_the_element_product(
               + 1j * rng.standard_normal(g.stencil.n) for _ in range(3)]
         apply = families.operator(ys, xs)
         for k in range(3):
-            y_link, y_shunt = element_admittances(g, spec, 1.3e6, pert,
-                                                  unknown, k)
-            y_shunt = y_shunt[unknown]
+            y_link, y_shunt = element_admittances(g, spec, 1.3e6, pert, k)
+            y_shunt = y_shunt[g.interior]
             element = -(B.T @ sp.diags(y_link) @ B + sp.diags(y_shunt))
             scale = _absolute(B, y_link, y_shunt)
             for i, x in enumerate(xs):
@@ -319,7 +288,7 @@ def test_family_operator_matches_the_element_product(
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed"])
+@pytest.mark.parametrize("walls", ["dirichlet"])
 def test_family_condition_figure_matches_the_assembled_one(
         walls, model, tau, element_admittances):
     # the O(n) ||A||_1 and floor that every condition check takes
@@ -328,8 +297,7 @@ def test_family_condition_figure_matches_the_assembled_one(
     # admittances; both at roundoff, near a resonance and away from it
     g = _walled(walls)
     pert = sample_perturbation(g, tau, 6)
-    unknown = g.stencil.unknown
-    nx, ny = unknown.shape
+    nx, ny = g.nx, g.ny
     lam_rect = 4.0 - 2.0 * np.cos(np.pi / (nx - 1)) \
         - 2.0 * np.cos(np.pi / (ny - 1))
     for resistance in (0.0, 0.7):
@@ -341,12 +309,9 @@ def test_family_condition_figure_matches_the_assembled_one(
             norm = np.abs(a).sum(axis=0).max()
             assert families.norm1(y) == pytest.approx(norm, rel=1e-14)
             floor = families.floor(y)
-            y_link, y_shunt = element_admittances(g, spec, omega, pert,
-                                                  unknown)
-            want = 0.0
-            if walls == "dirichlet":
-                want = lam_rect * y_link.real.min() \
-                    + y_shunt[unknown].real.min()
+            y_link, y_shunt = element_admittances(g, spec, omega, pert)
+            want = lam_rect * y_link.real.min() \
+                + y_shunt[g.interior].real.min()
             assert floor == pytest.approx(want, rel=1e-14, abs=0.0)
             bound = np.sqrt(g.stencil.n) * norm / floor if floor > 0.0 \
                 else np.inf

@@ -18,8 +18,8 @@ import scipy.sparse.linalg as spla
 
 from rlcnet import solve
 from rlcnet.experiments import centroid_site
-from rlcnet.geometry import (BCKind, GridGeometry, rasterize_quarter_stadium,
-                             rasterize_rectangle, tag_boundary)
+from rlcnet.geometry import (GridGeometry, rasterize_quarter_stadium,
+                             rasterize_rectangle)
 from rlcnet.network import (AdmittanceFamilies, CircuitSpec, admittance_families,
                             assemble_admittance, sample_perturbation,
                             unit_admittances)
@@ -29,6 +29,15 @@ from rlcnet.solve import (RESIDUAL_TOL, SingularSystemError, damping_length,
                           quality_factor, resonance_sweep, wavelength)
 
 L, C = 1e-4, 1e-9
+
+
+def rim_lattice(nx, ny, spacing):
+    """An nx-by-ny lattice whose every site is interior, its rim included:
+    a rim site has fewer than four links, so the families prove no
+    Hermitian floor there."""
+    return GridGeometry(spacing=spacing, nx=nx, ny=ny,
+                        interior=np.ones((nx, ny), bool),
+                        boundary=np.zeros((nx, ny), bool))
 
 
 def closed_form_lams(nx, ny):
@@ -65,7 +74,7 @@ def test_dispersion_is_the_shift_of_the_operator(model, ratio, incidence):
     g = rasterize_rectangle(6, 5, 0.1)
     spec = CircuitSpec(model, L, C, 0.3)
     omega = ratio * spec.omega0
-    B = incidence(g, g.interior)
+    B = incidence(g)
     lam, vec = scipy.linalg.eigh((B.T @ B).toarray())
     A = assemble_admittance(admittance_families(g, spec), omega)
     q1, q2 = (vec[:, k] @ (A @ vec[:, k]) for k in (0, -1))
@@ -176,7 +185,7 @@ def test_disordered_spectrum_solves_the_pencil(incidence, model, n_modes):
     spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, 0.05, 3)
     w_link, w_site = _family_weights(g, model, pert)
-    B = incidence(g, g.interior).toarray()
+    B = incidence(g).toarray()
     M = np.diag(w_site)
     lams, vecs = scipy.linalg.eigh(B.T @ np.diag(w_link) @ B, M)
     modes = eigenmodes_lossless(g, spec, n_modes, pert=pert)
@@ -262,7 +271,7 @@ def test_eigenmode_nearest_solves_the_pencil(incidence, model):
     spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, 0.03, 8)
     w_link, w_site = _family_weights(g, model, pert)
-    B = incidence(g, g.interior).toarray()
+    B = incidence(g).toarray()
     K = B.T @ np.diag(w_link) @ B
     M = np.diag(w_site)
     lams, vecs = scipy.linalg.eigh(K, M)
@@ -291,7 +300,7 @@ def test_eigenmode_nearest_on_the_smallest_networks(incidence, shape, model,
     spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, tau, 8)
     w_link, w_site = _family_weights(g, model, pert)
-    B = incidence(g, g.interior).toarray()
+    B = incidence(g).toarray()
     M = np.diag(w_site)
     lams, vecs = scipy.linalg.eigh(B.T @ np.diag(w_link) @ B, M)
     for j, lam in enumerate(lams):
@@ -323,9 +332,9 @@ def test_backward_error_is_normwise_on_the_pencil(incidence, model):
     g = rasterize_rectangle(10, 7, 0.05)
     pert = sample_perturbation(g, 0.03, 8)
     w_link, w_site = _family_weights(g, model, pert)
-    B = incidence(g, g.interior).toarray()
+    B = incidence(g).toarray()
     K = B.T @ np.diag(w_link) @ B
-    families = solve._pencil(g, CircuitSpec(model, L, C, 0.0), pert)
+    families = admittance_families(g, CircuitSpec(model, L, C, 0.0), pert)
     rng = np.random.default_rng(3)
     v = rng.standard_normal((g.n_interior, 3))
     lam = np.array([0.5, 3.0, 7.0])
@@ -343,7 +352,7 @@ def test_eigenpairs_that_miss_the_contract_raise(perturb_eigsh):
     g = rasterize_rectangle(10, 7, 0.05)
     spec = CircuitSpec("I", L, C, 0.0)
     pert = sample_perturbation(g, 0.03, 8)
-    families = solve._pencil(g, spec, pert)
+    families = admittance_families(g, spec, pert)
     sigma = dispersion(spec, 1.0e6).real
     solve._eigsh_near(families, 1, sigma)
     eigenmodes_lossless(g, spec, 5, pert=pert)
@@ -363,7 +372,7 @@ def test_dense_spectrum_pairs_that_miss_the_contract_raise(perturb_eigh,
     spec = CircuitSpec("II", L, C, 0.0)
     pert = sample_perturbation(g, 0.03, 8)
     modes = eigenmodes_lossless(g, spec, n_modes, pert=pert)
-    families = solve._pencil(g, spec, pert)
+    families = admittance_families(g, spec, pert)
     eta = solve._backward_errors(
         families, np.array([m.lam_grid for m in modes]),
         np.array([m.vector for m in modes]).T)
@@ -375,34 +384,22 @@ def test_dense_spectrum_pairs_that_miss_the_contract_raise(perturb_eigh,
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("walls", ["dirichlet", "neumann", "mixed", "rim"])
+@pytest.mark.parametrize("walls", ["dirichlet", "rim"])
 def test_eigen_operators_bitwise_equal_incidence_product(
         walls, model, tau, monkeypatch, incidence, bits_equal):
     # the family pencil K = G_link, M = G_shunt, the K - sigma M that
     # eigenmode_nearest forms on the geometry's stencil and factors, and the
     # shift at sigma = 0 that the spectrum factors, which holds K's bits,
     # against the sparse products, sigma being the lossless dispersion's
-    # lam; the eigen path spans the interior sites and refuses Neumann and
-    # mixed walls, whose extra unknowns and wall elements the pencil does
-    # not hold
+    # lam; the eigen path spans the interior sites
     if walls == "rim":
-        g = GridGeometry(spacing=0.05, nx=6, ny=6,
-                         interior=np.ones((6, 6), bool),
-                         boundary=np.zeros((6, 6), bool), bc=BCKind())
+        g = rim_lattice(6, 6, 0.05)
     else:
         g = rasterize_rectangle(10, 7, 0.05)
     spec = CircuitSpec(model, L, C, 0.0)
     pert = sample_perturbation(g, tau, 8)
     factored = _count_factorizations(monkeypatch)
-    if walls in ("neumann", "mixed"):
-        g = tag_boundary(g, BCKind(walls, 0.5, 1e-4))
-        with pytest.raises(ValueError, match=walls):
-            eigenmode_nearest(g, spec, 1.0e6, pert=pert)
-        with pytest.raises(ValueError, match=walls):
-            eigenmodes_lossless(g, spec, 3, pert=pert)
-        assert factored == []
-        return
-    B = incidence(g, g.interior)
+    B = incidence(g)
     seen = []
     eigsh_near = solve._eigsh_near
 
@@ -469,8 +466,7 @@ def test_uniform_mode_of_an_ungrounded_network(tau):
     # with every site interior no link is grounded, so K = G_link has the
     # uniform null vector: lam = 0 up to roundoff of either sign, near
     # omega 0 in model I and near infinite frequency in model II
-    g = GridGeometry(spacing=0.05, nx=6, ny=6, interior=np.ones((6, 6), bool),
-                     boundary=np.zeros((6, 6), bool), bc=BCKind())
+    g = rim_lattice(6, 6, 0.05)
     pert = sample_perturbation(g, tau, 8)
     spec = CircuitSpec("I", L, C, 0.0)
     for model, target in (("I", 1e3), ("I", 1e6), ("II", 1e9)):
@@ -513,7 +509,7 @@ def test_eigenmode_is_null_vector_of_admittance(model, tau):
 def test_laplacian_row_sums():
     # the spectrum's K at unit multipliers
     g = rasterize_rectangle(5, 5, 0.1)
-    lap = solve._pencil(g, CircuitSpec(), None).link_matrix.toarray()
+    lap = admittance_families(g, CircuitSpec(), None).link_matrix.toarray()
     assert np.array_equal(lap, lap.T)
     assert np.all(np.diag(lap) == 4.0)
 
@@ -535,7 +531,7 @@ def test_driven_satisfies_kirchhoff_rows():
     omega = 1.1e6
     field = driven_response(g, spec, omega, ((4, 5), 1.0))
     a = assemble_admittance(admittance_families(g, spec), omega)
-    x = field.values[g.stencil.unknown]
+    x = field.values[g.interior]
     rhs = np.zeros(len(x), dtype=complex)
     rhs[g.stencil.index[4, 5]] = -1.0
     res = np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
@@ -588,11 +584,20 @@ def test_hermitian_floor_below_smallest_singular_value(geometry, model):
 
 
 def test_hermitian_floor_needs_dirichlet_loss():
+    # no floor without loss, nor with interior sites on the lattice rim:
+    # there B^T B is no principal submatrix of the Dirichlet Laplacian, and
+    # the interlacing bound would read 7.6e-4 at R = 0.1 and omega = 1e5,
+    # above the smallest singular value, 1.0e-4
     g = rasterize_rectangle(5, 4, 0.1)
-    neumann = tag_boundary(g, BCKind("neumann"))
-    for geometry, r in ((g, 0.0), (neumann, 0.3)):
-        families = admittance_families(geometry, CircuitSpec("I", L, C, r))
-        assert families.floor(families.units(1e6)) == 0.0
+    families = admittance_families(g, CircuitSpec("I", L, C, 0.0))
+    assert families.floor(families.units(1e6)) == 0.0
+    rim = rim_lattice(6, 6, 1.0)
+    families = admittance_families(rim, CircuitSpec("I", L, C, 0.1))
+    for omega in (1e5, 1e6):
+        floor = families.floor(families.units(omega))
+        sv = np.linalg.svd(assemble_admittance(families, omega).toarray(),
+                           compute_uv=False)
+        assert floor == 0.0 and floor <= sv[-1]
 
 
 def _count_onenormest(monkeypatch):
@@ -618,8 +623,8 @@ def test_condition_check_estimates_only_without_a_bound(monkeypatch):
     assert len(calls) == 0
     driven_response(g, lossless, between, ((2, 2), 1.0))
     assert len(calls) == 1
-    driven_response(tag_boundary(g, BCKind("neumann")), lossy, between,
-                    ((2, 2), 1.0))
+    # interior sites on the lattice rim leave the families no floor
+    driven_response(rim_lattice(7, 6, 0.1), lossy, between, ((2, 2), 1.0))
     assert len(calls) == 2
 
 
@@ -755,7 +760,7 @@ def test_unpivoted_factor_meets_residual_with_little_fill(
     source = (tuple(g.interior_sites[len(g.interior_sites) // 3]), 1.0)
     field = driven_response(g, spec, omega, source, pert=pert)
     a = assemble_admittance(admittance_families(g, spec, pert), omega)
-    x = field.values[g.stencil.unknown]
+    x = field.values[g.interior]
     b = np.zeros(len(x), dtype=complex)
     b[g.stencil.index[source[0]]] = -1.0
     assert np.linalg.norm(a @ x - b) <= RESIDUAL_TOL
@@ -794,7 +799,7 @@ def test_driven_derivatives_match_finite_differences(model):
     # with the families' derivative matrices
     families = admittance_families(g, spec, pert)
     a, d1, d2 = (families.matrix(families.units(omega, k)) for k in range(3))
-    x, dx, d2x = (f.values[g.stencil.unknown] for f in fields)
+    x, dx, d2x = (f.values[g.interior] for f in fields)
     for lhs, rhs in ((a @ dx, -(d1 @ x)),
                      (a @ d2x, -(d2 @ x + 2.0 * (d1 @ dx)))):
         assert np.linalg.norm(lhs - rhs) <= RESIDUAL_TOL * np.linalg.norm(rhs)
@@ -913,10 +918,10 @@ def test_every_formed_matrix_is_factored(monkeypatch):
     # the package forms only the matrices that a Factorization factors:
     # the driven A at any derivative order (A' and A'' act through the
     # families), a sweep's window centre A_c (A'_c too), the A of each
-    # evaluation of a Neumann sweep, and the pencil shift K - sigma M of
-    # eigenmode_nearest and of a Lanczos spectrum (sigma = 0)
+    # evaluation of a sweep with no Hermitian floor, and the pencil shift K
+    # - sigma M of eigenmode_nearest and of a Lanczos spectrum (sigma = 0)
     g, spec, _, band = _sweep_case()
-    neumann = tag_boundary(g, BCKind("neumann"))
+    rim = rim_lattice(8, 6, 0.1)
     source = ((2, 2), 1.0)
     lossless = CircuitSpec("I", L, C, 0.0)
     paths = {
@@ -924,8 +929,7 @@ def test_every_formed_matrix_is_factored(monkeypatch):
         "driven, order 2": lambda: driven_solver(g, spec, band[0],
                                                  order=2)(source),
         "Dirichlet sweep": lambda: resonance_sweep(g, spec, band, 9, source),
-        "Neumann sweep": lambda: resonance_sweep(neumann, spec, band, 9,
-                                                 source),
+        "rim sweep": lambda: resonance_sweep(rim, spec, band, 9, source),
         "nearest mode": lambda: eigenmode_nearest(g, lossless, band[0]),
         "Lanczos spectrum": lambda: eigenmodes_lossless(
             rasterize_rectangle(10, 7, 0.05), lossless, 5),
@@ -1082,20 +1086,19 @@ def test_sweep_falls_back_when_the_basis_is_capped(monkeypatch):
     assert {kwargs["order"] for kwargs in calls[9:]} == {2}
 
 
-@pytest.mark.parametrize("walls", [BCKind("neumann"),
-                                   BCKind("mixed", 0.1, 1e-4)])
-def test_sweep_without_a_hermitian_floor_solves_directly(walls, monkeypatch):
-    # Neumann and mixed unknowns have no hermitian_floor, so the bound can
-    # never settle an evaluation's condition check; mixed walls also add a
-    # third element family.  No basis is built, and each evaluation is one
-    # driven_response call with one assembly and one factorization, the
-    # last Newton evaluation giving each peak's value
-    rectangle = rasterize_rectangle(6, 4, 0.1)
-    g = tag_boundary(rectangle, walls)
+def test_sweep_without_a_hermitian_floor_solves_directly(monkeypatch):
+    # interior sites on the lattice rim leave the families no Hermitian
+    # floor, so the bound can never settle an evaluation's condition
+    # check.  No basis is built, and each evaluation is one driven_response
+    # call with one assembly and one factorization, the last Newton
+    # evaluation giving each peak's value.  The band holds the two lowest
+    # resonances above the uniform mode's lam = 0
+    g = rim_lattice(8, 6, 0.1)
     spec = CircuitSpec("I", L, C, 0.05)
-    modes = eigenmodes_lossless(rectangle, CircuitSpec("I", L, C, 0.0), 3)
-    args = (g, spec, (modes[0].omega * 0.97, modes[1].omega * 1.03), 9,
+    modes = eigenmodes_lossless(g, CircuitSpec("I", L, C, 0.0), 3)
+    args = (g, spec, (modes[1].omega * 0.97, modes[2].omega * 1.03), 9,
             ((2, 2), 1.0))
+    assert solve._window_basis(*args[:3], None, args[4]) is None
     want = _direct_sweep(monkeypatch, *args)
 
     def no_basis(*args):
@@ -1106,8 +1109,8 @@ def test_sweep_without_a_hermitian_floor_solves_directly(walls, monkeypatch):
     assemblies = _count_calls(monkeypatch, "assemble_admittance")
     calls = _count_calls(monkeypatch, "driven_response")
     peaks = resonance_sweep(*args)
-    assert peaks and peaks == want
-    assert len(built) == len(assemblies) == len(calls) > 9
+    assert len(peaks) == 2 and peaks == want
+    assert len(built) == len(assemblies) == len(calls) == 15
     assert [kwargs["order"] for kwargs in calls[:9]] == [1] * 9
     assert {kwargs["order"] for kwargs in calls[9:]} == {2}
     for w, val in peaks:
