@@ -106,10 +106,15 @@ def test_power_balance_lossless():
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.02])
-@pytest.mark.parametrize("bc", ["dirichlet"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("model", ["I", "II"])
 def test_power_balance_lossy(model, bc, tau):
+    # the edge grounded, or left free: its sites ungrounded and interior
     g = rasterize_rectangle(12, 9, 0.05)
+    if bc == "neumann":
+        g = GridGeometry(spacing=g.spacing, nx=g.nx, ny=g.ny,
+                         interior=g.interior | g.boundary,
+                         boundary=np.zeros_like(g.boundary))
     spec = CircuitSpec(model, L, C, 0.4)
     source = ((5, 4), 1.0)
     pert = sample_perturbation(g, tau, 21)

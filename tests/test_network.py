@@ -169,13 +169,33 @@ def test_source_must_be_interior():
     assert np.max(np.abs(rhs - expected)) < 1e-10
 
 
+def _free_edge(g):
+    """g with its edge sites left ungrounded: each is an interior site with
+    fewer than four links, a free (Neumann) edge."""
+    return GridGeometry(spacing=g.spacing, nx=g.nx, ny=g.ny,
+                        interior=g.interior | g.boundary,
+                        boundary=np.zeros_like(g.boundary))
+
+
+def _all_interior(g):
+    """The lattice of g with every site interior, its corners included."""
+    return GridGeometry(spacing=g.spacing, nx=g.nx, ny=g.ny,
+                        interior=np.ones_like(g.interior),
+                        boundary=np.zeros_like(g.boundary))
+
+
+_RECTANGLE = rasterize_rectangle(5, 4, 0.1)
+
+
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("bc", [None])   # the grounded edge; keeps the ids
+@pytest.mark.parametrize("bc", [None, _free_edge(_RECTANGLE),
+                                _all_interior(_RECTANGLE)])
 def test_derivative_matrices_match_finite_differences(model, bc):
     # the families' dA/domega and d2A/domega2, the matrices at the scalar
     # derivatives y_f^(k), against central differences of the assembled
-    # A(omega), with loss and disorder
-    g = rasterize_rectangle(5, 4, 0.1)
+    # A(omega), with loss and disorder, on the 5x4 rectangle (None) or on
+    # its lattice with the edge left free
+    g = _RECTANGLE if bc is None else bc
     spec = CircuitSpec(model, L, C, 0.7)
     pert = sample_perturbation(g, 0.03, 4)
     omega, h = 1.3e6, 1.3e3
@@ -195,14 +215,15 @@ def test_derivative_matrices_match_finite_differences(model, bc):
 
 
 def _walled(walls):
-    """The 7x5 rectangle ("dirichlet"), or ("rim") the 6x6 lattice whose
-    every site is interior, its rim included (rim sites have fewer
-    links)."""
+    """The 7x5 rectangle ("dirichlet"), the same with its edge left free
+    ("neumann"), or ("rim") the 6x6 lattice whose every site is interior,
+    its rim included (rim sites have fewer links)."""
     if walls == "rim":
         return GridGeometry(spacing=1.0, nx=6, ny=6,
                             interior=np.ones((6, 6), bool),
                             boundary=np.zeros((6, 6), bool))
-    return rasterize_rectangle(7, 5, 0.1)
+    g = rasterize_rectangle(7, 5, 0.1)
+    return _free_edge(g) if walls == "neumann" else g
 
 
 def _absolute(B, y_link, y_shunt):
@@ -256,7 +277,7 @@ def test_stencil_assembly_bitwise_equals_incidence_product(
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("walls", ["dirichlet"])
+@pytest.mark.parametrize("walls", ["dirichlet", "neumann"])
 def test_family_operator_matches_the_element_product(
         walls, model, tau, incidence, element_admittances):
     # the operator that a sweep's Krylov basis checks its fields on,
@@ -288,7 +309,7 @@ def test_family_operator_matches_the_element_product(
 
 @pytest.mark.parametrize("tau", [0.0, 0.03])
 @pytest.mark.parametrize("model", ["I", "II"])
-@pytest.mark.parametrize("walls", ["dirichlet"])
+@pytest.mark.parametrize("walls", ["dirichlet", "neumann"])
 def test_family_condition_figure_matches_the_assembled_one(
         walls, model, tau, element_admittances):
     # the O(n) ||A||_1 and floor that every condition check takes
@@ -310,8 +331,10 @@ def test_family_condition_figure_matches_the_assembled_one(
             assert families.norm1(y) == pytest.approx(norm, rel=1e-14)
             floor = families.floor(y)
             y_link, y_shunt = element_admittances(g, spec, omega, pert)
-            want = lam_rect * y_link.real.min() \
-                + y_shunt[g.interior].real.min()
+            want = 0.0   # a free edge proves no floor
+            if walls == "dirichlet":
+                want = lam_rect * y_link.real.min() \
+                    + y_shunt[g.interior].real.min()
             assert floor == pytest.approx(want, rel=1e-14, abs=0.0)
             bound = np.sqrt(g.stencil.n) * norm / floor if floor > 0.0 \
                 else np.inf

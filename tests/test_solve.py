@@ -40,6 +40,14 @@ def rim_lattice(nx, ny, spacing):
                         boundary=np.zeros((nx, ny), bool))
 
 
+def free_edge(g):
+    """g with its edge sites left ungrounded: each is an interior site with
+    fewer than four links, a free (Neumann) edge."""
+    return GridGeometry(spacing=g.spacing, nx=g.nx, ny=g.ny,
+                        interior=g.interior | g.boundary,
+                        boundary=np.zeros_like(g.boundary))
+
+
 def closed_form_lams(nx, ny):
     return sorted(4.0 - 2.0 * cos(p * pi / (nx + 1)) - 2.0 * cos(q * pi / (ny + 1))
                   for p in range(1, nx + 1) for q in range(1, ny + 1))
@@ -1086,14 +1094,17 @@ def test_sweep_falls_back_when_the_basis_is_capped(monkeypatch):
     assert {kwargs["order"] for kwargs in calls[9:]} == {2}
 
 
-def test_sweep_without_a_hermitian_floor_solves_directly(monkeypatch):
-    # interior sites on the lattice rim leave the families no Hermitian
-    # floor, so the bound can never settle an evaluation's condition
-    # check.  No basis is built, and each evaluation is one driven_response
-    # call with one assembly and one factorization, the last Newton
-    # evaluation giving each peak's value.  The band holds the two lowest
-    # resonances above the uniform mode's lam = 0
-    g = rim_lattice(8, 6, 0.1)
+@pytest.mark.parametrize("walls", [
+    rim_lattice(8, 6, 0.1), free_edge(rasterize_rectangle(6, 4, 0.1))])
+def test_sweep_without_a_hermitian_floor_solves_directly(walls, monkeypatch):
+    # interior sites on the lattice rim, or on the free edge of a
+    # rectangle, leave the families no Hermitian floor, so the bound can
+    # never settle an evaluation's condition check.  No basis is built, and
+    # each evaluation is one driven_response call with one assembly and one
+    # factorization, the last Newton evaluation giving each peak's value.
+    # The band holds the two lowest resonances above the uniform mode's
+    # lam = 0
+    g = walls
     spec = CircuitSpec("I", L, C, 0.05)
     modes = eigenmodes_lossless(g, CircuitSpec("I", L, C, 0.0), 3)
     args = (g, spec, (modes[1].omega * 0.97, modes[2].omega * 1.03), 9,
