@@ -529,7 +529,11 @@ def _run_experiment(cfg, geometry, spec, out_dir, threads) -> dict:
         extra["mode_omega"] = baseline_mode.omega
 
     elif cfg.experiment == "stats":
-        extra = _run_stats(cfg, geometry, spec, out_dir)
+        ds = driven_statistics(_driven_field(cfg, geometry, spec),
+                               cfg.n_bins, cfg.exclude_wavelengths)
+        _write_fit(os.path.join(out_dir, "density_histogram.csv"), ds.density)
+        _write_fit(os.path.join(out_dir, "heat_histogram.csv"), ds.heat)
+        extra = ds.scalars
 
     elif cfg.experiment == "streamlines":
         extra = _run_streamlines(cfg, geometry, spec, out_dir)
@@ -570,21 +574,14 @@ def _write_fit(path, fit):
 
 @dataclass
 class DrivenStatistics:
-    """A driven solve and the current statistics `stats` reports on it."""
+    """What the `stats` experiment reports on one driven field: the density
+    and heat fits that it writes as histograms, and the manifest's scalars
+    under their manifest keys, the scores of all four fits among them."""
 
     field: ComplexField
-    sample: np.ndarray      # interior voltages beyond the radius
-    rotation: st.RotatedField
-    currents: fld.CurrentField
-    heat: fld.HeatField
-    bulk: np.ndarray        # complete current sites beyond the radius
-    wavelength: float
-    radius: float           # source-exclusion radius
-    r_real: float
-    r_imag: float
-    sigma_r_sq: float
-    sigma_i_sq: float
-    eps_current: float
+    density: st.HistogramFit
+    heat: st.HistogramFit
+    scalars: dict
 
 
 def _require_fit_samples(what, n, n_bins=0):
@@ -596,29 +593,42 @@ def _require_fit_samples(what, n, n_bins=0):
                           f"need at least {need}")
 
 
-def driven_statistics(cfg, geometry, spec) -> DrivenStatistics:
-    """Driven stadium solve plus the full statistical summary.
+def driven_statistics(field: ComplexField, n_bins: int = 50,
+                      exclude_wavelengths: float = 1.0) -> DrivenStatistics:
+    """The sample statistics of a driven field, as `stats` reports them.
 
     Every statistic reads one site set: the interior sites strictly farther
-    than `exclude_wavelengths * lambda` from the source (`sample`), and for
-    currents the complete current sites beyond the same radius (`bulk`).
-    Current statistics use the rotated-field convention: the globally
-    rotated field (the one that decorrelates Re and Im of V) differenced
-    across links and divided by R.
+    than `exclude_wavelengths` * lambda from the field's source, lambda
+    being the drive's wavelength on the field's lattice, and for currents
+    the complete current sites beyond the same radius (the bulk).  Current
+    statistics use the rotated-field convention: the globally rotated field
+    (the one that decorrelates Re and Im of V) differenced across links and
+    divided by R.  The four fits, in the order they are made:
+
+    - density: |V|^2 over its sample mean against the density law at the
+      field's openness, in n_bins bins;
+    - rayleigh: the same sample against the Rayleigh law exp(-rho);
+    - heat: the bulk's heat power, thinned to a lambda/4 site stride,
+      against the heat law at the currents' openness and the thinned
+      sample's mean, in n_bins bins but at most one per 50 samples (and
+      at least 10);
+    - gaussianity: Re I_x over the bulk against the unit normal.
+
+    A sample too small for its fit raises ConfigError.
     """
-    field = _driven_field(cfg, geometry, spec)
-    lam = wavelength(spec, cfg.spacing, cfg.omega)
-    radius = cfg.exclude_wavelengths * lam
+    geometry = field.geometry
+    lam = wavelength(field.spec, geometry.spacing, field.omega)
+    radius = exclude_wavelengths * lam
     far = st.source_exclusion_mask(geometry, field.source[0], radius)
     sample = field.values[geometry.interior & far]
-    _require_fit_samples("density sample", sample.size, cfg.n_bins)
+    _require_fit_samples("density sample", sample.size, n_bins)
     rot = st.phase_rotate(sample)
 
-    currents = fld.link_currents(st.rotated_field(field, rot.theta),
+    rotated = field.values * np.exp(1j * rot.theta)
+    currents = fld.link_currents(dataclasses.replace(field, values=rotated),
                                  variant=fld.OHMIC)
     bulk = currents.mask_x & currents.mask_y & far
-    _require_fit_samples("current bulk", int(np.count_nonzero(bulk)),
-                         cfg.n_bins)
+    _require_fit_samples("current bulk", int(np.count_nonzero(bulk)), n_bins)
     r_real, r_imag = st.anisotropy_metrics(currents, site_mask=bulk)
     sigma_r_sq = float(np.mean(currents.ix[bulk].real ** 2
                                + currents.iy[bulk].real ** 2) / 2.0)
@@ -626,60 +636,50 @@ def driven_statistics(cfg, geometry, spec) -> DrivenStatistics:
                                + currents.iy[bulk].imag ** 2) / 2.0)
     eps_current = (min(sigma_i_sq, sigma_r_sq)
                    / max(sigma_i_sq, sigma_r_sq)) ** 0.5
-    return DrivenStatistics(
-        field=field, sample=sample, rotation=rot, currents=currents,
-        heat=fld.heat_power(currents, spec.resistance), bulk=bulk,
-        wavelength=lam, radius=radius, r_real=r_real, r_imag=r_imag,
-        sigma_r_sq=sigma_r_sq, sigma_i_sq=sigma_i_sq,
-        eps_current=eps_current)
-
-
-def _run_stats(cfg, geometry, spec, out_dir):
-    ds = driven_statistics(cfg, geometry, spec)
-    field, rot, heat, bulk = ds.field, ds.rotation, ds.heat, ds.bulk
+    heat = fld.heat_power(currents, field.spec.resistance).power
 
     # chi^2 needs approximately independent draws: thin the heat field to a
     # lambda/4 site stride (the field's spatial correlation scale)
-    stride = max(1, int(round(0.25 * ds.wavelength / cfg.spacing)))
+    stride = max(1, int(round(0.25 * lam / geometry.spacing)))
     thin = np.zeros_like(bulk)
     thin[::stride, ::stride] = True
-    p = heat.power[bulk & thin]
+    p = heat[bulk & thin]
     _require_fit_samples("thinned heat sample", p.size)
 
-    rho = np.abs(ds.sample) ** 2
+    rho = np.abs(sample) ** 2
     rho = rho / rho.mean()
-    eps_fit = max(min(rot.openness, 1.0), 1e-3)
+    # the openness is at most 1 by phase_rotate's order; the floor keeps
+    # the density law defined for a real field
+    eps_fit = max(rot.openness, 1e-3)
     density_fit = st.fit_histogram(
-        rho, lambda r: st.density_cdf(eps_fit, r), cfg.n_bins,
+        rho, lambda r: st.density_cdf(eps_fit, r), n_bins,
         ppf=lambda q: st.density_ppf(eps_fit, q))
     rayleigh_fit = st.fit_histogram(
-        rho, lambda r: 1.0 - np.exp(-np.asarray(r)), cfg.n_bins,
+        rho, lambda r: 1.0 - np.exp(-np.asarray(r)), n_bins,
         ppf=lambda q: -np.log1p(-q))
 
     mean_p = float(p.mean())
-    n_bins = min(cfg.n_bins, max(10, p.size // 50))
     heat_fit = st.fit_histogram(
-        p, lambda q: st.heat_cdf(ds.eps_current, mean_p, q), n_bins)
+        p, lambda q: st.heat_cdf(eps_current, mean_p, q),
+        min(n_bins, max(10, p.size // 50)))
 
-    gauss = st.gaussianity_check(ds.currents.ix[bulk].real, cfg.n_bins)
+    gauss = st.gaussianity_check(currents.ix[bulk].real, n_bins)
 
-    _write_fit(os.path.join(out_dir, "density_histogram.csv"), density_fit)
-    _write_fit(os.path.join(out_dir, "heat_histogram.csv"), heat_fit)
-    return {
+    scalars = {
         "source_site": list(field.source[0]),
         "theta": rot.theta,
         "openness_field": rot.openness,
-        "openness_current": ds.eps_current,
+        "openness_current": eps_current,
         "sigma_p_sq_field": rot.sigma_p_sq,
         "sigma_q_sq_field": rot.sigma_q_sq,
-        "sigma_r_sq": ds.sigma_r_sq,
-        "sigma_i_sq": ds.sigma_i_sq,
-        "mean_power": float(heat.power[bulk].mean()),
-        "sigma_p_sq_heat": st.sigma_p_sq_empirical(heat.power[bulk]),
+        "sigma_r_sq": sigma_r_sq,
+        "sigma_i_sq": sigma_i_sq,
+        "mean_power": float(heat[bulk].mean()),
+        "sigma_p_sq_heat": st.sigma_p_sq_empirical(heat[bulk]),
         "heat_sample_stride": stride,
         "heat_sample_size": int(p.size),
-        "anisotropy_real": ds.r_real,
-        "anisotropy_imag": ds.r_imag,
+        "anisotropy_real": r_real,
+        "anisotropy_imag": r_imag,
         "density_ks": density_fit.ks_distance,
         "density_chi_sq_per_dof": density_fit.chi_sq_per_dof,
         "rayleigh_ks": rayleigh_fit.ks_distance,
@@ -687,8 +687,9 @@ def _run_stats(cfg, geometry, spec, out_dir):
         "heat_chi_sq_per_dof": heat_fit.chi_sq_per_dof,
         "gaussianity_ks": gauss.ks_distance,
         "power_balance_residual": fld.power_balance(field),
-        "exclusion_radius": ds.radius,
+        "exclusion_radius": radius,
     }
+    return DrivenStatistics(field, density_fit, heat_fit, scalars)
 
 
 def _run_streamlines(cfg, geometry, spec, out_dir):

@@ -10,7 +10,7 @@ the two-exponential family
 which for eps -> 1 degenerates to f(P) = (4 P / <P>^2) exp(-2 P / <P>).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import pi, sqrt
 
@@ -18,7 +18,6 @@ import numpy as np
 from scipy import special
 
 from .fields import CurrentField
-from .solve import ComplexField
 
 _EPS_ONE = 1e-12
 
@@ -62,7 +61,8 @@ def phase_rotate(sample) -> RotatedField:
     """Rotate V -> V exp(i theta) = p + i q so that <p q> = 0, sigma_q <= sigma_p.
 
     theta = -arg(<V^2>)/2, shifted by pi/2 when needed to keep eps <= 1.
-    `sample` is an array of complex voltages (e.g. DrivenStatistics.sample).
+    `sample` is an array of complex voltages: `driven_statistics` passes
+    the interior voltages beyond its source-exclusion radius.
     """
     v = np.asarray(sample, dtype=complex).ravel()
     if v.size == 0 or not np.any(v):
@@ -82,16 +82,14 @@ def phase_rotate(sample) -> RotatedField:
 def source_exclusion_mask(geometry, source_site, radius: float) -> np.ndarray:
     """Sites strictly farther than `radius` from the source (near-field
     cut); radius 0 drops the source site alone."""
+    # a negative radius would square to the positive one
+    if radius < 0.0:
+        raise ValueError("exclusion radius must be >= 0")
     i = np.arange(geometry.nx)[:, None]
     j = np.arange(geometry.ny)[None, :]
     a0 = geometry.spacing
     si, sj = source_site
     return ((i - si) * a0) ** 2 + ((j - sj) * a0) ** 2 > radius ** 2
-
-
-def rotated_field(field: ComplexField, theta: float) -> ComplexField:
-    """The field with the global phase rotation V -> V exp(i theta)."""
-    return replace(field, values=field.values * np.exp(1j * theta))
 
 
 def _check_eps(eps):

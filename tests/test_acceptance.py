@@ -13,7 +13,8 @@ import pytest
 from scipy import integrate
 
 from rlcnet.experiments import ExperimentConfig, driven_statistics, run, \
-    ensemble_average, standardized_mode_histogram, ks_binned_vs_normal
+    ensemble_average, place_source_at_maximum, standardized_mode_histogram, \
+    ks_binned_vs_normal
 from rlcnet.fields import OHMIC, CurrentField, link_currents, \
     nodal_vortices, power_balance, trace_streamlines
 from rlcnet.geometry import rasterize_quarter_stadium, rasterize_rectangle
@@ -21,9 +22,8 @@ from rlcnet.network import CircuitSpec, admittance_families
 from rlcnet.solve import (ComplexField, _eigsh_near, dispersion,
                           driven_response, eigenmodes_lossless,
                           quality_factor, wavelength)
-from rlcnet.stats import (anisotropy_metrics, density_cdf, density_pdf,
-                          density_ppf, fit_histogram, heat_cdf, mc_heat_oracle,
-                          sigma_p_sq, sigma_p_sq_empirical)
+from rlcnet.stats import (anisotropy_metrics, density_pdf, heat_cdf,
+                          mc_heat_oracle, sigma_p_sq, sigma_p_sq_empirical)
 
 L, C = 1e-4, 1e-9
 W1, W2 = 0.8611e6, 1.1623e6   # rad/s, the two reference drive frequencies
@@ -45,18 +45,17 @@ def stadium():
 
 @pytest.fixture(scope="session")
 def stadium_stats(stadium):
-    """Cached driven-stadium statistics keyed by (omega, R)."""
+    """Cached `stats` statistics of the driven stadium, keyed by (omega, R):
+    the source is walked to the density maximum from the centroid in 3
+    moves, as `source_rule: density_max` does."""
     cache = {}
 
     def get(omega, resistance):
         key = (omega, resistance)
         if key not in cache:
-            cfg = ExperimentConfig.from_dict({
-                "experiment": "stats", "geometry": "quarter_stadium",
-                "spacing": A0, "resistance": resistance, "omega": omega,
-                "source_rule": "density_max", "source_iterations": 3,
-            })
-            cache[key] = driven_statistics(cfg, stadium, cfg.build_spec())
+            spec = CircuitSpec("I", L, C, resistance)
+            field = place_source_at_maximum(stadium, spec, omega, n_iter=3)
+            cache[key] = driven_statistics(field)
         return cache[key]
 
     return get
@@ -176,37 +175,20 @@ def test_criterion_07_density_law_normalization(acceptance_report):
            ok, "; ".join(details) + f"; eps=1 max dev {point:.1e}")
 
 
-def test_criterion_08_stadium_statistics(acceptance_report, stadium, stadium_stats):
-    eps_by_r = {}
-    for r in (0.1, 0.3, 0.5, 1.0):
-        eps_by_r[r] = stadium_stats(W1, r).rotation.openness
-    eps_list = [eps_by_r[r] for r in (0.1, 0.3, 0.5, 1.0)]
+def test_criterion_08_stadium_statistics(acceptance_report, stadium_stats):
+    eps_list = [stadium_stats(W1, r).scalars["openness_field"]
+                for r in (0.1, 0.3, 0.5, 1.0)]
     monotone = all(b >= a for a, b in zip(eps_list, eps_list[1:]))
+    s1 = stadium_stats(W1, 0.1).scalars
+    ratio = s1["rayleigh_ks"] / s1["density_ks"]
+    s2 = stadium_stats(W2, 0.1).scalars
 
-    s1 = stadium_stats(W1, 0.1)
-    rho = np.abs(s1.sample) ** 2
-    rho = rho / rho.mean()
-    eps = s1.rotation.openness
-    density_fit = fit_histogram(rho, lambda x: density_cdf(eps, x), 50,
-                                ppf=lambda q: density_ppf(eps, q))
-    rayleigh_fit = fit_histogram(rho,
-                                 lambda x: 1.0 - np.exp(-np.asarray(x)), 50)
-    ratio = rayleigh_fit.ks_distance / density_fit.ks_distance
-
-    s2 = stadium_stats(W2, 0.1)
-    stride = max(1, int(round(0.25 * s2.wavelength / A0)))
-    thin = np.zeros_like(s2.bulk)
-    thin[::stride, ::stride] = True
-    p = s2.heat.power[s2.bulk & thin]
-    mean_p = float(p.mean())
-    eps_c = s2.eps_current
-    heat_fit = fit_histogram(p, lambda q: heat_cdf(eps_c, mean_p, q), 50)
-
-    ok = monotone and ratio >= 3.0 and heat_fit.chi_sq_per_dof < 2.0
+    ok = monotone and ratio >= 3.0 and s2["heat_chi_sq_per_dof"] < 2.0
     report(acceptance_report, 8, "stadium openness monotone in R; density and heat laws fit",
            ok, f"eps {', '.join(f'{e:.3f}' for e in eps_list)}; "
                f"KS ratio {ratio:.1f}; heat chi2/dof "
-               f"{heat_fit.chi_sq_per_dof:.2f} (n={p.size})")
+               f"{s2['heat_chi_sq_per_dof']:.2f} "
+               f"(n={s2['heat_sample_size']})")
 
 
 def test_criterion_09_tolerance_smoothing(acceptance_report):
@@ -291,7 +273,8 @@ def test_criterion_10_anisotropy(acceptance_report, stadium, stadium_stats):
         mean, sem = r.mean(), r.std(ddof=1) / sqrt(N_STATES)
         stadium_ok &= abs(mean) < 0.2
         details.append(f"omega={omega:.4g} driven "
-                       f"({driven.r_real:+.3f}, {driven.r_imag:+.3f}), "
+                       f"({driven.scalars['anisotropy_real']:+.3f}, "
+                       f"{driven.scalars['anisotropy_imag']:+.3f}), "
                        f"nearest state {r[0]:+.3f}, "
                        f"mean of {N_STATES} states {mean:+.4f} +- {sem:.4f}")
     report(acceptance_report, 10, "current anisotropy small for isotropic field and stadium state average",

@@ -14,12 +14,14 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import rlcnet.experiments
+import rlcnet.fields
 import rlcnet.geometry
+import rlcnet.stats
 from rlcnet.cli import main
 from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
-                                ensemble_average, ks_binned_vs_normal,
-                                place_source_at_maximum, run,
-                                standardized_mode_histogram)
+                                driven_statistics, ensemble_average,
+                                ks_binned_vs_normal, place_source_at_maximum,
+                                run, standardized_mode_histogram)
 from rlcnet.geometry import rasterize_rectangle
 from rlcnet.io import FLOAT, write_csv, write_polylines
 from rlcnet.network import CircuitSpec
@@ -542,11 +544,14 @@ def test_cli_rejects_model_ii_stats(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "new").exists()
 
 
+# a 60x60 rectangle stats config: its lambda/4 stride is 1 site, so every
+# fit reads the 3531 sites of the bulk
+STATS_60 = {"geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
+            "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6}
+
+
 def test_cli_stats_end_to_end(tmp_path):
-    cfg = write_cfg(tmp_path, {
-        "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
-        "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6,
-    })
+    cfg = write_cfg(tmp_path, STATS_60)
     out = tmp_path / "stats"
     assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["density_histogram.csv",
@@ -558,13 +563,63 @@ def test_cli_stats_end_to_end(tmp_path):
 
 def test_stats_run_builds_one_stencil(tmp_path, stencil_builds):
     # the assembly, both current fields and the power audit share it
-    cfg = write_cfg(tmp_path, {
-        "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
-        "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6,
-    })
+    cfg = write_cfg(tmp_path, STATS_60)
     assert main(["stats", "--config", cfg, "--out",
                  str(tmp_path / "stats")]) == 0
     assert len(stencil_builds) == 1
+
+
+def test_stats_fits_and_audits_through_the_module_attributes(tmp_path,
+                                                              monkeypatch):
+    # the benchmark times the stats layer by patching rlcnet.stats and
+    # rlcnet.fields, and pairs the fit_histogram calls with the laws in
+    # call order: density, rayleigh, heat, gaussianity
+    samples, audits = [], []
+    fit, audit = rlcnet.stats.fit_histogram, rlcnet.fields.power_balance
+
+    def counted_fit(sample, *args, **kwargs):
+        samples.append(sample)
+        return fit(sample, *args, **kwargs)
+
+    def counted_audit(field):
+        audits.append(field)
+        return audit(field)
+
+    monkeypatch.setattr(rlcnet.stats, "fit_histogram", counted_fit)
+    monkeypatch.setattr(rlcnet.fields, "power_balance", counted_audit)
+    out = tmp_path / "stats"
+    cfg = write_cfg(tmp_path, STATS_60)
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert [np.size(x) for x in samples] == [man["heat_sample_size"]] * 4
+    # the sizes are equal at stride 1, so the laws are told apart by
+    # their samples
+    density, rayleigh, heat, gaussianity = samples
+    assert rayleigh is density and np.mean(density) == pytest.approx(1.0)
+    assert np.mean(heat) == man["mean_power"]
+    assert np.mean(gaussianity) == pytest.approx(0.0, abs=1e-12)
+    assert np.std(gaussianity) == pytest.approx(1.0)
+    assert len(audits) == 1
+
+
+def test_driven_statistics_returns_what_stats_writes(tmp_path):
+    out = tmp_path / "stats"
+    cfg = write_cfg(tmp_path, STATS_60)
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
+    g = rasterize_rectangle(60, 60, 0.02)
+    field = driven_response(g, CircuitSpec("I", L, C, 0.3), 4.0e6,
+                            (centroid_site(g), 1.0 + 0j))
+    ds = driven_statistics(field)
+    man = json.loads((out / "manifest.json").read_text())
+    for key in ("config", "version", "derived", "conventions"):
+        del man[key]
+    assert man == ds.scalars
+    for name, fit in (("density_histogram.csv", ds.density),
+                      ("heat_histogram.csv", ds.heat)):
+        _, _, empirical, model = np.loadtxt(out / name, delimiter=",",
+                                            skiprows=1, unpack=True)
+        assert np.array_equal(empirical, fit.empirical)
+        assert np.array_equal(model, fit.model)
 
 
 def test_cli_streamlines_seed_ring(tmp_path, capsys):

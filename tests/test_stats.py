@@ -13,7 +13,7 @@ from rlcnet.stats import (_model_quantiles, anisotropy_metrics, density_cdf,
                           density_pdf, density_ppf, fit_histogram,
                           gaussianity_check, heat_cdf, heat_pdf,
                           mc_heat_oracle, phase_rotate, sigma_p_sq,
-                          sigma_p_sq_empirical)
+                          sigma_p_sq_empirical, source_exclusion_mask)
 from rlcnet.fields import CurrentField
 from rlcnet.geometry import rasterize_rectangle
 
@@ -50,6 +50,23 @@ def test_phase_rotate_scale_invariant(re, im):
     v = rng.normal(0, 1, 3000) + 0.3j * rng.normal(0, 1, 3000)
     assert phase_rotate(c * v).openness == pytest.approx(
         phase_rotate(v).openness, abs=1e-10)
+
+
+def test_source_exclusion_mask_keeps_sites_strictly_beyond_the_radius():
+    # a0 = 1/4 makes every squared distance exact: the (3, 4) and (0, 5)
+    # offsets lie exactly at the radius 5 a0, and are excluded
+    g = rasterize_rectangle(11, 11, 0.25)
+    source = (6, 6)
+    far = source_exclusion_mask(g, source, 1.25)
+    assert not far[9, 10] and not far[6, 11] and far[9, 11]
+    di = np.arange(g.nx)[:, None] - 6
+    dj = np.arange(g.ny)[None, :] - 6
+    assert np.array_equal(far, di ** 2 + dj ** 2 > 25)
+    # radius 0 drops the source site alone
+    near = ~source_exclusion_mask(g, source, 0.0)
+    assert np.count_nonzero(near) == 1 and near[source]
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        source_exclusion_mask(g, source, -1.25)
 
 
 def test_phase_rotate_rejects_empty():
