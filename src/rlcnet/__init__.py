@@ -16,9 +16,9 @@ from .solve import (ComplexField, Mode, SingularSystemError, damping_length,
                     dispersion, driven_response, eigenmode_nearest,
                     eigenmodes_lossless, quality_factor, resonance_sweep,
                     wavelength)
-from .fields import (CurrentField, HeatField, Vortex, heat_power,
-                     link_currents, nodal_vortices, power_balance,
-                     probability_density, trace_streamlines)
+from .fields import (CurrentField, Vortex, heat_power, link_currents,
+                     nodal_vortices, power_balance, probability_density,
+                     trace_streamlines)
 from .stats import (HistogramFit, RotatedField, anisotropy_metrics,
                     density_pdf, fit_histogram, gaussianity_check, heat_pdf,
                     mc_heat_oracle, phase_rotate, sigma_p_sq,

@@ -636,7 +636,7 @@ def driven_statistics(field: ComplexField, n_bins: int = 50,
                                + currents.iy[bulk].imag ** 2) / 2.0)
     eps_current = (min(sigma_i_sq, sigma_r_sq)
                    / max(sigma_i_sq, sigma_r_sq)) ** 0.5
-    heat = fld.heat_power(currents, field.spec.resistance).power
+    heat = fld.heat_power(currents, field.spec.resistance)
 
     # chi^2 needs approximately independent draws: thin the heat field to a
     # lambda/4 site stride (the field's spatial correlation scale)

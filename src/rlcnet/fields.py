@@ -47,18 +47,6 @@ class CurrentField:
     mask_y: np.ndarray
 
 
-@dataclass
-class HeatField:
-    """Local resistive dissipation P(i, j) >= 0 and its total."""
-
-    geometry: GridGeometry
-    power: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.power.sum())
-
-
 class Streamlines(list):
     """Traced polylines, one (n, 2) array of points per seed in seed order;
     `stop_reasons[k]` says why trace k stopped, one of STOP_REASONS."""
@@ -124,12 +112,12 @@ def link_currents(field: ComplexField,
                         mask_x=stencil.mask_x, mask_y=stencil.mask_y)
 
 
-def heat_power(currents: CurrentField, resistance: float) -> HeatField:
-    """P(i, j) = (R/2) (|I_x|^2 + |I_y|^2) per site."""
+def heat_power(currents: CurrentField, resistance: float) -> np.ndarray:
+    """P(i, j) = (R/2) (|I_x|^2 + |I_y|^2) per site, as an (nx, ny) array."""
     if resistance < 0.0:
         raise ValueError("R must be >= 0")
-    p = 0.5 * resistance * (np.abs(currents.ix) ** 2 + np.abs(currents.iy) ** 2)
-    return HeatField(geometry=currents.geometry, power=p)
+    return 0.5 * resistance * (np.abs(currents.ix) ** 2
+                               + np.abs(currents.iy) ** 2)
 
 
 def power_balance(field: ComplexField) -> float:

@@ -1,11 +1,11 @@
 """Billiard shapes rasterized onto the square circuit lattice.
 
 Lattice sites live at (x, y) = a0 * (i, j).  A site is *interior* when its
-center falls strictly inside the continuum region; sites outside the region
-that touch an interior site through a lattice link are *boundary* sites.
-The network is grounded at its edge: boundary sites hold V = 0, so the
-interior sites are the unknowns and the lattice maps onto the Dirichlet
-Laplacian.
+center falls strictly inside the continuum region; a geometry is its
+interior mask.  The network is grounded at its edge: every link with an
+interior end exists, and its non-interior end holds V = 0, so the interior
+sites are the unknowns and the lattice maps onto the Dirichlet Laplacian.
+No interior site sits on the lattice rim, so every unknown has four links.
 
 Each geometry builds the symbolic stencil of its lattice links once, on
 first use (`GridGeometry.stencil`); every Kirchhoff operator on it shares
@@ -21,23 +21,27 @@ import scipy.sparse as sp
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """Rasterized billiard on an nx-by-ny site lattice."""
+    """Rasterized billiard on an nx-by-ny site lattice: its interior mask,
+    which keeps the lattice rim free (ValueError otherwise)."""
 
     spacing: float
-    nx: int
-    ny: int
     interior: np.ndarray   # bool, shape (nx, ny)
-    boundary: np.ndarray   # bool, shape (nx, ny)
 
     def __post_init__(self):
         if self.spacing <= 0.0:
             raise ValueError("spacing must be positive")
-        if self.interior.shape != (self.nx, self.ny):
-            raise ValueError("interior mask shape mismatch")
-        if self.boundary.shape != (self.nx, self.ny):
-            raise ValueError("boundary mask shape mismatch")
-        if np.any(self.interior & self.boundary):
-            raise ValueError("interior and boundary masks overlap")
+        if np.any(self.interior[[0, -1], :]) \
+                or np.any(self.interior[:, [0, -1]]):
+            raise ValueError(
+                "interior touches the lattice rim; enlarge the lattice")
+
+    @property
+    def nx(self) -> int:
+        return self.interior.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.interior.shape[1]
 
     @property
     def n_interior(self) -> int:
@@ -47,13 +51,13 @@ class GridGeometry:
         """True where (i, j) is on the lattice and an interior site; takes
         whole-number scalars (returns a bool) or arrays of one shape, of
         integer or float dtype (NaN reads False)."""
-        framed, _, lo, nx, ny, row, first = self._site_lookup
+        flat, _, lo, hi_i, hi_j, row = self._site_lookup
         # as floats, Python ints too large for int64 clip like any other; an
-        # index past the lattice is clipped onto the False frame, and fmax
-        # and fmin send NaN there too
-        i = np.fmin(np.fmax(np.asarray(i, dtype=float), lo), nx)
-        j = np.fmin(np.fmax(np.asarray(j, dtype=float), lo), ny)
-        inside = framed.take((i * row + j + first).astype(np.intp))
+        # index past the lattice is clipped onto its rim, which holds no
+        # interior site, and fmax and fmin send NaN there too
+        i = np.fmin(np.fmax(np.asarray(i, dtype=float), lo), hi_i)
+        j = np.fmin(np.fmax(np.asarray(j, dtype=float), lo), hi_j)
+        inside = flat.take((i * row + j).astype(np.intp))
         return bool(inside) if inside.ndim == 0 else inside
 
     def contains(self, x, y):
@@ -65,17 +69,15 @@ class GridGeometry:
 
     @cached_property
     def _site_lookup(self) -> tuple:
-        """What `is_interior` reads: the interior mask inside a one-site
-        False frame, flattened, so that site (i, j) for i in [-1, nx] and j
-        in [-1, ny] sits at i * (ny + 2) + j + (ny + 3); then a0, the lowest
-        and the highest i and j, the row length and that offset, as 0-d
-        float arrays.  The streamline tracer calls `contains` once a step,
-        and numpy applies 0-d arrays faster than Python scalars."""
-        framed = np.pad(self.interior, 1).ravel()
-        framed.flags.writeable = False
-        return (framed, *map(np.array, (self.spacing, -1.0, float(self.nx),
-                                        float(self.ny), self.ny + 2.0,
-                                        self.ny + 3.0)))
+        """What `is_interior` reads: the interior mask flattened, so that
+        site (i, j) sits at i * ny + j; then a0, the lowest and the highest
+        i and j and the row length, as 0-d float arrays.  The streamline
+        tracer calls `contains` once a step, and numpy applies 0-d arrays
+        faster than Python scalars."""
+        flat = self.interior.ravel()
+        flat.flags.writeable = False
+        return (flat, *map(np.array, (self.spacing, 0.0, self.nx - 1.0,
+                                      self.ny - 1.0, float(self.ny))))
 
     @property
     def interior_sites(self) -> np.ndarray:
@@ -95,11 +97,11 @@ class LatticeStencil:
     sites, the unknowns.
 
     Links join (i,j)-(i+1,j) (x links) and (i,j)-(i,j+1) (y links); a link
-    exists when both ends are network sites and at least one end is
-    interior.  Links are numbered x links first, then y links, each in
-    row-major order of the link's lower end.  A boundary end is grounded
-    (V = 0): `ends` reads n there, and the link still adds its admittance
-    to the other end's diagonal.  `indptr` and `indices` hold the sorted
+    exists when at least one end is interior, so every unknown has four.
+    Links are numbered x links first, then y links, each in row-major
+    order of the link's lower end.  A non-interior end is grounded (V =
+    0): `ends` reads n there, and the link still adds its admittance to
+    the other end's diagonal.  `indptr` and `indices` hold the sorted
     CSC pattern of B^T B + I, B the oriented link incidence over the
     unknowns; `source` holds the link behind each off-diagonal entry and
     n_links + u on the diagonal of unknown u.
@@ -120,14 +122,6 @@ class LatticeStencil:
     @property
     def n_links(self) -> int:
         return len(self.ends)
-
-    @cached_property
-    def four_links(self) -> bool:
-        """True when every unknown has four links, grounded ones counted;
-        False where an interior site sits on the lattice rim, which the
-        rasterizers never make but a hand-built geometry can."""
-        counts = np.bincount(self.ends.ravel(), minlength=self.n + 1)
-        return bool(np.all(counts[:self.n] == 4))
 
     def assemble(self, w) -> sp.csc_matrix:
         """B^T diag(w) B as a CSC matrix with sorted indices, for real link
@@ -164,7 +158,6 @@ def lattice_stencil(geometry: GridGeometry) -> LatticeStencil:
     Its arrays are read-only: every matrix assembled on it shares them.
     """
     inter = geometry.interior
-    member = inter | geometry.boundary
     n = geometry.n_interior
     index = np.full(inter.shape, -1, dtype=np.int32)
     index[inter] = np.arange(n, dtype=np.int32)
@@ -172,7 +165,7 @@ def lattice_stencil(geometry: GridGeometry) -> LatticeStencil:
     masks, ends = [], []
     for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
         mask = np.zeros_like(inter)
-        mask[lo] = member[lo] & member[hi] & (inter[lo] | inter[hi])
+        mask[lo] = inter[lo] | inter[hi]
         masks.append(mask)
         ends.append(np.stack((end_of[lo][mask[lo]], end_of[hi][mask[lo]]),
                              axis=1))
@@ -194,35 +187,15 @@ def lattice_stencil(geometry: GridGeometry) -> LatticeStencil:
     return stencil
 
 
-def _boundary_from_interior(interior: np.ndarray) -> np.ndarray:
-    """Non-interior sites 4-adjacent to an interior site."""
-    nx, ny = interior.shape
-    if np.any(interior[0, :]) or np.any(interior[-1, :]) \
-            or np.any(interior[:, 0]) or np.any(interior[:, -1]):
-        raise ValueError("interior touches the lattice rim; enlarge the lattice")
-    near = np.zeros_like(interior)
-    near[1:, :] |= interior[:-1, :]
-    near[:-1, :] |= interior[1:, :]
-    near[:, 1:] |= interior[:, :-1]
-    near[:, :-1] |= interior[:, 1:]
-    return near & ~interior
-
-
 def rasterize_rectangle(nx_interior: int, ny_interior: int, spacing: float) -> GridGeometry:
-    """Full nx-by-ny interior block with a one-site boundary frame."""
+    """Full nx-by-ny interior block inside a one-site grounded frame."""
     if nx_interior < 1 or ny_interior < 1:
         raise ValueError("rectangle extents must be >= 1")
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
-    nx, ny = nx_interior + 2, ny_interior + 2
-    interior = np.zeros((nx, ny), dtype=bool)
+    interior = np.zeros((nx_interior + 2, ny_interior + 2), dtype=bool)
     interior[1:-1, 1:-1] = True
-    # full one-site frame, corners included
-    boundary = ~interior
-    return GridGeometry(
-        spacing=spacing, nx=nx, ny=ny,
-        interior=interior, boundary=boundary,
-    )
+    return GridGeometry(spacing=spacing, interior=interior)
 
 
 def rasterize_quarter_stadium(spacing: float) -> GridGeometry:
@@ -243,9 +216,5 @@ def rasterize_quarter_stadium(spacing: float) -> GridGeometry:
     y = spacing * j
     in_square = (x > 0.0) & (x < 1.0) & (y > 0.0) & (y < 1.0)
     in_cap = (x >= 1.0) & (y > 0.0) & ((x - 1.0) ** 2 + y ** 2 < 1.0)
-    interior = in_square | in_cap
-    return GridGeometry(
-        spacing=spacing, nx=nx, ny=ny,
-        interior=interior, boundary=_boundary_from_interior(interior),
-    )
+    return GridGeometry(spacing=spacing, interior=in_square | in_cap)
 

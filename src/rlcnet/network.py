@@ -219,19 +219,14 @@ class AdmittanceFamilies:
     def floor(self, y) -> float:
         """A proven lower bound on the smallest eigenvalue of the Hermitian
         part -Re(A), hence on the smallest singular value of A, at the
-        families' y; 0 where no positive bound is known (R = 0, or an
-        unknown with fewer than four links).
+        families' y; positive when R > 0, 0 at R = 0.
 
-        -Re(A) = Re(y_0) G_0 + diag(Re shunts) with Re y >= 0.  When every
-        unknown has four links, none sits on the lattice rim and B^T B is
-        a principal submatrix of the Dirichlet Laplacian of the
-        (nx-2)-by-(ny-2) block inside the rim, so by Cauchy interlacing its
-        eigenvalues are at least that block's lowest; G_0 >= min(link) B^T
-        B.  A hand-built geometry can put interior sites on the rim, where
-        B^T B is no such submatrix and the bound would not hold: 0 there.
+        -Re(A) = Re(y_0) G_0 + diag(Re shunts) with Re y >= 0.  No unknown
+        sits on the lattice rim, so B^T B is a principal submatrix of the
+        Dirichlet Laplacian of the (nx-2)-by-(ny-2) block inside the rim,
+        and by Cauchy interlacing its eigenvalues are at least that block's
+        lowest; G_0 >= min(link) B^T B.
         """
-        if not self.stencil.four_links:
-            return 0.0
         nx, ny = self.stencil.index.shape
         lam_rect = 4.0 - 2.0 * cos(pi / (nx - 1)) - 2.0 * cos(pi / (ny - 1))
         return float(lam_rect * (y[0].real * self.link.min())
@@ -242,7 +237,7 @@ def admittance_families(geometry: GridGeometry, spec: CircuitSpec,
                         pert: Perturbation | None = None
                         ) -> AdmittanceFamilies:
     """The element families of the network over the interior sites, its
-    unknowns; a boundary site is grounded and has no shunt.  The same
+    unknowns; a non-interior site is grounded and has no shunt.  The same
     families are the pencil K v = lam M v of every eigen solve, K = G_0
     and M = G_1.  `pert` None means unit multipliers."""
     stencil = geometry.stencil
@@ -261,8 +256,8 @@ def assemble_admittance(families: AdmittanceFamilies,
     """The Kirchhoff current-law matrix A of the network `families` at
     frequency omega, CSC.
 
-    The unknowns are the interior sites; the grounded boundary sites hold
-    V = 0.  A = -sum_f y_f(omega) G_f over the element families
+    The unknowns are the interior sites; the grounded non-interior sites
+    hold V = 0.  A = -sum_f y_f(omega) G_f over the element families
     (`admittance_families`), formed from the families' data on their
     stencil.  Norms, floors and omega derivatives of A come from the
     families, not from a matrix.

@@ -146,23 +146,16 @@ def quality_factor(spec: CircuitSpec) -> float:
     return sqrt(spec.inductance / spec.capacitance) / spec.resistance
 
 
-def _omega_from_lam(spec: CircuitSpec, lam: float) -> float:
-    """Frequency of billiard eigenvalue lam >= 0; lam = 0, the uniform
-    mode of a network without a grounded link, is at 0 in model I and at
-    infinite frequency in model II."""
-    if spec.model == MODEL_I:
-        return spec.omega0 * sqrt(lam)
-    return spec.omega0 / sqrt(lam) if lam > 0.0 else inf
-
-
 def _mode(geometry: GridGeometry, spec: CircuitSpec, index: int, lam,
           vector) -> Mode:
     """Mode of billiard eigenvalue lam = a0^2 k^2, vector scaled to unit
-    norm.  Every pencil here has K >= 0 and M > 0, so a lam below 0 is
-    the roundoff of an exact 0."""
-    lam = max(float(lam), 0.0)
-    return Mode(index=index, omega=_omega_from_lam(spec, lam),
-                lam_grid=lam, eps=lam / geometry.spacing ** 2,
+    norm.  Every pencil here has M > 0 and K > 0, since each connected
+    part of the interior has a grounded link, so lam > 0."""
+    lam = float(lam)
+    omega = spec.omega0 * sqrt(lam) if spec.model == MODEL_I \
+        else spec.omega0 / sqrt(lam)
+    return Mode(index=index, omega=omega, lam_grid=lam,
+                eps=lam / geometry.spacing ** 2,
                 vector=vector / np.linalg.norm(vector))
 
 
@@ -443,9 +436,9 @@ def _condition(families: AdmittanceFamilies, y,
 
     Where the families prove sigma_min(A) >= floor > 0
     (`AdmittanceFamilies.floor`) it is the bound sqrt(n) ||A||_1 / floor,
-    which needs no solve; where that bound is missing (R = 0, or an
-    unknown with fewer than four links) or above COND_LIMIT it is ||A||_1
-    times an estimate of ||A^-1||_1 on `factor`, and inf without one.  A 1x1 system compares its one entry with the
+    which needs no solve; where that bound is missing (R = 0) or above
+    COND_LIMIT it is ||A||_1 times an estimate of ||A^-1||_1 on `factor`,
+    and inf without one.  A 1x1 system compares its one entry with the
     moduli of its summands, ||A||_1 at |y|: cancellation to roundoff
     means resonance.  ||A||_1 is `AdmittanceFamilies.norm1`, exact in
     O(n).
@@ -493,11 +486,10 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     exceed COND_LIMIT (`_condition` on the element families): where the
     families prove sigma_min(A) >= floor > 0 (R > 0) the check is a
     bound taken before the factorization, which needs no solve; where
-    that proves nothing (R = 0, an unknown with fewer than four links, or
-    a bound above COND_LIMIT) it estimates ||A^-1||_1 on the
-    factorization.  Raises SingularSystemError when the factorization,
-    the check or the residual contract fails (lossless drive on
-    resonance).
+    that proves nothing (R = 0, or a bound above COND_LIMIT) it estimates
+    ||A^-1||_1 on the factorization.  Raises SingularSystemError when the
+    factorization, the check or the residual contract fails (lossless
+    drive on resonance).
 
     With derivative `order` 1 or 2, solve returns the fields (V,
     dV/domega) or (V, dV/domega, d2V/domega2), the derivatives from the
@@ -718,14 +710,9 @@ def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                   pert: Perturbation | None, source):
     """The `_ShiftedKrylov` basis of a sweep window on the assembled A at
     its centre, the families' pencil shifted at the complex dispersion
-    there, or None where it could serve no evaluation: a geometry with an
-    interior site on the lattice rim has no positive
-    `AdmittanceFamilies.floor`, so the bound never settles its condition
-    check, and a window whose centre has none assembles nothing."""
+    there."""
     omega_c = 0.5 * (omega_range[0] + omega_range[1])
     families = admittance_families(geometry, spec, pert)
-    if not families.floor(families.units(omega_c)) > 0.0:
-        return None
     center = assemble_admittance(families, omega_c)
     return _ShiftedKrylov(geometry, families, center, omega_c, source)
 
@@ -746,13 +733,12 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     window centre's complex dispersion (`_ShiftedKrylov`), on one
     factorization of A there, with each field checked against the
     residual contract on the element families, and the centre is the
-    sweep's only assembly; an evaluation the basis cannot serve (no
-    positive floor at the window centre, whose condition check then needs
-    an estimate, or the contract unmet at the cap) is one
-    `driven_response` call: one factorization.  Returns a list of (omega_peak,
-    response_norm_sq) in ascending omega, the value being |V|^2 of the
-    field that the last Newton evaluation computed at omega_peak, which
-    has met the residual contract.
+    sweep's only assembly; an evaluation the basis cannot serve (a bound
+    that does not settle its condition check, or the contract unmet at
+    the cap) is one `driven_response` call: one factorization.  Returns a
+    list of (omega_peak, response_norm_sq) in ascending omega, the value
+    being |V|^2 of the field that the last Newton evaluation computed at
+    omega_peak, which has met the residual contract.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi):
@@ -770,7 +756,7 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
 
     def response(omega, order):
         """(f, f') for order 1, (f, f', f'') for order 2."""
-        xs = krylov.solve(omega, order) if krylov else None
+        xs = krylov.solve(omega, order)
         if xs is None:
             xs = [field.interior_values for field in driven_response(
                 geometry, spec, omega, source, pert=pert, order=order)]

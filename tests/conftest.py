@@ -30,17 +30,16 @@ def _incidence(geometry):
     built as a sparse matrix from the site masks.
 
     Rows are the x links (i,j)-(i+1,j), then the y links (i,j)-(i,j+1),
-    each in row-major order of the lower end; a link joins two network
+    each in row-major order of the lower end; a link joins two lattice
     sites, at least one interior.  A row holds -1 at the lower end and +1
-    at the upper end; a boundary end is grounded and dropped.
+    at the upper end; a non-interior end is grounded and dropped.
     """
     inter = geometry.interior
-    member = inter | geometry.boundary
     index = -np.ones(inter.shape, dtype=np.int64)
     index[inter] = np.arange(np.count_nonzero(inter))
     lo_ends, hi_ends = [], []
     for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
-        link = member[lo] & member[hi] & (inter[lo] | inter[hi])
+        link = inter[lo] | inter[hi]
         lo_ends.append(index[lo][link])
         hi_ends.append(index[hi][link])
     n_links = sum(len(e) for e in lo_ends)
@@ -56,7 +55,7 @@ def _element_admittances(geometry, spec, omega, pert, order=0):
     """Reference admittances of every element, or their order-th omega
     derivatives, from the closed forms of each element with its own
     multiplier m: the links in link order, and the shunt of each site as
-    an (nx, ny) array (0 at a grounded boundary site).
+    an (nx, ny) array (0 at a grounded non-interior site).
 
     An inductor is 1/(m (R + i omega L)), with d^k/domega^k = k! (-i L m)^k
     y^(k+1); a capacitor i omega C m.  Interior sites carry the model's
@@ -77,11 +76,10 @@ def _element_admittances(geometry, spec, omega, pert, order=0):
     link, shunt = (inductor, capacitor) if spec.model == "I" \
         else (capacitor, inductor)
     inter = geometry.interior
-    member = inter | geometry.boundary
     mults = []
     for lo, hi, m in ((np.s_[:-1, :], np.s_[1:, :], pert.link_x),
                       (np.s_[:, :-1], np.s_[:, 1:], pert.link_y)):
-        exists = member[lo] & member[hi] & (inter[lo] | inter[hi])
+        exists = inter[lo] | inter[hi]
         mults.append(m[lo][exists])
     y_shunt = np.where(inter, shunt(pert.site), 0.0)
     return link(np.concatenate(mults)), y_shunt

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from rlcnet.geometry import (GridGeometry, rasterize_quarter_stadium,
-                             rasterize_rectangle, _boundary_from_interior)
+                             rasterize_rectangle)
 
 
 def _area(g):
@@ -18,7 +18,7 @@ def _area(g):
 def test_rectangle_2x2_counts():
     g = rasterize_rectangle(2, 2, 0.25)
     assert g.n_interior == 4
-    assert np.count_nonzero(g.boundary) == 12
+    assert g.nx * g.ny - g.n_interior == 12
     assert _area(g) == pytest.approx(4 * 0.25 ** 2)
 
 
@@ -27,7 +27,9 @@ def test_rectangle_smallest_case():
     assert g.n_interior == 1
     i, j = g.interior_sites[0]
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        assert g.boundary[i + di, j + dj]
+        assert not g.interior[i + di, j + dj]
+    # four links, each with a grounded end
+    assert g.stencil.n_links == 4 and np.all(g.stencil.ends.max(axis=1) == 1)
 
 
 def test_rectangle_area_arithmetic():
@@ -48,8 +50,8 @@ def test_rectangle_frame_counts(nx, ny):
     g = rasterize_rectangle(nx, ny, 0.1)
     assert g.n_interior == nx * ny
     # one-site frame around the block, corners included
-    assert np.count_nonzero(g.boundary) == 2 * (nx + ny) + 4
-    assert not np.any(g.interior & g.boundary)
+    assert (g.nx, g.ny) == (nx + 2, ny + 2)
+    assert g.nx * g.ny - g.n_interior == 2 * (nx + ny) + 4
 
 
 def test_stadium_area_converges():
@@ -75,7 +77,6 @@ def test_stadium_deterministic():
     a = rasterize_quarter_stadium(0.02)
     b = rasterize_quarter_stadium(0.02)
     assert np.array_equal(a.interior, b.interior)
-    assert np.array_equal(a.boundary, b.boundary)
 
 
 def test_stadium_refinement_monotone():
@@ -92,8 +93,29 @@ def test_stadium_interior_avoids_rim():
 
 
 def test_boundary_is_adjacent_exterior():
+    # the grounded link ends, the network's boundary, are exactly the
+    # non-interior sites next to an interior one, and every link has one
+    # interior end at least
     g = rasterize_quarter_stadium(0.05)
-    assert np.array_equal(g.boundary, _boundary_from_interior(g.interior))
+    s = g.stencil
+    lower = np.concatenate((np.argwhere(s.mask_x), np.argwhere(s.mask_y)))
+    upper = lower + np.repeat([[1, 0], [0, 1]],
+                              [np.count_nonzero(s.mask_x),
+                               np.count_nonzero(s.mask_y)], axis=0)
+    sites = np.stack((lower, upper), axis=1)          # (n_links, 2, 2)
+    grounded = s.ends == s.n
+    assert np.array_equal(grounded, ~g.interior[sites[..., 0], sites[..., 1]])
+    assert not np.any(grounded.all(axis=1))
+    boundary = np.zeros_like(g.interior)
+    boundary[tuple(sites[grounded].T)] = True
+    inner = g.interior
+    near = np.zeros_like(inner)
+    near[1:] |= inner[:-1]
+    near[:-1] |= inner[1:]
+    near[:, 1:] |= inner[:, :-1]
+    near[:, :-1] |= inner[:, 1:]
+    assert np.array_equal(boundary, near & ~inner)
+    assert boundary.any()
 
 
 def test_is_interior_arrays_match_scalars():
@@ -113,12 +135,6 @@ def test_is_interior_arrays_match_scalars():
     # whole numbers held as floats read the same; NaN reads False
     assert g.is_interior(i.astype(float), j.astype(float)).tolist() == expected
     assert not g.is_interior(float("nan"), 2) and not g.is_interior(2, np.nan)
-    # the bounds check does not lean on an empty lattice rim
-    full = GridGeometry(spacing=1.0, nx=2, ny=2,
-                        interior=np.ones((2, 2), bool),
-                        boundary=np.zeros((2, 2), bool))
-    assert full.is_interior(np.array([-1, 0, 2]), np.zeros(3, int)).tolist() \
-        == [False, True, False]
 
 
 def test_contains_rounds_half_to_even():
@@ -132,23 +148,35 @@ def test_contains_rounds_half_to_even():
     x, y = np.array(points).T
     assert g.contains(x, y).tolist() == expected
     assert all(type(g.contains(x, y)) is bool for x, y in points)
-    # every site interior, the rim included: one site off the lattice on
-    # any side, far off it or at NaN the point is outside
-    full = GridGeometry(spacing=1.0, nx=3, ny=2,
-                        interior=np.ones((3, 2), bool),
-                        boundary=np.zeros((3, 2), bool))
+    # the interior sites next to the rim are inside; one site off the
+    # lattice on any side, far off it or at NaN the point is outside
     big, nan = 1e300, float("nan")
-    points = [(0.0, 0.0), (2.0, 1.0), (-0.5, 0.0), (2.5, 0.5), (1.0, -0.5),
-              (-1.0, 0.0), (3.0, 1.0), (1.0, -1.0), (1.0, 2.0), (-0.51, 1.0),
-              (2.0, 1.51), (-1.0, -1.0), (3.0, 2.0), (big, 1.0), (-big, 1.0),
+    points = [(1.0, 1.0), (4.0, 3.0), (1.49, 0.51), (3.51, 3.49), (0.6, 2.0),
+              (-1.0, 2.0), (6.0, 2.0), (2.0, -1.0), (2.0, 5.0), (-0.51, 1.0),
+              (2.0, 4.51), (-1.0, -1.0), (6.0, 5.0), (big, 1.0), (-big, 1.0),
               (1.0, big), (1.0, -big), (nan, 1.0), (1.0, nan), (nan, nan)]
     expected = [True] * 5 + [False] * 15
-    assert [full.contains(x, y) for x, y in points] == expected
-    assert all(type(full.contains(x, y)) is bool for x, y in points)
+    assert [g.contains(x, y) for x, y in points] == expected
+    assert all(type(g.contains(x, y)) is bool for x, y in points)
     x, y = np.array(points).T
-    got = full.contains(x, y)
+    got = g.contains(x, y)
     assert got.dtype == bool and got.tolist() == expected
-    assert full.contains(x.reshape(4, 5), y.reshape(4, 5)).shape == (4, 5)
+    assert g.contains(x.reshape(4, 5), y.reshape(4, 5)).shape == (4, 5)
+
+
+def test_interior_on_the_lattice_rim_raises():
+    # the rim is the one-site frame that grounds the network's edge: an
+    # interior site there would have fewer than four links
+    inner = rasterize_rectangle(4, 3, 0.1).interior
+    for side in (np.s_[0, 2], np.s_[-1, 2], np.s_[2, 0], np.s_[2, -1]):
+        rim = inner.copy()
+        rim[side] = True
+        with pytest.raises(ValueError, match="lattice rim"):
+            GridGeometry(spacing=0.1, interior=rim)
+    with pytest.raises(ValueError, match="lattice rim"):
+        GridGeometry(spacing=1.0, interior=np.ones((1, 1), bool))
+    g = GridGeometry(spacing=0.1, interior=inner)
+    assert (g.nx, g.ny) == inner.shape == (6, 5)
 
 
 def test_area_positive():
