@@ -572,7 +572,7 @@ def _write_fit(path, fit):
                fit.model))
 
 
-@dataclass
+@dataclass(eq=False)
 class DrivenStatistics:
     """What the `stats` experiment reports on one driven field: the density
     and heat fits that it writes as histograms, and the manifest's scalars

@@ -9,7 +9,6 @@ from math import pi
 
 import numpy as np
 
-from .geometry import GridGeometry
 from .network import admittance_families
 from .solve import ComplexField
 
@@ -32,15 +31,15 @@ TRAP_STEPS = 64
 STOP_REASONS = ("boundary", "trapped", "cutoff", "max_steps")
 
 
-@dataclass
+@dataclass(eq=False)
 class CurrentField:
-    """Complex currents on the links leaving each site toward +x and +y.
+    """Complex currents on the links leaving each site toward +x and +y,
+    as (nx, ny) arrays on the lattice of the field they were taken from.
 
     Links that do not exist in the network (neither end interior) carry 0
     and are excluded by the masks.
     """
 
-    geometry: GridGeometry
     ix: np.ndarray        # complex, (nx, ny); link (i,j)-(i+1,j)
     iy: np.ndarray        # complex, (nx, ny); link (i,j)-(i,j+1)
     mask_x: np.ndarray    # bool, link exists
@@ -108,8 +107,8 @@ def link_currents(field: ComplexField,
     iy = np.zeros_like(ix)
     ix[stencil.mask_x] = i_link[:n_x]
     iy[stencil.mask_y] = i_link[n_x:]
-    return CurrentField(geometry=geom, ix=ix, iy=iy,
-                        mask_x=stencil.mask_x, mask_y=stencil.mask_y)
+    return CurrentField(ix=ix, iy=iy, mask_x=stencil.mask_x,
+                        mask_y=stencil.mask_y)
 
 
 def heat_power(currents: CurrentField, resistance: float) -> np.ndarray:

@@ -19,10 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridGeometry:
     """Rasterized billiard on an nx-by-ny site lattice: its interior mask,
-    which keeps the lattice rim free (ValueError otherwise)."""
+    which keeps the lattice rim free (ValueError otherwise).  Equality is
+    identity, so a geometry keys a dict, as its cached stencil assumes."""
 
     spacing: float
     interior: np.ndarray   # bool, shape (nx, ny)
@@ -91,7 +92,7 @@ class GridGeometry:
         return lattice_stencil(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeStencil:
     """Symbolic Kirchhoff operator of the lattice links over the interior
     sites, the unknowns.

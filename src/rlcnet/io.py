@@ -44,16 +44,15 @@ def _tolist(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def write_pgm(path, field, mask=None) -> None:
+def write_pgm(path, field, mask) -> None:
     """Plain (P2) graymap of a scalar field, 8-bit, linearly scaled.
 
-    `field` is (nx, ny) with x as the first index; the raster is written
-    row-major in image convention (top row = largest y).  Sites outside
-    `mask` map to 0.
+    `field` is (nx, ny) with x as the first index, and `mask` the (nx, ny)
+    sites it is scaled over, such as the interior mask; the raster is
+    written row-major in image convention (top row = largest y).  Sites
+    outside `mask` map to 0.
     """
     field = np.asarray(field, dtype=float)
-    if mask is None:
-        mask = np.isfinite(field)
     vals = field[mask]
     lo = float(vals.min()) if vals.size else 0.0
     hi = float(vals.max()) if vals.size else 1.0

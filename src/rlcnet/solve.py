@@ -78,7 +78,7 @@ class SingularSystemError(RuntimeError):
     eigen shift exactly on an eigenvalue)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Mode:
     """One lossless resonance: circuit frequency and billiard eigenvalue."""
 
@@ -89,7 +89,7 @@ class Mode:
     vector: np.ndarray    # real, unit norm, over interior sites (row-major)
 
 
-@dataclass
+@dataclass(eq=False)
 class ComplexField:
     """Complex voltage over the lattice; the wave-function analogue.
 
@@ -177,19 +177,20 @@ class Ordering:
     perm = None
 
     def record(self, A, perm):
-        """Fill the ordering from CSC A and its factor's column permutation."""
+        """Fill the ordering from CSC A and its factor's column permutation.
+        scipy permutes a matrix of A's pattern that holds each entry's
+        number, and the numbers of P A P^T, in sorted CSC, are the gather."""
         # a copy: SuperLU's perm_c is a view that keeps its whole factor alive
         perm = np.array(perm, dtype=np.intp)
         self.pattern = (A.shape, A.indptr.copy(), A.indices.copy())
-        rows = perm[A.indices]
-        cols = perm[np.repeat(np.arange(len(perm)), np.diff(A.indptr))]
-        # P A P^T in CSC: by column, then by row within a column
-        self.gather = np.lexsort((rows, cols))
-        self.indices = rows[self.gather].astype(A.indices.dtype)
-        self.indptr = np.zeros(len(perm) + 1, dtype=A.indptr.dtype)
-        np.cumsum(np.bincount(cols, minlength=len(perm)), out=self.indptr[1:])
         # p^-1: row k of P A P^T is row order[k] of A
-        self.order = np.argsort(perm)
+        self.order = order = np.argsort(perm)
+        # numbered from 1, so that no entry is an explicit zero
+        numbers = sp.csc_matrix((np.arange(1, len(A.indices) + 1), A.indices,
+                                 A.indptr), shape=A.shape)[order][:, order]
+        numbers.sort_indices()
+        self.gather = numbers.data - 1
+        self.indices, self.indptr = numbers.indices, numbers.indptr
         self.perm = perm
 
     def permute(self, A):
@@ -232,12 +233,11 @@ class Factorization:
     Given an empty one, A is factored as above and the ordering recorded
     there.  `lu` is SuperLU's factor of the matrix it factored, P A P^T
     on a filled ordering; `apply(b[, trans])` is A^-1 b (A^-H b for trans
-    "H") from it, unrefined, and `inverse` the same A^-1 as one
-    LinearOperator whose adjoint is A^-H;
-    `solve(b)` is A^-1 b refined to the residual contract.  A sweep's
-    shifted Krylov basis (`_ShiftedKrylov`) applies the unrefined
-    inverse of its window-centre factor, and checks the fields it serves
-    against the residual contract on the element families.
+    "H") from it, unrefined, and `solve(b)` is A^-1 b refined to the
+    residual contract.  A sweep's shifted Krylov basis (`_ShiftedKrylov`)
+    applies the unrefined inverse of its window-centre factor, and checks
+    the fields it serves against the residual contract on the element
+    families.
     """
 
     def __init__(self, A, ordering: Ordering | None = None):
@@ -262,13 +262,10 @@ class Factorization:
                 return lu.solve(b[order], trans)[perm]
         else:
             apply = lu.solve
-        # closures over lu, not bound methods: a reference back to self
-        # would make a cycle that keeps each factor alive until the
-        # garbage collector runs (6 MB per 99x99 pencil factor)
+        # apply holds lu, not self: a reference back to self would make a
+        # cycle that keeps each factor alive until the garbage collector
+        # runs (6 MB per 99x99 pencil factor)
         self.apply = apply
-        self.inverse = spla.LinearOperator(
-            A.shape, matvec=apply, rmatvec=lambda v: apply(v, "H"),
-            dtype=A.dtype)
 
     def solve(self, b):
         """A^-1 b, refined on the factorization until the relative residual
@@ -437,18 +434,22 @@ def _condition(families: AdmittanceFamilies, y,
     Where the families prove sigma_min(A) >= floor > 0
     (`AdmittanceFamilies.floor`) it is the bound sqrt(n) ||A||_1 / floor,
     which needs no solve; where that bound is missing (R = 0) or above
-    COND_LIMIT it is ||A||_1 times an estimate of ||A^-1||_1 on `factor`,
-    and inf without one.  A 1x1 system compares its one entry with the
-    moduli of its summands, ||A||_1 at |y|: cancellation to roundoff
-    means resonance.  ||A||_1 is `AdmittanceFamilies.norm1`, exact in
-    O(n).
+    COND_LIMIT it is ||A||_1 times `onenormest`'s estimate of ||A^-1||_1
+    on `factor`, the LinearOperator of its `apply` with the adjoint
+    `apply(v, "H")`, and inf without one.  A 1x1 system compares its one
+    entry with the moduli of its summands, ||A||_1 at |y|: cancellation
+    to roundoff means resonance.  ||A||_1 is `AdmittanceFamilies.norm1`,
+    exact in O(n).
     """
     n = families.stencil.n
     floor = families.floor(y)
     cond = sqrt(n) * families.norm1(y) / floor if floor > 0.0 else inf
     if cond > COND_LIMIT and factor is not None:
         if n >= 2:
-            cond = spla.onenormest(factor.inverse) * families.norm1(y)
+            inverse = spla.LinearOperator(
+                (n, n), factor.apply, rmatvec=lambda v: factor.apply(v, "H"),
+                dtype=factor.matrix.dtype)
+            cond = spla.onenormest(inverse) * families.norm1(y)
         else:
             cond = families.norm1(np.abs(y)) / abs(factor.matrix[0, 0])
     return cond

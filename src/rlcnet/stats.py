@@ -24,11 +24,10 @@ _EPS_ONE = 1e-12
 
 @dataclass
 class RotatedField:
-    """Field after the phase rotation that decorrelates Re and Im."""
+    """The phase rotation V exp(i theta) = p + i q that decorrelates Re and
+    Im of a field, with the variances of p and q."""
 
     theta: float
-    p: np.ndarray
-    q: np.ndarray
     sigma_p_sq: float
     sigma_q_sq: float
 
@@ -40,7 +39,7 @@ class RotatedField:
         return sqrt(self.sigma_q_sq / self.sigma_p_sq)
 
 
-@dataclass
+@dataclass(eq=False)
 class HistogramFit:
     """Empirical histogram against a model law, with KS and chi^2 scores."""
 
@@ -62,7 +61,9 @@ def phase_rotate(sample) -> RotatedField:
 
     theta = -arg(<V^2>)/2, shifted by pi/2 when needed to keep eps <= 1.
     `sample` is an array of complex voltages: `driven_statistics` passes
-    the interior voltages beyond its source-exclusion radius.
+    the interior voltages beyond its source-exclusion radius.  Returns
+    theta and the variances of p and q; the rotated field is the caller's
+    V exp(i theta).
     """
     v = np.asarray(sample, dtype=complex).ravel()
     if v.size == 0 or not np.any(v):
@@ -75,8 +76,7 @@ def phase_rotate(sample) -> RotatedField:
         theta += 0.5 * pi
         w = v * np.exp(1j * theta)
         sp2, sq2 = float(np.mean(w.real ** 2)), float(np.mean(w.imag ** 2))
-    return RotatedField(theta=float(theta), p=w.real, q=w.imag,
-                        sigma_p_sq=sp2, sigma_q_sq=sq2)
+    return RotatedField(theta=float(theta), sigma_p_sq=sp2, sigma_q_sq=sq2)
 
 
 def source_exclusion_mask(geometry, source_site, radius: float) -> np.ndarray:
@@ -145,33 +145,35 @@ def density_ppf(eps: float, p) -> np.ndarray:
     return float(out) if np.ndim(p) == 0 else out
 
 
-def heat_pdf(eps: float, mean_power: float, power) -> np.ndarray:
-    """Heat-power law f(P); eps = 1 uses the degenerate 4P e^{-2P} form."""
+def _heat_law(eps: float, mean_power: float, power) -> tuple:
+    """The argument checks of heat_pdf and heat_cdf, then (P, e2, a, d):
+    the powers as floats, e2 = eps^2, a = (1 + e2) / <P> and d = 1 - e2,
+    with a and d None where eps -> 1 selects the degenerate form."""
     _check_eps(eps)
     if mean_power <= 0.0:
         raise ValueError("mean power must be positive")
     p = np.asarray(power, dtype=float)
     e2 = eps * eps
     if 1.0 - e2 < _EPS_ONE:
+        return p, e2, None, None
+    return p, e2, (1.0 + e2) / mean_power, 1.0 - e2
+
+
+def heat_pdf(eps: float, mean_power: float, power) -> np.ndarray:
+    """Heat-power law f(P); eps = 1 uses the degenerate 4P e^{-2P} form."""
+    p, e2, a, d = _heat_law(eps, mean_power, power)
+    if a is None:
         return 4.0 * p / mean_power ** 2 * np.exp(-2.0 * p / mean_power)
-    a = (1.0 + e2) / mean_power
-    d = 1.0 - e2
     # e^{-ap} - e^{-ap/e2} = -e^{-ap} expm1(-ap d/e2): no cancellation
     return -a * np.exp(-a * p) * np.expm1(-a * p * d / e2) / d
 
 
 def heat_cdf(eps: float, mean_power: float, power) -> np.ndarray:
     """Closed-form CDF of heat_pdf (two exponentials)."""
-    _check_eps(eps)
-    if mean_power <= 0.0:
-        raise ValueError("mean power must be positive")
-    p = np.asarray(power, dtype=float)
-    e2 = eps * eps
-    if 1.0 - e2 < _EPS_ONE:
+    p, e2, a, d = _heat_law(eps, mean_power, power)
+    if a is None:
         t = 2.0 * p / mean_power
         return np.clip(1.0 - (1.0 + t) * np.exp(-t), 0.0, 1.0)
-    a = (1.0 + e2) / mean_power
-    d = 1.0 - e2
     cdf = 1.0 - np.exp(-a * p) * (1.0 - e2 * np.expm1(-a * p * d / e2) / d)
     return np.clip(cdf, 0.0, 1.0)
 

@@ -18,17 +18,67 @@ import rlcnet.fields
 import rlcnet.geometry
 import rlcnet.stats
 from rlcnet.cli import main
-from rlcnet.experiments import (ConfigError, ExperimentConfig, centroid_site,
+from rlcnet.experiments import (ConfigError, DrivenStatistics,
+                                ExperimentConfig, centroid_site,
                                 driven_statistics, ensemble_average,
                                 ks_binned_vs_normal, place_source_at_maximum,
                                 run, standardized_mode_histogram)
-from rlcnet.geometry import rasterize_rectangle
+from rlcnet.fields import Vortex, link_currents
+from rlcnet.geometry import lattice_stencil, rasterize_rectangle
 from rlcnet.io import FLOAT, write_csv, write_polylines
-from rlcnet.network import CircuitSpec
+from rlcnet.network import (CircuitSpec, admittance_families,
+                            sample_perturbation)
 from rlcnet.solve import (SingularSystemError, driven_response,
                           eigenmodes_lossless)
+from rlcnet.stats import RotatedField, gaussianity_check
 
 L, C = 1e-4, 1e-9
+
+
+def _array_records():
+    """A factory per record that holds numpy arrays; each call makes a new
+    instance from the same inputs."""
+    g = rasterize_rectangle(3, 2, 0.1)
+    spec = CircuitSpec("I", L, C, 0.3)
+    source = ((1, 1), 1.0)
+    field = driven_response(g, spec, spec.omega0, source)
+    samples = np.linspace(-2.0, 2.0, 1000)
+    return {
+        "GridGeometry": lambda: rasterize_rectangle(3, 2, 0.1),
+        "LatticeStencil": lambda: lattice_stencil(g),
+        "Perturbation": lambda: sample_perturbation(g, 0.02, 1),
+        "AdmittanceFamilies": lambda: admittance_families(g, spec),
+        "Mode": lambda: eigenmodes_lossless(g, spec, 1)[0],
+        "ComplexField": lambda: driven_response(g, spec, spec.omega0, source),
+        "CurrentField": lambda: link_currents(field),
+        "HistogramFit": lambda: gaussianity_check(samples),
+        "DrivenStatistics": lambda: DrivenStatistics(
+            field, gaussianity_check(samples), gaussianity_check(samples),
+            {"theta": 0.0}),
+    }
+
+
+@pytest.mark.parametrize("record", [
+    "GridGeometry", "LatticeStencil", "Perturbation", "AdmittanceFamilies",
+    "Mode", "ComplexField", "CurrentField", "HistogramFit",
+    "DrivenStatistics"])
+def test_array_records_compare_by_identity(record):
+    # comparing the arrays of two records would raise, and hashing them fail
+    build = _array_records()[record]
+    a, b = build(), build()
+    assert type(a).__name__ == record
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    keyed = {a: "a", b: "b"}
+    assert keyed[a] == "a" and keyed[b] == "b"
+
+
+def test_arrayless_records_compare_by_value():
+    assert CircuitSpec("II", L, C, 0.3) == CircuitSpec("II", L, C, 0.3)
+    assert Vortex(0.1, 0.2, 1) == Vortex(0.1, 0.2, 1)
+    assert RotatedField(0.5, 2.0, 1.0) == RotatedField(0.5, 2.0, 1.0)
+    assert ExperimentConfig(omega=1e6) == ExperimentConfig(omega=1e6)
 
 
 def test_config_rejects_unknown_keys():

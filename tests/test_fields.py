@@ -85,8 +85,7 @@ def test_heat_power_arithmetic():
     ix = np.zeros((g.nx, g.ny), complex)
     iy = np.zeros_like(ix)
     ix[1, 1] = 1.0
-    cur = CurrentField(geometry=g, ix=ix, iy=iy,
-                       mask_x=np.ones_like(ix, bool),
+    cur = CurrentField(ix=ix, iy=iy, mask_x=np.ones_like(ix, bool),
                        mask_y=np.ones_like(ix, bool))
     heat = heat_power(cur, 2.0)
     assert heat.shape == (g.nx, g.ny)

@@ -557,12 +557,13 @@ def test_hermitian_floor_needs_dirichlet_loss():
 
 
 def _count_onenormest(monkeypatch):
+    """The operators that onenormest is given, one per call."""
     calls = []
     estimate = spla.onenormest
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return estimate(*args, **kwargs)
+    def counted(operator, *args, **kwargs):
+        calls.append(operator)
+        return estimate(operator, *args, **kwargs)
 
     monkeypatch.setattr(spla, "onenormest", counted)
     return calls
@@ -586,6 +587,15 @@ def test_condition_check_estimates_only_without_a_bound(monkeypatch):
         > solve.COND_LIMIT
     driven_response(g, faint, between, ((2, 2), 1.0))
     assert len(calls) == 2
+    # the estimate's operator is A^-1, and its adjoint A^-H: A is nearly
+    # imaginary here, so A^-H x is about -A^-1 x
+    A = assemble_admittance(families, between).toarray()
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    for got, want in ((calls[-1].matvec(x), np.linalg.solve(A, x)),
+                      (calls[-1].rmatvec(x),
+                       np.linalg.solve(A.conj().T, x))):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_factorization_inverse_and_its_adjoint():
@@ -597,12 +607,12 @@ def test_factorization_inverse_and_its_adjoint():
     A = assemble_admittance(admittance_families(g, spec, pert), 2.0e6)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
-    inverse = solve.Factorization(A).inverse
+    apply = solve.Factorization(A).apply
     forward = np.linalg.solve(A.toarray(), x)
     adjoint = np.linalg.solve(A.toarray().conj().T, x)
-    assert np.linalg.norm(inverse.matvec(x) - forward) \
+    assert np.linalg.norm(apply(x) - forward) \
         <= 1e-12 * np.linalg.norm(forward)
-    assert np.linalg.norm(inverse.rmatvec(x) - adjoint) \
+    assert np.linalg.norm(apply(x, "H") - adjoint) \
         <= 1e-12 * np.linalg.norm(adjoint)
     assert np.linalg.norm(forward - adjoint) > 1e-3 * np.linalg.norm(forward)
 
@@ -665,8 +675,8 @@ def test_factorization_on_a_reused_ordering(monkeypatch):
     rng = np.random.default_rng(4)
     b = rng.standard_normal(A.shape[0])
     for got, want in ((reused.solve(b), mmd.solve(b)),
-                      (reused.inverse.matvec(b), mmd.inverse.matvec(b)),
-                      (reused.inverse.rmatvec(b), mmd.inverse.rmatvec(b))):
+                      (reused.apply(b), mmd.apply(b)),
+                      (reused.apply(b, "H"), mmd.apply(b, "H"))):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # another size, and the same size (1,600 unknowns) on another pattern,
     # raise before any factorization
