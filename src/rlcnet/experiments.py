@@ -512,7 +512,7 @@ def _run_experiment(cfg, geometry, spec, out_dir, threads) -> dict:
         write_csv(os.path.join(out_dir, "peaks.csv"),
                   ("omega_peak", "response_norm_sq"),
                   np.reshape(peaks, (-1, 2)).T)
-        extra["n_peaks"] = len(peaks)
+        extra = {"source_site": list(source[0]), "n_peaks": len(peaks)}
 
     elif cfg.experiment == "ensemble":
         bin_edges = np.linspace(-5.0, 5.0, cfg.n_bins + 1)
@@ -597,43 +597,43 @@ def driven_statistics(field: ComplexField, n_bins: int = 50,
                       exclude_wavelengths: float = 1.0) -> DrivenStatistics:
     """The sample statistics of a driven field, as `stats` reports them.
 
-    Every statistic reads one site set: the interior sites strictly farther
-    than `exclude_wavelengths` * lambda from the field's source, lambda
-    being the drive's wavelength on the field's lattice, and for currents
-    the complete current sites beyond the same radius (the bulk).  Current
-    statistics use the rotated-field convention: the globally rotated field
-    (the one that decorrelates Re and Im of V) differenced across links and
-    divided by R.  The four fits, in the order they are made:
+    Every statistic reads one site sample: the interior sites strictly
+    farther than `exclude_wavelengths` * lambda from the field's source,
+    lambda being the drive's wavelength on the field's lattice.  A current
+    statistic reads the two links leaving each sample site toward +x and
+    +y, which exist at every interior site.  Current statistics use the
+    rotated-field convention: the globally rotated field (the one that
+    decorrelates Re and Im of V) differenced across links and divided by
+    R.  The four fits, in the order they are made:
 
     - density: |V|^2 over its sample mean against the density law at the
       field's openness, in n_bins bins;
     - rayleigh: the same sample against the Rayleigh law exp(-rho);
-    - heat: the bulk's heat power, thinned to a lambda/4 site stride,
+    - heat: the sample's heat power, thinned to a lambda/4 site stride,
       against the heat law at the currents' openness and the thinned
       sample's mean, in n_bins bins but at most one per 50 samples (and
       at least 10);
-    - gaussianity: Re I_x over the bulk against the unit normal.
+    - gaussianity: Re I_x over the sample against the unit normal.
 
     A sample too small for its fit raises ConfigError.
     """
     geometry = field.geometry
     lam = wavelength(field.spec, geometry.spacing, field.omega)
     radius = exclude_wavelengths * lam
-    far = st.source_exclusion_mask(geometry, field.source[0], radius)
-    sample = field.values[geometry.interior & far]
+    sites = geometry.interior & st.source_exclusion_mask(
+        geometry, field.source[0], radius)
+    sample = field.values[sites]
     _require_fit_samples("density sample", sample.size, n_bins)
     rot = st.phase_rotate(sample)
 
     rotated = field.values * np.exp(1j * rot.theta)
     currents = fld.link_currents(dataclasses.replace(field, values=rotated),
                                  variant=fld.OHMIC)
-    bulk = currents.mask_x & currents.mask_y & far
-    _require_fit_samples("current bulk", int(np.count_nonzero(bulk)), n_bins)
-    r_real, r_imag = st.anisotropy_metrics(currents, site_mask=bulk)
-    sigma_r_sq = float(np.mean(currents.ix[bulk].real ** 2
-                               + currents.iy[bulk].real ** 2) / 2.0)
-    sigma_i_sq = float(np.mean(currents.ix[bulk].imag ** 2
-                               + currents.iy[bulk].imag ** 2) / 2.0)
+    r_real, r_imag = st.anisotropy_metrics(currents, sites)
+    sigma_r_sq = float(np.mean(currents.ix[sites].real ** 2
+                               + currents.iy[sites].real ** 2) / 2.0)
+    sigma_i_sq = float(np.mean(currents.ix[sites].imag ** 2
+                               + currents.iy[sites].imag ** 2) / 2.0)
     eps_current = (min(sigma_i_sq, sigma_r_sq)
                    / max(sigma_i_sq, sigma_r_sq)) ** 0.5
     heat = fld.heat_power(currents, field.spec.resistance)
@@ -641,9 +641,9 @@ def driven_statistics(field: ComplexField, n_bins: int = 50,
     # chi^2 needs approximately independent draws: thin the heat field to a
     # lambda/4 site stride (the field's spatial correlation scale)
     stride = max(1, int(round(0.25 * lam / geometry.spacing)))
-    thin = np.zeros_like(bulk)
+    thin = np.zeros_like(sites)
     thin[::stride, ::stride] = True
-    p = heat[bulk & thin]
+    p = heat[sites & thin]
     _require_fit_samples("thinned heat sample", p.size)
 
     rho = np.abs(sample) ** 2
@@ -663,7 +663,7 @@ def driven_statistics(field: ComplexField, n_bins: int = 50,
         p, lambda q: st.heat_cdf(eps_current, mean_p, q),
         min(n_bins, max(10, p.size // 50)))
 
-    gauss = st.gaussianity_check(currents.ix[bulk].real, n_bins)
+    gauss = st.gaussianity_check(currents.ix[sites].real, n_bins)
 
     scalars = {
         "source_site": list(field.source[0]),
@@ -674,8 +674,8 @@ def driven_statistics(field: ComplexField, n_bins: int = 50,
         "sigma_q_sq_field": rot.sigma_q_sq,
         "sigma_r_sq": sigma_r_sq,
         "sigma_i_sq": sigma_i_sq,
-        "mean_power": float(heat[bulk].mean()),
-        "sigma_p_sq_heat": st.sigma_p_sq_empirical(heat[bulk]),
+        "mean_power": float(heat[sites].mean()),
+        "sigma_p_sq_heat": st.sigma_p_sq_empirical(heat[sites]),
         "heat_sample_stride": stride,
         "heat_sample_size": int(p.size),
         "anisotropy_real": r_real,

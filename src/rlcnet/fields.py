@@ -36,14 +36,13 @@ class CurrentField:
     """Complex currents on the links leaving each site toward +x and +y,
     as (nx, ny) arrays on the lattice of the field they were taken from.
 
-    Links that do not exist in the network (neither end interior) carry 0
-    and are excluded by the masks.
+    A link that does not exist in the network (neither end interior)
+    carries 0; the geometry's stencil (`LatticeStencil.mask_x`, `.mask_y`)
+    says which links exist.
     """
 
     ix: np.ndarray        # complex, (nx, ny); link (i,j)-(i+1,j)
     iy: np.ndarray        # complex, (nx, ny); link (i,j)-(i,j+1)
-    mask_x: np.ndarray    # bool, link exists
-    mask_y: np.ndarray
 
 
 class Streamlines(list):
@@ -107,8 +106,7 @@ def link_currents(field: ComplexField,
     iy = np.zeros_like(ix)
     ix[stencil.mask_x] = i_link[:n_x]
     iy[stencil.mask_y] = i_link[n_x:]
-    return CurrentField(ix=ix, iy=iy, mask_x=stencil.mask_x,
-                        mask_y=stencil.mask_y)
+    return CurrentField(ix=ix, iy=iy)
 
 
 def heat_power(currents: CurrentField, resistance: float) -> np.ndarray:
@@ -223,7 +221,9 @@ def active_link_flow(field: ComplexField, currents: CurrentField) -> tuple:
     """Time-averaged active power flow Re(V conj(I)) / 2 on each link.
 
     Returns staggered components (fx, fy): fx[i, j] lives at the midpoint
-    of the link (i,j)-(i+1,j), fy at (i,j)-(i,j+1).
+    of the link (i,j)-(i+1,j), fy at (i,j)-(i,j+1).  A link missing from
+    the network has both ends grounded and carries no current, so its flow
+    is 0.
     """
     v = field.values
     fx = np.zeros(v.shape)
@@ -232,8 +232,6 @@ def active_link_flow(field: ComplexField, currents: CurrentField) -> tuple:
     # oriented toward the lower site, hence the minus sign
     fx[:-1, :] = -0.5 * np.real(v[:-1, :] * np.conj(currents.ix[:-1, :]))
     fy[:, :-1] = -0.5 * np.real(v[:, :-1] * np.conj(currents.iy[:, :-1]))
-    fx[~currents.mask_x] = 0.0
-    fy[~currents.mask_y] = 0.0
     return fx, fy
 
 

@@ -585,6 +585,11 @@ def _newton_peak(response, omegas, f, slopes, tol: float):
 class _ShiftedKrylov:
     """One Krylov space that serves the driven solves of a sweep window.
 
+    `_ShiftedKrylov(geometry, spec, omega_range, pert, source)` builds the
+    element families of the network, assembles A_c at the window centre
+    omega_c (`assemble_admittance`, the sweep's only assembly), factors it
+    and grows the basis of the drive at `source` by one block.
+
     A(omega) = -(y_L K + y_S M) on the pencil K v = lam M v of the
     element families (`admittance_families`), M = diag(w), so A_c =
     A(omega_c) = -y_L(omega_c) (K - mu_c M) is the pencil shifted at the
@@ -614,11 +619,12 @@ class _ShiftedKrylov:
     invariant space) is exact and grows no further.
     """
 
-    def __init__(self, geometry: GridGeometry, families: AdmittanceFamilies,
-                 center, omega_c: float, source):
-        self.families = families
+    def __init__(self, geometry: GridGeometry, spec: CircuitSpec, omega_range,
+                 pert: Perturbation | None, source):
+        omega_c = 0.5 * (omega_range[0] + omega_range[1])
+        self.families = families = admittance_families(geometry, spec, pert)
         self.b = _source_vector(geometry, source)
-        self.apply = Factorization(center).apply
+        self.apply = Factorization(assemble_admittance(families, omega_c)).apply
         self.r = np.sqrt(families.shunt_weight)
         self.y_c = families.units(omega_c)
         n = len(self.b)
@@ -707,17 +713,6 @@ class _ShiftedKrylov:
         return True
 
 
-def _window_basis(geometry: GridGeometry, spec: CircuitSpec, omega_range,
-                  pert: Perturbation | None, source):
-    """The `_ShiftedKrylov` basis of a sweep window on the assembled A at
-    its centre, the families' pencil shifted at the complex dispersion
-    there."""
-    omega_c = 0.5 * (omega_range[0] + omega_range[1])
-    families = admittance_families(geometry, spec, pert)
-    center = assemble_admittance(families, omega_c)
-    return _ShiftedKrylov(geometry, families, center, omega_c, source)
-
-
 def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                     n_points: int, source,
                     pert: Perturbation | None = None,
@@ -753,7 +748,7 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
 
-    krylov = _window_basis(geometry, spec, omega_range, pert, source)
+    krylov = _ShiftedKrylov(geometry, spec, omega_range, pert, source)
 
     def response(omega, order):
         """(f, f') for order 1, (f, f', f'') for order 2."""

@@ -227,11 +227,13 @@ def gaussianity_check(samples, n_bins: int = 50) -> HistogramFit:
     return fit_histogram(z, special.ndtr, n_bins, ppf=special.ndtri)
 
 
-def anisotropy_metrics(currents: CurrentField, site_mask=None) -> tuple:
+def anisotropy_metrics(currents: CurrentField, sites) -> tuple:
     """(r_real, r_imag): normalized x/y second-moment asymmetry of currents.
 
-    Averages run over sites whose both outgoing links exist (interior bulk),
-    optionally restricted further by `site_mask`.
+    Averages run over the outgoing links of the sites in the boolean mask
+    `sites`: `driven_statistics` passes its site sample, the interior sites
+    beyond its source-exclusion radius.  Every interior site has both
+    outgoing links.
 
     r is a per-field statistic.  For one chaotic eigenstate it is not small:
     near the stadium reference frequencies a single state's r spreads with
@@ -239,12 +241,9 @@ def anisotropy_metrics(currents: CurrentField, site_mask=None) -> tuple:
     states.  A purely real field has no imaginary current and raises
     "zero current variance" on its imaginary part.
     """
-    m = currents.mask_x & currents.mask_y
-    if site_mask is not None:
-        m = m & site_mask
-    if not np.any(m):
-        raise ValueError("no complete current sites")
-    ix, iy = currents.ix[m], currents.iy[m]
+    if not np.any(sites):
+        raise ValueError("no current sites")
+    ix, iy = currents.ix[sites], currents.iy[sites]
 
     def ratio(ax, ay):
         num = np.mean(ax ** 2) - np.mean(ay ** 2)

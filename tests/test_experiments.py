@@ -24,13 +24,14 @@ from rlcnet.experiments import (ConfigError, DrivenStatistics,
                                 ks_binned_vs_normal, place_source_at_maximum,
                                 run, standardized_mode_histogram)
 from rlcnet.fields import Vortex, link_currents
-from rlcnet.geometry import lattice_stencil, rasterize_rectangle
+from rlcnet.geometry import GridGeometry, lattice_stencil, rasterize_rectangle
 from rlcnet.io import FLOAT, write_csv, write_polylines
 from rlcnet.network import (CircuitSpec, admittance_families,
                             sample_perturbation)
 from rlcnet.solve import (SingularSystemError, driven_response,
-                          eigenmodes_lossless)
-from rlcnet.stats import RotatedField, gaussianity_check
+                          eigenmodes_lossless, resonance_sweep)
+from rlcnet.stats import (RotatedField, gaussianity_check, phase_rotate,
+                          source_exclusion_mask)
 
 L, C = 1e-4, 1e-9
 
@@ -353,6 +354,31 @@ def test_run_sweep(tmp_path):
     assert man["n_peaks"] == len(rows) - 1
 
 
+def test_cli_sweep_drives_at_the_density_maximum(tmp_path):
+    # a density_max sweep drives at the site that place_source_at_maximum
+    # reaches on the run's own realization, and says so in its manifest
+    cfg = {"geometry": "rectangle", "nx_interior": 12, "ny_interior": 9,
+           "spacing": 0.05, "resistance": 0.3, "omega": 1.1e6,
+           "tolerance": 0.02, "omega_min": 1.0e6, "omega_max": 1.3e6,
+           "n_points": 15, "source_rule": "density_max"}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    g = rasterize_rectangle(12, 9, 0.05)
+    spec = CircuitSpec("I", L, C, 0.3)
+    field = place_source_at_maximum(g, spec, 1.1e6,
+                                    pert=sample_perturbation(g, 0.02, 0))
+    assert field.source[0] != centroid_site(g)
+    peaks = resonance_sweep(g, spec, (1.0e6, 1.3e6), 15, field.source,
+                            pert=field.perturbation)
+    assert peaks
+    got = np.loadtxt(out / "peaks.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert got.tolist() == [list(p) for p in peaks]
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["source_site"] == list(field.source[0])
+    assert man["n_peaks"] == len(peaks)
+
+
 def test_run_oracle(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "experiment": "oracle", "sigma_r": 1.0, "sigma_i": 0.5,
@@ -670,6 +696,39 @@ def test_driven_statistics_returns_what_stats_writes(tmp_path):
                                             skiprows=1, unpack=True)
         assert np.array_equal(empirical, fit.empirical)
         assert np.array_equal(model, fit.model)
+
+
+def test_driven_statistics_read_the_interior_sample_of_a_notched_square():
+    # the 60x60 square with its 20x20 lower-left corner cut away: the notch
+    # corner (20, 20) is a grounded site whose +x and +y links both exist,
+    # and it is not in the sample that every statistic reads
+    g = rasterize_rectangle(60, 60, 0.02)
+    interior = g.interior.copy()
+    interior[1:21, 1:21] = False
+    g = GridGeometry(spacing=0.02, interior=interior)
+    stencil = g.stencil
+    assert stencil.mask_x[20, 20] and stencil.mask_y[20, 20]
+    spec = CircuitSpec("I", L, C, 0.3)
+    omega = 4.0e6
+    site = centroid_site(g)
+    field = driven_response(g, spec, omega, (site, 1.0 + 0j))
+    ds = driven_statistics(field)
+    radius = ds.scalars["exclusion_radius"]
+    sites = interior & source_exclusion_mask(g, site, radius)
+    theta = phase_rotate(field.values[sites]).theta
+    values = field.values * np.exp(1j * theta)
+    # ohmic currents I = dV / R toward +x and +y, by hand
+    ix = np.zeros_like(values)
+    iy = np.zeros_like(values)
+    ix[:-1, :] = (values[1:, :] - values[:-1, :]) / 0.3
+    iy[:, :-1] = (values[:, 1:] - values[:, :-1]) / 0.3
+    ix, iy = ix[sites], iy[sites]
+    heat = 0.15 * (np.abs(ix) ** 2 + np.abs(iy) ** 2)
+    assert ds.scalars["heat_sample_stride"] == 1
+    assert ds.scalars["heat_sample_size"] == np.count_nonzero(sites) == 3131
+    assert ds.scalars["mean_power"] == pytest.approx(heat.mean(), rel=1e-12)
+    assert ds.scalars["sigma_r_sq"] == pytest.approx(
+        np.mean(ix.real ** 2 + iy.real ** 2) / 2.0, rel=1e-12)
 
 
 def test_cli_streamlines_seed_ring(tmp_path, capsys):

@@ -85,8 +85,7 @@ def test_heat_power_arithmetic():
     ix = np.zeros((g.nx, g.ny), complex)
     iy = np.zeros_like(ix)
     ix[1, 1] = 1.0
-    cur = CurrentField(ix=ix, iy=iy, mask_x=np.ones_like(ix, bool),
-                       mask_y=np.ones_like(ix, bool))
+    cur = CurrentField(ix=ix, iy=iy)
     heat = heat_power(cur, 2.0)
     assert heat.shape == (g.nx, g.ny)
     assert heat[1, 1] == pytest.approx(1.0)
@@ -176,8 +175,8 @@ def plane_wave_setup(nx=40, ny=10):
 def test_active_flow_plane_wave_is_rightward():
     g, field, cur = plane_wave_setup()
     fx, fy = active_link_flow(field, cur)
-    assert np.all(fx[cur.mask_x] > 0.0)
-    assert np.allclose(fy[cur.mask_y], 0.0, atol=1e-15)
+    assert np.all(fx[g.stencil.mask_x] > 0.0)
+    assert np.allclose(fy[g.stencil.mask_y], 0.0, atol=1e-15)
 
 
 def test_streamlines_plane_wave_horizontal():

@@ -617,6 +617,31 @@ def test_factorization_inverse_and_its_adjoint():
     assert np.linalg.norm(forward - adjoint) > 1e-3 * np.linalg.norm(forward)
 
 
+def test_factorization_refines_against_its_matrix():
+    # solve refines the factor's unrefined inverse against `matrix`: at a
+    # nearby (1 + d) A each correction shrinks the residual by d, and at
+    # 3 A each one doubles it, so the contract fails after 5 corrections
+    g = rasterize_rectangle(6, 5, 0.1)
+    spec = CircuitSpec("I", L, C, 0.3)
+    A = assemble_admittance(admittance_families(g, spec), 1.0e6)
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    for scale, applies in ((1.0 + 1e-6, 2), (1.0 + 1e-3, 4), (3.0, 6)):
+        factor = solve.Factorization(A)
+        factor.matrix = scale * A
+        calls = []
+        apply = factor.apply
+        factor.apply = lambda v, apply=apply: calls.append(v) or apply(v)
+        if scale == 3.0:
+            with pytest.raises(SingularSystemError):
+                factor.solve(b)
+        else:
+            x = factor.solve(b)
+            assert np.linalg.norm(b - scale * (A @ x)) \
+                <= RESIDUAL_TOL * np.linalg.norm(b)
+        assert len(calls) == applies
+
+
 def test_factorization_keeps_the_default_panels_fill_and_pivots(
         monkeypatch):
     # one-column panels only block SuperLU's numeric phase: the ordering,
@@ -993,7 +1018,7 @@ def test_krylov_fields_meet_the_residual_contract(model):
     source = ((4, 5), 1.0)
     modes = eigenmodes_lossless(g, CircuitSpec(model, L, C, 0.0), 4)
     band = (modes[1].omega * 0.98, modes[3].omega * 1.02)
-    basis = solve._window_basis(g, spec, band, pert, source)
+    basis = solve._ShiftedKrylov(g, spec, band, pert, source)
     for omega in np.linspace(*band, 7):
         xs = basis.solve(omega, 2)
         assert xs is not None
@@ -1023,7 +1048,7 @@ def test_krylov_space_that_closes_is_exact():
     band = (1.3 * spec.omega0, 2.1 * spec.omega0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        basis = solve._window_basis(g, spec, band, None, source)
+        basis = solve._ShiftedKrylov(g, spec, band, None, source)
         assert basis.closed and basis.m == 3
         for omega in np.linspace(*band, 5):
             (x,) = basis.solve(omega, 0)
@@ -1041,6 +1066,32 @@ def _direct_sweep(monkeypatch, *args):
     with monkeypatch.context() as patch:
         patch.setattr(solve._ShiftedKrylov, "solve", lambda *a: None)
         return resonance_sweep(*args)
+
+
+def test_sweep_solves_what_the_bound_leaves_unsettled(monkeypatch):
+    # on the sweep case the condition bound reads 2.9e5-4.0e5 and the
+    # onenormest figure 42-360, so under a limit of 1e5 the basis refuses
+    # every evaluation before it projects, and driven_response, which
+    # estimates on its factor, solves each one
+    g, spec, _, band = _sweep_case()
+    args = (g, spec, band, 9, ((2, 2), 1.0))
+    want = _direct_sweep(monkeypatch, *args)
+    served = solve._ShiftedKrylov.solve
+    refused = []
+
+    def record_served(self, omega, order):
+        xs = served(self, omega, order)
+        refused.append(xs is None)
+        return xs
+
+    monkeypatch.setattr(solve, "COND_LIMIT", 1e5)
+    monkeypatch.setattr(solve._ShiftedKrylov, "solve", record_served)
+    built = _count_factorizations(monkeypatch)
+    calls = _count_calls(monkeypatch, "driven_response")
+    assert resonance_sweep(*args) == want
+    assert len(want) == 2
+    assert all(refused) and len(refused) == len(calls) > 9
+    assert len(built) == 1 + len(calls)
 
 
 def test_sweep_falls_back_when_the_basis_is_capped(monkeypatch):

@@ -255,18 +255,18 @@ def synthetic_currents(n_side, sigma_ix, sigma_iy, seed=0):
     iy = rng.normal(0, sigma_iy, shape) + 1j * rng.normal(0, sigma_iy, shape)
     mask = np.zeros(shape, bool)
     mask[1:-1, 1:-1] = True
-    return CurrentField(ix=ix, iy=iy, mask_x=mask, mask_y=mask)
+    return CurrentField(ix=ix, iy=iy), mask
 
 
 def test_anisotropy_isotropic_small():
-    cur = synthetic_currents(1000, 1.0, 1.0)
-    r_real, r_imag = anisotropy_metrics(cur)
+    cur, sites = synthetic_currents(1000, 1.0, 1.0)
+    r_real, r_imag = anisotropy_metrics(cur, sites)
     assert abs(r_real) < 0.01 and abs(r_imag) < 0.01
 
 
 def test_anisotropy_degenerate():
-    cur = synthetic_currents(100, 1.0, 0.0)
-    r_real, r_imag = anisotropy_metrics(cur)
+    cur, sites = synthetic_currents(100, 1.0, 0.0)
+    r_real, r_imag = anisotropy_metrics(cur, sites)
     assert r_real == pytest.approx(1.0)
     assert r_imag == pytest.approx(1.0)
 
