@@ -16,7 +16,7 @@ package is built from them.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, factorial, pi, sqrt
+from math import cos, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,33 +106,27 @@ def sample_perturbation(geometry: GridGeometry, tolerance: float, seed: int,
     return Perturbation(draw(), draw(), draw())
 
 
-# Unit admittances, the admittance of one element at unit multiplier, or
-# its order-th omega derivative.  They are numpy scalars because numpy
-# divides complex numbers with other roundoff than Python does: these have
-# the bits of the same forms taken over arrays of unit multipliers.
-def _inductor(inductance: float, resistance: float, omega: float,
-              order: int):
-    """1/(R + i omega L); its k-th derivative is k! (-i L)^k y^(k+1)."""
-    y = 1.0 / np.complex128(1j * omega * inductance + resistance)
-    if order == 0:
-        return y
-    return factorial(order) * np.complex128(-1j * inductance) ** order \
-        * y ** (order + 1)
+# Unit admittances, the admittance of one element at unit multiplier.  They
+# are numpy scalars because numpy divides complex numbers with other
+# roundoff than Python does: these have the bits of the same forms taken
+# over arrays of unit multipliers.
+def _inductor(inductance: float, resistance: float, omega: float):
+    """1/(R + i omega L)."""
+    return 1.0 / np.complex128(1j * omega * inductance + resistance)
 
 
-def _capacitor(capacitance: float, omega: float, order: int):
-    """i omega C, linear in omega."""
-    scale = omega if order == 0 else float(order == 1)
-    return np.complex128(1j * scale * capacitance)
+def _capacitor(capacitance: float, omega: float):
+    """i omega C."""
+    return np.complex128(1j * omega * capacitance)
 
 
-def unit_admittances(spec: CircuitSpec, omega: float,
-                     order: int = 0) -> tuple[complex, complex]:
+def unit_admittances(spec: CircuitSpec,
+                     omega: float) -> tuple[complex, complex]:
     """(y_L, y_S): the admittance of one link element and of one interior
-    shunt element at unit multiplier, or their `order`-th omega
-    derivatives: the link and interior shunt families' y_f."""
-    inductor = _inductor(spec.inductance, spec.resistance, omega, order)
-    capacitor = _capacitor(spec.capacitance, omega, order)
+    shunt element at unit multiplier, the link and interior shunt
+    families' y_f."""
+    inductor = _inductor(spec.inductance, spec.resistance, omega)
+    capacitor = _capacitor(spec.capacitance, omega)
     return (inductor, capacitor) if spec.model == MODEL_I \
         else (capacitor, inductor)
 
@@ -170,9 +164,9 @@ class AdmittanceFamilies:
         return (diagonal, link.data[diagonal],
                 link.data[diagonal] - link @ np.ones(self.stencil.n))
 
-    def units(self, omega: float, order: int = 0) -> np.ndarray:
-        """y_f^(order)(omega) of every family."""
-        return np.array(unit_admittances(self.spec, omega, order))
+    def units(self, omega: float) -> np.ndarray:
+        """y_f(omega) of every family."""
+        return np.array(unit_admittances(self.spec, omega))
 
     def shunts(self, y) -> np.ndarray:
         """Each unknown's shunt admittance, given the families' y."""
@@ -180,7 +174,8 @@ class AdmittanceFamilies:
 
     def matrix(self, y) -> sp.csc_matrix:
         """-sum_f y_f G_f on the stencil's pattern: A(omega) for y the
-        families' y_f(omega), and A^(k) for their y_f^(k)."""
+        families' y_f(omega), and the eigen pencil's shift K - sigma M for
+        y = (-1, sigma)."""
         link = self.link_matrix
         # the element product's sums start from 0 and it negates the sum,
         # not the admittances: both keep its signed zeros
@@ -189,17 +184,10 @@ class AdmittanceFamilies:
         return sp.csc_matrix((np.negative(data, out=data), link.indices,
                               link.indptr), shape=link.shape)
 
-    def operator(self, ys, xs):
-        """apply(j, i) = A^(j) xs[i] for the families' ys[j] = y^(j),
-        without forming A: -(y_0 G_0 x + shunts x), with the product G_0 x
-        of the real `link_matrix` taken once per field."""
-        link = [self.link_matrix @ x for x in xs]
-        shunts = [self.shunts(y) for y in ys]
-
-        def apply(j, i):
-            return -(ys[j][0] * link[i] + shunts[j] * xs[i])
-
-        return apply
+    def product(self, y, x) -> np.ndarray:
+        """A x at the families' y without forming A: -(y_0 G_0 x + shunts
+        x), G_0 the real `link_matrix`."""
+        return -(y[0] * (self.link_matrix @ x) + self.shunts(y) * x)
 
     def norm1(self, y) -> float:
         """||A||_1 in O(n) at the families' y: the largest column sum
@@ -252,8 +240,8 @@ def assemble_admittance(families: AdmittanceFamilies,
     The unknowns are the interior sites; the grounded non-interior sites
     hold V = 0.  A = -sum_f y_f(omega) G_f over the element families
     (`admittance_families`), formed from the families' data on their
-    stencil.  Norms, floors and omega derivatives of A come from the
-    families, not from a matrix.
+    stencil.  Norms, floors and products A x come from the families, not
+    from a matrix.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")

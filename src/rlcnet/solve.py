@@ -12,7 +12,7 @@ builds are left alone.
 
 import ctypes
 from dataclasses import dataclass, replace
-from math import inf, pi, sqrt
+from math import copysign, inf, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -466,17 +466,8 @@ def _source_vector(geometry: GridGeometry, source) -> np.ndarray:
     return b
 
 
-def _derivative_rhs(apply, k: int) -> np.ndarray:
-    """Right-hand side of the k-th omega derivative (k = 1, 2) of A V = b,
-    -A' V or -(A'' V + 2 A' dV), where apply(j, i) is d^j A / domega^j
-    times the i-th field of (V, dV)."""
-    if k == 1:
-        return -apply(1, 0)
-    return -(apply(2, 0) + 2.0 * apply(1, 1))
-
-
 def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                  pert: Perturbation | None = None, order: int = 0):
+                  pert: Perturbation | None = None):
     """Factor the driven network at frequency omega once; returns
     solve(source) -> ComplexField for a ((i, j), complex amplitude) current
     injection, refined until the relative residual is below RESIDUAL_TOL.
@@ -490,96 +481,97 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     that proves nothing (R = 0, or a bound above COND_LIMIT) it estimates
     ||A^-1||_1 on the factorization.  Raises SingularSystemError when the
     factorization, the check or the residual contract fails (lossless
-    drive on resonance).
-
-    With derivative `order` 1 or 2, solve returns the fields (V,
-    dV/domega) or (V, dV/domega, d2V/domega2), the derivatives from the
-    same factorization as dV = -A^-1 A' V and d2V = -A^-1 (A'' V + 2 A'
-    dV), with A^(k) x taken from the families at y^(k)
-    (`AdmittanceFamilies.operator`), no A' or A'' formed; each is refined
-    and checked against the residual contract as V is.  At order 0 a
-    settled bound leaves the families unused, and they are freed before
-    the factorization so that they stay off its peak memory.
+    drive on resonance).  A settled bound leaves the families unused, and
+    they are freed before the factorization so that they stay off its
+    peak memory.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"derivative order must be 0, 1 or 2, not {order!r}")
     families = admittance_families(geometry, spec, pert)
-    ys = [families.units(omega, k) for k in range(order + 1)]
     A = assemble_admittance(families, omega)
-    cond = _condition(families, ys[0])
-    if not order and cond <= COND_LIMIT:
+    cond = _condition(families, families.units(omega))
+    if cond <= COND_LIMIT:
         families = None
     factor = Factorization(A)
     # reject numerically singular systems that still factorize (an exact
     # lossless resonance)
     if cond > COND_LIMIT:
-        cond = _condition(families, ys[0], factor)
+        cond = _condition(families, families.units(omega), factor)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError(
             f"system numerically singular (condition estimate {cond:.2e})")
 
     def solve(source):
-        xs = [factor.solve(_source_vector(geometry, source))]
-        for k in range(1, order + 1):
-            xs.append(factor.solve(_derivative_rhs(
-                families.operator(ys, xs), k)))
-        fields = []
-        for x in xs:
-            values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
-            values[geometry.interior] = x
-            fields.append(ComplexField(geometry=geometry, values=values,
-                                       omega=omega, spec=spec, source=source,
-                                       perturbation=pert))
-        return tuple(fields) if order else fields[0]
+        values = np.zeros((geometry.nx, geometry.ny), dtype=complex)
+        values[geometry.interior] = factor.solve(
+            _source_vector(geometry, source))
+        return ComplexField(geometry=geometry, values=values, omega=omega,
+                            spec=spec, source=source, perturbation=pert)
 
     return solve
 
 
 def driven_response(geometry: GridGeometry, spec: CircuitSpec, omega: float,
-                    source, pert: Perturbation | None = None,
-                    order: int = 0):
-    """Exact driven solution for one source:
-    driven_solver(..., order)(source)."""
-    return driven_solver(geometry, spec, omega, pert, order)(source)
+                    source, pert: Perturbation | None = None) -> ComplexField:
+    """Exact driven solution for one source: driven_solver(...)(source)."""
+    return driven_solver(geometry, spec, omega, pert)(source)
 
 
-def _newton_peak(response, omegas, f, slopes, tol: float):
-    """Maximum of f = |V|^2 inside the grid bracket (omegas[0], omegas[2]).
+def _brent_peak(response, omegas, f, tol: float):
+    """Maximum of f = |V|^2 inside the grid bracket (omegas[0], omegas[2]),
+    given f there (largest in the middle) and `response(omega)`, f at
+    omega.
 
-    `response(omega, 2)` returns (f, f', f''); `f` and `slopes` hold the
-    grid's f and f'.  Newton runs on h' = 0 for h = 1/f: h' = -f'/f^2 has
-    the roots of f' (f > 0), and it is linear in omega across a Lorentzian
-    peak, where f' is not (f is concave only within 0.58 half-widths of
-    the peak).  It starts from the secant root of the grid h' on the half
-    of the bracket where h' rises through zero (the midpoint when neither
-    half shows that).  Every evaluation narrows the bracket by the sign of
-    f'; a bisection step replaces the Newton step f f' / (2 f'^2 - f f'')
-    when h'' <= 0 (that denominator <= 0) or when the step leaves the
-    bracket.  Stops once a step is below `tol` or no longer moves omega
-    (a `tol` that rounds to 0 is never met) and returns (omega, f) at the
-    last omega evaluated.
+    Brent's minimization of h = 1/f without derivatives (Brent,
+    Algorithms for Minimization without Derivatives, Prentice-Hall 1973,
+    ch. 5), seeded with the three grid points, so that none is evaluated
+    twice.  Across a Lorentzian peak h is a parabola in omega, so the
+    first step, the vertex of the parabola through the grid's h, lands on
+    the peak.  A parabolic step stands where it stays inside the bracket
+    and is shorter than half the step before last; otherwise a golden
+    section step into the larger part of the bracket replaces it.  No
+    point is evaluated within `tol` of the best one, or of a bracket end
+    it does not stay inside.  Stops once the best point lies within 2
+    `tol` of both bracket ends, which a `tol` of a few ulps of omega or
+    more guarantees, and returns (omega, f) at the best point evaluated.
     """
-    lo, hi = omegas[0], omegas[2]
-    h_slopes = -slopes / f ** 2
-    k = 1 if h_slopes[1] < 0.0 else 0
-    if h_slopes[k] < 0.0 < h_slopes[k + 1]:
-        lo, hi = omegas[k], omegas[k + 1]
-        w = lo - h_slopes[k] * (hi - lo) / (h_slopes[k + 1] - h_slopes[k])
-    else:
-        w = 0.5 * (lo + hi)
+    golden = 0.5 * (3.0 - sqrt(5.0))
+    a, b = omegas[0], omegas[2]
+    x, hx, fx = omegas[1], 1.0 / f[1], f[1]
+    # w the second best point, v the one before it
+    (hw, w), (hv, v) = sorted(((1.0 / f[0], a), (1.0 / f[2], b)))
+    # d is the last step and e the one before; both start as the bracket,
+    # so that the first step can be the parabola
+    e = d = b - a
     while True:
-        fw, df, d2f = response(w, 2)
-        if df > 0.0:
-            lo = w
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return float(x), float(fx)
+        r = (x - w) * (hx - hv)
+        q = (x - v) * (hx - hw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = (-p, q) if q > 0.0 else (p, -q)
+        before_last, e = e, d
+        if abs(p) < abs(0.5 * q * before_last) \
+                and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = copysign(tol, mid - x)
         else:
-            hi = w
-        curvature = 2.0 * df * df - fw * d2f
-        step = fw * df / curvature if curvature > 0.0 else np.inf
-        if not lo < w + step < hi:
-            step = 0.5 * (lo + hi) - w
-        if abs(step) < tol or w + step == w:
-            return float(w), fw
-        w = w + step
+            e = (a if x >= mid else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else copysign(tol, d))
+        fu = response(u)
+        hu = 1.0 / fu
+        if hu <= hx:
+            a, b = (x, b) if u >= x else (a, x)
+            (v, hv), (w, hw) = (w, hw), (x, hx)
+            x, hx, fx = u, hu, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if hu <= hw or w == x:
+                (v, hv), (w, hw) = (w, hw), (u, hu)
+            elif hu <= hv or v == x or v == w:
+                v, hv = u, hu
 
 
 class _ShiftedKrylov:
@@ -593,29 +585,27 @@ class _ShiftedKrylov:
     A(omega) = -(y_L K + y_S M) on the pencil K v = lam M v of the
     element families (`admittance_families`), M = diag(w), so A_c =
     A(omega_c) = -y_L(omega_c) (K - mu_c M) is the pencil shifted at the
-    complex mu_c = `dispersion`(omega_c), and every A(omega) and its omega
-    derivatives are alpha A_c + beta M, with alpha^(k) = y_L^(k)(omega) /
-    y_L(omega_c) and beta^(k) = y_L^(k)(omega) y_S(omega_c) / y_L(omega_c)
-    - y_S^(k)(omega).  In the M-scaled coordinates of `_eigsh_near`, r =
-    sqrt(w), u = r V and T u = r A_c^-1 (r u), the pencil shift-inverted
-    at mu_c, A V = b reads (alpha I + beta T) u = u0, u0 = r A_c^-1 b, so u
-    and its derivatives lie in K_m(T, u0) for every omega at once (shifted
-    systems: Frommer and Glaessner, SIAM J. Sci. Comput. 19 (1998) 15;
-    Pade via Lanczos: Feldmann and Freund, IEEE Trans. CAD 14 (1995) 639).
-    The Galerkin projection onto it is in the w-weighted inner product on
-    V; at unit weights that is the Euclidean one.
+    complex mu_c = `dispersion`(omega_c), and every A(omega) is alpha A_c
+    + beta M, with alpha = y_L(omega) / y_L(omega_c) and beta = alpha
+    y_S(omega_c) - y_S(omega).  In the M-scaled coordinates of
+    `_eigsh_near`, r = sqrt(w), u = r V and T u = r A_c^-1 (r u), the
+    pencil shift-inverted at mu_c, A V = b reads (alpha I + beta T) u =
+    u0, u0 = r A_c^-1 b, so u lies in K_m(T, u0) for every omega at once
+    (shifted systems: Frommer and Glaessner, SIAM J. Sci. Comput. 19
+    (1998) 15; Pade via Lanczos: Feldmann and Freund, IEEE Trans. CAD 14
+    (1995) 639).  The Galerkin projection onto it is in the w-weighted
+    inner product on V; at unit weights that is the Euclidean one.
 
     Arnoldi with two passes of classical Gram-Schmidt builds T Q_m = Q_m
     H_m + h q e_m^T, each step one solve on one `Factorization` of the
     assembled A_c and two scalings by r, into a basis preallocated for
     KRYLOV_CAP vectors and grown KRYLOV_BLOCK at a time when an
     evaluation needs it.  An evaluation solves the m x m (alpha I + beta
-    H_m) c = ||u0|| e1 and its omega derivatives, returns the fields (c^T
-    Q_m) / r, and assembles nothing: the families, held for the window,
-    give its condition bound (`_condition`) in O(n), and it is served only
-    when that bound settles the check and each field meets the residual
-    contract with `driven_solver`'s right-hand sides, A^(k) x taken from
-    `AdmittanceFamilies.operator`.  A space that closes (h = 0, an
+    H_m) c = ||u0|| e1, returns V = (c^T Q_m) / r, and assembles nothing:
+    the families, held for the window, give its condition bound
+    (`_condition`) in O(n), and it is served only when that bound settles
+    the check and V meets the residual contract on the families' product
+    A V (`AdmittanceFamilies.product`).  A space that closes (h = 0, an
     invariant space) is exact and grows no further.
     """
 
@@ -663,54 +653,32 @@ class _ShiftedKrylov:
             Q[j + 1] = w / norm
         return True
 
-    def solve(self, omega: float, order: int):
-        """[V, dV/domega, ...] up to `order` over the unknowns, from the
-        projected pencils alpha^(k) I + beta^(k) H_m at omega, or None
-        when the basis cannot serve omega: the bound does not settle the
-        condition check, or the residual contract fails at the cap."""
+    def solve(self, omega: float):
+        """V over the unknowns at omega, from the projected pencil alpha I
+        + beta H_m, or None when the basis cannot serve omega: the bound
+        does not settle the condition check, or the residual contract
+        fails at the cap."""
         families = self.families
-        ys = [families.units(omega, k) for k in range(order + 1)]
-        if _condition(families, ys[0]) > COND_LIMIT:
+        y = families.units(omega)
+        if _condition(families, y) > COND_LIMIT:
             return None
-        # row k: (alpha^(k), beta^(k)) of A^(k)(omega) = alpha A_c + beta M
+        # A(omega) = alpha A_c + beta M
         y_l, y_s = self.y_c
-        coef = [(y[0] / y_l, y[0] * y_s / y_l - y[1]) for y in ys]
+        alpha, beta = y[0] / y_l, y[0] * y_s / y_l - y[1]
+        bound = RESIDUAL_TOL * np.linalg.norm(self.b)
         while True:
-            xs = self._project(coef)
-            if xs is not None and self._meets_contract(ys, xs):
-                return xs
+            m = self.m
+            try:
+                x = np.linalg.solve(alpha * np.eye(m) + beta * self.H[:m, :m],
+                                    self.beta0 * np.eye(m)[0]) \
+                    @ self.Q[:m] / self.r
+            except np.linalg.LinAlgError:
+                x = None    # the projected pencil is exactly singular
+            if x is not None and np.linalg.norm(
+                    families.product(y, x) - self.b) <= bound:
+                return x
             if not self._grow():
                 return None
-
-    def _project(self, coef):
-        """Fields (c^T Q_m) / r from the m x m solves of (alpha I + beta
-        H_m) c = ||u0|| e1 and of its omega derivatives; None where that
-        matrix is exactly singular."""
-        m = self.m
-        pencils = [a * np.eye(m) + b * self.H[:m, :m] for a, b in coef]
-        rhs = np.zeros(m, dtype=complex)
-        rhs[0] = self.beta0
-        cs = []
-        try:
-            for k in range(len(coef)):
-                if k:
-                    rhs = _derivative_rhs(lambda j, i: pencils[j] @ cs[i], k)
-                cs.append(np.linalg.solve(pencils[0], rhs))
-        except np.linalg.LinAlgError:
-            return None
-        return [c @ self.Q[:m] / self.r for c in cs]
-
-    def _meets_contract(self, ys, xs) -> bool:
-        """True when every field meets the residual contract on the
-        families' A^(k) for ys[k] = y^(k), with the right-hand sides of
-        `driven_solver`."""
-        apply = self.families.operator(ys, xs)
-        for k in range(len(xs)):
-            rhs = _derivative_rhs(apply, k) if k else self.b
-            if not np.linalg.norm(apply(0, k) - rhs) \
-                    <= RESIDUAL_TOL * np.linalg.norm(rhs):
-                return False
-        return True
 
 
 def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
@@ -719,22 +687,22 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
                     rel_tol: float = 1e-6):
     """Locate resonances of the driven lossy network.
 
-    Sweeps f = |V|^2 and f' = 2 Re(V^H dV/domega) over n_points in
-    omega_range (grid), then refines every grid maximum of f inside its
-    two-step bracket by safeguarded Newton on the roots of f'
-    (`_newton_peak`), until a step is below half of rel_tol * omega, so
-    rel_tol must be positive (ValueError otherwise).  Each evaluation
-    gives V and dV/domega, and d2V/domega2 for a Newton step.  They come
-    from one Krylov basis of the billiard pencil shift-inverted at the
-    window centre's complex dispersion (`_ShiftedKrylov`), on one
-    factorization of A there, with each field checked against the
-    residual contract on the element families, and the centre is the
-    sweep's only assembly; an evaluation the basis cannot serve (a bound
-    that does not settle its condition check, or the contract unmet at
-    the cap) is one `driven_response` call: one factorization.  Returns a
-    list of (omega_peak, response_norm_sq) in ascending omega, the value
-    being |V|^2 of the field that the last Newton evaluation computed at
-    omega_peak, which has met the residual contract.
+    Sweeps f = |V|^2 over n_points in omega_range (grid), then refines
+    every strict grid maximum of f inside its two-step bracket by Brent's
+    minimization of 1/f (`_brent_peak`), seeded with the bracket's grid
+    values, until the peak is located within rel_tol * omega, so rel_tol
+    must be positive (ValueError otherwise); a rel_tol * omega below a
+    few ulps of omega stops at those ulps.  Each evaluation needs V only.
+    It comes from one Krylov basis of the billiard pencil shift-inverted
+    at the window centre's complex dispersion (`_ShiftedKrylov`), on one
+    factorization of A there, checked against the residual contract on
+    the element families, and the centre is the sweep's only assembly;
+    an evaluation the basis cannot serve (a bound that does not settle
+    its condition check, or the contract unmet at the cap) is one
+    `driven_response` call: one factorization.  Returns a list of
+    (omega_peak, response_norm_sq) in ascending omega, omega_peak the
+    best frequency the search evaluated and the value |V|^2 of that
+    evaluation's field, which has met the residual contract.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi):
@@ -750,24 +718,19 @@ def resonance_sweep(geometry: GridGeometry, spec: CircuitSpec, omega_range,
 
     krylov = _ShiftedKrylov(geometry, spec, omega_range, pert, source)
 
-    def response(omega, order):
-        """(f, f') for order 1, (f, f', f'') for order 2."""
-        xs = krylov.solve(omega, order)
-        if xs is None:
-            xs = [field.interior_values for field in driven_response(
-                geometry, spec, omega, source, pert=pert, order=order)]
-        v, dv, *d2v = xs
-        out = (float(np.real(np.vdot(v, v))),
-               2.0 * float(np.real(np.vdot(v, dv))))
-        if d2v:
-            out += (2.0 * float(np.real(np.vdot(dv, dv) + np.vdot(v, d2v[0]))),)
-        return out
+    def response(omega):
+        """f = |V|^2 at omega."""
+        v = krylov.solve(omega)
+        if v is None:
+            v = driven_response(geometry, spec, omega, source,
+                                pert=pert).interior_values
+        return float(np.real(np.vdot(v, v)))
 
     omegas = np.linspace(lo, hi, n_points)
-    f, slopes = np.array([response(w, 1) for w in omegas]).T
-    # a step of half rel_tol * omega keeps the bracket-width meaning of
-    # rel_tol at the peak
-    return [_newton_peak(response, omegas[k - 1:k + 2], f[k - 1:k + 2],
-                         slopes[k - 1:k + 2], 0.5 * rel_tol * omegas[k])
+    f = np.array([response(w) for w in omegas])
+    # the search locates each peak within 2 tol = rel_tol * omega
+    return [_brent_peak(response, omegas[k - 1:k + 2], f[k - 1:k + 2],
+                        max(0.5 * rel_tol * omegas[k],
+                            4.0 * np.spacing(omegas[k])))
             for k in range(1, n_points - 1)
             if f[k] > f[k - 1] and f[k] > f[k + 1]]

@@ -1,4 +1,3 @@
-from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -51,27 +50,21 @@ def _incidence(geometry):
                          shape=(n_links, np.count_nonzero(inter)))
 
 
-def _element_admittances(geometry, spec, omega, pert, order=0):
-    """Reference admittances of every element, or their order-th omega
-    derivatives, from the closed forms of each element with its own
-    multiplier m: the links in link order, and the shunt of each site as
-    an (nx, ny) array (0 at a grounded non-interior site).
+def _element_admittances(geometry, spec, omega, pert):
+    """Reference admittances of every element, from the closed forms of
+    each element with its own multiplier m: the links in link order, and
+    the shunt of each site as an (nx, ny) array (0 at a grounded
+    non-interior site).
 
-    An inductor is 1/(m (R + i omega L)), with d^k/domega^k = k! (-i L m)^k
-    y^(k+1); a capacitor i omega C m.  Interior sites carry the model's
-    shunt.
+    An inductor is 1/(m (R + i omega L)), a capacitor i omega C m.
+    Interior sites carry the model's shunt.
     """
     def inductor(mult):
-        y = 1.0 / (1j * omega * spec.inductance * mult
-                   + spec.resistance * mult)
-        if order == 0:
-            return y
-        return factorial(order) * (-1j * spec.inductance * mult) ** order \
-            * y ** (order + 1)
+        return 1.0 / (1j * omega * spec.inductance * mult
+                      + spec.resistance * mult)
 
     def capacitor(mult):
-        scale = omega if order == 0 else float(order == 1)
-        return 1j * scale * spec.capacitance * mult
+        return 1j * omega * spec.capacitance * mult
 
     link, shunt = (inductor, capacitor) if spec.model == "I" \
         else (capacitor, inductor)

@@ -24,12 +24,14 @@ from rlcnet.experiments import (ConfigError, DrivenStatistics,
                                 ks_binned_vs_normal, place_source_at_maximum,
                                 run, standardized_mode_histogram)
 from rlcnet.fields import Vortex, link_currents
-from rlcnet.geometry import GridGeometry, lattice_stencil, rasterize_rectangle
+from rlcnet.geometry import (GridGeometry, lattice_stencil,
+                             rasterize_quarter_stadium, rasterize_rectangle)
 from rlcnet.io import FLOAT, write_csv, write_polylines
 from rlcnet.network import (CircuitSpec, admittance_families,
                             sample_perturbation)
 from rlcnet.solve import (SingularSystemError, driven_response,
-                          eigenmodes_lossless, resonance_sweep)
+                          eigenmode_nearest, eigenmodes_lossless,
+                          resonance_sweep)
 from rlcnet.stats import (RotatedField, gaussianity_check, phase_rotate,
                           source_exclusion_mask)
 
@@ -189,7 +191,6 @@ def test_ensemble_single_realization_identity():
     modes = eigenmodes_lossless(g, spec, 3)
     target = modes[1].omega
     baseline, avg, ks = ensemble_average(g, spec, target, 0.0, 1, 0, edges)
-    from rlcnet.solve import eigenmode_nearest
     single = standardized_mode_histogram(
         eigenmode_nearest(g, spec, target).vector, edges)
     assert np.allclose(avg, single)
@@ -377,6 +378,24 @@ def test_cli_sweep_drives_at_the_density_maximum(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["source_site"] == list(field.source[0])
     assert man["n_peaks"] == len(peaks)
+
+
+def test_cli_model_ii_sweep_finds_its_sharp_peaks(tmp_path):
+    # a model II sweep at Q about 40,000: each evaluation needs V alone,
+    # so the run exits 0 and reports the window's two resonances
+    cfg = {"geometry": "quarter_stadium", "spacing": 0.02, "model": "II",
+           "resistance": 0.05, "omega_min": 20.5e6, "omega_max": 22.5e6,
+           "n_points": 21}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    got = np.loadtxt(out / "peaks.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(got) == 2
+    g = rasterize_quarter_stadium(0.02)
+    lossless = CircuitSpec("II", L, C, 0.0)
+    for w in got[:, 0]:
+        mode = eigenmode_nearest(g, lossless, w)
+        assert abs(w - mode.omega) <= 1e-6 * mode.omega
 
 
 def test_run_oracle(tmp_path):

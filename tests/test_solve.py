@@ -770,43 +770,6 @@ def test_driven_needs_source():
         driven_response(g, CircuitSpec("I", L, C, 0.1), 1e6, ((1, 1), 0.0))
 
 
-@pytest.mark.parametrize("model", ["I", "II"])
-def test_driven_derivatives_match_finite_differences(model):
-    g = rasterize_rectangle(6, 5, 0.1)
-    spec = CircuitSpec(model, L, C, 0.3)
-    pert = sample_perturbation(g, 0.03, 2)
-    source = ((3, 2), 1.0)
-    # off the resonances of either model, where V is smooth on the scale h
-    omega = 1.2e6 if model == "I" else 4.0e6
-    h = 1e-4 * omega
-
-    def v(w):
-        return driven_response(g, spec, w, source, pert=pert).values
-
-    fields = driven_response(g, spec, omega, source, pert=pert, order=2)
-    assert len(fields) == 3
-    assert np.array_equal(fields[0].values, v(omega))
-    fd1 = (v(omega + h) - v(omega - h)) / (2.0 * h)
-    fd2 = (v(omega + h) - 2.0 * v(omega) + v(omega - h)) / h ** 2
-    for got, fd in ((fields[1].values, fd1), (fields[2].values, fd2)):
-        assert np.max(np.abs(got - fd)) < 1e-5 * np.max(np.abs(got))
-    # each derivative meets the residual contract on its own right side,
-    # with the families' derivative matrices
-    families = admittance_families(g, spec, pert)
-    a, d1, d2 = (families.matrix(families.units(omega, k)) for k in range(3))
-    x, dx, d2x = (f.values[g.interior] for f in fields)
-    for lhs, rhs in ((a @ dx, -(d1 @ x)),
-                     (a @ d2x, -(d2 @ x + 2.0 * (d1 @ dx)))):
-        assert np.linalg.norm(lhs - rhs) <= RESIDUAL_TOL * np.linalg.norm(rhs)
-    # order 1 stops at dV, with the bits of the order 2 fields
-    first = driven_response(g, spec, omega, source, pert=pert, order=1)
-    assert len(first) == 2
-    for got, want in zip(first, fields):
-        assert np.array_equal(got.values, want.values)
-    with pytest.raises(ValueError):
-        driven_solver(g, spec, omega, pert, order=3)
-
-
 def _sweep_case():
     """6x4 rectangle whose band holds the two lowest lossless modes."""
     g = rasterize_rectangle(6, 4, 0.1)
@@ -835,23 +798,23 @@ def test_resonance_sweep_peaks_converged():
 
 
 def test_resonance_sweep_value_is_response_at_peak(monkeypatch):
-    # each peak's value is |V|^2 of the last field the sweep evaluated at
+    # each peak's value is |V|^2 of the field the sweep evaluated at
     # omega_peak, basis-served or (with a one-vector cap) direct; that
     # field meets the residual contract, as a direct solve there does
     g, spec, _, band = _sweep_case()
     served, direct = solve._ShiftedKrylov.solve, solve.driven_response
     last = {}   # omega -> V of the sweep's last evaluation there
 
-    def record_served(self, omega, order):
-        xs = served(self, omega, order)
-        if xs is not None:
-            last[omega] = xs[0]
-        return xs
+    def record_served(self, omega):
+        x = served(self, omega)
+        if x is not None:
+            last[omega] = x
+        return x
 
     def record_direct(geometry, spec, omega, *args, **kwargs):
-        fields = direct(geometry, spec, omega, *args, **kwargs)
-        last[omega] = fields[0].interior_values
-        return fields
+        field = direct(geometry, spec, omega, *args, **kwargs)
+        last[omega] = field.interior_values
+        return field
 
     for cap in (solve.KRYLOV_CAP, 1):
         last.clear()
@@ -911,10 +874,9 @@ def _count_family_matrices(monkeypatch):
 
 def test_every_formed_matrix_is_factored(monkeypatch):
     # the package forms only the matrices that a Factorization factors:
-    # the driven A at any derivative order (A' and A'' act through the
-    # families), a sweep's window centre A_c (A'_c too), the A of each
-    # evaluation that a sweep's basis cannot serve, and the pencil shift K
-    # - sigma M of eigenmode_nearest and of a Lanczos spectrum (sigma = 0)
+    # the driven A, a sweep's window centre A_c, the A of each evaluation
+    # that a sweep's basis cannot serve, and the pencil shift K - sigma M
+    # of eigenmode_nearest and of a Lanczos spectrum (sigma = 0)
     g, spec, _, band = _sweep_case()
     source = ((2, 2), 1.0)
     lossless = CircuitSpec("I", L, C, 0.0)
@@ -926,9 +888,7 @@ def test_every_formed_matrix_is_factored(monkeypatch):
             return resonance_sweep(g, spec, band, 9, source)
 
     paths = {
-        "driven, order 0": lambda: driven_solver(g, spec, band[0])(source),
-        "driven, order 2": lambda: driven_solver(g, spec, band[0],
-                                                 order=2)(source),
+        "driven": lambda: driven_solver(g, spec, band[0])(source),
         "Dirichlet sweep": lambda: resonance_sweep(g, spec, band, 9, source),
         "capped sweep": capped_sweep,
         "nearest mode": lambda: eigenmode_nearest(g, lossless, band[0]),
@@ -945,9 +905,10 @@ def test_every_formed_matrix_is_factored(monkeypatch):
 
 
 def test_order_0_solver_frees_the_families_before_it_factors(monkeypatch):
-    # a settled bound leaves an order-0 solve nothing to read from the
-    # families, so they are gone before splu runs and stay off its peak
-    # memory; the derivative right-hand sides of order 1 keep them
+    # a settled bound leaves the solve nothing to read from the families,
+    # so they are gone before splu runs and stay off its peak memory; at
+    # R = 0 no bound settles, and the condition estimate on the factor
+    # still reads them
     refs = []
     build = solve.admittance_families
 
@@ -966,19 +927,18 @@ def test_order_0_solver_frees_the_families_before_it_factors(monkeypatch):
     monkeypatch.setattr(solve, "admittance_families", kept)
     monkeypatch.setattr(spla, "splu", checked)
     g = rasterize_rectangle(12, 9, 0.05)
-    spec = CircuitSpec("I", L, C, 0.3)
-    for order in (0, 1):
-        driven_solver(g, spec, 1.1e6, order=order)(((4, 5), 1.0))
+    for resistance in (0.3, 0.0):
+        spec = CircuitSpec("I", L, C, resistance)
+        driven_solver(g, spec, 1.1e6)(((4, 5), 1.0))
     assert alive == [False, True]
 
 
 def test_resonance_sweep_solve_budget(monkeypatch):
-    # the window's Krylov basis serves every grid and Newton evaluation on
-    # one factorization at the window centre, each peak's value included.
-    # On the a0 = 0.01 quarter stadium at R = 0.1, 20 vectors of the
-    # pencil shift-inverted at the complex centre dispersion serve all 13
-    # evaluations; a basis shift-inverted at its real part misses the
-    # contract at the 40-vector cap there and solves 11 of them directly
+    # the window's Krylov basis serves every grid and peak-search
+    # evaluation on one factorization at the window centre, each peak's
+    # value included.  On the a0 = 0.01 quarter stadium at R = 0.1, 20
+    # vectors of the pencil shift-inverted at the complex centre
+    # dispersion serve all 19 evaluations
     g, spec, _, band = _sweep_case()
     stadium = rasterize_quarter_stadium(0.01)
     cases = ((g, spec, band, 220, ((2, 2), 1.0)),
@@ -999,9 +959,9 @@ def test_sweep_builds_one_stencil(monkeypatch, stencil_builds):
     g, spec, _, band = _sweep_case()
     peaks = resonance_sweep(g, spec, band, 9, ((2, 2), 1.0))
     assert peaks
-    # only the window centre is assembled, without A'; every grid and
-    # Newton evaluation is checked on the element families, and the last
-    # Newton evaluation's field gives each peak's value
+    # only the window centre is assembled; every grid and peak-search
+    # evaluation is checked on the element families, and the field of the
+    # best evaluation gives each peak's value
     assert len(assemblies) == 1
     assert stencil_builds == [g]
 
@@ -1019,23 +979,17 @@ def test_krylov_fields_meet_the_residual_contract(model):
     modes = eigenmodes_lossless(g, CircuitSpec(model, L, C, 0.0), 4)
     band = (modes[1].omega * 0.98, modes[3].omega * 1.02)
     basis = solve._ShiftedKrylov(g, spec, band, pert, source)
+    families = admittance_families(g, spec, pert)
     for omega in np.linspace(*band, 7):
-        xs = basis.solve(omega, 2)
-        assert xs is not None
-        families = admittance_families(g, spec, pert)
-        a, d1, d2 = (families.matrix(families.units(omega, k))
-                     for k in range(3))
-        x, dx, d2x = xs
+        x = basis.solve(omega)
+        assert x is not None
         b = np.zeros(len(x), dtype=complex)
         b[g.stencil.index[source[0]]] = -1.0
-        for lhs, rhs in ((a @ x, b), (a @ dx, -(d1 @ x)),
-                         (a @ d2x, -(d2 @ x + 2.0 * (d1 @ dx)))):
-            assert np.linalg.norm(lhs - rhs) \
-                <= RESIDUAL_TOL * np.linalg.norm(rhs)
-        fields = driven_response(g, spec, omega, source, pert=pert, order=2)
-        for got, field in zip(xs, fields):
-            want = field.interior_values
-            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        a = assemble_admittance(families, omega)
+        assert np.linalg.norm(a @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
+        want = driven_response(g, spec, omega, source,
+                               pert=pert).interior_values
+        assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
     assert basis.m < g.n_interior
 
 
@@ -1051,7 +1005,7 @@ def test_krylov_space_that_closes_is_exact():
         basis = solve._ShiftedKrylov(g, spec, band, None, source)
         assert basis.closed and basis.m == 3
         for omega in np.linspace(*band, 5):
-            (x,) = basis.solve(omega, 0)
+            x = basis.solve(omega)
             A = assemble_admittance(admittance_families(g, spec),
                                     omega).toarray()
             want = np.linalg.solve(A, [-1.0, 0.0, 0.0, 0.0])
@@ -1079,10 +1033,10 @@ def test_sweep_solves_what_the_bound_leaves_unsettled(monkeypatch):
     served = solve._ShiftedKrylov.solve
     refused = []
 
-    def record_served(self, omega, order):
-        xs = served(self, omega, order)
-        refused.append(xs is None)
-        return xs
+    def record_served(self, omega):
+        x = served(self, omega)
+        refused.append(x is None)
+        return x
 
     monkeypatch.setattr(solve, "COND_LIMIT", 1e5)
     monkeypatch.setattr(solve._ShiftedKrylov, "solve", record_served)
@@ -1108,9 +1062,7 @@ def test_sweep_falls_back_when_the_basis_is_capped(monkeypatch):
     built = _count_factorizations(monkeypatch)
     calls = _count_calls(monkeypatch, "driven_response")
     assert resonance_sweep(*args) == want
-    assert len(built) == 1 + len(calls)
-    assert [kwargs["order"] for kwargs in calls[:9]] == [1] * 9
-    assert {kwargs["order"] for kwargs in calls[9:]} == {2}
+    assert len(built) == 1 + len(calls) > 9
 
 
 def test_resonance_sweep_preconditions(monkeypatch):
@@ -1136,13 +1088,86 @@ def test_resonance_sweep_preconditions(monkeypatch):
 
 
 def test_newton_stops_when_its_tolerance_underflows():
-    # 0.5 * 5e-324 rounds to 0, so no step is below the tolerance; Newton
-    # stops where a step no longer moves omega, as it does at 1e-300
+    # 0.5 * 5e-324 rounds to 0, and 1e-300 gives a tolerance far below one
+    # ulp of omega; the peak search floors both at a few ulps, so it still
+    # stops, at the same peaks
     g, spec, _, band = _sweep_case()
     args = (g, spec, band, 40, ((2, 2), 1.0))
     peaks = resonance_sweep(*args, rel_tol=1e-300)
     assert len(peaks) == 2
     assert resonance_sweep(*args, rel_tol=5e-324) == peaks
+
+
+def _counted(f):
+    """f, and the list of the omegas that it was evaluated at."""
+    evaluated = []
+
+    def response(omega):
+        evaluated.append(omega)
+        return f(omega)
+
+    return response, evaluated
+
+
+def _lorentzian(centre, width, height=1.0):
+    """height * width^2 / ((omega - centre)^2 + width^2), whose reciprocal
+    is a parabola in omega."""
+    return lambda omega: height * width ** 2 / ((omega - centre) ** 2
+                                                + width ** 2)
+
+
+@pytest.mark.parametrize("offset", [-3.1e3, 4.4e3])
+def test_peak_search_lands_on_a_lorentzian(offset):
+    # 1/f of a Lorentzian is a parabola, so the first step, the vertex of
+    # the parabola through the grid's three values, is the centre; two
+    # steps of tol on either side of it then close the bracket
+    centre, tol = 1.0e6 + offset, 0.5
+    f = _lorentzian(centre, 2.0e3)
+    omegas = np.array([0.99e6, 1.0e6, 1.01e6])
+    response, evaluated = _counted(f)
+    omega, value = solve._brent_peak(response, omegas, f(omegas), tol)
+    assert abs(omega - centre) <= tol
+    assert value == f(omega) and omega in evaluated
+    assert len(evaluated) <= 3
+
+
+def test_peak_search_finds_the_larger_of_two_lorentzians():
+    # the bracket holds a weaker peak too; the search climbs the one its
+    # middle grid point sits on, whose maximum the weaker one's tail moves
+    f1, f2 = _lorentzian(1.002e6, 1.0e3), _lorentzian(0.993e6, 1.5e3, 0.27)
+
+    def f(omega):
+        return f1(omega) + f2(omega)
+
+    omegas = np.array([0.99e6, 1.0e6, 1.01e6])
+    fine = np.linspace(1.0019e6, 1.0021e6, 200_001)
+    peak = fine[np.argmax(f(fine))]
+    assert 1.0019e6 < peak < 1.0021e6
+    tol = 0.5
+    response, evaluated = _counted(f)
+    omega, value = solve._brent_peak(response, omegas, f(omegas), tol)
+    assert abs(omega - peak) <= tol
+    assert value == f(omega)
+    assert len(set(evaluated)) == len(evaluated)
+
+
+def test_model_ii_sweep_peaks_on_the_direct_path(monkeypatch):
+    # the model II a0 = 0.02 quarter stadium at R = 0.05 (Q about 40,000)
+    # over a window with two sharp resonances.  With the basis refused,
+    # every evaluation is a direct solve of V alone, whose roundoff floor
+    # here lies below the residual contract (that of dV/domega lies above
+    # it); the basis finds the same peaks
+    g = rasterize_quarter_stadium(0.02)
+    args = (g, CircuitSpec("II", L, C, 0.05), (20.5e6, 22.5e6), 21,
+            (centroid_site(g), 1.0))
+    lossless = CircuitSpec("II", L, C, 0.0)
+    peaks = _direct_sweep(monkeypatch, *args)
+    assert len(peaks) == 2
+    for w, _ in peaks:
+        mode = eigenmode_nearest(g, lossless, w)
+        assert abs(w - mode.omega) <= 1e-6 * mode.omega
+    assert [w for w, _ in resonance_sweep(*args)] \
+        == pytest.approx([w for w, _ in peaks], rel=1e-12)
 
 
 def _bundled_openblas_threads():
