@@ -460,7 +460,11 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> str:
     missing = os.path.abspath(out_dir)
     while not os.path.exists(missing):
         created, missing = missing, os.path.dirname(missing)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        # a file where the directory or one of its parents should be
+        raise ConfigError(f"out: {exc}") from exc
     try:
         extra = _run_experiment(cfg, geometry, spec, out_dir, threads)
         write_json(os.path.join(out_dir, "manifest.json"),

@@ -27,6 +27,11 @@ from .network import (MODEL_I, AdmittanceFamilies, CircuitSpec, Perturbation,
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
+# the largest spread max|mu| / min|mu| of a uniform block's eigenvalues that
+# its sine-transform solve takes: the transforms then lose at most about
+# 1e5 times the unit roundoff, 1e-11 (the a0 = 0.005 stadium at R = 0.1 and
+# 861,100 rad/s spreads 9.2e4)
+SPREAD_LIMIT = 1e5
 # a sweep's shifted Krylov basis grows by KRYLOV_BLOCK vectors at a time, up
 # to KRYLOV_CAP; an evaluation it cannot serve there factors its own matrix.
 # On the a0 = 0.01 quarter stadium (17,650 unknowns) 40 vectors took
@@ -204,8 +209,148 @@ class Ordering:
                              shape=shape)
 
 
+def _splu(A, natural: bool = False):
+    """SuperLU's factor of CSC A with diagonal pivots on A^T + A's
+    minimum-degree ordering, or on its natural order; the package's only
+    `splu` call (`Factorization`).  A failure raises SingularSystemError."""
+    try:
+        return spla.splu(A, permc_spec="NATURAL" if natural
+                         else "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         panel_size=1, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystemError(f"factorization failed: {exc}") from exc
+
+
+def _cosines(n: int) -> np.ndarray:
+    """2 cos(p pi / (n + 1)), p = 1..n: the eigenvalues of the adjacency of
+    a path of n sites, whose eigenvectors are the orthonormal DST-I's."""
+    return 2.0 * np.cos(np.arange(1, n + 1) * (pi / (n + 1)))
+
+
+def _leading_block(index: np.ndarray):
+    """The block of a lattice's leading columns: the longest run of them
+    whose interior is one and the same contiguous run of m rows, k columns
+    in all.  Its k m unknowns are the first, column by column, and every
+    lattice neighbour it has outside itself is grounded, save the interior
+    sites of the next column in the block's rows: `rows` (0..m-1) and
+    `tail`, their unknown numbers less k m.  Returns (k, m, rows, tail),
+    or None where the first column's interior is not one run.  `index` is
+    the stencil's (nx, ny) unknown numbers, -1 off the interior."""
+    inside = index >= 0
+    first = int(np.argmax(inside.any(axis=1)))
+    run = np.flatnonzero(inside[first])
+    if not run.size or run[-1] - run[0] != len(run) - 1:
+        return None
+    # the lattice rim holds no interior site, so some column differs
+    k = int(np.argmin(np.all(inside[first:] == inside[first], axis=1)))
+    column = index[first + k, run[0]:run[-1] + 1]
+    rows = np.flatnonzero(column >= 0)
+    return k, len(run), rows, column[rows] - k * len(run)
+
+
+def _uniform_block(A, stencil):
+    """The leading block of `stencil` (`_leading_block`) on which CSC A,
+    of the stencil's pattern, is uniform, with its eigenvalues mu: (k, m,
+    rows, tail, mu, c), c the block's one off-diagonal entry; None where
+    there is no such block, it holds fewer than half of the unknowns, or
+    the spread max|mu| / min|mu| exceeds SPREAD_LIMIT.  A zero mu raises
+    SingularSystemError.
+
+    A uniform block, one diagonal entry d and one off-diagonal entry c on
+    all its columns (its couplings to the next column included), is d I +
+    c times the adjacency of the k x m grid, with eigenvalues mu_pq = d +
+    c (2 cos(p pi / (k + 1)) + 2 cos(q pi / (m + 1))) on the 2-D DST-I;
+    at uniform family weights w_l, w_s that is -(y_0 w_l (T_k + T_m) +
+    y_1 w_s I), T the second-difference matrices, and with disorder the
+    block is not uniform."""
+    block = _leading_block(stencil.index)
+    if block is None:
+        return None
+    k, m, rows, tail = block
+    nb = k * m
+    if 2 * nb < A.shape[0]:
+        return None
+    end = A.indptr[nb]
+    on = A.indices[:end] == np.repeat(np.arange(nb), np.diff(A.indptr[:nb + 1]))
+    diagonal, off = A.data[:end][on], A.data[:end][~on]
+    if np.any(diagonal != diagonal[0]) or np.any(off != off[:1]):
+        return None
+    c = off[0] if off.size else 0.0
+    mu = diagonal[0] + c * (_cosines(k)[:, None] + _cosines(m))
+    size = np.abs(mu)
+    if size.min() == 0.0:
+        raise SingularSystemError("drive on an eigenvalue of the uniform "
+                                  "block")
+    if size.max() > SPREAD_LIMIT * size.min():
+        return None
+    return k, m, rows, tail, mu, c
+
+
+def _condensed(A, k, m, rows, tail, mu, c):
+    """(lu, apply) of CSC A with its uniform leading block (`_uniform_block`)
+    solved by sine transforms: lu is SuperLU's factor of the Schur
+    complement S over the rest, None where the block is all of A, and
+    apply(b[, trans]) is A^-1 b (A^-H b for trans "H") for b of one or two
+    dimensions, unrefined.
+
+    The block B is diagonal under the orthonormal 2-D DST-I Phi (Buzbee,
+    Golub and Nielson, SIAM J. Numer. Anal. 7 (1970) 627): A_BB^-1 = Phi
+    diag(1 / mu) Phi.  It meets the rest R only from its last column, at
+    the sites `tail` of R through the entry c, so S = A_RR - A_RB A_BB^-1
+    A_BR (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8 (1971)
+    722) differs from A_RR by c^2 times one dense block: the last column
+    of A_BB^-1 at the rows `rows`, Phi_m diag(g) Phi_m with g_q = sum_p
+    phi_p^2 / mu_pq, phi the last entries of Phi_k's vectors.  A solve
+    transforms b_B, solves S x_R = b_R - A_RB A_BB^-1 b_B and returns x_B
+    = A_BB^-1 (b_B - A_BR x_R), both block solves from the one transform
+    of b_B and one transform back.  A is complex symmetric, so A^-H b =
+    conj(A^-1 conj(b)).
+    """
+    # 18-31 ms to import: only a run that condenses pays for it
+    from scipy.fft import dst, dstn
+    n, nb = A.shape[0], k * m
+    last = np.zeros(k)
+    last[-1] = 1.0
+    phi = dst(last, type=1, norm="ortho")
+    lu = None
+    if n > nb:
+        g = (phi * phi) @ (1.0 / mu)
+        edge = c * c * dstn(np.diag(g), type=1, norm="ortho")[np.ix_(rows,
+                                                                     rows)]
+        S = A[nb:, nb:] - sp.csc_matrix(
+            (edge.ravel(), (np.repeat(tail, len(tail)),
+                            np.tile(tail, len(tail)))), shape=(n - nb, n - nb))
+        lu = _splu(S)
+
+    def apply(b, trans="N"):
+        if trans == "H":
+            return np.conj(apply(np.conj(b)))
+        extra = b.shape[1:]
+        # mu and phi broadcast over the columns of a 2-D b
+        scale = mu.reshape(mu.shape + (1,) * len(extra))
+        weight = phi.reshape((k, 1) + (1,) * len(extra))
+        bh = dstn(b[:nb].reshape((k, m) + extra), type=1, norm="ortho",
+                  axes=(0, 1))
+        x = np.empty(b.shape, dtype=np.result_type(bh, scale))
+        if lu is not None:
+            # A_BB^-1 b_B on the block's last column
+            z = dst(np.tensordot(phi, bh / scale, 1), type=1, norm="ortho",
+                    axis=0)
+            rhs = b[nb:].astype(x.dtype)
+            rhs[tail] -= c * z[rows]
+            x[nb:] = x_r = lu.solve(rhs)
+            u = np.zeros((m,) + extra, dtype=x.dtype)
+            u[rows] = c * x_r[tail]
+            bh = bh - weight * dst(u, type=1, norm="ortho", axis=0)
+        x[:nb] = dstn(bh / scale, type=1, norm="ortho",
+                      axes=(0, 1)).reshape((nb,) + extra)
+        return x
+
+    return lu, apply
+
+
 class Factorization:
-    """One SuperLU factorization of a square sparse A with a symmetric pattern.
+    """One factorization of a square sparse A with a symmetric pattern.
 
     A minimum-degree ordering of A^T + A with diagonal pivots keeps the
     symmetric structure, which halves the fill of COLAMD with partial
@@ -218,8 +363,8 @@ class Factorization:
     the same ordering, fill and diagonal pivots.  The default `relax`
     stays: `relax=1` stores 2-4% fewer entries of the stadium factors but
     saves neither time nor fill on the pencil.  Every sparse solve in the
-    package factors here, on the one BLAS thread that the import set
-    (`_pin_bundled_openblas`), so the factors do not depend on the core
+    package factors here (`_splu`), on the one BLAS thread that the import
+    set (`_pin_bundled_openblas`), so the factors do not depend on the core
     count, and a SuperLU failure (an exactly singular A) raises
     SingularSystemError on every path.  The factors' roundoff depends on
     these settings, so the vector that Lanczos picks from an exactly
@@ -231,37 +376,50 @@ class Factorization:
     pivoting, panels and symmetric mode, which gives the fill and the
     diagonal pivots of the minimum-degree path without its ordering step.
     Given an empty one, A is factored as above and the ordering recorded
-    there.  `lu` is SuperLU's factor of the matrix it factored, P A P^T
-    on a filled ordering; `apply(b[, trans])` is A^-1 b (A^-H b for trans
-    "H") from it, unrefined, and `solve(b)` is A^-1 b refined to the
-    residual contract.  A sweep's shifted Krylov basis (`_ShiftedKrylov`)
-    applies the unrefined inverse of its window-centre factor, and checks
-    the fields it serves against the residual contract on the element
-    families.
+    there.
+
+    Given the `stencil` of A's pattern instead, A is condensed where that
+    stencil's leading block holds at least half of the unknowns, A is
+    uniform on it (no disorder) and the block's eigenvalues spread by at
+    most SPREAD_LIMIT (`_uniform_block`): sine transforms solve the block,
+    and SuperLU factors only the Schur complement over the rest
+    (`_condensed`), none at all on a full rectangle.  A zero eigenvalue of
+    the block raises SingularSystemError.  On the a0 = 0.005 quarter
+    stadium the block is the unit square and the first 20 columns of the
+    cap, 219 x 199 of the 71,003 unknowns, and the factor of the 27,422
+    others stores 1.5M entries, against 3.6M for A.  The driven solves
+    (`driven_solver`) and a sweep's window centre (`_ShiftedKrylov`) pass
+    their stencil; the eigen solves (`_eigsh_near`) never do.
+
+    `lu` is SuperLU's factor of the matrix it factored: P A P^T on a
+    filled ordering, the Schur complement when condensed (None on a full
+    rectangle).  `apply(b[, trans])` is A^-1 b (A^-H b for trans "H") from
+    it, unrefined, for b of one or two dimensions, and `solve(b)` is A^-1
+    b refined against A to the residual contract.  A sweep's shifted
+    Krylov basis (`_ShiftedKrylov`) applies the unrefined inverse of its
+    window-centre factor, and checks the fields it serves against the
+    residual contract on the element families.
     """
 
-    def __init__(self, A, ordering: Ordering | None = None):
+    def __init__(self, A, ordering: Ordering | None = None, stencil=None):
         self.matrix = A
         A = A.tocsc()
-        record = ordering is not None and ordering.perm is None
-        reuse = ordering is not None and not record
-        factored = ordering.permute(A) if reuse else A
-        try:
-            self.lu = lu = spla.splu(
-                factored, permc_spec="NATURAL" if reuse else "MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, panel_size=1,
-                options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SingularSystemError(f"factorization failed: {exc}") from exc
-        if record:
-            ordering.record(A, lu.perm_c)
-        if reuse:
-            order, perm = ordering.order, ordering.perm
-
-            def apply(b, trans="N"):
-                return lu.solve(b[order], trans)[perm]
+        block = None if stencil is None else _uniform_block(A, stencil)
+        if block is not None:
+            self.lu, apply = _condensed(A, *block)
         else:
-            apply = lu.solve
+            record = ordering is not None and ordering.perm is None
+            reuse = ordering is not None and not record
+            self.lu = lu = _splu(ordering.permute(A) if reuse else A, reuse)
+            if record:
+                ordering.record(A, lu.perm_c)
+            if reuse:
+                order, perm = ordering.order, ordering.perm
+
+                def apply(b, trans="N"):
+                    return lu.solve(b[order], trans)[perm]
+            else:
+                apply = lu.solve
         # apply holds lu, not self: a reference back to self would make a
         # cycle that keeps each factor alive until the garbage collector
         # runs (6 MB per 99x99 pencil factor)
@@ -474,7 +632,10 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
 
     A is complex symmetric and the only matrix formed; one
     `Factorization` holds it, and its `solve` refines every right-hand
-    side.  The system is rejected when its 1-norm condition number may
+    side.  It is given the geometry's stencil, so without disorder it
+    solves the uniform leading block by sine transforms and factors only
+    the Schur complement over the rest (on a full rectangle, nothing);
+    with disorder it factors A.  The system is rejected when its 1-norm condition number may
     exceed COND_LIMIT (`_condition` on the element families): where the
     families prove sigma_min(A) >= floor > 0 (R > 0) the check is a
     bound taken before the factorization, which needs no solve; where
@@ -490,7 +651,7 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     cond = _condition(families, families.units(omega))
     if cond <= COND_LIMIT:
         families = None
-    factor = Factorization(A)
+    factor = Factorization(A, stencil=geometry.stencil)
     # reject numerically singular systems that still factorize (an exact
     # lossless resonance)
     if cond > COND_LIMIT:
@@ -598,9 +759,10 @@ class _ShiftedKrylov:
 
     Arnoldi with two passes of classical Gram-Schmidt builds T Q_m = Q_m
     H_m + h q e_m^T, each step one solve on one `Factorization` of the
-    assembled A_c and two scalings by r, into a basis preallocated for
-    KRYLOV_CAP vectors and grown KRYLOV_BLOCK at a time when an
-    evaluation needs it.  An evaluation solves the m x m (alpha I + beta
+    assembled A_c (given the stencil, so condensed onto its uniform
+    leading block where the network has no disorder) and two scalings by
+    r, into a basis preallocated for KRYLOV_CAP vectors and grown
+    KRYLOV_BLOCK at a time when an evaluation needs it.  An evaluation solves the m x m (alpha I + beta
     H_m) c = ||u0|| e1, returns V = (c^T Q_m) / r, and assembles nothing:
     the families, held for the window, give its condition bound
     (`_condition`) in O(n), and it is served only when that bound settles
@@ -614,7 +776,8 @@ class _ShiftedKrylov:
         omega_c = 0.5 * (omega_range[0] + omega_range[1])
         self.families = families = admittance_families(geometry, spec, pert)
         self.b = _source_vector(geometry, source)
-        self.apply = Factorization(assemble_admittance(families, omega_c)).apply
+        self.apply = Factorization(assemble_admittance(families, omega_c),
+                                   stencil=families.stencil).apply
         self.r = np.sqrt(families.shunt_weight)
         self.y_c = families.units(omega_c)
         n = len(self.b)

@@ -551,6 +551,24 @@ def test_cli_config_error(tmp_path, capsys):
                  "--threads", "0"]) == 2
 
 
+def test_cli_out_naming_a_file_is_a_config_error(tmp_path, capsys,
+                                                 monkeypatch):
+    # an --out that is a file, or lies under one, cannot be made a
+    # directory: a config error before any solve, and the file stays
+    solves = []
+    monkeypatch.setattr(rlcnet.experiments, "eigenmodes_lossless",
+                        lambda *args: solves.append(args))
+    cfg = write_cfg(tmp_path, {"geometry": "rectangle", "nx_interior": 5,
+                               "ny_interior": 4, "spacing": 0.1})
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out in (taken, taken / "sub"):
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and str(taken) in err
+    assert taken.read_text() == "kept" and solves == []
+
+
 def test_cli_rejects_a_tolerance_that_reaches_zero_multipliers(tmp_path,
                                                               capsys):
     # uniform multipliers at tau = 0.6 reach 1 - 0.6 sqrt(3) < 0: this 9x7

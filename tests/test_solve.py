@@ -728,6 +728,166 @@ def test_ordering_holds_no_view_of_its_factor():
     assert not any(a.base is lu for a in held)
 
 
+def _source(g, site):
+    """Right-hand side of a unit current injected at `site`."""
+    b = np.zeros(g.n_interior, dtype=complex)
+    b[g.stencil.index[site]] = -1.0
+    return b
+
+
+def _count_condensed(monkeypatch):
+    """List of (ndim, trans) of every apply of a condensed factorization
+    made while patched; one None per factorization made."""
+    calls = []
+    condensed = solve._condensed
+
+    def counted(*args):
+        lu, apply = condensed(*args)
+        calls.append(None)
+
+        def spied(b, trans="N"):
+            calls.append((np.ndim(b), trans))
+            return apply(b, trans)
+        return lu, spied
+
+    monkeypatch.setattr(solve, "_condensed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model,omega", [("I", 861100.0),
+                                         ("II", 1e13 / 861100.0)])
+def test_condensed_factorization_matches_the_plain_one(monkeypatch, model,
+                                                       omega):
+    # the a0 = 0.02 stadium's block is the unit square and 10 columns of
+    # the cap, 59 x 49 of 4,357 unknowns; SuperLU factors the Schur
+    # complement over the other 1,466 alone.  Sources inside the block and
+    # in the cap beyond it give the fields of the plain factorization
+    g = rasterize_quarter_stadium(0.02)
+    spec = CircuitSpec(model, L, C, 0.3)
+    A = assemble_admittance(admittance_families(g, spec), omega)
+    k, m, _, _ = solve._leading_block(g.stencil.index)
+    assert (k, m) == (59, 49)
+    condensed = solve.Factorization(A, stencil=g.stencil)
+    assert condensed.lu.shape == (g.n_interior - k * m,) * 2
+    plain = solve.Factorization(A)
+    calls = _count_condensed(monkeypatch)
+    solver = driven_solver(g, spec, omega)
+    for site in ((10, 10), (58, 48), (59, 30), (80, 10)):
+        field = solver((site, 1.0))
+        want = plain.solve(_source(g, site))
+        got = field.values[g.interior]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert calls[0] is None and len(calls) > 4
+
+
+def test_full_rectangle_condenses_without_splu(monkeypatch):
+    # a rectangle is all block: the sine transforms solve it, and no
+    # SuperLU factor is made
+    calls = _count_splu(monkeypatch)
+    g = rasterize_rectangle(12, 9, 0.05)
+    spec = CircuitSpec("II", L, C, 0.3)
+    omega = 1.1 * spec.omega0
+    A = assemble_admittance(admittance_families(g, spec), omega)
+    assert solve.Factorization(A, stencil=g.stencil).lu is None
+    field = driven_response(g, spec, omega, ((4, 5), 0.5 - 1.0j))
+    want = np.linalg.solve(A.toarray(), (0.5 - 1.0j) * _source(g, (4, 5)))
+    got = field.values[g.interior]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert calls == []
+
+
+def test_condensed_lossless_drive_estimates_its_condition(monkeypatch):
+    # at R = 0 no bound settles the check, so onenormest estimates ||A^-1||_1
+    # on the condensed factor: it applies A^-1 and A^-H to blocks of
+    # vectors, which agree with the dense inverses
+    g = rasterize_quarter_stadium(0.05)
+    lossless = CircuitSpec("I", L, C, 0.0)
+    modes = eigenmodes_lossless(g, lossless, 2)
+    between = 0.5 * (modes[0].omega + modes[1].omega)
+    estimates = _count_onenormest(monkeypatch)
+    applied = _count_condensed(monkeypatch)
+    field = driven_response(g, lossless, between, ((5, 5), 1.0))
+    assert len(estimates) == 1 and applied[0] is None
+    assert (2, "N") in applied and (2, "H") in applied
+    A = assemble_admittance(admittance_families(g, lossless),
+                            between).toarray()
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((len(A), 2)) + 1j * rng.standard_normal((len(A), 2))
+    for got, want in ((estimates[0].matmat(X), np.linalg.solve(A, X)),
+                      (estimates[0].rmatmat(X),
+                       np.linalg.solve(A.conj().T, X))):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    want = np.linalg.solve(A, _source(g, (5, 5)))
+    assert np.linalg.norm(field.values[g.interior] - want) \
+        <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("geometry", ["rectangle", "stadium"])
+def test_shift_on_a_block_eigenvalue_is_singular(geometry):
+    # K - s M on the block's lowest eigenvalue s: its mu is exactly 0 (4 - s
+    # and s - 4 are exact for s in (0, 2]), which raises, with no warning,
+    # whether or not the whole network is singular there
+    g = rasterize_rectangle(6, 5, 0.1) if geometry == "rectangle" \
+        else rasterize_quarter_stadium(0.05)
+    k, m, _, _ = solve._leading_block(g.stencil.index)
+    s = 4.0 - (solve._cosines(k)[0] + solve._cosines(m)[0])
+    families = admittance_families(g, CircuitSpec("I", L, C, 0.0))
+    with pytest.raises(SingularSystemError, match="uniform block"):
+        solve.Factorization(families.matrix(np.array([-1.0, s])),
+                            stencil=g.stencil)
+    # nearby, the same shift factors
+    solve.Factorization(families.matrix(np.array([-1.0, s * (1 + 1e-9)])),
+                        stencil=g.stencil)
+
+
+def test_only_uniform_drives_condense(monkeypatch):
+    # disorder (tau > 0) leaves the block non-uniform, and the eigen solves
+    # never pass their stencil: all of these factor the whole matrix
+    g = rasterize_quarter_stadium(0.05)
+    spec = CircuitSpec("I", L, C, 0.3)
+    lossless = CircuitSpec("I", L, C, 0.0)
+    applied = _count_condensed(monkeypatch)
+    shapes = []
+    factor = spla.splu
+
+    def sized(A, *args, **kwargs):
+        shapes.append(A.shape[0])
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", sized)
+    for tau in (0.01, 0.05):
+        driven_response(g, spec, 2.0e6, ((5, 5), 1.0),
+                        pert=sample_perturbation(g, tau, 1))
+    eigenmode_nearest(g, lossless, 2.0e6)
+    eigenmodes_lossless(g, lossless, 3)
+    assert applied == [] and shapes == [g.n_interior] * 4
+    # tau = 0 draws unit multipliers: that drive condenses
+    driven_response(g, spec, 2.0e6, ((5, 5), 1.0),
+                    pert=sample_perturbation(g, 0.0, 1))
+    assert applied[0] is None and shapes[-1] < g.n_interior
+
+
+def test_sine_transforms_load_only_where_a_drive_condenses():
+    # scipy.fft costs 18-31 ms to import: neither the CLI's import nor an
+    # eigen solve loads it, a condensed drive does
+    script = (
+        "import sys, rlcnet.cli\n"
+        "from rlcnet import *\n"
+        "g = rasterize_rectangle(9, 8, 0.1)\n"
+        "print('scipy.fft' in sys.modules)\n"
+        "eigenmode_nearest(g, CircuitSpec(), 2.0e6)\n"
+        "print('scipy.fft' in sys.modules)\n"
+        "driven_response(g, CircuitSpec(resistance=0.3), 2.0e6,"
+        " ((4, 4), 1.0))\n"
+        "print('scipy.fft' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
+
+
 def test_driven_lossless_on_rectangle_modes_rejected():
     g = rasterize_rectangle(5, 4, 0.1)
     spec = CircuitSpec("I", L, C, 0.0)
@@ -837,9 +997,9 @@ def _count_factorizations(monkeypatch):
     built = []
 
     class Counted(solve.Factorization):
-        def __init__(self, A, ordering=None):
+        def __init__(self, A, *args, **kwargs):
             built.append(A)
-            super().__init__(A, ordering)
+            super().__init__(A, *args, **kwargs)
 
     monkeypatch.setattr(solve, "Factorization", Counted)
     return built
@@ -908,7 +1068,8 @@ def test_order_0_solver_frees_the_families_before_it_factors(monkeypatch):
     # a settled bound leaves the solve nothing to read from the families,
     # so they are gone before splu runs and stay off its peak memory; at
     # R = 0 no bound settles, and the condition estimate on the factor
-    # still reads them
+    # still reads them.  On the stadium SuperLU factors the cap's Schur
+    # complement; a full rectangle would call no splu at all
     refs = []
     build = solve.admittance_families
 
@@ -926,7 +1087,7 @@ def test_order_0_solver_frees_the_families_before_it_factors(monkeypatch):
 
     monkeypatch.setattr(solve, "admittance_families", kept)
     monkeypatch.setattr(spla, "splu", checked)
-    g = rasterize_rectangle(12, 9, 0.05)
+    g = rasterize_quarter_stadium(0.1)
     for resistance in (0.3, 0.0):
         spec = CircuitSpec("I", L, C, resistance)
         driven_solver(g, spec, 1.1e6)(((4, 5), 1.0))
