@@ -27,17 +27,25 @@ from .network import (MODEL_I, AdmittanceFamilies, CircuitSpec, Perturbation,
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e13
-# the largest spread max|mu| / min|mu| of a uniform block's eigenvalues that
-# its sine-transform solve takes: the transforms then lose at most about
-# 1e5 times the unit roundoff, 1e-11 (the a0 = 0.005 stadium at R = 0.1 and
-# 861,100 rad/s spreads 9.2e4)
+# the largest spread max|mu| / min|mu| of a uniform rectangle's eigenvalues
+# that its sine-transform solve takes: the transforms then lose at most
+# about 1e5 times the unit roundoff, 1e-11.  The a0 = 0.005 stadium's two
+# rectangles spread 9.2e4 and 1.0e4 at R = 0.1 and 861,100 rad/s
 SPREAD_LIMIT = 1e5
+# the least share of the unknowns that a rectangle condenses on.  In
+# process, factor + 4 refined solves of stadium-like shapes: the first
+# rectangle alone against none took 0.98 of the time at a share of 17%,
+# 0.85 at 26%, 0.57 at 42%; the stadium's second rectangle (a share of
+# 21-24%) against the first alone 0.76 at a0 = 0.007, 0.86 at 0.01, 0.96
+# at 0.02 and 1.30 at 0.03 (1,942 unknowns, 1.1 ms more)
+MIN_SHARE = 0.2
 # a sweep's shifted Krylov basis grows by KRYLOV_BLOCK vectors at a time, up
 # to KRYLOV_CAP; an evaluation it cannot serve there factors its own matrix.
 # On the a0 = 0.01 quarter stadium (17,650 unknowns) 40 vectors took
-# 0.20-0.22 s with the factorization, about 5 factorizations of 38-47 ms,
-# and 11.6 MB, below the factor's own 13.6 MB; a window of +-2.4% around
-# 860,000 rad/s (21 points) needed all 40 of them, one of +-0.5% (9) 20
+# 0.15-0.16 s with the condensed factorization, about 13 factorizations of
+# 11.5 ms, and 11.6 MB, six times the factor's 1.9 MB; a window of +-2.4%
+# around 860,000 rad/s (21 points) needed all 40 of them, one of +-0.5% (9)
+# 20
 KRYLOV_BLOCK = 10
 KRYLOV_CAP = 40
 
@@ -221,129 +229,295 @@ def _splu(A, natural: bool = False):
         raise SingularSystemError(f"factorization failed: {exc}") from exc
 
 
+def _sine(x, axes=(0, 1)):
+    """The orthonormal DST-I of x along `axes`: along an axis of n entries,
+    y_p = sqrt(2 / (n + 1)) sum_i x_i sin((i + 1) (p + 1) pi / (n + 1)),
+    which is i / 2 times entry p + 1 of the FFT of the odd extension (0,
+    x, 0, -reversed x).  Real x gives real y.  One `numpy.fft` call per
+    axis; `scipy.fft` would cost 15-20 ms to import after rlcnet's own
+    imports, and on a 219 x 199 complex array the two agree to 4e-16."""
+    real = np.isrealobj(x)
+    for axis in axes:
+        n = x.shape[axis]
+        z = np.moveaxis(x, axis, -1)
+        ext = np.empty(z.shape[:-1] + (2 * n + 2,), dtype=complex)
+        ext[..., 0] = ext[..., n + 1] = 0.0
+        ext[..., 1:n + 1] = z
+        np.negative(z[..., ::-1], out=ext[..., n + 2:])
+        y = np.fft.fft(ext, out=ext)[..., 1:n + 1]
+        y *= 0.5j * sqrt(2.0 / (n + 1))
+        x = np.moveaxis(y.real if real else y, -1, axis)
+    return x
+
+
 def _cosines(n: int) -> np.ndarray:
     """2 cos(p pi / (n + 1)), p = 1..n: the eigenvalues of the adjacency of
     a path of n sites, whose eigenvectors are the orthonormal DST-I's."""
     return 2.0 * np.cos(np.arange(1, n + 1) * (pi / (n + 1)))
 
 
-def _leading_block(index: np.ndarray):
-    """The block of a lattice's leading columns: the longest run of them
-    whose interior is one and the same contiguous run of m rows, k columns
-    in all.  Its k m unknowns are the first, column by column, and every
-    lattice neighbour it has outside itself is grounded, save the interior
-    sites of the next column in the block's rows: `rows` (0..m-1) and
-    `tail`, their unknown numbers less k m.  Returns (k, m, rows, tail),
-    or None where the first column's interior is not one run.  `index` is
-    the stencil's (nx, ny) unknown numbers, -1 off the interior."""
+def _sine_row(n: int, i: int) -> np.ndarray:
+    """Row i of the orthonormal DST-I matrix of order n (`_sine`)."""
+    return sqrt(2.0 / (n + 1)) * np.sin((i + 1) * np.arange(1, n + 1)
+                                         * (pi / (n + 1)))
+
+
+def _fft_sizes(n: int) -> np.ndarray:
+    """For i = 0..n the largest s <= i whose s + 1 has no prime factor
+    above 11, the factors that numpy's FFT has dedicated passes for.  A
+    60 x 66 transform (61 and 67 prime) took 2.5 times as long per entry
+    as a 59 x 63 one."""
+    rest = np.arange(1, n + 2)
+    for p in (2, 3, 5, 7, 11):
+        while np.any(rest % p == 0):
+            rest = np.where(rest % p == 0, rest // p, rest)
+    return np.maximum.accumulate(np.where(rest == 1, np.arange(n + 1), 0))
+
+
+def _rectangles(index: np.ndarray) -> list:
+    """Disjoint all-interior rectangles (i0, j0, k, m), k lattice columns
+    from i0 by m rows from j0, of a lattice whose (nx, ny) unknown
+    numbers, -1 off the interior, are `index`.
+
+    The first is the leading block: the longest run of leading columns
+    whose interior is one and the same run of rows.  The column after it,
+    the tail, separates it from the second: of the rectangles on the
+    columns past the tail that start at the first of them, each of its
+    columns' interior one run that holds its rows, the one of most sites
+    among those whose k + 1 and m + 1 have no prime factor above 11
+    (`_fft_sizes`), its rows the lowest of the run they share.  No two
+    share a lattice link, so each meets only sites outside all of them.
+    Empty where the first interior column is not one run."""
     inside = index >= 0
+    ny = inside.shape[1]
+    lo = np.argmax(inside, axis=1)
+    hi = ny - 1 - np.argmax(inside[:, ::-1], axis=1)
+    one_run = inside.any(axis=1) & (np.count_nonzero(inside, axis=1)
+                                    == hi - lo + 1)
     first = int(np.argmax(inside.any(axis=1)))
-    run = np.flatnonzero(inside[first])
-    if not run.size or run[-1] - run[0] != len(run) - 1:
-        return None
+    if not one_run[first]:
+        return []
     # the lattice rim holds no interior site, so some column differs
-    k = int(np.argmin(np.all(inside[first:] == inside[first], axis=1)))
-    column = index[first + k, run[0]:run[-1] + 1]
-    rows = np.flatnonzero(column >= 0)
-    return k, len(run), rows, column[rows] - k * len(run)
+    k = int(np.argmin(one_run[first:] & (lo[first:] == lo[first])
+                      & (hi[first:] == hi[first])))
+    found = [(first, int(lo[first]), k, int(hi[first] - lo[first] + 1))]
+    start = first + k + 1
+    # columns from `start` up to the first that is not one run (the tail
+    # may be the lattice rim, past which there is none)
+    width = int(np.argmin(np.append(one_run[start:], False)))
+    if width:
+        bottom = np.maximum.accumulate(lo[start:start + width])
+        height = np.minimum.accumulate(hi[start:start + width]) - bottom + 1
+        # of the FFT-friendly sizes (`_fft_sizes`)
+        fit = _fft_sizes(max(width, ny))
+        w = np.arange(1, width + 1)
+        area = np.where(fit[w] == w, w * fit[np.maximum(height, 0)], 0)
+        best = int(np.argmax(area))
+        if area[best] > 0:
+            found.append((start, int(bottom[best]), best + 1,
+                          int(fit[height[best]])))
+    return found
 
 
-def _uniform_block(A, stencil):
-    """The leading block of `stencil` (`_leading_block`) on which CSC A,
-    of the stencil's pattern, is uniform, with its eigenvalues mu: (k, m,
-    rows, tail, mu, c), c the block's one off-diagonal entry; None where
-    there is no such block, it holds fewer than half of the unknowns, or
-    the spread max|mu| / min|mu| exceeds SPREAD_LIMIT.  A zero mu raises
-    SingularSystemError.
+@dataclass(eq=False)
+class _SineBlock:
+    """A rectangle of k x m unknowns on which A is uniform, solved by sine
+    transforms (`_sine_blocks`)."""
 
-    A uniform block, one diagonal entry d and one off-diagonal entry c on
-    all its columns (its couplings to the next column included), is d I +
-    c times the adjacency of the k x m grid, with eigenvalues mu_pq = d +
-    c (2 cos(p pi / (k + 1)) + 2 cos(q pi / (m + 1))) on the 2-D DST-I;
-    at uniform family weights w_l, w_s that is -(y_0 w_l (T_k + T_m) +
-    y_1 w_s I), T the second-difference matrices, and with disorder the
-    block is not uniform."""
-    block = _leading_block(stencil.index)
-    if block is None:
-        return None
-    k, m, rows, tail = block
-    nb = k * m
-    if 2 * nb < A.shape[0]:
-        return None
-    end = A.indptr[nb]
-    on = A.indices[:end] == np.repeat(np.arange(nb), np.diff(A.indptr[:nb + 1]))
-    diagonal, off = A.data[:end][on], A.data[:end][~on]
-    if np.any(diagonal != diagonal[0]) or np.any(off != off[:1]):
-        return None
-    c = off[0] if off.size else 0.0
-    mu = diagonal[0] + c * (_cosines(k)[:, None] + _cosines(m))
-    size = np.abs(mu)
-    if size.min() == 0.0:
-        raise SingularSystemError("drive on an eigenvalue of the uniform "
-                                  "block")
-    if size.max() > SPREAD_LIMIT * size.min():
-        return None
-    return k, m, rows, tail, mu, c
+    sites: np.ndarray     # (k, m) unknown numbers
+    inv_mu: np.ndarray    # (k, m) 1 / mu_pq, the block's inverse eigenvalues
+    c: complex            # the one off-diagonal entry of its columns
+    # (axis, phi, rows, outer) of each side that meets an unknown outside:
+    # the side fixes `axis` (0: a column, 1: a row) at the row phi of the
+    # sine matrix, its sites `rows` along the other axis meet the unknowns
+    # `outer`
+    sides: list
 
 
-def _condensed(A, k, m, rows, tail, mu, c):
-    """(lu, apply) of CSC A with its uniform leading block (`_uniform_block`)
+def _sine_blocks(A, stencil) -> list:
+    """The rectangles of `stencil` (`_rectangles`) that CSC A, of the
+    stencil's pattern, condenses on, as `_SineBlock`s.
+
+    A rectangle condenses where A is uniform on it: one diagonal entry d
+    and one off-diagonal entry c on all its columns, its couplings to the
+    sites outside included.  It is then d I + c times the adjacency of
+    the k x m grid, with eigenvalues mu_pq = d + c (2 cos(p pi / (k + 1))
+    + 2 cos(q pi / (m + 1))) on the 2-D DST-I; at uniform family weights
+    w_l, w_s that is -(y_0 w_l (T_k + T_m) + y_1 w_s I), T the
+    second-difference matrices, and with disorder it is not uniform.  It
+    also needs at least MIN_SHARE of the unknowns, no zero mu, and a
+    spread max|mu| / min|mu| of at most SPREAD_LIMIT; a rectangle that
+    fails is left to SuperLU with the rest.  A zero mu on a rectangle that
+    is all of A raises SingularSystemError."""
+    index = stencil.index
+    n = A.shape[0]
+    diagonal = A.diagonal()
+    blocks = []
+    for i0, j0, k, m in _rectangles(index):
+        if k * m < MIN_SHARE * n:
+            continue
+        sites = index[i0:i0 + k, j0:j0 + m]
+        d = diagonal[sites.ravel()]
+        # each lattice column's sites are numbered in one run, so their
+        # entries are one run of A.data
+        start, stop = A.indptr[sites[:, 0]], A.indptr[sites[:, -1] + 1]
+        counts = stop - start
+        values = A.data[np.repeat(start - np.cumsum(counts) + counts, counts)
+                        + np.arange(counts.sum())]
+        # k m of the entries are diagonal; an off-diagonal entry equal to d
+        # is taken as not uniform
+        off = values[values != d[0]]
+        if np.any(d != d[0]) or len(off) != len(values) - k * m \
+                or np.any(off != off[:1]):
+            continue
+        c = off[0] if off.size else 0.0
+        mu = d[0] + c * (_cosines(k)[:, None] + _cosines(m))
+        size = np.abs(mu)
+        if size.min() == 0.0:
+            if k * m == n:
+                raise SingularSystemError("drive on an eigenvalue of the "
+                                          "uniform rectangle")
+            continue
+        if size.max() > SPREAD_LIMIT * size.min():
+            continue
+        sides = []
+        for axis, fixed, outer in (
+                (0, 0, index[i0 - 1, j0:j0 + m]),
+                (0, k - 1, index[i0 + k, j0:j0 + m]),
+                (1, 0, index[i0:i0 + k, j0 - 1]),
+                (1, m - 1, index[i0:i0 + k, j0 + m])):
+            rows = np.flatnonzero(outer >= 0)
+            if rows.size:
+                sides.append((axis, _sine_row((k, m)[axis], fixed), rows,
+                              outer[rows]))
+        blocks.append(_SineBlock(sites, 1.0 / mu, c, sides))
+    return blocks
+
+
+def _sine_products(g, rows_s, rows_t) -> np.ndarray:
+    """(Phi diag(g) Phi)[rows_s, rows_t], Phi the orthonormal DST-I of
+    order n = len(g).  sin a sin b = (cos(a - b) - cos(a + b)) / 2 makes
+    it h[|u - v|] - h[u + v + 2], h_r = sum_q g_q cos(r (q + 1) pi / (n +
+    1)) / (n + 1), whose 2n + 2 sums are one FFT of (0, g, 0, ...)."""
+    n = len(g)
+    z = np.zeros(2 * n + 2, dtype=complex)
+    z[1:n + 1] = g
+    F = np.fft.fft(z)
+    # F[r] + F[-r] is twice the cosine sum
+    h = (F + np.roll(F[::-1], 1)) / (2 * (n + 1))
+    h = h.real if np.isrealobj(g) else h
+    return h[np.abs(np.subtract.outer(rows_s, rows_t))] \
+        - h[np.add.outer(rows_s, rows_t) + 2]
+
+
+def _contacts(block: _SineBlock) -> np.ndarray:
+    """c^2 G[P, P], G the inverse of A on `block` and P its sites that
+    meet an unknown outside, side by side (`_SineBlock.sides`), from
+    separable closed forms with no solve.  Two sides that fix one axis at
+    phi_s and phi_t give Phi diag(g) Phi over the other (`_sine_products`),
+    g the sum of phi_s phi_t / mu over the fixed axis' modes; a column and
+    a row give the 2-D transform of the outer product phi_s phi_t / mu."""
+    inv_mu = block.inv_mu
+    sides = block.sides
+    parts = [[None] * len(sides) for _ in sides]
+    for s, (axis_s, phi_s, rows_s, _) in enumerate(sides):
+        for t in range(s, len(sides)):
+            axis_t, phi_t, rows_t, _ = sides[t]
+            if axis_s == axis_t:
+                parts[s][t] = _sine_products(
+                    np.tensordot(phi_s * phi_t, inv_mu, ([0], [axis_s])),
+                    rows_s, rows_t)
+            else:
+                # modes of axis_s by modes of axis_t
+                F = np.multiply.outer(phi_s, phi_t) * (
+                    inv_mu if axis_s == 0 else inv_mu.T)
+                parts[s][t] = _sine(F).T[np.ix_(rows_s, rows_t)]
+            parts[t][s] = parts[s][t].T
+    return block.c * block.c * np.block(parts)
+
+
+def _condense(A, blocks: list):
+    """(lu, apply) of CSC A with the rectangles `blocks` (`_sine_blocks`)
     solved by sine transforms: lu is SuperLU's factor of the Schur
-    complement S over the rest, None where the block is all of A, and
-    apply(b[, trans]) is A^-1 b (A^-H b for trans "H") for b of one or two
-    dimensions, unrefined.
+    complement S over the rest, None where the blocks are all of A, and
+    apply(b[, trans]) is A^-1 b (A^-H b for trans "H") for b of one or
+    two dimensions, unrefined.
 
-    The block B is diagonal under the orthonormal 2-D DST-I Phi (Buzbee,
+    A block B is diagonal under the orthonormal 2-D DST-I Phi (Buzbee,
     Golub and Nielson, SIAM J. Numer. Anal. 7 (1970) 627): A_BB^-1 = Phi
-    diag(1 / mu) Phi.  It meets the rest R only from its last column, at
-    the sites `tail` of R through the entry c, so S = A_RR - A_RB A_BB^-1
-    A_BR (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8 (1971)
-    722) differs from A_RR by c^2 times one dense block: the last column
-    of A_BB^-1 at the rows `rows`, Phi_m diag(g) Phi_m with g_q = sum_p
-    phi_p^2 / mu_pq, phi the last entries of Phi_k's vectors.  A solve
-    transforms b_B, solves S x_R = b_R - A_RB A_BB^-1 b_B and returns x_B
-    = A_BB^-1 (b_B - A_BR x_R), both block solves from the one transform
-    of b_B and one transform back.  A is complex symmetric, so A^-H b =
-    conj(A^-1 conj(b)).
+    diag(1 / mu) Phi.  Blocks share no link, and each meets the rest R
+    only from its contact sites P through the entry c, so S = A_RR - sum
+    A_RB A_BB^-1 A_BR (Buzbee, Dorr, George and Golub, SIAM J. Numer.
+    Anal. 8 (1971) 722) differs from A_RR by one dense block c^2 G[P, P]
+    per block (`_contacts`).  A solve transforms each b_B, solves S x_R =
+    b_R - sum A_RB A_BB^-1 b_B, reading A_BB^-1 b_B on the edges alone,
+    and returns x_B = A_BB^-1 (b_B - A_BR x_R): two 2-D transforms per
+    block, the second of b_B's transform less the edge terms.  A is
+    complex symmetric, so A^-H b = conj(A^-1 conj(b)).
     """
-    # 18-31 ms to import: only a run that condenses pays for it
-    from scipy.fft import dst, dstn
-    n, nb = A.shape[0], k * m
-    last = np.zeros(k)
-    last[-1] = 1.0
-    phi = dst(last, type=1, norm="ortho")
+    n = A.shape[0]
+    rest = np.ones(n, dtype=bool)
+    for block in blocks:
+        rest[block.sites.ravel()] = False
+    # the unknowns outside every block, numbered among themselves, and the
+    # blocks' sides in that numbering
+    number = np.cumsum(rest) - 1
+    keep, rest = rest, np.flatnonzero(rest)
+    edges = [[(axis, phi, rows, number[outer])
+              for axis, phi, rows, outer in block.sides] for block in blocks]
     lu = None
-    if n > nb:
-        g = (phi * phi) @ (1.0 / mu)
-        edge = c * c * dstn(np.diag(g), type=1, norm="ortho")[np.ix_(rows,
-                                                                     rows)]
-        S = A[nb:, nb:] - sp.csc_matrix(
-            (edge.ravel(), (np.repeat(tail, len(tail)),
-                            np.tile(tail, len(tail)))), shape=(n - nb, n - nb))
+    if rest.size:
+        # A_RR: the columns of R, then their entries in the rows of R,
+        # which stay sorted
+        sub = A[:, rest]
+        kept = keep[sub.indices]
+        S = sp.csc_matrix((sub.data[kept], number[sub.indices[kept]],
+                           np.concatenate(([0], np.cumsum(kept)))[sub.indptr]),
+                          shape=(len(rest), len(rest)))
+        for block, sides in zip(blocks, edges):
+            if not sides:
+                continue
+            # c^2 G[P, P] as a sorted CSC matrix over R; it is symmetric
+            outer = np.concatenate([side[3] for side in sides])
+            order = np.argsort(outer)
+            outer = outer[order]
+            counts = np.zeros(len(rest), dtype=np.intp)
+            counts[outer] = len(outer)
+            S = S - sp.csc_matrix(
+                (_contacts(block)[np.ix_(order, order)].ravel(),
+                 np.tile(outer, len(outer)),
+                 np.concatenate(([0], np.cumsum(counts)))), shape=S.shape)
         lu = _splu(S)
 
     def apply(b, trans="N"):
         if trans == "H":
             return np.conj(apply(np.conj(b)))
-        extra = b.shape[1:]
-        # mu and phi broadcast over the columns of a 2-D b
-        scale = mu.reshape(mu.shape + (1,) * len(extra))
-        weight = phi.reshape((k, 1) + (1,) * len(extra))
-        bh = dstn(b[:nb].reshape((k, m) + extra), type=1, norm="ortho",
-                  axes=(0, 1))
-        x = np.empty(b.shape, dtype=np.result_type(bh, scale))
-        if lu is not None:
-            # A_BB^-1 b_B on the block's last column
-            z = dst(np.tensordot(phi, bh / scale, 1), type=1, norm="ortho",
-                    axis=0)
-            rhs = b[nb:].astype(x.dtype)
-            rhs[tail] -= c * z[rows]
-            x[nb:] = x_r = lu.solve(rhs)
-            u = np.zeros((m,) + extra, dtype=x.dtype)
-            u[rows] = c * x_r[tail]
-            bh = bh - weight * dst(u, type=1, norm="ortho", axis=0)
-        x[:nb] = dstn(bh / scale, type=1, norm="ortho",
-                      axes=(0, 1)).reshape((nb,) + extra)
+        extra = (1,) * (b.ndim - 1)
+        b = b.astype(np.result_type(b, A.dtype), copy=False)
+        x = np.empty_like(b)
+        rhs = b[rest]
+        spectra = []
+        for block, sides in zip(blocks, edges):
+            bh = _sine(b[block.sites])
+            inv_mu = block.inv_mu.reshape(block.inv_mu.shape + extra)
+            spectra.append((bh, inv_mu))
+            w = bh * inv_mu
+            for axis, phi, rows, outer in sides:
+                # A_BB^-1 b_B on the side's sites
+                on = _sine(np.tensordot(phi, w, ([0], [axis])), (0,))
+                rhs[outer] -= block.c * on[rows]
+        x_r = lu.solve(rhs) if lu is not None else rhs
+        x[rest] = x_r
+        for block, sides, (bh, inv_mu) in zip(blocks, edges, spectra):
+            for axis, phi, rows, outer in sides:
+                # less the transform of A_BR x_R, which lies on the side
+                u = np.zeros((block.sites.shape[1 - axis],) + x_r.shape[1:],
+                             x.dtype)
+                u[rows] = block.c * x_r[outer]
+                term = np.multiply.outer(phi, _sine(u, (0,)))
+                bh -= term if axis == 0 else np.swapaxes(term, 0, 1)
+            bh *= inv_mu
+            x[block.sites] = _sine(bh)
         return x
 
     return lu, apply
@@ -378,16 +552,20 @@ class Factorization:
     Given an empty one, A is factored as above and the ordering recorded
     there.
 
-    Given the `stencil` of A's pattern instead, A is condensed where that
-    stencil's leading block holds at least half of the unknowns, A is
-    uniform on it (no disorder) and the block's eigenvalues spread by at
-    most SPREAD_LIMIT (`_uniform_block`): sine transforms solve the block,
-    and SuperLU factors only the Schur complement over the rest
-    (`_condensed`), none at all on a full rectangle.  A zero eigenvalue of
-    the block raises SingularSystemError.  On the a0 = 0.005 quarter
-    stadium the block is the unit square and the first 20 columns of the
-    cap, 219 x 199 of the 71,003 unknowns, and the factor of the 27,422
-    others stores 1.5M entries, against 3.6M for A.  The driven solves
+    Given the `stencil` of A's pattern instead, A is condensed on the
+    stencil's rectangles (`_rectangles`) where it is uniform (no
+    disorder), each of at least MIN_SHARE of the unknowns and with
+    eigenvalues that spread by at most SPREAD_LIMIT (`_sine_blocks`):
+    sine transforms solve each rectangle, and SuperLU factors only the
+    Schur complement over the rest (`_condense`), none at all on a full
+    rectangle.  A rectangle that fails, a drive on one of its eigenvalues
+    included, stays with the rest; a full rectangle with a zero
+    eigenvalue raises SingularSystemError.  On the a0 = 0.005 quarter
+    stadium the rectangles are the unit square with the first 20 columns
+    of the cap, 219 x 199, and a 131 x 131 block of the cap past the
+    column after it; the factor of the other 10,261 of the 71,003
+    unknowns stores 0.62M entries, against 3.6M in A's own and 1.5M for the
+    27,422 outside the first rectangle alone.  The driven solves
     (`driven_solver`) and a sweep's window centre (`_ShiftedKrylov`) pass
     their stencil; the eigen solves (`_eigsh_near`) never do.
 
@@ -404,9 +582,9 @@ class Factorization:
     def __init__(self, A, ordering: Ordering | None = None, stencil=None):
         self.matrix = A
         A = A.tocsc()
-        block = None if stencil is None else _uniform_block(A, stencil)
-        if block is not None:
-            self.lu, apply = _condensed(A, *block)
+        blocks = [] if stencil is None else _sine_blocks(A, stencil)
+        if blocks:
+            self.lu, apply = _condense(A, blocks)
         else:
             record = ordering is not None and ordering.perm is None
             reuse = ordering is not None and not record
@@ -633,7 +811,7 @@ def driven_solver(geometry: GridGeometry, spec: CircuitSpec, omega: float,
     A is complex symmetric and the only matrix formed; one
     `Factorization` holds it, and its `solve` refines every right-hand
     side.  It is given the geometry's stencil, so without disorder it
-    solves the uniform leading block by sine transforms and factors only
+    solves the uniform rectangles by sine transforms and factors only
     the Schur complement over the rest (on a full rectangle, nothing);
     with disorder it factors A.  The system is rejected when its 1-norm condition number may
     exceed COND_LIMIT (`_condition` on the element families): where the
@@ -760,7 +938,7 @@ class _ShiftedKrylov:
     Arnoldi with two passes of classical Gram-Schmidt builds T Q_m = Q_m
     H_m + h q e_m^T, each step one solve on one `Factorization` of the
     assembled A_c (given the stencil, so condensed onto its uniform
-    leading block where the network has no disorder) and two scalings by
+    rectangles where the network has no disorder) and two scalings by
     r, into a basis preallocated for KRYLOV_CAP vectors and grown
     KRYLOV_BLOCK at a time when an evaluation needs it.  An evaluation solves the m x m (alpha I + beta
     H_m) c = ||u0|| e1, returns V = (c^T Q_m) / r, and assembles nothing:

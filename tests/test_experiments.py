@@ -959,8 +959,9 @@ def test_field_csv_round_trip(tmp_path):
 
 def test_unused_scipy_subpackages_not_imported(tmp_path):
     # scipy.stats, scipy.optimize and scipy.ndimage cost about 0.8 s of
-    # start-up: neither the import nor a stats, sweep or streamlines run
-    # may load them
+    # start-up, and scipy.fft 15-20 ms: neither the import nor a stats,
+    # sweep or streamlines run may load them, though all three solve on
+    # sine transforms (the rectangle condenses)
     cfg = write_cfg(tmp_path, {
         "geometry": "rectangle", "nx_interior": 60, "ny_interior": 60,
         "spacing": 0.02, "resistance": 0.3, "omega": 4.0e6,
@@ -969,7 +970,8 @@ def test_unused_scipy_subpackages_not_imported(tmp_path):
     })
     script = (
         "import sys, rlcnet, rlcnet.cli\n"
-        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.ndimage')\n"
+        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.ndimage',"
+        " 'scipy.fft')\n"
         "print([m for m in heavy if m in sys.modules])\n"
         "for kind in ('stats', 'sweep', 'streamlines'):\n"
         "    assert rlcnet.cli.main([kind, '--config', sys.argv[1],"

@@ -739,10 +739,10 @@ def _count_condensed(monkeypatch):
     """List of (ndim, trans) of every apply of a condensed factorization
     made while patched; one None per factorization made."""
     calls = []
-    condensed = solve._condensed
+    condense = solve._condense
 
     def counted(*args):
-        lu, apply = condensed(*args)
+        lu, apply = condense(*args)
         calls.append(None)
 
         def spied(b, trans="N"):
@@ -750,34 +750,61 @@ def _count_condensed(monkeypatch):
             return apply(b, trans)
         return lu, spied
 
-    monkeypatch.setattr(solve, "_condensed", counted)
+    monkeypatch.setattr(solve, "_condense", counted)
     return calls
+
+
+def test_sine_transform_matches_the_dst_matrix():
+    # the FFT of the odd extension gives the orthonormal DST-I along each
+    # axis asked for, of real and complex arrays, and the closed form of
+    # Phi diag(g) Phi matches the dense product
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((7, 4, 2)) + 1j * rng.standard_normal((7, 4, 2))
+    phi = {n: np.array([solve._sine_row(n, i) for i in range(n)])
+           for n in (4, 7)}
+    assert np.allclose(phi[7] @ phi[7], np.eye(7), atol=1e-15)
+    want = np.einsum("ip,jq,pqr->ijr", phi[7], phi[4], x)
+    assert np.allclose(solve._sine(x), want, rtol=0, atol=1e-14)
+    assert np.allclose(solve._sine(x, (1,)),
+                       np.einsum("jq,iqr->ijr", phi[4], x), rtol=0,
+                       atol=1e-14)
+    real = solve._sine(x.real)
+    assert np.isrealobj(real) and np.allclose(real, want.real, atol=1e-14)
+    g = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    rows_s, rows_t = np.array([0, 3, 6]), np.array([1, 2, 3, 4, 5, 6])
+    assert np.allclose(solve._sine_products(g, rows_s, rows_t),
+                       (phi[7] * g @ phi[7])[np.ix_(rows_s, rows_t)],
+                       rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("model,omega", [("I", 861100.0),
                                          ("II", 1e13 / 861100.0)])
 def test_condensed_factorization_matches_the_plain_one(monkeypatch, model,
                                                        omega):
-    # the a0 = 0.02 stadium's block is the unit square and 10 columns of
-    # the cap, 59 x 49 of 4,357 unknowns; SuperLU factors the Schur
-    # complement over the other 1,466 alone.  Sources inside the block and
-    # in the cap beyond it give the fields of the plain factorization
+    # the a0 = 0.02 stadium's rectangles are the unit square with 10
+    # columns of the cap, 59 x 49, and past the separating column 60 a 29
+    # x 31 block of the cap; SuperLU factors the Schur complement over the
+    # other 567 of the 4,357 unknowns alone.  Sources in each rectangle
+    # (corners included), in the separating column and in the rest (above
+    # the second rectangle and past it) give the fields of the plain
+    # factorization
     g = rasterize_quarter_stadium(0.02)
     spec = CircuitSpec(model, L, C, 0.3)
     A = assemble_admittance(admittance_families(g, spec), omega)
-    k, m, _, _ = solve._leading_block(g.stencil.index)
-    assert (k, m) == (59, 49)
+    assert solve._rectangles(g.stencil.index) == [(1, 1, 59, 49),
+                                                  (61, 1, 29, 31)]
     condensed = solve.Factorization(A, stencil=g.stencil)
-    assert condensed.lu.shape == (g.n_interior - k * m,) * 2
+    assert condensed.lu.shape == (567, 567)
     plain = solve.Factorization(A)
     calls = _count_condensed(monkeypatch)
     solver = driven_solver(g, spec, omega)
-    for site in ((10, 10), (58, 48), (59, 30), (80, 10)):
+    for site in ((10, 10), (59, 49), (60, 1), (60, 30), (60, 45), (61, 31),
+                 (75, 15), (89, 1), (70, 40), (90, 20), (95, 5)):
         field = solver((site, 1.0))
         want = plain.solve(_source(g, site))
         got = field.values[g.interior]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert calls[0] is None and len(calls) > 4
+    assert calls[0] is None and len(calls) > 11
 
 
 def test_full_rectangle_condenses_without_splu(monkeypatch):
@@ -799,18 +826,21 @@ def test_full_rectangle_condenses_without_splu(monkeypatch):
 def test_condensed_lossless_drive_estimates_its_condition(monkeypatch):
     # at R = 0 no bound settles the check, so onenormest estimates ||A^-1||_1
     # on the condensed factor: it applies A^-1 and A^-H to blocks of
-    # vectors, which agree with the dense inverses
-    g = rasterize_quarter_stadium(0.05)
+    # vectors, which agree with the dense inverses.  The a0 = 0.03
+    # stadium condenses on both of its rectangles, 38 x 33 and 20 x 21
+    g = rasterize_quarter_stadium(0.03)
     lossless = CircuitSpec("I", L, C, 0.0)
     modes = eigenmodes_lossless(g, lossless, 2)
     between = 0.5 * (modes[0].omega + modes[1].omega)
+    A = assemble_admittance(admittance_families(g, lossless), between)
+    condensed = solve.Factorization(A, stencil=g.stencil)
+    assert condensed.lu.shape == ((g.n_interior - 38 * 33 - 20 * 21),) * 2
     estimates = _count_onenormest(monkeypatch)
     applied = _count_condensed(monkeypatch)
     field = driven_response(g, lossless, between, ((5, 5), 1.0))
     assert len(estimates) == 1 and applied[0] is None
     assert (2, "N") in applied and (2, "H") in applied
-    A = assemble_admittance(admittance_families(g, lossless),
-                            between).toarray()
+    A = A.toarray()
     rng = np.random.default_rng(3)
     X = rng.standard_normal((len(A), 2)) + 1j * rng.standard_normal((len(A), 2))
     for got, want in ((estimates[0].matmat(X), np.linalg.solve(A, X)),
@@ -824,25 +854,35 @@ def test_condensed_lossless_drive_estimates_its_condition(monkeypatch):
 
 @pytest.mark.parametrize("geometry", ["rectangle", "stadium"])
 def test_shift_on_a_block_eigenvalue_is_singular(geometry):
-    # K - s M on the block's lowest eigenvalue s: its mu is exactly 0 (4 - s
-    # and s - 4 are exact for s in (0, 2]), which raises, with no warning,
-    # whether or not the whole network is singular there
+    # K - s M on the first rectangle's lowest eigenvalue s: its mu is
+    # exactly 0 (4 - s and s - 4 are exact for s in (0, 2]).  A full
+    # rectangle is then singular and raises, with no warning; on the
+    # stadium, whose cap shifts the spectrum off the rectangle's, that
+    # rectangle is left to SuperLU with the rest, the second (29 x 31)
+    # still condenses, and the solve meets the residual contract
     g = rasterize_rectangle(6, 5, 0.1) if geometry == "rectangle" \
-        else rasterize_quarter_stadium(0.05)
-    k, m, _, _ = solve._leading_block(g.stencil.index)
+        else rasterize_quarter_stadium(0.02)
+    _, _, k, m = solve._rectangles(g.stencil.index)[0]
     s = 4.0 - (solve._cosines(k)[0] + solve._cosines(m)[0])
     families = admittance_families(g, CircuitSpec("I", L, C, 0.0))
-    with pytest.raises(SingularSystemError, match="uniform block"):
-        solve.Factorization(families.matrix(np.array([-1.0, s])),
-                            stencil=g.stencil)
+    A = families.matrix(np.array([-1.0, s]))
+    if geometry == "rectangle":
+        with pytest.raises(SingularSystemError, match="uniform rectangle"):
+            solve.Factorization(A, stencil=g.stencil)
+    else:
+        factor = solve.Factorization(A, stencil=g.stencil)
+        assert factor.lu.shape == (g.n_interior - 29 * 31,) * 2
+        b = np.random.default_rng(6).standard_normal(A.shape[0])
+        x = factor.solve(b)
+        assert np.linalg.norm(b - A @ x) <= RESIDUAL_TOL * np.linalg.norm(b)
     # nearby, the same shift factors
     solve.Factorization(families.matrix(np.array([-1.0, s * (1 + 1e-9)])),
                         stencil=g.stencil)
 
 
 def test_only_uniform_drives_condense(monkeypatch):
-    # disorder (tau > 0) leaves the block non-uniform, and the eigen solves
-    # never pass their stencil: all of these factor the whole matrix
+    # disorder (tau > 0) leaves the rectangles non-uniform, and the eigen
+    # solves never pass their stencil: all of these factor the whole matrix
     g = rasterize_quarter_stadium(0.05)
     spec = CircuitSpec("I", L, C, 0.3)
     lossless = CircuitSpec("I", L, C, 0.0)
@@ -865,27 +905,6 @@ def test_only_uniform_drives_condense(monkeypatch):
     driven_response(g, spec, 2.0e6, ((5, 5), 1.0),
                     pert=sample_perturbation(g, 0.0, 1))
     assert applied[0] is None and shapes[-1] < g.n_interior
-
-
-def test_sine_transforms_load_only_where_a_drive_condenses():
-    # scipy.fft costs 18-31 ms to import: neither the CLI's import nor an
-    # eigen solve loads it, a condensed drive does
-    script = (
-        "import sys, rlcnet.cli\n"
-        "from rlcnet import *\n"
-        "g = rasterize_rectangle(9, 8, 0.1)\n"
-        "print('scipy.fft' in sys.modules)\n"
-        "eigenmode_nearest(g, CircuitSpec(), 2.0e6)\n"
-        "print('scipy.fft' in sys.modules)\n"
-        "driven_response(g, CircuitSpec(resistance=0.3), 2.0e6,"
-        " ((4, 4), 1.0))\n"
-        "print('scipy.fft' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_driven_lossless_on_rectangle_modes_rejected():
